@@ -38,6 +38,7 @@ from .entropies import (
     composite_entropy,
     directional_derivative_fd,
     extended_subgradient,
+    parse_rule_spec,
 )
 from .scoring import (
     EulerReport,
@@ -85,7 +86,7 @@ __all__ = [
     "direction_cone_membership", "lineality_space", "is_quasi_interior",
     "annihilator_basis", "subdifferential_probe",
     "Entropy", "CompositeEntropySpec", "CATALOG_NAMES",
-    "catalog_entropy", "canonical_extension_value", "extended_subgradient",
+    "catalog_entropy", "parse_rule_spec", "canonical_extension_value", "extended_subgradient",
     "directional_derivative_fd", "composite_entropy",
     "ScoringRule", "ProprietyReport", "EulerReport",
     "make_psr", "linear_score", "zero_homog_extend",

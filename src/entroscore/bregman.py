@@ -127,8 +127,7 @@ def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
     def grad(p: ConeVector) -> DualVector:
         return space.dual(entropy.subgradient(p).values - grad_a.values)
 
-    return Entropy(f"{entropy.name}@rebased", entropy.domain, value, grad,
-                   strict=entropy.strict)
+    return Entropy(f"{entropy.name}@rebased", entropy.domain, value, grad)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -32,13 +31,12 @@ from .bregman import (
     SYMMETRIC_GENERALIZED_QUADRATIC,
     symmetry_defect,
 )
-from .entropies import catalog_entropy
-from .errors import EntroscoreError
+from .entropies import catalog_entropy, parse_rule_spec
+from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
 from .measure import MeasureSpace
 from .scoring import (
-    ScoringRule,
     expected_score,
     linear_score,
     make_psr,
@@ -55,8 +53,6 @@ EXIT_RULE = 4
 
 DEFAULT_RULES = "quadratic,spherical,shannon,power(1.5),power(3),pseudospherical(3)"
 DEFAULT_SUITES = ("propriety", "euler", "symmetry")
-
-_RULE_PATTERN = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
 
 class CliError(Exception):
@@ -87,21 +83,12 @@ def build_rule(spec: str, space: MeasureSpace):
     ``linear`` is the stock improper rule; its self-expected score is the
     quadratic entropy, which is what verification suites report against.
     """
-    match = _RULE_PATTERN.match(spec.strip())
-    if not match:
-        raise CliError(EXIT_RULE, f"unknown rule {spec!r}")
-    name, argument = match.group(1), match.group(2)
-    if name == "linear":
-        if argument:
-            raise CliError(EXIT_RULE, "rule 'linear' takes no parameter")
-        return catalog_entropy("quadratic", space), linear_score(space)
-    gamma = None
-    if argument is not None:
-        try:
-            gamma = float(argument)
-        except ValueError:
-            raise CliError(EXIT_RULE, f"bad parameter in rule {spec!r}") from None
     try:
+        name, gamma = parse_rule_spec(spec)
+        if name == "linear":
+            if gamma is not None:
+                raise ConstructionError("rule 'linear' takes no parameter")
+            return catalog_entropy("quadratic", space), linear_score(space)
         entropy = catalog_entropy(name, space, gamma=gamma)
     except EntroscoreError as exc:
         raise CliError(EXIT_RULE, f"cannot build rule {spec!r}: {exc}") from None
@@ -110,13 +97,9 @@ def build_rule(spec: str, space: MeasureSpace):
 
 def _parse_rule_list(text: str) -> list[str]:
     specs = [part.strip() for part in text.split(",")]
-    merged: list[str] = []
-    for part in specs:
-        # "power(1.5)" survives the comma split intact; reject empty chunks
-        if not part:
-            raise CliError(EXIT_RULE, "empty rule name in --rules")
-        merged.append(part)
-    return merged
+    if not all(specs):
+        raise CliError(EXIT_RULE, "empty rule name in --rules")
+    return specs
 
 
 # -- CSV input ----------------------------------------------------------------
@@ -181,17 +164,31 @@ def build_densities(matrix: np.ndarray, space: MeasureSpace, path: str):
     return densities
 
 
-def _parse_weights(text: str, n: int) -> MeasureSpace:
+def _parse_vector(text: str) -> list[float]:
     try:
-        weights = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError:
-        raise CliError(EXIT_INPUT, f"bad weights list {text!r}") from None
-    if len(weights) != n:
-        raise CliError(EXIT_INPUT, f"expected {n} weights, got {len(weights)}")
+        raise CliError(EXIT_INPUT, f"bad number list {text!r}") from None
+
+
+def _parse_vector_list(text: str) -> list[list[float]]:
+    return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
+
+
+def _measure_space(weights: list[float]) -> MeasureSpace:
     try:
         return MeasureSpace(weights)
     except EntroscoreError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from None
+
+
+def _space_and_rules(args, n: int):
+    """The space of ``--weights`` (unit weights by default) and the ``--rules`` on it."""
+    weights = _parse_vector(args.weights) if args.weights else [1.0] * n
+    if len(weights) != n:
+        raise CliError(EXIT_INPUT, f"expected {n} weights, got {len(weights)}")
+    space = _measure_space(weights)
+    return space, [(spec, build_rule(spec, space)[1]) for spec in _parse_rule_list(args.rules)]
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -214,9 +211,7 @@ def cmd_score(args) -> int:
             EXIT_INPUT,
             f"row count mismatch: {forecasts.shape[0]} forecasts vs {len(outcomes)} outcomes",
         )
-    space = _parse_weights(args.weights, n) if args.weights else MeasureSpace(np.ones(n))
-    specs = _parse_rule_list(args.rules)
-    rules = [(spec, build_rule(spec, space)[1]) for spec in specs]
+    space, rules = _space_and_rules(args, n)
     densities = build_densities(forecasts, space, args.forecasts)
 
     header = ["id", "outcome"]
@@ -257,9 +252,7 @@ def cmd_divergence(args) -> int:
     if left.shape[1] != right.shape[1]:
         raise CliError(EXIT_INPUT, "the two density files have different widths")
     n = left.shape[1]
-    space = _parse_weights(args.weights, n) if args.weights else MeasureSpace(np.ones(n))
-    specs = _parse_rule_list(args.rules)
-    rules = [(spec, build_rule(spec, space)[1]) for spec in specs]
+    space, rules = _space_and_rules(args, n)
     p_rows = build_densities(left, space, args.p_file)
     q_rows = build_densities(right, space, args.q_file)
 
@@ -286,19 +279,33 @@ _EXPECTED_SYMMETRY = {
 
 
 def _expected_symmetry(spec: str) -> str:
-    base = spec.split("(")[0]
-    return _EXPECTED_SYMMETRY.get(base, ASYMMETRIC_WITH_WITNESS)
+    name, _ = parse_rule_spec(spec)
+    return _EXPECTED_SYMMETRY.get(name, ASYMMETRIC_WITH_WITNESS)
 
 
-def _parse_vector(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise CliError(EXIT_INPUT, f"bad vector {text!r} in config") from None
+# Settings that [verify] sets for every rule and a [rule ...] section may
+# override for its own rule: key -> type.
+_KNOBS = {"seed": int, "samples": int, "propriety_tol": float, "euler_tol": float}
 
 
-def _parse_vector_list(text: str) -> list[list[float]]:
-    return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
+def _read_knobs(section) -> dict:
+    return {key: cast(section[key]) for key, cast in _KNOBS.items() if key in section}
+
+
+def _read_verify_section(section, settings: dict) -> None:
+    settings.update(_read_knobs(section))
+    if section.get("weights_file"):
+        path = section["weights_file"]
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = ",".join(line.strip() for line in handle if line.strip())
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"{path}: {exc.strerror}") from None
+        settings["weights"] = _parse_vector(text)
+    elif "weights" in section:
+        settings["weights"] = _parse_vector(section["weights"])
+    if section.get("suites"):
+        settings["suites"] = [s.strip() for s in section["suites"].split(",") if s.strip()]
 
 
 def load_verify_config(args):
@@ -306,7 +313,7 @@ def load_verify_config(args):
     settings = {
         "seed": 42,
         "samples": 1000,
-        "weights": "1,1,1",
+        "weights": [1.0, 1.0, 1.0],
         "propriety_tol": 1e-10,
         "euler_tol": 1e-10,
         "suites": list(DEFAULT_SUITES),
@@ -321,57 +328,30 @@ def load_verify_config(args):
             raise CliError(EXIT_INPUT, f"{args.config}: {exc}") from None
         if not read:
             raise CliError(EXIT_INPUT, f"{args.config}: cannot read config file")
-        if parser.has_section("verify"):
-            section = parser["verify"]
-            try:
-                settings["seed"] = section.getint("seed", settings["seed"])
-                settings["samples"] = section.getint("samples", settings["samples"])
-                settings["propriety_tol"] = section.getfloat("propriety_tol", settings["propriety_tol"])
-                settings["euler_tol"] = section.getfloat("euler_tol", settings["euler_tol"])
-            except ValueError as exc:
-                raise CliError(EXIT_INPUT, f"{args.config}: [verify]: {exc}") from None
-            if section.get("weights_file"):
-                try:
-                    with open(section["weights_file"], encoding="utf-8") as handle:
-                        settings["weights"] = ",".join(line.strip() for line in handle if line.strip())
-                except OSError as exc:
-                    raise CliError(EXIT_INPUT, f"{section['weights_file']}: {exc.strerror}") from None
-            else:
-                settings["weights"] = section.get("weights", settings["weights"])
-            if section.get("suites"):
-                settings["suites"] = [s.strip() for s in section["suites"].split(",") if s.strip()]
         for section_name in parser.sections():
-            if section_name.startswith("rule "):
-                section = parser[section_name]
-                try:
-                    overrides = {
-                        key: caster(key)
-                        for key, caster in (
-                            ("seed", section.getint),
-                            ("samples", section.getint),
-                            ("propriety_tol", section.getfloat),
-                            ("euler_tol", section.getfloat),
-                        )
-                        if section.get(key) is not None
-                    }
-                except ValueError as exc:
-                    raise CliError(EXIT_INPUT, f"{args.config}: [{section_name}]: {exc}") from None
-                if overrides.get("samples", 1) < 1:
-                    raise CliError(EXIT_INPUT, f"{args.config}: [{section_name}]: samples must be at least 1")
-                rule_specs.append((section_name[len("rule "):].strip(), overrides))
-            elif section_name.startswith("probe "):
-                section = parser[section_name]
-                probe = {
-                    "name": section_name[len("probe "):].strip(),
-                    "entropy": section.get("entropy", ""),
-                    "gamma": section.getfloat("gamma", fallback=None),
-                    "domain": section.get("domain", "orthant"),
-                    "point": section.get("point", ""),
-                    "candidates": section.get("candidates", ""),
-                    "expect_verified": section.get("expect_verified", ""),
-                    "expect_rejected": section.get("expect_rejected", ""),
-                }
-                probes.append(probe)
+            section = parser[section_name]
+            # bad numbers raise ValueError, a stray '%' an interpolation error
+            try:
+                if section_name == "verify":
+                    _read_verify_section(section, settings)
+                elif section_name.startswith("rule "):
+                    overrides = _read_knobs(section)
+                    if overrides.get("samples", 1) < 1:
+                        raise ValueError("samples must be at least 1")
+                    rule_specs.append((section_name[len("rule "):].strip(), overrides))
+                elif section_name.startswith("probe "):
+                    probes.append({
+                        "name": section_name[len("probe "):].strip(),
+                        "entropy": section.get("entropy", ""),
+                        "gamma": section.getfloat("gamma", fallback=None),
+                        "domain": section.get("domain", "orthant"),
+                        "point": section.get("point", ""),
+                        "candidates": section.get("candidates", ""),
+                        "expect_verified": section.get("expect_verified", ""),
+                        "expect_rejected": section.get("expect_rejected", ""),
+                    })
+            except (configparser.Error, ValueError) as exc:
+                raise CliError(EXIT_INPUT, f"{args.config}: [{section_name}]: {exc}") from None
         if not rule_specs:
             raise CliError(EXIT_INPUT, f"{args.config}: no [rule ...] sections configured")
     else:
@@ -399,15 +379,18 @@ _PROBE_DOMAINS = {
 
 
 def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
+    where = f"probe {probe['name']!r}"
     if probe["domain"] not in _PROBE_DOMAINS:
-        raise CliError(EXIT_INPUT, f"probe {probe['name']!r}: unknown domain {probe['domain']!r}")
+        raise CliError(EXIT_INPUT, f"{where}: unknown domain {probe['domain']!r}")
     try:
         entropy = catalog_entropy(probe["entropy"], space, gamma=probe["gamma"])
+        domain = _PROBE_DOMAINS[probe["domain"]](space)
+        point = space.cone(_parse_vector(probe["point"]))
+        candidates = [space.dual(v) for v in _parse_vector_list(probe["candidates"])]
     except EntroscoreError as exc:
-        raise CliError(EXIT_INPUT, f"probe {probe['name']!r}: {exc}") from None
-    domain = _PROBE_DOMAINS[probe["domain"]](space)
-    point = space.cone(_parse_vector(probe["point"]))
-    candidates = [space.dual(v) for v in _parse_vector_list(probe["candidates"])]
+        raise CliError(EXIT_INPUT, f"{where}: {exc}") from None
+    if not domain.contains(point):
+        raise CliError(EXIT_INPUT, f"{where}: point is outside the {probe['domain']} domain")
     result = subdifferential_probe(entropy, domain, point, candidates, seed=seed)
     report = result.as_dict()
     passed = True
@@ -423,19 +406,15 @@ def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     settings, rule_specs, probes = load_verify_config(args)
-    weights = _parse_vector(settings["weights"])
-    space = _parse_weights(",".join(str(w) for w in weights), len(weights))
+    space = _measure_space(settings["weights"])
     # validate every rule before running anything
-    rules: list[tuple[str, dict, object, ScoringRule]] = []
-    for spec, overrides in rule_specs:
-        entropy, rule = build_rule(spec, space)
-        rules.append((spec, overrides, entropy, rule))
+    rules = [(spec, overrides, *build_rule(spec, space)) for spec, overrides in rule_specs]
 
     report = {
         "config": {
             "seed": settings["seed"],
             "samples": settings["samples"],
-            "weights": [float(w) for w in weights],
+            "weights": settings["weights"],
             "suites": settings["suites"],
             "rules": [spec for spec, _ in rule_specs],
         },
@@ -497,9 +476,9 @@ def cmd_grid_score(args) -> int:
             raise CliError(EXIT_INPUT, f"{args.density}:{lineno}: non-numeric value") from None
     if len(values) < 4:
         raise CliError(EXIT_INPUT, f"{args.density}: a periodic grid needs at least 4 values")
-    bad = [str(i) for i, v in enumerate(values, start=1) if not v > 0]
+    bad = [str(i) for i, v in enumerate(values, start=1) if not 0 < v < math.inf]
     if bad:
-        raise CliError(EXIT_DENSITY, f"{args.density}: nonpositive rows: {', '.join(bad)}")
+        raise CliError(EXIT_DENSITY, f"{args.density}: nonpositive or non-finite rows: {', '.join(bad)}")
     grid = PeriodicGrid(len(values))
     density = GridDensity(grid, values)
     score = hyvarinen_score(density)

@@ -30,11 +30,11 @@ extrapolated finite differences, and composite entropies
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
@@ -45,6 +45,7 @@ __all__ = [
     "Entropy",
     "CompositeEntropySpec",
     "catalog_entropy",
+    "parse_rule_spec",
     "CATALOG_NAMES",
     "canonical_extension_value",
     "extended_subgradient",
@@ -61,6 +62,9 @@ CATALOG_NAMES = (
     "pseudospherical",
     "weighted_quadratic",
 )
+
+# A catalog name with an optional parenthesised exponent, as in ``power(1.5)``
+_RULE_SPEC = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
 # Default one-sided finite-difference step; one Richardson refinement on top
 # of it sets the 1e-6 tolerance used by the derivative checks.
@@ -89,7 +93,6 @@ class Entropy:
     value: Callable[[ConeVector], float]
     subgradient: Callable[[ConeVector], DualVector] | None
     homogeneity_degree: float | None = None
-    strict: bool = False
     closed_form_score: Callable[[Density], DualVector] | None = None
 
     def __repr__(self) -> str:
@@ -112,7 +115,7 @@ def _quadratic(space: MeasureSpace) -> Entropy:
         return space.dual(2.0 * q.values)
 
     return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value, grad,
-                   homogeneity_degree=2.0, strict=True)
+                   homogeneity_degree=2.0)
 
 
 def _spherical(space: MeasureSpace) -> Entropy:
@@ -128,7 +131,7 @@ def _spherical(space: MeasureSpace) -> Entropy:
         return space.dual(q.values / norm)
 
     return Entropy("spherical", ConvexDomainSpec.whole_space(space), value, grad,
-                   homogeneity_degree=1.0, strict=True)
+                   homogeneity_degree=1.0)
 
 
 def _power(space: MeasureSpace, gamma: float) -> Entropy:
@@ -143,15 +146,17 @@ def _power(space: MeasureSpace, gamma: float) -> Entropy:
         return space.dual(gamma * np.power(q.values, gamma - 1.0))
 
     return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space),
-                   value, grad, homogeneity_degree=gamma, strict=True)
+                   value, grad, homogeneity_degree=gamma)
 
 
 def _shannon(space: MeasureSpace) -> Entropy:
-    w = space.weights
+    weights = space.weights.tolist()
 
     def value(q: ConeVector) -> float:
         _require_nonnegative(q.values, "shannon entropy")
-        return math.fsum((xlogy(q.values, q.values) * w).tolist())
+        # 0 log 0 := 0; libm log per element, as numpy's SIMD log can differ in the last bit
+        return math.fsum(x * math.log(x) * w if x else 0.0
+                         for x, w in zip(q.values.tolist(), weights))
 
     def grad(q: ConeVector) -> DualVector:
         if np.any(q.values <= 0.0):
@@ -166,7 +171,7 @@ def _shannon(space: MeasureSpace) -> Entropy:
             return space.dual(np.log(q.values), allow_infinite=True)
 
     return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value, grad,
-                   strict=True, closed_form_score=log_score)
+                   closed_form_score=log_score)
 
 
 def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
@@ -187,7 +192,7 @@ def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
 
     return Entropy(f"pseudospherical({gamma:g})",
                    ConvexDomainSpec.nonnegative_orthant(space), value, grad,
-                   homogeneity_degree=1.0, strict=True)
+                   homogeneity_degree=1.0)
 
 
 def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
@@ -210,7 +215,7 @@ def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
         return space.dual(2.0 * (q_mat @ q.values) / w)
 
     return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space),
-                   value, grad, homogeneity_degree=2.0, strict=True)
+                   value, grad, homogeneity_degree=2.0)
 
 
 def catalog_entropy(
@@ -246,6 +251,22 @@ def catalog_entropy(
     if name == "shannon":
         return _shannon(space)
     raise ConstructionError(f"unknown entropy {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+
+
+def parse_rule_spec(spec: str) -> tuple[str, float | None]:
+    """Split a rule spec like ``power(1.5)`` into ``("power", 1.5)``.
+
+    A bare name gives ``gamma = None``.  Only the syntax is checked here;
+    :func:`catalog_entropy` decides whether the name exists and takes gamma.
+    """
+    match = _RULE_SPEC.match(spec.strip())
+    if not match:
+        raise ConstructionError(f"malformed rule spec {spec!r}")
+    name, argument = match.groups()
+    try:
+        return name, None if argument is None else float(argument)
+    except ValueError:
+        raise ConstructionError(f"bad parameter in rule spec {spec!r}") from None
 
 
 def canonical_extension_value(entropy: Entropy, q: ConeVector) -> float:
@@ -301,15 +322,13 @@ def directional_derivative_fd(
 class CompositeEntropySpec:
     """Ingredients of a composite entropy ``phi(sum f(q_i) nu_i)``.
 
-    The scalar callables must accept numpy arrays elementwise.  ``phi`` needs
-    first and second derivative oracles (the second feeds second-order
-    analysis of the composition), ``f`` a first derivative; ``nu`` is the
-    inner weighting, which may differ from the space's atom weights.
+    The scalar callables must accept numpy arrays elementwise.  ``phi`` and
+    ``f`` each need a first-derivative oracle; ``nu`` is the inner weighting,
+    which may differ from the space's atom weights.
     """
 
     outer: Callable
     outer_derivative: Callable
-    outer_second_derivative: Callable
     inner: Callable
     inner_derivative: Callable
     nu_weights: np.ndarray
@@ -326,7 +345,6 @@ def composite_entropy(
     domain: ConvexDomainSpec,
     *,
     name: str = "composite",
-    strict: bool = False,
     homogeneity_degree: float | None = None,
     validation_samples: int = 32,
     seed: int = 7,
@@ -366,5 +384,4 @@ def composite_entropy(
         if mid_value > chord + 1e-10 * (1.0 + abs(chord)):
             raise ConstructionError("sampled midpoint check found a non-convex composition")
 
-    return Entropy(name, domain, value, grad,
-                   homogeneity_degree=homogeneity_degree, strict=strict)
+    return Entropy(name, domain, value, grad, homogeneity_degree=homogeneity_degree)

@@ -14,6 +14,10 @@ the direction-cone queries needed to probe subgradients:
 
 Lower-dimensional sets (the simplex) are treated relative to their affine
 hull, so quasi-interior coincides with the relative interior there.
+
+scipy is imported only inside the cone-hull and half-space code that needs it,
+so importing the package (and so every CLI call) does not load it.  The whole
+space has no half-spaces and needs no LP.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ConstructionError, DomainError
 from .measure import ConeVector, DualVector, MeasureSpace, pair
@@ -126,6 +128,7 @@ class ConvexDomainSpec:
             scale = 1.0 + float(np.max(np.abs(v)))
             return bool(np.all(self.normals @ v <= self.offsets + tol * scale))
         # conical hull: nonnegative least squares against the generators
+        from scipy.optimize import nnls
         _, residual = nnls(self.generators.T, v)
         return residual <= tol * (1.0 + float(np.linalg.norm(v)))
 
@@ -179,7 +182,7 @@ class ConvexDomainSpec:
                 # the span complement of the generators pins the cone
                 comp = _null_space_basis(self.generators, n)
                 a, b = comp.T, np.zeros(comp.shape[1])
-            elif self.kind == HALFSPACES:
+            elif self.kind == HALFSPACES and self.normals.shape[0]:
                 a, b = self._implicit_equalities()
             else:
                 a, b = np.zeros((0, n)), np.zeros(0)
@@ -188,6 +191,7 @@ class ConvexDomainSpec:
 
     def _implicit_equalities(self) -> tuple[np.ndarray, np.ndarray]:
         """Half-space rows that hold with equality on the whole set (via LP)."""
+        from scipy.optimize import linprog
         n = self.space.size
         rows, rhs = [], []
         for a, b in zip(self.normals, self.offsets):
@@ -246,6 +250,7 @@ def _cone_facets(generators: np.ndarray) -> np.ndarray:
         if np.all(coords[:, 0] <= _SV_TOL):
             return span.T
         return np.zeros((0, n))              # the cone is the whole line
+    from scipy.spatial import ConvexHull, QhullError
     points = np.vstack([np.zeros(rank), coords])
     try:
         hull = ConvexHull(points)

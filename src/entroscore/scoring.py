@@ -49,18 +49,12 @@ STRICT_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """Outcome-indexed score oracle tied to the entropy that generated it.
-
-    ``zero_homogeneous`` records that the oracle is already scale-invariant
-    on the cone (true for rules from 1-homogeneous entropies, where the
-    correction term in the generating formula vanishes).
-    """
+    """Outcome-indexed score oracle tied to the entropy that generated it."""
 
     name: str
     entropy: "Entropy | None"
     score: Callable[[Density], DualVector]
     space: "MeasureSpace"
-    zero_homogeneous: bool = False
 
     def __repr__(self) -> str:
         return f"ScoringRule({self.name!r}, n={self.space.size})"
@@ -84,10 +78,7 @@ def make_psr(entropy: "Entropy") -> ScoringRule:
             offset = entropy.value(q) - pair(q, grad)
             return q.space.dual(grad.values + offset)
 
-    return ScoringRule(
-        entropy.name, entropy, score, entropy.domain.space,
-        zero_homogeneous=entropy.homogeneity_degree == 1,
-    )
+    return ScoringRule(entropy.name, entropy, score, entropy.domain.space)
 
 
 def linear_score(space: "MeasureSpace") -> ScoringRule:

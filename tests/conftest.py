@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import entroscore
 from entroscore import (
     CompositeEntropySpec,
     ConvexDomainSpec,
@@ -9,6 +13,7 @@ from entroscore import (
     catalog_entropy,
     composite_entropy,
     make_psr,
+    parse_rule_spec,
 )
 
 # The six named rules the verification suites exercise.
@@ -24,14 +29,19 @@ CATALOG_SPECS = (
 
 def entropy_from_spec(spec: str, space: MeasureSpace):
     """Build a catalog entropy from a spec string like ``power(1.5)``."""
-    if "(" in spec:
-        name, arg = spec[:-1].split("(")
-        return catalog_entropy(name, space, gamma=float(arg))
-    return catalog_entropy(spec, space)
+    name, gamma = parse_rule_spec(spec)
+    return catalog_entropy(name, space, gamma=gamma)
 
 
 def rule_from_spec(spec: str, space: MeasureSpace):
     return make_psr(entropy_from_spec(spec, space))
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = str(Path(entroscore.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def unit_space(n: int) -> MeasureSpace:
@@ -44,7 +54,6 @@ def power_law_composite(space, gamma, nu=None):
         CompositeEntropySpec(
             outer=lambda x: x,
             outer_derivative=lambda x: 1.0,
-            outer_second_derivative=lambda x: 0.0,
             inner=lambda v: np.power(v, gamma),
             inner_derivative=lambda v: gamma * np.power(v, gamma - 1.0),
             nu_weights=space.weights if nu is None else nu,
@@ -60,7 +69,6 @@ def integrated_square_composite(space, nu):
         CompositeEntropySpec(
             outer=lambda x: x * x,
             outer_derivative=lambda x: 2.0 * x,
-            outer_second_derivative=lambda x: 2.0,
             inner=lambda v: v,
             inner_derivative=lambda v: np.ones_like(v),
             nu_weights=nu,

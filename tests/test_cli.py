@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from entroscore import MeasureSpace, expected_score, score_divergence
 from entroscore.cli import main
 
-from conftest import rule_from_spec
+from conftest import child_env, rule_from_spec
 
 DATA = Path(__file__).parent / "data"
 FORECASTS = str(DATA / "forecasts_10.csv")
@@ -303,3 +305,40 @@ class TestGridScoreCommand:
         density.write_text("1.0\n2.0\n")
         code, _ = run(tmp_path, "grid-score", str(density))
         assert code == 2
+
+
+_PROBE_CONFIG = (
+    "[verify]\nseed = 1\nsamples = 5\nweights = 1,1\nsuites = propriety\n\n"
+    "[rule quadratic]\n\n[probe p]\nentropy = quadratic\n"
+)
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("verify", _PROBE_CONFIG + "gamma = abc\npoint = 1,0\ncandidates = 2,0\n", 2),
+    ("verify", _PROBE_CONFIG + "point = 1,0,0\ncandidates = 2,0\n", 2),
+    ("verify", _PROBE_CONFIG + "point = 1,0\ncandidates = 2,0 ; 2,0,0\n", 2),
+    ("verify", _PROBE_CONFIG + "point = nan,0\ncandidates = 2,0\n", 2),
+    ("verify", _PROBE_CONFIG + "point = -1,0\ncandidates = 2,0\n", 2),
+    ("verify", "[verify]\nweights = 1,1%\n\n[rule quadratic]\n", 2),
+    ("grid-score", "1.0\ninf\n2.0\n3.0\n", 3),
+], ids=["probe-gamma-abc", "probe-point-length", "probe-candidate-length", "probe-point-nan",
+        "probe-point-outside-domain", "config-percent", "grid-inf"])
+def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, text, code):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = ["verify", "--config", str(path)] if command == "verify" else [command, str(path)]
+    assert run(tmp_path, *argv)[0] == code
+    assert capsys.readouterr().err.startswith("entroscore: ")
+
+
+def test_import_and_whole_space_geometry_load_no_scipy():
+    probe = (
+        "import sys, entroscore.cli\n"
+        "from entroscore import ConvexDomainSpec, MeasureSpace, is_quasi_interior\n"
+        "sp = MeasureSpace([1.0, 1.0])\n"
+        "assert is_quasi_interior(ConvexDomainSpec.whole_space(sp), sp.cone([0.5, 0.5]))\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

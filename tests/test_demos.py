@@ -6,13 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)], env=child_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()  # each demo narrates something

@@ -17,6 +17,7 @@ from entroscore import (
     directional_derivative_fd,
     extended_subgradient,
     pair,
+    parse_rule_spec,
     sample_positive_box,
 )
 
@@ -53,6 +54,26 @@ class TestCatalogValues:
         assert E.value(sp.density([1.0, 0.0])) == 0.0  # 0 log 0 := 0
         with pytest.raises(DomainError):
             E.subgradient(sp.density([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 10_000])
+    def test_shannon_value_matches_xlogy_bit_for_bit(self, n):
+        from scipy.special import xlogy  # reference implementation
+
+        rng = np.random.default_rng([17, n])
+        w = rng.uniform(0.1, 10.0, size=n)
+        sp = MeasureSpace(w)
+        E = catalog_entropy("shannon", sp)
+        edge = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0]
+        # numpy's SIMD log differs from libm in a few entries per thousand; a
+        # one-ulp change in one term shows in the sum only when n is small, so
+        # small n gets many trials.
+        for trial in range(max(40, 2000 // n)):
+            q = rng.dirichlet(np.ones(n)) * math.exp(rng.uniform(-5.0, 5.0))
+            mask = rng.random(n) < 0.2
+            pool = edge + [1e300] if trial % 4 == 0 else edge
+            q[mask] = rng.choice(pool, size=int(mask.sum()))
+            q = sp.cone(q)
+            assert E.value(q) == math.fsum((xlogy(q.values, q.values) * w).tolist())
 
     def test_power_two_matches_quadratic(self):
         sp = unit_space(3)
@@ -125,6 +146,19 @@ class TestCatalogValues:
             catalog_entropy("weighted_quadratic", sp, matrix=[[1.0, 0.5], [0.0, 1.0]])  # asymmetric
         with pytest.raises(ConstructionError):
             catalog_entropy("quadratic", sp, gamma=2.0)
+
+    @pytest.mark.parametrize("spec, parsed", [
+        ("quadratic", ("quadratic", None)),
+        ("power(1.5)", ("power", 1.5)),
+        (" pseudospherical(3) ", ("pseudospherical", 3.0)),
+    ])
+    def test_parse_rule_spec(self, spec, parsed):
+        assert parse_rule_spec(spec) == parsed
+
+    @pytest.mark.parametrize("spec", ["", "Power(2)", "power(1.5", "power((2))", "power(x)", "power()"])
+    def test_parse_rule_spec_rejects_malformed(self, spec):
+        with pytest.raises(ConstructionError):
+            parse_rule_spec(spec)
 
 
 class TestConvexityAndHomogeneity:
@@ -298,7 +332,6 @@ class TestCompositeEntropy:
         return CompositeEntropySpec(
             outer=lambda x: x,
             outer_derivative=lambda x: 1.0,
-            outer_second_derivative=lambda x: 0.0,
             inner=lambda v: v * v,
             inner_derivative=lambda v: 2.0 * v,
             nu_weights=nu,
@@ -323,7 +356,6 @@ class TestCompositeEntropy:
         spec = CompositeEntropySpec(
             outer=np.sqrt,
             outer_derivative=lambda x: 0.5 / np.sqrt(x),
-            outer_second_derivative=lambda x: -0.25 * x ** -1.5,
             inner=lambda v: v * v,
             inner_derivative=lambda v: 2.0 * v,
             nu_weights=sp.weights,
@@ -343,7 +375,6 @@ class TestCompositeEntropy:
         spec = CompositeEntropySpec(
             outer=lambda x: x,
             outer_derivative=lambda x: 1.0,
-            outer_second_derivative=lambda x: 0.0,
             inner=lambda v: v ** 3,
             inner_derivative=lambda v: 3.0 * v * v,
             nu_weights=np.ones(3),
@@ -361,7 +392,6 @@ class TestCompositeEntropy:
         spec = CompositeEntropySpec(
             outer=np.sqrt,
             outer_derivative=lambda x: 0.5 / np.sqrt(x),
-            outer_second_derivative=lambda x: -0.25 * x ** -1.5,
             inner=lambda v: v,
             inner_derivative=lambda v: np.ones_like(v),
             nu_weights=np.ones(3),
@@ -374,7 +404,6 @@ class TestCompositeEntropy:
         spec = CompositeEntropySpec(
             outer=lambda x: -x,
             outer_derivative=lambda x: -1.0,
-            outer_second_derivative=lambda x: 0.0,
             inner=lambda v: v * v,
             inner_derivative=lambda v: 2.0 * v,
             nu_weights=np.ones(3),

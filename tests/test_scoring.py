@@ -44,7 +44,6 @@ class TestMakePsr:
         np.testing.assert_allclose(
             S.score(q).values, q.values / math.sqrt(0.52), atol=1e-15
         )
-        assert S.zero_homogeneous
 
     def test_shannon_rule_is_log(self):
         sp = unit_space(2)
