@@ -335,10 +335,7 @@ def load_verify_config(args):
                 if section_name == "verify":
                     _read_verify_section(section, settings)
                 elif section_name.startswith("rule "):
-                    overrides = _read_knobs(section)
-                    if overrides.get("samples", 1) < 1:
-                        raise ValueError("samples must be at least 1")
-                    rule_specs.append((section_name[len("rule "):].strip(), overrides))
+                    rule_specs.append((section_name[len("rule "):].strip(), _read_knobs(section)))
                 elif section_name.startswith("probe "):
                     probes.append({
                         "name": section_name[len("probe "):].strip(),
@@ -366,8 +363,16 @@ def load_verify_config(args):
     unknown = set(settings["suites"]) - set(DEFAULT_SUITES)
     if unknown:
         raise CliError(EXIT_INPUT, f"unknown suites: {', '.join(sorted(unknown))}")
-    if settings["samples"] < 1:
-        raise CliError(EXIT_INPUT, "samples must be at least 1")
+    for spec, overrides in [("", {})] + rule_specs:
+        knobs = {**settings, **overrides}
+        where = f"[rule {spec}]: " if overrides else ""
+        if knobs["samples"] < 1:
+            raise CliError(EXIT_INPUT, f"{where}samples must be at least 1")
+        if knobs["seed"] < 0:
+            raise CliError(EXIT_INPUT, f"{where}seed must be nonnegative")
+        for key in ("propriety_tol", "euler_tol"):
+            if not 0.0 <= knobs[key] < math.inf:
+                raise CliError(EXIT_INPUT, f"{where}{key} must be finite and nonnegative")
     return settings, rule_specs, probes
 
 

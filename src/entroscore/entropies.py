@@ -66,8 +66,8 @@ CATALOG_NAMES = (
 # A catalog name with an optional parenthesised exponent, as in ``power(1.5)``
 _RULE_SPEC = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
-# Default one-sided finite-difference step; one Richardson refinement on top
-# of it sets the 1e-6 tolerance used by the derivative checks.
+# One-sided finite-difference step; one Richardson refinement on top of it
+# sets the 1e-6 tolerance used by the derivative checks.
 FD_STEP = 1e-5
 
 # One-sided difference quotients of a convex function decrease as the step
@@ -75,6 +75,10 @@ FD_STEP = 1e-5
 # quotient is diverging to -inf rather than converging.
 _DIVERGE_MIN_DECREMENT = 0.05
 _DIVERGE_CONTRACTION = 0.75
+
+# composite_entropy checks convexity on this many seeded midpoint pairs.
+_COMPOSITE_CHECKS = 32
+_COMPOSITE_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,10 @@ class Entropy:
     domain: ConvexDomainSpec
     value: Callable[[ConeVector], float]
     subgradient: Callable[[ConeVector], DualVector] | None
-    homogeneity_degree: float | None = None
     closed_form_score: Callable[[Density], DualVector] | None = None
 
     def __repr__(self) -> str:
-        degree = f", degree={self.homogeneity_degree:g}" if self.homogeneity_degree else ""
-        return f"Entropy({self.name!r}, domain={self.domain.kind}{degree})"
+        return f"Entropy({self.name!r}, domain={self.domain.kind})"
 
 
 def _require_nonnegative(values: np.ndarray, what: str) -> None:
@@ -114,8 +116,7 @@ def _quadratic(space: MeasureSpace) -> Entropy:
     def grad(q: ConeVector) -> DualVector:
         return space.dual(2.0 * q.values)
 
-    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value, grad,
-                   homogeneity_degree=2.0)
+    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value, grad)
 
 
 def _spherical(space: MeasureSpace) -> Entropy:
@@ -130,8 +131,7 @@ def _spherical(space: MeasureSpace) -> Entropy:
             raise DomainError("spherical subgradient is undefined at the origin")
         return space.dual(q.values / norm)
 
-    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value, grad,
-                   homogeneity_degree=1.0)
+    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value, grad)
 
 
 def _power(space: MeasureSpace, gamma: float) -> Entropy:
@@ -145,8 +145,7 @@ def _power(space: MeasureSpace, gamma: float) -> Entropy:
         _require_nonnegative(q.values, "power entropy subgradient")
         return space.dual(gamma * np.power(q.values, gamma - 1.0))
 
-    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space),
-                   value, grad, homogeneity_degree=gamma)
+    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space), value, grad)
 
 
 def _shannon(space: MeasureSpace) -> Entropy:
@@ -191,8 +190,7 @@ def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
         return space.dual(np.power(q.values, gamma - 1.0) / total ** ((gamma - 1.0) / gamma))
 
     return Entropy(f"pseudospherical({gamma:g})",
-                   ConvexDomainSpec.nonnegative_orthant(space), value, grad,
-                   homogeneity_degree=1.0)
+                   ConvexDomainSpec.nonnegative_orthant(space), value, grad)
 
 
 def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
@@ -214,8 +212,7 @@ def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
         # dual representer under the weighted pairing, hence the division
         return space.dual(2.0 * (q_mat @ q.values) / w)
 
-    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space),
-                   value, grad, homogeneity_degree=2.0)
+    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space), value, grad)
 
 
 def catalog_entropy(
@@ -227,14 +224,14 @@ def catalog_entropy(
 ) -> Entropy:
     """Look up a catalog entropy by name.
 
-    ``power`` and ``pseudospherical`` take an exponent ``gamma > 1``
+    ``power`` and ``pseudospherical`` take a finite exponent ``gamma > 1``
     (convexity breaks at or below 1); ``weighted_quadratic`` takes a
     symmetric positive-definite matrix that already includes any desired
     atom weighting.
     """
     if name in ("power", "pseudospherical"):
-        if gamma is None or not gamma > 1.0:
-            raise ConstructionError(f"{name} entropy needs an exponent gamma > 1")
+        if gamma is None or not 1.0 < gamma < math.inf:
+            raise ConstructionError(f"{name} entropy needs a finite exponent gamma > 1")
         return _power(space, float(gamma)) if name == "power" else _pseudospherical(space, float(gamma))
     if gamma is not None:
         raise ConstructionError(f"{name} entropy takes no exponent")
@@ -291,18 +288,15 @@ def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
     return zero_homog_extend(make_psr(entropy), q)
 
 
-def directional_derivative_fd(
-    entropy: Entropy, q: ConeVector, p: ConeVector, h: float = FD_STEP
-) -> float:
+def directional_derivative_fd(entropy: Entropy, q: ConeVector, p: ConeVector) -> float:
     """One-sided directional derivative estimate at ``q`` along ``p``.
 
     Richardson-extrapolates the forward difference quotients at steps h/2
-    and h/4.  When the quotients keep dropping by non-contracting decrements
+    and h/4, with ``h = FD_STEP``.  When the quotients keep dropping by non-contracting decrements
     (the signature of a boundary direction like shannon toward a zero atom),
     returns ``-inf`` instead of a number.
     """
-    if h <= 0.0:
-        raise DomainError("finite-difference step must be positive")
+    h = FD_STEP
     if not entropy.domain.contains(q):
         raise DomainError("base point is outside the entropy domain")
     if not entropy.domain.contains(q + h * p):
@@ -345,9 +339,6 @@ def composite_entropy(
     domain: ConvexDomainSpec,
     *,
     name: str = "composite",
-    homogeneity_degree: float | None = None,
-    validation_samples: int = 32,
-    seed: int = 7,
 ) -> Entropy:
     """Build ``phi(sum f(q_i) nu_i)`` with its first-derivative subgradient.
 
@@ -373,15 +364,15 @@ def composite_entropy(
         slope = float(spec.outer_derivative(inner_integral(q)))
         return space.dual(slope * np.asarray(spec.inner_derivative(q.values), dtype=float) * nu / w)
 
-    rng = np.random.default_rng(seed)
-    points = domain.sample(rng, 2 * validation_samples)
+    rng = np.random.default_rng(_COMPOSITE_SEED)
+    points = domain.sample(rng, 2 * _COMPOSITE_CHECKS)
     for point in points:
         if float(spec.outer_derivative(inner_integral(point))) < -1e-12:
             raise ConstructionError("outer function is not increasing on the sampled range")
-    for left, right in zip(points[:validation_samples], points[validation_samples:]):
+    for left, right in zip(points[:_COMPOSITE_CHECKS], points[_COMPOSITE_CHECKS:]):
         mid_value = value((left + right) * 0.5)
         chord = 0.5 * (value(left) + value(right))
         if mid_value > chord + 1e-10 * (1.0 + abs(chord)):
             raise ConstructionError("sampled midpoint check found a non-convex composition")
 
-    return Entropy(name, domain, value, grad, homogeneity_degree=homogeneity_degree)
+    return Entropy(name, domain, value, grad)

@@ -23,13 +23,15 @@ space has no half-spaces and needs no LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import ConeVector, DualVector, MeasureSpace, pair
+from .measure import ConeVector, DualVector, MeasureSpace, pair, total_mass
+from .sampling import sample_density, sample_positive_box
 
 __all__ = [
     "ConvexDomainSpec",
@@ -48,7 +50,12 @@ CONE_HULL = "cone_hull_of_points"
 HALFSPACES = "halfspace_intersection"
 
 _SV_TOL = 1e-10  # singular-value threshold for rank decisions
-_MEMBER_TOL = 1e-9
+_MEMBER_TOL = 1e-9  # slack allowed in membership and active-constraint tests
+# A subgradient candidate is rejected when the supporting-hyperplane inequality
+# fails by more than _INEQ_TOL (relative), or a directional derivative bound
+# by more than _DERIV_TOL (absolute, the finite-difference accuracy).
+_INEQ_TOL = 1e-9
+_DERIV_TOL = 1e-6
 
 
 def _null_space_basis(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -74,7 +81,6 @@ class ConvexDomainSpec:
     generators: np.ndarray | None = None
     normals: np.ndarray | None = None
     offsets: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -113,42 +119,39 @@ class ConvexDomainSpec:
 
     # -- membership ---------------------------------------------------------
 
-    def contains(self, q: ConeVector, tol: float = _MEMBER_TOL) -> bool:
+    def contains(self, q: ConeVector) -> bool:
         if q.space != self.space:
             return False
         v = q.values
         if self.kind == SIMPLEX:
-            mass = math.fsum((v * self.space.weights).tolist())
-            return bool(np.all(v >= -tol) and abs(mass - 1.0) <= max(tol, _MEMBER_TOL))
+            return bool(np.all(v >= -_MEMBER_TOL) and abs(total_mass(q) - 1.0) <= _MEMBER_TOL)
         if self.kind == ORTHANT:
-            return bool(np.all(v >= -tol))
+            return bool(np.all(v >= -_MEMBER_TOL))
         if self.kind == HALFSPACES:
             if self.normals.shape[0] == 0:
                 return True
             scale = 1.0 + float(np.max(np.abs(v)))
-            return bool(np.all(self.normals @ v <= self.offsets + tol * scale))
+            return bool(np.all(self.normals @ v <= self.offsets + _MEMBER_TOL * scale))
         # conical hull: nonnegative least squares against the generators
         from scipy.optimize import nnls
         _, residual = nnls(self.generators.T, v)
-        return residual <= tol * (1.0 + float(np.linalg.norm(v)))
+        return residual <= _MEMBER_TOL * (1.0 + float(np.linalg.norm(v)))
 
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> list[ConeVector]:
         """Random points of the domain (interior-biased), for sampled checks."""
-        n = self.space.size
         out: list[ConeVector] = []
         for _ in range(count):
             if self.kind == SIMPLEX:
-                d = rng.dirichlet(np.ones(n))
-                out.append(self.space.cone(d / self.space.weights))
+                out.append(sample_density(self.space, rng))
             elif self.kind == ORTHANT:
-                out.append(self.space.cone(rng.uniform(0.05, 2.0, size=n)))
+                out.append(sample_positive_box(self.space, rng))
             elif self.kind == CONE_HULL:
                 coeff = rng.exponential(1.0, size=self.generators.shape[0])
                 out.append(self.space.cone(coeff @ self.generators))
             elif self.kind == HALFSPACES and self.normals.shape[0] == 0:
-                out.append(self.space.cone(rng.normal(0.0, 1.0, size=n)))
+                out.append(self.space.cone(rng.normal(0.0, 1.0, size=self.space.size)))
             else:
                 raise DomainError(
                     "sampling a general half-space intersection is not supported"
@@ -157,37 +160,30 @@ class ConvexDomainSpec:
 
     # -- constraint views ----------------------------------------------------
 
+    @cached_property
     def _inequalities(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (a, b) with a . x <= b describing K (facets for cone hulls)."""
-        if "ineq" not in self._cache:
-            n = self.space.size
-            if self.kind == SIMPLEX or self.kind == ORTHANT:
-                a, b = -np.eye(n), np.zeros(n)
-            elif self.kind == HALFSPACES:
-                a, b = self.normals, self.offsets
-            else:
-                a = _cone_facets(self.generators)
-                b = np.zeros(a.shape[0])
-            self._cache["ineq"] = (a, b)
-        return self._cache["ineq"]
+        n = self.space.size
+        if self.kind == SIMPLEX or self.kind == ORTHANT:
+            return -np.eye(n), np.zeros(n)
+        if self.kind == HALFSPACES:
+            return self.normals, self.offsets
+        a = _cone_facets(self.generators)
+        return a, np.zeros(a.shape[0])
 
+    @cached_property
     def _equalities(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows (a, b) with a . x = b on all of K."""
-        if "eq" not in self._cache:
-            n = self.space.size
-            if self.kind == SIMPLEX:
-                a = self.space.weights.reshape(1, n)
-                b = np.ones(1)
-            elif self.kind == CONE_HULL:
-                # the span complement of the generators pins the cone
-                comp = _null_space_basis(self.generators, n)
-                a, b = comp.T, np.zeros(comp.shape[1])
-            elif self.kind == HALFSPACES and self.normals.shape[0]:
-                a, b = self._implicit_equalities()
-            else:
-                a, b = np.zeros((0, n)), np.zeros(0)
-            self._cache["eq"] = (a, b)
-        return self._cache["eq"]
+        n = self.space.size
+        if self.kind == SIMPLEX:
+            return self.space.weights.reshape(1, n), np.ones(1)
+        if self.kind == CONE_HULL:
+            # the span complement of the generators pins the cone
+            comp = _null_space_basis(self.generators, n)
+            return comp.T, np.zeros(comp.shape[1])
+        if self.kind == HALFSPACES and self.normals.shape[0]:
+            return self._implicit_equalities()
+        return np.zeros((0, n)), np.zeros(0)
 
     def _implicit_equalities(self) -> tuple[np.ndarray, np.ndarray]:
         """Half-space rows that hold with equality on the whole set (via LP)."""
@@ -207,25 +203,8 @@ class ConvexDomainSpec:
         return np.array(rows), np.array(rhs)
 
     def affine_hull_dimension(self) -> int:
-        """Dimension of the affine hull of K."""
-        if "aff_dim" not in self._cache:
-            n = self.space.size
-            if self.kind == SIMPLEX:
-                dim = n - 1
-            elif self.kind == ORTHANT:
-                dim = n
-            elif self.kind == CONE_HULL:
-                sv = np.linalg.svd(self.generators, compute_uv=False)
-                dim = int(np.sum(sv > _SV_TOL))
-            else:
-                eq_rows, _ = self._equalities()
-                if eq_rows.shape[0] == 0:
-                    dim = n
-                else:
-                    sv = np.linalg.svd(eq_rows, compute_uv=False)
-                    dim = n - int(np.sum(sv > _SV_TOL))
-            self._cache["aff_dim"] = dim
-        return self._cache["aff_dim"]
+        """Dimension of the affine hull of K: the space size minus the rank of its equalities."""
+        return _null_space_basis(self._equalities[0], self.space.size).shape[1]
 
 
 def _cone_facets(generators: np.ndarray) -> np.ndarray:
@@ -266,59 +245,57 @@ def _cone_facets(generators: np.ndarray) -> np.ndarray:
     return np.array(facets)
 
 
-def _active_rows(domain: ConvexDomainSpec, q: ConeVector, tol: float) -> np.ndarray:
-    a, b = domain._inequalities()
+def _active_rows(domain: ConvexDomainSpec, q: ConeVector) -> np.ndarray:
+    a, b = domain._inequalities
     if a.shape[0] == 0:
         return a
     scale = 1.0 + float(np.max(np.abs(q.values)))
     slack = b - a @ q.values
-    return a[slack <= tol * scale]
+    return a[slack <= _MEMBER_TOL * scale]
 
 
-def direction_cone_membership(
-    domain: ConvexDomainSpec, q: ConeVector, d: ConeVector, tol: float = _MEMBER_TOL
-) -> bool:
+def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVector) -> bool:
     """Whether ``q + lam * d`` stays in K for some ``lam > 0``.
 
     Decided exactly from the constraints: the direction must not leave any
     active inequality and must be parallel to every equality.
     """
-    if not domain.contains(q, tol):
+    if not domain.contains(q):
         raise DomainError("base point is not in the domain")
     scale = 1.0 + float(np.max(np.abs(d.values)))
-    active = _active_rows(domain, q, tol)
-    if active.shape[0] and np.any(active @ d.values > tol * scale):
+    active = _active_rows(domain, q)
+    if active.shape[0] and np.any(active @ d.values > _MEMBER_TOL * scale):
         return False
-    eq_rows, _ = domain._equalities()
-    if eq_rows.shape[0] and np.any(np.abs(eq_rows @ d.values) > tol * scale):
+    eq_rows, _ = domain._equalities
+    if eq_rows.shape[0] and np.any(np.abs(eq_rows @ d.values) > _MEMBER_TOL * scale):
         return False
     return True
 
 
-def lineality_space(domain: ConvexDomainSpec, q: ConeVector, tol: float = _MEMBER_TOL) -> list[ConeVector]:
+def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]:
     """Orthonormal basis of ``O(q)``, the two-sided feasible directions at q.
 
     A direction is two-sided exactly when it is orthogonal to every active
     inequality row and every equality row, so the basis is the null space of
     the stacked active constraints.
     """
-    if not domain.contains(q, tol):
+    if not domain.contains(q):
         raise DomainError("base point is not in the domain")
-    active = _active_rows(domain, q, tol)
-    eq_rows, _ = domain._equalities()
+    active = _active_rows(domain, q)
+    eq_rows, _ = domain._equalities
     stacked = np.vstack([active, eq_rows]) if (active.size or eq_rows.size) else np.zeros((0, domain.space.size))
     basis = _null_space_basis(stacked, domain.space.size)
     return [domain.space.cone(basis[:, j]) for j in range(basis.shape[1])]
 
 
-def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector, tol: float = _MEMBER_TOL) -> bool:
+def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector) -> bool:
     """Algebraic quasi-interior test, relative to the affine hull of K.
 
     ``q`` qualifies when its two-sided direction space O(q) fills the affine
     hull's direction space, i.e. the annihilator of O(q) within that hull is
     trivial.  In finite dimensions this is the relative interior of K.
     """
-    return len(lineality_space(domain, q, tol)) == domain.affine_hull_dimension()
+    return len(lineality_space(domain, q)) == domain.affine_hull_dimension()
 
 
 def annihilator_basis(
@@ -431,7 +408,7 @@ def _feasible_probe_directions(
     return [d for d in cands if direction_cone_membership(domain, q, d)]
 
 
-def _violation_witness(entropy, domain, q, candidate, direction, ineq_tol):
+def _violation_witness(entropy, domain, q, candidate, direction):
     """Walk down the ray q + lam*d looking for a concrete inequality breach."""
     base = entropy.value(q)
     rate = pair(direction, candidate)
@@ -460,9 +437,6 @@ def subdifferential_probe(
     seed: int = 0,
     num_points: int = 200,
     num_directions: int = 32,
-    ineq_tol: float = 1e-9,
-    deriv_tol: float = 1e-6,
-    fd_step: float = 1e-5,
     direction_sampler: Callable[[np.random.Generator, int], Sequence[ConeVector]] | None = None,
 ) -> SubgradientProbeResult:
     """Sampled verification of candidate subgradients of ``entropy`` at ``q``.
@@ -500,7 +474,7 @@ def subdifferential_probe(
     def right_derivative(idx: int) -> float:
         if idx not in fd_cache:
             try:
-                fd_cache[idx] = directional_derivative_fd(entropy, q, directions[idx], h=fd_step)
+                fd_cache[idx] = directional_derivative_fd(entropy, q, directions[idx])
             except DomainError:
                 fd_cache[idx] = np.inf  # direction unusable: never flags a violation
         return fd_cache[idx]
@@ -517,17 +491,17 @@ def subdifferential_probe(
             if gap < worst_gap:
                 worst_p, worst_gap = p, gap
         scale = 1.0 + abs(base_value)
-        if worst_gap < -ineq_tol * scale:
+        if worst_gap < -_INEQ_TOL * scale:
             rejected.append(RejectedCandidate(cand, worst_p, float(worst_gap)))
             continue
         breach = None
         for di, d in enumerate(directions):
             fd = right_derivative(di)
-            if pair(d, cand) > fd + deriv_tol:
+            if pair(d, cand) > fd + _DERIV_TOL:
                 breach = d
                 break
         if breach is not None:
-            witness, gap = _violation_witness(entropy, domain, q, cand, breach, ineq_tol)
+            witness, gap = _violation_witness(entropy, domain, q, cand, breach)
             if witness is None:
                 witness, gap = q + breach, float("nan")
             rejected.append(RejectedCandidate(cand, witness, float(gap)))
@@ -552,11 +526,11 @@ def subdifferential_probe(
         for cand in verified:
             for d in two_sided:
                 try:
-                    fd = directional_derivative_fd(entropy, q, d, h=fd_step)
+                    fd = directional_derivative_fd(entropy, q, d)
                 except DomainError:
                     unique = False
                     break
-                if not math.isfinite(fd) or abs(pair(d, cand) - fd) > deriv_tol:
+                if not math.isfinite(fd) or abs(pair(d, cand) - fd) > _DERIV_TOL:
                     unique = False
                     break
             if not unique:

@@ -21,12 +21,13 @@ Scores are oriented so that larger is better: S(q) = -2 D r - r^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import DualVector, MeasureSpace
+from .measure import DENSITY_MASS_TOL, DualVector, MeasureSpace
 
 __all__ = [
     "PeriodicGrid",
@@ -44,7 +45,6 @@ class PeriodicGrid:
     """Uniform grid of N >= 4 points on [0, 1) with periodic wraparound."""
 
     n: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 4:
@@ -55,19 +55,15 @@ class PeriodicGrid:
     def spacing(self) -> float:
         return 1.0 / self.n
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        if "points" not in self._cache:
-            pts = np.arange(self.n) * self.spacing
-            pts.flags.writeable = False
-            self._cache["points"] = pts
-        return self._cache["points"]
+        pts = np.arange(self.n) * self.spacing
+        pts.flags.writeable = False
+        return pts
 
-    @property
+    @cached_property
     def space(self) -> MeasureSpace:
-        if "space" not in self._cache:
-            self._cache["space"] = MeasureSpace(np.full(self.n, self.spacing))
-        return self._cache["space"]
+        return MeasureSpace(np.full(self.n, self.spacing))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PeriodicGrid) and other.n == self.n
@@ -144,7 +140,7 @@ def fisher_entropy(q: GridDensity) -> float:
     return math.fsum((q.values * r * r * q.grid.spacing).tolist())
 
 
-def hyvarinen_divergence(p: GridDensity, q: GridDensity, mass_tol: float = 1e-9) -> float:
+def hyvarinen_divergence(p: GridDensity, q: GridDensity) -> float:
     """Fisher divergence sum p (r_p - r_q)^2 h for a normalised truth p.
 
     Equal to ``pair(p, S(p)) - pair(p, S(q))`` by exact summation by parts;
@@ -152,7 +148,7 @@ def hyvarinen_divergence(p: GridDensity, q: GridDensity, mass_tol: float = 1e-9)
     """
     if p.grid != q.grid:
         raise DomainError("grid densities live on different grids")
-    if abs(p.mass - 1.0) > mass_tol:
+    if abs(p.mass - 1.0) > DENSITY_MASS_TOL:
         raise DomainError("the first argument must be a normalised density")
     diff = log_slope(p) - log_slope(q)
     return math.fsum((p.values * diff * diff * p.grid.spacing).tolist())

@@ -133,7 +133,7 @@ class Density(ConeVector):
         super().__post_init__()
         if np.any(self.values < 0.0):
             raise DomainError("densities must be nonnegative")
-        mass = math.fsum((self.values * self.space.weights).tolist())
+        mass = total_mass(self)
         if abs(mass - 1.0) > DENSITY_MASS_TOL:
             raise DomainError(f"density mass {mass!r} is not 1 within {DENSITY_MASS_TOL}")
 

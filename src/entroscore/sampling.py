@@ -13,6 +13,11 @@ from .measure import ConeVector, Density, MeasureSpace
 
 __all__ = ["sample_density", "sample_cone_point", "sample_positive_box"]
 
+# Cone points carry a log-uniform mass in [_MASS_LOW, _MASS_HIGH]; box points
+# have coordinates below _BOX_HIGH.
+_MASS_LOW, _MASS_HIGH = 0.1, 10.0
+_BOX_HIGH = 2.0
+
 
 def sample_density(space: MeasureSpace, rng: np.random.Generator) -> Density:
     """Uniform (Dirichlet(1,...,1)) random density on ``space``."""
@@ -20,22 +25,14 @@ def sample_density(space: MeasureSpace, rng: np.random.Generator) -> Density:
     return space.density(d / space.weights)
 
 
-def sample_cone_point(
-    space: MeasureSpace,
-    rng: np.random.Generator,
-    mass_low: float = 0.1,
-    mass_high: float = 10.0,
-) -> ConeVector:
+def sample_cone_point(space: MeasureSpace, rng: np.random.Generator) -> ConeVector:
     """Random positive cone point: Dirichlet direction, log-uniform mass."""
-    mass = float(np.exp(rng.uniform(np.log(mass_low), np.log(mass_high))))
+    mass = float(np.exp(rng.uniform(np.log(_MASS_LOW), np.log(_MASS_HIGH))))
     return space.cone(sample_density(space, rng).values * mass)
 
 
 def sample_positive_box(
-    space: MeasureSpace,
-    rng: np.random.Generator,
-    low: float = 0.05,
-    high: float = 2.0,
+    space: MeasureSpace, rng: np.random.Generator, low: float = 0.05
 ) -> ConeVector:
-    """Componentwise uniform point, bounded away from the boundary."""
-    return space.cone(rng.uniform(low, high, size=space.size))
+    """Componentwise uniform point in [low, 2), bounded away from the boundary."""
+    return space.cone(rng.uniform(low, _BOX_HIGH, size=space.size))

@@ -49,10 +49,9 @@ STRICT_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """Outcome-indexed score oracle tied to the entropy that generated it."""
+    """Outcome-indexed score oracle on a measure space."""
 
     name: str
-    entropy: "Entropy | None"
     score: Callable[[Density], DualVector]
     space: "MeasureSpace"
 
@@ -78,7 +77,7 @@ def make_psr(entropy: "Entropy") -> ScoringRule:
             offset = entropy.value(q) - pair(q, grad)
             return q.space.dual(grad.values + offset)
 
-    return ScoringRule(entropy.name, entropy, score, entropy.domain.space)
+    return ScoringRule(entropy.name, score, entropy.domain.space)
 
 
 def linear_score(space: "MeasureSpace") -> ScoringRule:
@@ -87,7 +86,7 @@ def linear_score(space: "MeasureSpace") -> ScoringRule:
     Its self-expected score is the quadratic entropy, but the rule is not a
     subgradient selection, so propriety fails with explicit witnesses.
     """
-    return ScoringRule("linear", None, lambda q: q.space.dual(q.values), space)
+    return ScoringRule("linear", lambda q: q.space.dual(q.values), space)
 
 
 def zero_homog_extend(rule: ScoringRule, q: ConeVector) -> DualVector:
@@ -106,11 +105,7 @@ def score_divergence(rule: ScoringRule, p: Density, q: Density) -> float:
     Nonnegative for proper rules; +inf when the reported density earns an
     infinite penalty under p.
     """
-    self_score = expected_score(rule, p, p)
-    cross_score = expected_score(rule, p, q)
-    if cross_score == -math.inf and math.isfinite(self_score):
-        return math.inf
-    return self_score - cross_score
+    return expected_score(rule, p, p) - expected_score(rule, p, q)
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def verify_propriety(
     for _ in range(samples):
         p = sample_density(space, rng)
         q = sample_density(space, rng)
-        margin = expected_score(rule, p, p) - expected_score(rule, p, q)
+        margin = score_divergence(rule, p, q)
         if math.isnan(margin) or margin == -math.inf:
             inf_unfavorable += 1
             min_margin = -math.inf

@@ -105,6 +105,8 @@ class TestScoreCommand:
         assert code == 4
         code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "power(0.5)")
         assert code == 4
+        code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "power(inf)")
+        assert code == 4
 
     def test_weights_flag_changes_the_measure(self, tmp_path):
         # with atom weights (2, 2) the density rows must have weighted mass 1
@@ -307,6 +309,16 @@ class TestGridScoreCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, golden", [
+    (["verify", "--config", str(DATA / "verify_golden.ini")], 1, "verify_golden.json"),
+    (["divergence", FORECASTS, FORECASTS], 0, "divergence_golden.csv"),
+], ids=["verify", "divergence"])
+def test_golden_outputs_byte_for_byte(tmp_path, argv, code, golden):
+    # weighted atoms, every catalog rule plus linear, a probe on each domain kind;
+    # the divergence matrix has inf cells
+    assert run(tmp_path, *argv) == (code, (DATA / golden).read_bytes())
+
+
 _PROBE_CONFIG = (
     "[verify]\nseed = 1\nsamples = 5\nweights = 1,1\nsuites = propriety\n\n"
     "[rule quadratic]\n\n[probe p]\nentropy = quadratic\n"
@@ -320,14 +332,30 @@ _PROBE_CONFIG = (
     ("verify", _PROBE_CONFIG + "point = nan,0\ncandidates = 2,0\n", 2),
     ("verify", _PROBE_CONFIG + "point = -1,0\ncandidates = 2,0\n", 2),
     ("verify", "[verify]\nweights = 1,1%\n\n[rule quadratic]\n", 2),
+    ("verify", "[verify]\npropriety_tol = nan\n\n[rule quadratic]\n", 2),
+    ("verify", "[verify]\neuler_tol = -1\n\n[rule quadratic]\n", 2),
+    ("verify", "[verify]\n\n[rule quadratic]\neuler_tol = nan\n", 2),
+    ("verify", "[verify]\n\n[rule quadratic]\neuler_tol = inf\n", 2),
+    ("verify", "[verify]\n\n[rule quadratic]\npropriety_tol = -1e-3\n", 2),
+    ("verify", "[verify]\nseed = -1\n\n[rule quadratic]\n", 2),
+    ("verify", "[verify]\n\n[rule quadratic]\nseed = -1\n", 2),
     ("grid-score", "1.0\ninf\n2.0\n3.0\n", 3),
 ], ids=["probe-gamma-abc", "probe-point-length", "probe-candidate-length", "probe-point-nan",
-        "probe-point-outside-domain", "config-percent", "grid-inf"])
+        "probe-point-outside-domain", "config-percent", "config-tol-nan", "config-tol-negative",
+        "rule-tol-nan", "rule-tol-inf", "rule-tol-negative", "config-seed-negative",
+        "rule-seed-negative", "grid-inf"])
 def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, text, code):
     path = tmp_path / "input.txt"
     path.write_text(text)
     argv = ["verify", "--config", str(path)] if command == "verify" else [command, str(path)]
     assert run(tmp_path, *argv)[0] == code
+    assert capsys.readouterr().err.startswith("entroscore: ")
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "-1"], ["--seed", "-1"]],
+                         ids=["tol-nan", "tol-negative", "seed-negative"])
+def test_malformed_verify_flag_exits_2(tmp_path, capsys, flags):
+    assert run(tmp_path, "verify", "--samples", "5", *flags)[0] == 2
     assert capsys.readouterr().err.startswith("entroscore: ")
 
 

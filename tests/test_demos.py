@@ -1,10 +1,14 @@
 """The narrative demo scripts must keep running cleanly."""
 
+import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from entroscore.cli import main
 
 from conftest import child_env
 
@@ -21,21 +25,29 @@ def test_demo_runs(script):
     assert result.stdout.strip()  # each demo narrates something
 
 
+def _readme_block(language):
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    start = text.index(f"```{language}\n") + len(language) + 4
+    return textwrap.dedent(text[start:text.index("```", start)])
+
+
 def test_readme_quickstart_snippet():
-    # keep the README example honest
-    import numpy as np
+    # run the README's own example, not a copy of it
+    names = {}
+    exec(_readme_block("python"), names)
+    rule, truth, report = names["rule"], names["truth"], names["report"]
+    assert names["score_divergence"](rule, truth, report) > 0.0
+    assert names["verify_propriety"](rule, seed=42).passed
 
-    from entroscore import (
-        MeasureSpace,
-        catalog_entropy,
-        make_psr,
-        score_divergence,
-        verify_propriety,
-    )
 
-    space = MeasureSpace(np.ones(3))
-    rule = make_psr(catalog_entropy("shannon", space))
-    truth = space.density([0.5, 0.3, 0.2])
-    report = space.density([0.4, 0.35, 0.25])
-    assert score_divergence(rule, truth, report) > 0.0
-    assert verify_propriety(rule, seed=42).passed
+def test_readme_verify_config(tmp_path):
+    # the INI example exits 1: only the propriety suite of linear fails, the probe passes
+    config = tmp_path / "readme.ini"
+    config.write_text(_readme_block("ini"))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    failed = [(rule, suite) for rule, suites in report["rules"].items()
+              for suite, result in suites.items() if not result["pass"]]
+    assert failed == [("linear", "propriety")]
+    assert report["probes"]["corner"]["pass"] is True
