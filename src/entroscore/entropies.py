@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -176,18 +177,37 @@ def _shannon(space: MeasureSpace) -> Entropy:
 def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
-    def raw(q: ConeVector) -> float:
-        _require_nonnegative(q.values, "pseudospherical entropy")
-        return math.fsum((np.power(q.values, gamma) * w).tolist())
+    @np.errstate(over="ignore")  # as a decorator it costs next to nothing per call
+    def power_sum(v: np.ndarray) -> float:
+        try:
+            return math.fsum((np.power(v, gamma) * w).tolist())
+        except OverflowError:  # finite terms whose sum exceeds the largest float
+            return math.inf
+
+    def scaled(q: ConeVector) -> tuple[np.ndarray, float, float]:
+        """``(v, top, sum v^gamma mu)`` with ``q = top * v``.
+
+        ``top`` is 1 unless the power sum of a nonzero q leaves the normal
+        float range; then it is ``max q``.  That is exact, as the value is
+        1-homogeneous and the subgradient 0-homogeneous.
+        """
+        v = q.values
+        _require_nonnegative(v, "pseudospherical entropy")
+        total = power_sum(v)
+        if sys.float_info.min <= total < math.inf or not np.any(v):
+            return v, 1.0, total
+        top = float(np.max(v))
+        return v / top, top, power_sum(v / top)
 
     def value(q: ConeVector) -> float:
-        return raw(q) ** (1.0 / gamma)
+        _, top, total = scaled(q)
+        return top * total ** (1.0 / gamma)
 
     def grad(q: ConeVector) -> DualVector:
-        total = raw(q)
+        v, _, total = scaled(q)
         if total <= 0.0:
             raise DomainError("pseudospherical subgradient is undefined at the origin")
-        return space.dual(np.power(q.values, gamma - 1.0) / total ** ((gamma - 1.0) / gamma))
+        return space.dual(np.power(v, gamma - 1.0) / total ** ((gamma - 1.0) / gamma))
 
     return Entropy(f"pseudospherical({gamma:g})",
                    ConvexDomainSpec.nonnegative_orthant(space), value, grad)

@@ -3,9 +3,10 @@
 A :class:`ConvexDomainSpec` describes a convex set K inside a finite measure
 space: the probability simplex, the nonnegative orthant, the conical hull of
 finitely many points, or an intersection of half-spaces (the empty
-intersection doubles as the whole space).  On top of membership it answers
-the direction-cone queries needed to probe subgradients:
+intersection doubles as the whole space).  Each constructor works out one
+constraint description of K, and every query reads only that:
 
+* membership;
 * feasible directions at a point (``Cone(K - q)``), decided exactly from the
   active constraints;
 * the lineality space ``O(q)`` of two-sided feasible directions;
@@ -15,22 +16,23 @@ the direction-cone queries needed to probe subgradients:
 Lower-dimensional sets (the simplex) are treated relative to their affine
 hull, so quasi-interior coincides with the relative interior there.
 
-scipy is imported only inside the cone-hull and half-space code that needs it,
-so importing the package (and so every CLI call) does not load it.  The whole
-space has no half-spaces and needs no LP.
+scipy is imported only when a cone hull of rank >= 2 (Qhull facets) or a
+half-space intersection with at least one row (the implicit-equality LP) is
+constructed, so importing the package (and so every CLI call) does not load
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import ConeVector, DualVector, MeasureSpace, pair, total_mass
+from .measure import ConeVector, DualVector, MeasureSpace, pair
 from .sampling import sample_density, sample_positive_box
 
 __all__ = [
@@ -44,11 +46,6 @@ __all__ = [
     "subdifferential_probe",
 ]
 
-SIMPLEX = "simplex"
-ORTHANT = "nonnegative_orthant"
-CONE_HULL = "cone_hull_of_points"
-HALFSPACES = "halfspace_intersection"
-
 _SV_TOL = 1e-10  # singular-value threshold for rank decisions
 _MEMBER_TOL = 1e-9  # slack allowed in membership and active-constraint tests
 # A subgradient candidate is rejected when the supporting-hyperplane inequality
@@ -56,6 +53,9 @@ _MEMBER_TOL = 1e-9  # slack allowed in membership and active-constraint tests
 # by more than _DERIV_TOL (absolute, the finite-difference accuracy).
 _INEQ_TOL = 1e-9
 _DERIV_TOL = 1e-6
+# subdifferential_probe samples this many points of K and random directions.
+_PROBE_POINTS = 200
+_PROBE_DIRECTIONS = 32
 
 
 def _null_space_basis(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -67,30 +67,53 @@ def _null_space_basis(mat: np.ndarray, dim: int) -> np.ndarray:
     return vt[rank:].T
 
 
+def _no_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros((0, n)), np.zeros(0)
+
+
+def _sample_normal(space: MeasureSpace, rng: np.random.Generator) -> ConeVector:
+    return space.cone(rng.normal(0.0, 1.0, size=space.size))
+
+
+def _cannot_sample(rng: np.random.Generator) -> ConeVector:
+    raise DomainError("sampling a general half-space intersection is not supported")
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexDomainSpec:
-    """Finite-dimensional convex set with exact polyhedral constraint data.
+    """Finite-dimensional convex set held as one constraint description::
 
-    ``generators`` holds the rays of a conical hull; ``normals``/``offsets``
-    hold half-space rows ``normal . x <= offset`` (plain coordinate dot
-    product).  Only the fields relevant to ``kind`` are populated.
+        K = {x : x >= 0 if nonnegative,  A x <= b,  E x = e}
+
+    with plain coordinate dot products.  ``inequalities`` is ``(A, b)``:
+    half-space rows, or the facets of a conical hull.  ``equalities`` is
+    ``(E, e)``: rows that hold with equality on all of K (the simplex mass
+    row, implicit half-space equalities, the span complement of cone
+    generators).  Sign bounds stay a flag, so no n x n block of rows is ever
+    built for them.  ``draw`` returns one random point of K.  Build domains
+    with the classmethods; ``kind`` is only a display name.
     """
 
     kind: str
     space: MeasureSpace
-    generators: np.ndarray | None = None
-    normals: np.ndarray | None = None
-    offsets: np.ndarray | None = None
+    nonnegative: bool
+    inequalities: tuple[np.ndarray, np.ndarray]
+    equalities: tuple[np.ndarray, np.ndarray]
+    draw: Callable[[np.random.Generator], ConeVector]
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def simplex(cls, space: MeasureSpace) -> "ConvexDomainSpec":
-        return cls(SIMPLEX, space)
+        n = space.size
+        return cls("simplex", space, True, _no_rows(n),
+                   (space.weights.reshape(1, n), np.ones(1)), partial(sample_density, space))
 
     @classmethod
     def nonnegative_orthant(cls, space: MeasureSpace) -> "ConvexDomainSpec":
-        return cls(ORTHANT, space)
+        n = space.size
+        return cls("nonnegative_orthant", space, True, _no_rows(n), _no_rows(n),
+                   partial(sample_positive_box, space))
 
     @classmethod
     def cone_hull(cls, space: MeasureSpace, points) -> "ConvexDomainSpec":
@@ -99,112 +122,70 @@ class ConvexDomainSpec:
             raise ConstructionError("generator points do not match the space size")
         if g.shape[0] < 1:
             raise ConstructionError("a conical hull needs at least one generator")
-        return cls(CONE_HULL, space, generators=g)
+        facets = _cone_facets(g)
+        # the span complement of the generators pins the cone
+        comp = _null_space_basis(g, space.size)
+
+        def draw(rng: np.random.Generator) -> ConeVector:
+            return space.cone(rng.exponential(1.0, size=g.shape[0]) @ g)
+
+        return cls("cone_hull_of_points", space, False, (facets, np.zeros(facets.shape[0])),
+                   (comp.T, np.zeros(comp.shape[1])), draw)
 
     @classmethod
     def halfspace_intersection(cls, space: MeasureSpace, normals, offsets) -> "ConvexDomainSpec":
         a = np.atleast_2d(np.asarray(normals, dtype=float))
         b = np.atleast_1d(np.asarray(offsets, dtype=float))
-        if a.size == 0:
-            a = np.zeros((0, space.size))
-            b = np.zeros(0)
+        if a.size == 0:  # the whole space: no LP, Gaussian samples
+            return cls("halfspace_intersection", space, False, _no_rows(space.size),
+                       _no_rows(space.size), partial(_sample_normal, space))
         if a.shape[1] != space.size or a.shape[0] != b.size:
             raise ConstructionError("half-space rows do not match the space size")
-        return cls(HALFSPACES, space, normals=a, offsets=b)
+        return cls("halfspace_intersection", space, False, (a, b),
+                   _implicit_equalities(a, b), _cannot_sample)
 
     @classmethod
     def whole_space(cls, space: MeasureSpace) -> "ConvexDomainSpec":
         """Span of the densities: the empty half-space intersection."""
         return cls.halfspace_intersection(space, np.zeros((0, space.size)), np.zeros(0))
 
-    # -- membership ---------------------------------------------------------
+    # -- queries ------------------------------------------------------------
 
     def contains(self, q: ConeVector) -> bool:
         if q.space != self.space:
             return False
         v = q.values
-        if self.kind == SIMPLEX:
-            return bool(np.all(v >= -_MEMBER_TOL) and abs(total_mass(q) - 1.0) <= _MEMBER_TOL)
-        if self.kind == ORTHANT:
-            return bool(np.all(v >= -_MEMBER_TOL))
-        if self.kind == HALFSPACES:
-            if self.normals.shape[0] == 0:
-                return True
-            scale = 1.0 + float(np.max(np.abs(v)))
-            return bool(np.all(self.normals @ v <= self.offsets + _MEMBER_TOL * scale))
-        # conical hull: nonnegative least squares against the generators
-        from scipy.optimize import nnls
-        _, residual = nnls(self.generators.T, v)
-        return residual <= _MEMBER_TOL * (1.0 + float(np.linalg.norm(v)))
-
-    # -- sampling ------------------------------------------------------------
+        a, b = self.inequalities
+        e_rows, e = self.equalities
+        return bool(  # the size tests only skip empty row blocks
+            (not self.nonnegative or v.min() >= -_MEMBER_TOL)
+            and (not e.size or np.all(np.abs(e_rows @ v - e) <= _MEMBER_TOL))
+            and (not b.size or np.all(a @ v <= b + _MEMBER_TOL * (1.0 + float(np.max(np.abs(v))))))
+        )
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> list[ConeVector]:
         """Random points of the domain (interior-biased), for sampled checks."""
-        out: list[ConeVector] = []
-        for _ in range(count):
-            if self.kind == SIMPLEX:
-                out.append(sample_density(self.space, rng))
-            elif self.kind == ORTHANT:
-                out.append(sample_positive_box(self.space, rng))
-            elif self.kind == CONE_HULL:
-                coeff = rng.exponential(1.0, size=self.generators.shape[0])
-                out.append(self.space.cone(coeff @ self.generators))
-            elif self.kind == HALFSPACES and self.normals.shape[0] == 0:
-                out.append(self.space.cone(rng.normal(0.0, 1.0, size=self.space.size)))
-            else:
-                raise DomainError(
-                    "sampling a general half-space intersection is not supported"
-                )
-        return out
-
-    # -- constraint views ----------------------------------------------------
-
-    @cached_property
-    def _inequalities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (a, b) with a . x <= b describing K (facets for cone hulls)."""
-        n = self.space.size
-        if self.kind == SIMPLEX or self.kind == ORTHANT:
-            return -np.eye(n), np.zeros(n)
-        if self.kind == HALFSPACES:
-            return self.normals, self.offsets
-        a = _cone_facets(self.generators)
-        return a, np.zeros(a.shape[0])
-
-    @cached_property
-    def _equalities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (a, b) with a . x = b on all of K."""
-        n = self.space.size
-        if self.kind == SIMPLEX:
-            return self.space.weights.reshape(1, n), np.ones(1)
-        if self.kind == CONE_HULL:
-            # the span complement of the generators pins the cone
-            comp = _null_space_basis(self.generators, n)
-            return comp.T, np.zeros(comp.shape[1])
-        if self.kind == HALFSPACES and self.normals.shape[0]:
-            return self._implicit_equalities()
-        return np.zeros((0, n)), np.zeros(0)
-
-    def _implicit_equalities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Half-space rows that hold with equality on the whole set (via LP)."""
-        from scipy.optimize import linprog
-        n = self.space.size
-        rows, rhs = [], []
-        for a, b in zip(self.normals, self.offsets):
-            res = linprog(a, A_ub=self.normals, b_ub=self.offsets,
-                          bounds=[(None, None)] * n, method="highs")
-            if res.status == 2:
-                raise ConstructionError("half-space intersection is empty")
-            if res.status == 0 and res.fun >= b - 1e-9 * (1.0 + abs(b)):
-                rows.append(a)
-                rhs.append(b)
-        if not rows:
-            return np.zeros((0, n)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
+        return [self.draw(rng) for _ in range(count)]
 
     def affine_hull_dimension(self) -> int:
         """Dimension of the affine hull of K: the space size minus the rank of its equalities."""
-        return _null_space_basis(self._equalities[0], self.space.size).shape[1]
+        return _null_space_basis(self.equalities[0], self.space.size).shape[1]
+
+
+def _implicit_equalities(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-space rows that hold with equality on the whole set (via LP)."""
+    from scipy.optimize import linprog
+
+    def minimize(c: np.ndarray):
+        return linprog(c, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1], method="highs")
+
+    # HiGHS may report an unbounded LP as infeasible; only a zero objective,
+    # which cannot be unbounded, tells an empty set apart
+    if minimize(np.zeros(a.shape[1])).status == 2:
+        raise ConstructionError("half-space intersection is empty")
+    lows = [minimize(row) for row in a]
+    tight = [r.status == 0 and r.fun >= off - 1e-9 * (1.0 + abs(off)) for r, off in zip(lows, b)]
+    return a[tight], b[tight]
 
 
 def _cone_facets(generators: np.ndarray) -> np.ndarray:
@@ -235,23 +216,26 @@ def _cone_facets(generators: np.ndarray) -> np.ndarray:
         hull = ConvexHull(points)
     except QhullError as exc:                # pragma: no cover - rank guard above
         raise ConstructionError(f"cannot enumerate cone facets: {exc}") from exc
-    facets = []
-    for eq in hull.equations:                # rows (a, b): a . x + b <= 0 inside
-        a, b = eq[:-1], eq[-1]
-        if abs(b) <= 1e-9:
-            facets.append(span @ a)
-    if not facets:
-        return np.zeros((0, n))
-    return np.array(facets)
+    eqs = hull.equations                     # rows (a, b): a . x + b <= 0 inside
+    return eqs[np.abs(eqs[:, -1]) <= 1e-9, :-1] @ span.T
 
 
 def _active_rows(domain: ConvexDomainSpec, q: ConeVector) -> np.ndarray:
-    a, b = domain._inequalities
-    if a.shape[0] == 0:
-        return a
-    scale = 1.0 + float(np.max(np.abs(q.values)))
-    slack = b - a @ q.values
-    return a[slack <= _MEMBER_TOL * scale]
+    """Constraint rows ``r . x <= c`` of K that q meets with equality.
+
+    Sign bounds give a row ``-e_i`` only for each zero coordinate ``i``,
+    ahead of the active general rows.
+    """
+    v = q.values
+    tol = _MEMBER_TOL * (1.0 + float(np.max(np.abs(v))))
+    a, b = domain.inequalities
+    general = a[b - a @ v <= tol] if b.size else a
+    if not domain.nonnegative:
+        return general
+    zero = np.flatnonzero(v <= tol)
+    bounds = np.zeros((zero.size, v.size))
+    bounds[np.arange(zero.size), zero] = -1.0
+    return np.vstack([bounds, general])
 
 
 def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVector) -> bool:
@@ -262,14 +246,9 @@ def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVe
     """
     if not domain.contains(q):
         raise DomainError("base point is not in the domain")
-    scale = 1.0 + float(np.max(np.abs(d.values)))
-    active = _active_rows(domain, q)
-    if active.shape[0] and np.any(active @ d.values > _MEMBER_TOL * scale):
-        return False
-    eq_rows, _ = domain._equalities
-    if eq_rows.shape[0] and np.any(np.abs(eq_rows @ d.values) > _MEMBER_TOL * scale):
-        return False
-    return True
+    tol = _MEMBER_TOL * (1.0 + float(np.max(np.abs(d.values))))
+    return bool(np.all(_active_rows(domain, q) @ d.values <= tol)
+                and np.all(np.abs(domain.equalities[0] @ d.values) <= tol))
 
 
 def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]:
@@ -281,9 +260,7 @@ def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]
     """
     if not domain.contains(q):
         raise DomainError("base point is not in the domain")
-    active = _active_rows(domain, q)
-    eq_rows, _ = domain._equalities
-    stacked = np.vstack([active, eq_rows]) if (active.size or eq_rows.size) else np.zeros((0, domain.space.size))
+    stacked = np.vstack([_active_rows(domain, q), domain.equalities[0]])
     basis = _null_space_basis(stacked, domain.space.size)
     return [domain.space.cone(basis[:, j]) for j in range(basis.shape[1])]
 
@@ -384,7 +361,6 @@ def _feasible_probe_directions(
     q: ConeVector,
     points: Sequence[ConeVector],
     rng: np.random.Generator,
-    num_random: int,
 ) -> list[ConeVector]:
     space = domain.space
     n = space.size
@@ -401,7 +377,7 @@ def _feasible_probe_directions(
     for basis_vec in lineality_space(domain, q):
         cands.append(basis_vec)
         cands.append(-basis_vec)
-    for p in domain.sample(rng, num_random):
+    for p in domain.sample(rng, _PROBE_DIRECTIONS):
         d = p - q
         if float(np.max(np.abs(d.values))) > 1e-12:
             cands.append(d)
@@ -435,9 +411,6 @@ def subdifferential_probe(
     candidates: Sequence[DualVector],
     *,
     seed: int = 0,
-    num_points: int = 200,
-    num_directions: int = 32,
-    direction_sampler: Callable[[np.random.Generator, int], Sequence[ConeVector]] | None = None,
 ) -> SubgradientProbeResult:
     """Sampled verification of candidate subgradients of ``entropy`` at ``q``.
 
@@ -461,12 +434,8 @@ def subdifferential_probe(
     if not domain.contains(q):
         raise DomainError("probe base point is not in the domain")
     rng = np.random.default_rng(seed)
-    points = _structured_points(domain, q) + domain.sample(rng, num_points)
-    directions = _feasible_probe_directions(domain, q, points, rng, num_directions)
-    if direction_sampler is not None:
-        extra = [d for d in direction_sampler(rng, num_directions)
-                 if direction_cone_membership(domain, q, d)]
-        directions.extend(extra)
+    points = _structured_points(domain, q) + domain.sample(rng, _PROBE_POINTS)
+    directions = _feasible_probe_directions(domain, q, points, rng)
 
     base_value = entropy.value(q)
     fd_cache: dict[int, float] = {}

@@ -187,26 +187,14 @@ def pair(p: ConeVector, f: DualVector) -> float:
     fv = f.values
     if np.all(np.isfinite(fv)):
         return math.fsum((p.values * fv * w).tolist())
-    pos = neg = False
-    finite_terms = []
-    for pi, fi, wi in zip(p.values.tolist(), fv.tolist(), w.tolist()):
-        base = pi * wi
-        if base == 0.0:
-            continue
-        if math.isinf(fi):
-            if (fi > 0.0) == (base > 0.0):
-                pos = True
-            else:
-                neg = True
-            continue
-        finite_terms.append(base * fi)
-    if pos and neg:
-        return math.nan
-    if pos:
-        return math.inf
-    if neg:
-        return -math.inf
-    return math.fsum(finite_terms)
+    base = p.values * w
+    charged = base != 0.0
+    terms = base[charged] * fv[charged]
+    infinite = np.isinf(terms)
+    if np.any(infinite):
+        with np.errstate(invalid="ignore"):  # inf + (-inf) is the documented NaN
+            return float(np.sum(terms[infinite]))
+    return math.fsum(terms.tolist())
 
 
 def total_mass(q: ConeVector) -> float:

@@ -139,6 +139,18 @@ class TestScoreCommand:
         assert code == 2
 
 
+    def test_large_gamma_pseudospherical_runs_everywhere(self, tmp_path):
+        # sum q^2000 leaves the float range on these rows; the rule rescales
+        spec = "pseudospherical(2000)"
+        code, payload = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", spec)
+        assert code == 0
+        assert payload.decode().splitlines()[1] == "1,1,1.0,0.5"
+        assert run(tmp_path, "divergence", FORECASTS, FORECASTS, "--rules", spec)[0] == 0
+        config = tmp_path / "verify.ini"
+        config.write_text(f"[verify]\nsamples = 100\nweights = 1,1,1\n\n[rule {spec}]\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 0
+
+
 class TestDivergenceCommand:
     def test_matrix_matches_library(self, tmp_path):
         code, payload = run(
@@ -360,11 +372,16 @@ def test_malformed_verify_flag_exits_2(tmp_path, capsys, flags):
 
 
 def test_import_and_whole_space_geometry_load_no_scipy():
+    # the CLI's probe domains: whole space, orthant and simplex
     probe = (
         "import sys, entroscore.cli\n"
-        "from entroscore import ConvexDomainSpec, MeasureSpace, is_quasi_interior\n"
+        "from entroscore import (ConvexDomainSpec, MeasureSpace, catalog_entropy,\n"
+        "                        is_quasi_interior, subdifferential_probe)\n"
         "sp = MeasureSpace([1.0, 1.0])\n"
         "assert is_quasi_interior(ConvexDomainSpec.whole_space(sp), sp.cone([0.5, 0.5]))\n"
+        "E = catalog_entropy('quadratic', sp)\n"
+        "for K in (ConvexDomainSpec.nonnegative_orthant(sp), ConvexDomainSpec.simplex(sp)):\n"
+        "    assert subdifferential_probe(E, K, sp.cone([1.0, 0.0]), [sp.dual([2.0, 0.0])]).verified\n"
         "print([m for m in sys.modules if m.startswith('scipy')])\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,

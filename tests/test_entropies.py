@@ -1,6 +1,7 @@
 """Catalog entropies, homogeneous extensions, and derivative oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from entroscore import (
     composite_entropy,
     directional_derivative_fd,
     extended_subgradient,
+    make_psr,
     pair,
     parse_rule_spec,
     sample_positive_box,
@@ -98,6 +100,25 @@ class TestCatalogValues:
             np.array([1.0, 4.0]) / raw ** (2 / 3),
             rtol=1e-14,
         )
+
+    def test_pseudospherical_large_gamma_leaves_no_float_range(self):
+        # sum q^2000 mu underflows at densities (0.7^2000 is subnormal) and
+        # overflows at 2^2000; both are read at q / max q instead
+        sp = unit_space(3)
+        E = catalog_entropy("pseudospherical", sp, gamma=2000.0)
+        rule = make_psr(E)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = sp.density([0.5, 0.25, 0.25])
+            assert rule.score(q).values[0] == 1.0
+            assert pair(q, rule.score(q)) == 0.5
+            np.testing.assert_allclose(rule.score(sp.density([0.1, 0.2, 0.7])).values,
+                                       [0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
+            assert rule.score(sp.density([0.7, 0.15, 0.15])).values.tolist() == [1.0, 0.0, 0.0]
+            big = sp.cone([2.0, 1.0, 2.0])
+            assert E.value(big) == 2.0 * 2.0 ** (1 / 2000)
+            np.testing.assert_array_equal(E.subgradient(big).values,
+                                          np.array([1.0, 0.0, 1.0]) / 2.0 ** (1999 / 2000))
 
     def test_weighted_quadratic_is_the_quadratic_form(self):
         rng = np.random.default_rng(5)

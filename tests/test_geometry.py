@@ -1,11 +1,14 @@
 """Direction cones, lineality spaces, quasi-interior, and subgradient probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entroscore import (
+    ConstructionError,
     ConvexDomainSpec,
     DomainError,
     MeasureSpace,
@@ -80,7 +83,75 @@ class TestMembership:
         assert not K.contains(sp.cone([0.8, 0.8]))
 
 
+    def test_simplex_mass_tolerance_is_not_scaled(self):
+        # mass 1 + 1e-6 with a huge coordinate on the light atom: a tolerance
+        # scaled by the point's size (5e7 * 1e-9) would accept it
+        sp = MeasureSpace([1e-8, 1.0])
+        K = ConvexDomainSpec.simplex(sp)
+        assert K.contains(sp.cone([5e7, 0.5]))
+        assert not K.contains(sp.cone([5e7, 0.5 + 1e-6]))
+
+
+_FAMILIES = ("simplex", "orthant", "cone_hull", "halfspaces", "whole_space")
+
+
+@st.composite
+def _domain_point_direction(draw):
+    """A domain of one family, a point of it (often on the boundary), a direction.
+
+    Integer data and weights in {0.5, 1, 2} keep every constraint either met
+    exactly by ``d`` or violated by far more than ``1e-6 * d`` can hide.
+    """
+    family = draw(st.sampled_from(_FAMILIES))
+    n = draw(st.integers(2, 4))
+
+    def ints(lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), dtype=float)
+
+    sp = MeasureSpace(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    d = ints(-2, 2)
+    if family == "simplex":
+        k = ints(0, 3)
+        assume(k.sum() > 0)
+        return ConvexDomainSpec.simplex(sp), sp.cone(k / k.sum() / sp.weights), sp.cone(d / sp.weights)
+    if family == "orthant":
+        return ConvexDomainSpec.nonnegative_orthant(sp), sp.cone(ints(0, 3)), sp.cone(d)
+    if family == "whole_space":
+        return ConvexDomainSpec.whole_space(sp), sp.cone(ints(-3, 3)), sp.cone(d)
+    rows = np.array([ints(-2, 2) for _ in range(draw(st.integers(1, 4)))])
+    if family == "cone_hull":
+        coeff = np.array(draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))))
+        return ConvexDomainSpec.cone_hull(sp, rows), sp.cone(coeff @ rows), sp.cone(d)
+    q = ints(-2, 2)
+    slack = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=len(rows), max_size=len(rows))))
+    return ConvexDomainSpec.halfspace_intersection(sp, rows, rows @ q + slack), sp.cone(q), sp.cone(d)
+
+
 class TestDirectionCone:
+    @settings(max_examples=300, deadline=None)
+    @given(_domain_point_direction())
+    def test_agrees_with_membership_along_the_direction(self, case):
+        K, q, d = case
+        assert K.contains(q)
+        assert direction_cone_membership(K, q, d) == K.contains(q + 1e-6 * d)
+
+    @pytest.mark.parametrize("make", [ConvexDomainSpec.nonnegative_orthant, ConvexDomainSpec.simplex])
+    def test_large_n_queries_build_no_dense_block(self, make):
+        # sign bounds are a flag: an n x n block of bound rows would take 32 MB
+        n = 2000
+        sp = unit_space(n)
+        K = make(sp)
+        q = sp.cone(np.r_[np.zeros(10), np.full(n - 10, 1.0 / (n - 10))])
+        d = sp.cone(np.r_[np.ones(10), np.full(n - 10, -10.0 / (n - 10))])
+        tracemalloc.start()
+        try:
+            assert K.contains(q)
+            assert direction_cone_membership(K, q, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_orthant_boundary_direction(self):
         sp = unit_space(2)
         K = ConvexDomainSpec.nonnegative_orthant(sp)
@@ -318,6 +389,16 @@ class TestSubdifferentialProbe:
                 fd = directional_derivative_fd(E, q, d)
                 assert pair(d, cand) <= fd + 1e-6
 
+    def test_default_probe_rejects_a_small_facet_violation(self):
+        # the default probe (seed 0) finds the facet direction (0, 1) that the
+        # slope 0.1 violates, though (2, 0.1) is close to the subdifferential
+        sp = unit_space(2)
+        E = catalog_entropy("quadratic", sp)
+        K = ConvexDomainSpec.nonnegative_orthant(sp)
+        result = subdifferential_probe(E, K, sp.cone([1.0, 0.0]), [sp.dual([2.0, 0.1])])
+        assert result.verified == []
+        assert len(result.rejected) == 1
+
     def test_probe_rejects_outside_base_point(self):
         sp = unit_space(2)
         E = catalog_entropy("quadratic", sp)
@@ -359,29 +440,25 @@ class TestHalfspaceGeometry:
             assert is_quasi_interior(K, point)
             assert len(lineality_space(K, point)) == 3
 
+    def test_unbounded_intersection_is_not_empty(self):
+        # minimising x3 over this set is unbounded, which HiGHS can report as
+        # infeasible; the set contains the origin and fills the space
+        sp = unit_space(3)
+        K = ConvexDomainSpec.halfspace_intersection(
+            sp, [[1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]], [0.0, 0.0, 1.0]
+        )
+        assert K.affine_hull_dimension() == 3
+        assert is_quasi_interior(K, sp.cone([0.0, 0.0, -0.5]))
+
+    def test_empty_intersection_raises_at_construction(self):
+        with pytest.raises(ConstructionError):
+            ConvexDomainSpec.halfspace_intersection(unit_space(2), [[1.0, 0.0], [-1.0, 0.0]], [-1.0, 0.0])
+
     def test_general_halfspace_sampling_unsupported(self):
         sp = unit_space(2)
         K = ConvexDomainSpec.halfspace_intersection(sp, [[1.0, 1.0]], [1.0])
         with pytest.raises(DomainError):
             K.sample(np.random.default_rng(0), 1)
-
-
-class TestProbeDirectionSampler:
-    def test_custom_sampler_directions_are_used(self):
-        # a sampler pointing straight at the violated facet catches the bad
-        # candidate even with no random points
-        sp = unit_space(2)
-        E = catalog_entropy("quadratic", sp)
-        K = ConvexDomainSpec.nonnegative_orthant(sp)
-
-        def sampler(rng, count):
-            return [sp.cone([0.0, 1.0])]
-
-        result = subdifferential_probe(
-            E, K, sp.cone([1.0, 0.0]), [sp.dual([2.0, 0.1])],
-            seed=3, num_points=0, num_directions=0, direction_sampler=sampler,
-        )
-        assert len(result.rejected) == 1
 
 
 class TestConeHullGeometry:

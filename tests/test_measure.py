@@ -1,6 +1,7 @@
 """Pairing, total mass, and normalization on finite measure spaces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +98,9 @@ class TestPair:
     def test_opposing_infinities_are_undefined(self):
         sp = unit_space(2)
         f = sp.dual([math.inf, -math.inf], allow_infinite=True)
-        assert math.isnan(pair(sp.density([0.5, 0.5]), f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(pair(sp.density([0.5, 0.5]), f))
 
     def test_bilinearity(self):
         rng = np.random.default_rng(42)
