@@ -18,6 +18,7 @@ from .measure import (
     MeasureSpace,
     normalize,
     pair,
+    pair_rows,
     total_mass,
 )
 from .geometry import (
@@ -48,6 +49,7 @@ from .scoring import (
     linear_score,
     make_psr,
     score_divergence,
+    score_divergence_rows,
     verify_euler,
     verify_propriety,
     zero_homog_extend,
@@ -81,7 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EntroscoreError", "StructureError", "DomainError", "ConstructionError",
     "MeasureSpace", "ConeVector", "Density", "DualVector",
-    "pair", "total_mass", "normalize", "DENSITY_MASS_TOL",
+    "pair", "pair_rows", "total_mass", "normalize", "DENSITY_MASS_TOL",
     "ConvexDomainSpec", "SubgradientProbeResult",
     "direction_cone_membership", "lineality_space", "is_quasi_interior",
     "annihilator_basis", "subdifferential_probe",
@@ -90,7 +92,7 @@ __all__ = [
     "directional_derivative_fd", "composite_entropy",
     "ScoringRule", "ProprietyReport", "EulerReport",
     "make_psr", "linear_score", "zero_homog_extend",
-    "expected_score", "score_divergence", "verify_propriety", "verify_euler",
+    "expected_score", "score_divergence", "score_divergence_rows", "verify_propriety", "verify_euler",
     "AffineScore", "DivergenceReport",
     "SYMMETRIC_GENERALIZED_QUADRATIC", "ASYMMETRIC_WITH_WITNESS", "INCONCLUSIVE",
     "bregman_divergence", "affine_score_at", "linearity_check",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import ConeVector, DualVector, pair
+from .measure import ConeVector, DualVector, pair, pair_rows
 from .entropies import Entropy
 from .sampling import sample_cone_point, sample_positive_box
 
@@ -117,17 +117,17 @@ def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
     that cancels out of the divergence; the new subgradient is
     ``grad(p) - grad(a)`` and the new entropy vanishes at ``a``.
     """
-    grad_a = entropy.subgradient(a)
+    grad_a = entropy.subgradient(a).values
     value_a = entropy.value(a)
-    space = entropy.domain.space
+    weights = entropy.domain.space.weights
 
-    def value(p: ConeVector) -> float:
-        return entropy.value(p) - pair(p - a, grad_a) - value_a
+    def value_rows(p: np.ndarray) -> np.ndarray:
+        return entropy.value_rows(p) - pair_rows(p - a.values, grad_a, weights) - value_a
 
-    def grad(p: ConeVector) -> DualVector:
-        return space.dual(entropy.subgradient(p).values - grad_a.values)
+    def grad_rows(p: np.ndarray) -> np.ndarray:
+        return entropy.grad_rows(p) - grad_a
 
-    return Entropy(f"{entropy.name}@rebased", entropy.domain, value, grad)
+    return Entropy(f"{entropy.name}@rebased", entropy.domain, value_rows, grad_rows)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ Subcommands::
 CSV files carry a header row (forecast columns ``p1..pn``, outcome column
 ``outcome``; grid densities are headerless, one value per line).  Floats are
 rendered with shortest round-trip ``repr``, infinities as ``inf``/``-inf``.
-Exit codes: 0 success, 1 verification failure, 2 malformed input or config,
-3 invalid density rows, 4 unknown rule.
+Exit codes: 0 success, 1 verification failure, 2 malformed input or config
+(or a ``verify`` rule whose scores leave the float range on its sample
+points), 3 invalid density rows or rows whose scores leave the float range,
+4 unknown rule.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,15 +38,9 @@ from .entropies import catalog_entropy, parse_rule_spec
 from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
-from .measure import MeasureSpace
-from .scoring import (
-    expected_score,
-    linear_score,
-    make_psr,
-    score_divergence,
-    verify_euler,
-    verify_propriety,
-)
+from .measure import MeasureSpace, pair_rows, require_density_rows
+from .scoring import (linear_score, make_psr, require_float_range, score_divergence_rows,
+                      verify_euler, verify_propriety)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -152,16 +149,19 @@ def read_outcomes(path: str, n_outcomes: int) -> list[int]:
     return outcomes
 
 
-def build_densities(matrix: np.ndarray, space: MeasureSpace, path: str):
-    densities, bad = [], []
-    for index, row in enumerate(matrix, start=1):
-        try:
-            densities.append(space.density(row))
-        except EntroscoreError as exc:
-            bad.append(f"row {index}: {exc}")
-    if bad:
-        raise CliError(EXIT_DENSITY, f"{path}: invalid density rows: " + "; ".join(bad))
-    return densities
+@contextmanager
+def _rows_of(path: str):
+    """Report the rows a library check rejects in the file at ``path``: exit 3."""
+    try:
+        yield
+    except EntroscoreError as exc:
+        raise CliError(EXIT_DENSITY, f"{path}: {exc}") from None
+
+
+def build_densities(matrix: np.ndarray, space: MeasureSpace, path: str) -> np.ndarray:
+    """The forecast matrix itself, once every row is a density on ``space``."""
+    with _rows_of(path):
+        return require_density_rows(matrix, space.weights)
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -212,28 +212,26 @@ def cmd_score(args) -> int:
             f"row count mismatch: {forecasts.shape[0]} forecasts vs {len(outcomes)} outcomes",
         )
     space, rules = _space_and_rules(args, n)
-    densities = build_densities(forecasts, space, args.forecasts)
+    forecasts = build_densities(forecasts, space, args.forecasts)
 
     header = ["id", "outcome"]
-    for spec, _ in rules:
+    columns: list[list[float]] = []
+    for spec, rule in rules:
         header.extend([f"{spec}_score", f"{spec}_expected"])
-    table: list[list[float]] = []
-    for row_id, (density, outcome) in enumerate(zip(densities, outcomes), start=1):
-        cells: list[float] = [row_id, outcome]
-        for _, rule in rules:
-            score_vector = rule.score(density)
-            cells.append(float(score_vector.values[outcome - 1]))
-            cells.append(expected_score(rule, density, density))
-        table.append(cells)
+        with _rows_of(args.forecasts):
+            scores = rule.score_rows(forecasts)
+            expected = require_float_range(f"{spec} expected scores",
+                                           pair_rows(forecasts, scores, space.weights))
+        columns.append(scores[np.arange(len(outcomes)), np.array(outcomes) - 1].tolist())
+        columns.append(expected.tolist())
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for cells in table:
-        writer.writerow([str(cells[0]), str(cells[1])] + [_fmt(x) for x in cells[2:]])
+    for row_id, (outcome, *cells) in enumerate(zip(outcomes, *columns), start=1):
+        writer.writerow([str(row_id), str(outcome)] + [_fmt(x) for x in cells])
     means, inf_counts = [], []
-    for col in range(2, len(header)):
-        column = [row[col] for row in table]
+    for column in columns:
         finite = [x for x in column if math.isfinite(x)]
         means.append(_fmt(math.fsum(finite) / len(finite)) if finite else "nan")
         inf_counts.append(str(sum(1 for x in column if math.isinf(x))))
@@ -253,17 +251,20 @@ def cmd_divergence(args) -> int:
         raise CliError(EXIT_INPUT, "the two density files have different widths")
     n = left.shape[1]
     space, rules = _space_and_rules(args, n)
-    p_rows = build_densities(left, space, args.p_file)
-    q_rows = build_densities(right, space, args.q_file)
+    left = build_densities(left, space, args.p_file)
+    right = build_densities(right, space, args.q_file)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["rule", "p"] + [f"q{j + 1}" for j in range(len(q_rows))])
+    writer.writerow(["rule", "p"] + [f"q{j + 1}" for j in range(len(right))])
     for spec, rule in rules:
-        for i, p in enumerate(p_rows, start=1):
-            writer.writerow(
-                [spec, f"p{i}"] + [_fmt(score_divergence(rule, p, q)) for q in q_rows]
-            )
+        with _rows_of(args.p_file):
+            p_scores = rule.score_rows(left)
+        with _rows_of(args.q_file):
+            q_scores = rule.score_rows(right)
+        for i in range(len(left)):
+            cells = score_divergence_rows(left[i:i + 1], p_scores[i:i + 1], q_scores, space.weights)
+            writer.writerow([spec, f"p{i + 1}"] + [_fmt(x) for x in cells.tolist()])
     _write_text(buffer.getvalue(), args.out)
     return EXIT_OK
 
@@ -409,6 +410,18 @@ def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
     return report
 
 
+def _run_suite(suite: str, spec: str, entropy, rule, knobs: dict) -> dict:
+    seed, samples = knobs["seed"], knobs["samples"]
+    if suite == "propriety":
+        return verify_propriety(rule, seed=seed, samples=samples, tol=knobs["propriety_tol"]).as_dict()
+    if suite == "euler":
+        return verify_euler(rule, entropy, seed=seed, samples=samples, tol=knobs["euler_tol"]).as_dict()
+    report = symmetry_defect(entropy, seed=seed, samples=min(samples, 500)).as_dict()
+    report["expected"] = _expected_symmetry(spec)
+    report["pass"] = report["classification"] == report["expected"]
+    return report
+
+
 def cmd_verify(args) -> int:
     settings, rule_specs, probes = load_verify_config(args)
     space = _measure_space(settings["weights"])
@@ -430,28 +443,13 @@ def cmd_verify(args) -> int:
     for spec, overrides, entropy, rule in rules:
         knobs = {**settings, **overrides}
         entry = {}
-        if "propriety" in settings["suites"]:
-            propriety = verify_propriety(
-                rule, seed=knobs["seed"], samples=knobs["samples"],
-                tol=knobs["propriety_tol"],
-            )
-            entry["propriety"] = propriety.as_dict()
-            overall &= propriety.passed
-        if "euler" in settings["suites"]:
-            euler = verify_euler(
-                rule, entropy, seed=knobs["seed"], samples=knobs["samples"],
-                tol=knobs["euler_tol"],
-            )
-            entry["euler"] = euler.as_dict()
-            overall &= euler.passed
-        if "symmetry" in settings["suites"]:
-            sym = symmetry_defect(entropy, seed=knobs["seed"], samples=min(knobs["samples"], 500))
-            expected = _expected_symmetry(spec)
-            sym_dict = sym.as_dict()
-            sym_dict["expected"] = expected
-            sym_dict["pass"] = sym.classification == expected
-            entry["symmetry"] = sym_dict
-            overall &= sym_dict["pass"]
+        for suite in DEFAULT_SUITES:
+            if suite in settings["suites"]:
+                try:
+                    entry[suite] = _run_suite(suite, spec, entropy, rule, knobs)
+                except EntroscoreError as exc:  # e.g. scores past the float range on its sample points
+                    raise CliError(EXIT_INPUT, f"rule {spec!r}: {suite} suite: {exc}") from None
+                overall &= entry[suite]["pass"]
         report["rules"][spec] = entry
     for probe in probes:
         probe_report = _run_probe(probe, space, settings["seed"])

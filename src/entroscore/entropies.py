@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
-from .measure import ConeVector, Density, DualVector, MeasureSpace, total_mass
+from .measure import ConeVector, DualVector, MeasureSpace, fsum_rows, normalize_rows, quiet_floats
 from .scoring import make_psr, zero_homog_extend
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "parse_rule_spec",
     "CATALOG_NAMES",
     "canonical_extension_value",
+    "canonical_extension_rows",
     "extended_subgradient",
     "directional_derivative_fd",
     "composite_entropy",
@@ -84,133 +85,157 @@ _COMPOSITE_SEED = 7
 
 @dataclass(frozen=True)
 class Entropy:
-    """Convex function on a declared domain, with oracles.
+    """Convex function on a declared domain, with row oracles.
 
-    ``value`` maps cone vectors to reals; ``subgradient`` returns the dual
-    representer of the derivative (may raise :class:`DomainError` where no
-    finite subgradient exists, e.g. shannon on the boundary).
-    ``closed_form_score`` optionally supplies the associated scoring rule
-    directly when the generic construction cannot reach boundary points.
+    Each oracle maps an (m, n) array of cone vectors to m results, and runs
+    without float warnings: ``value_rows`` to values; ``grad_rows`` to dual
+    representers of a subgradient (None if there is none; :class:`DomainError`
+    where no finite one exists, e.g. shannon on the boundary); the optional
+    ``closed_form_rows`` to the associated scores, for rules the generic
+    construction cannot extend to boundary points.  ``value``, ``subgradient``
+    and ``closed_form_score`` are their one-row calls on vector objects.
     """
 
     name: str
     domain: ConvexDomainSpec
-    value: Callable[[ConeVector], float]
-    subgradient: Callable[[ConeVector], DualVector] | None
-    closed_form_score: Callable[[Density], DualVector] | None = None
+    value_rows: Callable[[np.ndarray], np.ndarray]
+    grad_rows: Callable[[np.ndarray], np.ndarray] | None
+    closed_form_rows: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        space = self.domain.space
+        value_rows, grad_rows, closed_form_rows = (
+            oracle and quiet_floats(oracle)
+            for oracle in (self.value_rows, self.grad_rows, self.closed_form_rows))
+        object.__setattr__(self, "value_rows", value_rows)
+        object.__setattr__(self, "grad_rows", grad_rows)
+        object.__setattr__(self, "closed_form_rows", closed_form_rows)
+        object.__setattr__(self, "value", lambda q: float(value_rows(q.values[None])[0]))
+        object.__setattr__(self, "subgradient", grad_rows and (
+            lambda q: space.dual(grad_rows(q.values[None])[0])))
+        object.__setattr__(self, "closed_form_score", closed_form_rows and (
+            lambda q: space.dual(closed_form_rows(q.values[None])[0], allow_infinite=True)))
 
     def __repr__(self) -> str:
         return f"Entropy({self.name!r}, domain={self.domain.kind})"
 
 
 def _require_nonnegative(values: np.ndarray, what: str) -> None:
-    if np.any(values < 0.0):
+    if (values < 0.0).any():
         raise DomainError(f"{what} requires nonnegative input")
 
 
 def _quadratic(space: MeasureSpace) -> Entropy:
     w = space.weights
 
-    def value(q: ConeVector) -> float:
-        return math.fsum((q.values * q.values * w).tolist())
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        return fsum_rows(q * q * w)
 
-    def grad(q: ConeVector) -> DualVector:
-        return space.dual(2.0 * q.values)
+    def grad_rows(q: np.ndarray) -> np.ndarray:
+        return 2.0 * q
 
-    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value, grad)
+    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
 
 
 def _spherical(space: MeasureSpace) -> Entropy:
     w = space.weights
 
-    def value(q: ConeVector) -> float:
-        return math.sqrt(math.fsum((q.values * q.values * w).tolist()))
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        return np.sqrt(fsum_rows(q * q * w))
 
-    def grad(q: ConeVector) -> DualVector:
-        norm = value(q)
-        if norm <= 0.0:
+    def grad_rows(q: np.ndarray) -> np.ndarray:
+        norm = value_rows(q)
+        if (norm <= 0.0).any():
             raise DomainError("spherical subgradient is undefined at the origin")
-        return space.dual(q.values / norm)
+        return q / norm[:, None]
 
-    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value, grad)
+    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
 
 
 def _power(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
-    def value(q: ConeVector) -> float:
-        _require_nonnegative(q.values, "power entropy")
-        return math.fsum((np.power(q.values, gamma) * w).tolist())
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        _require_nonnegative(q, "power entropy")
+        return fsum_rows(np.power(q, gamma) * w)
 
-    def grad(q: ConeVector) -> DualVector:
-        _require_nonnegative(q.values, "power entropy subgradient")
-        return space.dual(gamma * np.power(q.values, gamma - 1.0))
+    def grad_rows(q: np.ndarray) -> np.ndarray:
+        _require_nonnegative(q, "power entropy subgradient")
+        return gamma * np.power(q, gamma - 1.0)
 
-    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space), value, grad)
+    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space),
+                   value_rows, grad_rows)
 
 
 def _shannon(space: MeasureSpace) -> Entropy:
     weights = space.weights.tolist()
 
-    def value(q: ConeVector) -> float:
-        _require_nonnegative(q.values, "shannon entropy")
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        _require_nonnegative(q, "shannon entropy")
         # 0 log 0 := 0; libm log per element, as numpy's SIMD log can differ in the last bit
-        return math.fsum(x * math.log(x) * w if x else 0.0
-                         for x, w in zip(q.values.tolist(), weights))
+        return np.array([math.fsum(x * math.log(x) * w if x else 0.0 for x, w in zip(row, weights))
+                         for row in q.tolist()], dtype=float)
 
-    def grad(q: ConeVector) -> DualVector:
-        if np.any(q.values <= 0.0):
+    def grad_rows(q: np.ndarray) -> np.ndarray:
+        if (q <= 0.0).any():
             raise DomainError(
                 "shannon subgradient does not exist at boundary points (zero atoms)"
             )
-        return space.dual(np.log(q.values) + 1.0)
+        return np.log(q) + 1.0
 
-    def log_score(q: Density) -> DualVector:
-        _require_nonnegative(q.values, "logarithmic score")
-        with np.errstate(divide="ignore"):
-            return space.dual(np.log(q.values), allow_infinite=True)
+    def log_score_rows(q: np.ndarray) -> np.ndarray:
+        _require_nonnegative(q, "logarithmic score")
+        return np.log(q)
 
-    return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value, grad,
-                   closed_form_score=log_score)
+    return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value_rows, grad_rows,
+                   closed_form_rows=log_score_rows)
 
 
 def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
-    @np.errstate(over="ignore")  # as a decorator it costs next to nothing per call
-    def power_sum(v: np.ndarray) -> float:
-        try:
-            return math.fsum((np.power(v, gamma) * w).tolist())
-        except OverflowError:  # finite terms whose sum exceeds the largest float
-            return math.inf
+    def power_sums(v: np.ndarray) -> np.ndarray:
+        sums = []
+        for row in (np.power(v, gamma) * w).tolist():
+            try:
+                sums.append(math.fsum(row))
+            except OverflowError:  # finite terms whose sum exceeds the largest float
+                sums.append(math.inf)
+        return np.array(sums, dtype=float)
 
-    def scaled(q: ConeVector) -> tuple[np.ndarray, float, float]:
-        """``(v, top, sum v^gamma mu)`` with ``q = top * v``.
+    def scaled(q: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
+        """``(v, top, sum v^gamma mu)`` by row, with ``q = top * v``.
 
-        ``top`` is 1 unless the power sum of a nonzero q leaves the normal
-        float range; then it is ``max q``.  That is exact, as the value is
-        1-homogeneous and the subgradient 0-homogeneous.
+        ``top`` is 1 unless the power sum of a nonzero row leaves the normal
+        float range; then it is the row's max.  That is exact, as the value
+        is 1-homogeneous and the subgradient 0-homogeneous.
         """
-        v = q.values
-        _require_nonnegative(v, "pseudospherical entropy")
-        total = power_sum(v)
-        if sys.float_info.min <= total < math.inf or not np.any(v):
-            return v, 1.0, total
-        top = float(np.max(v))
-        return v / top, top, power_sum(v / top)
+        _require_nonnegative(q, "pseudospherical entropy")
+        total = power_sums(q)
+        rescale = ~((sys.float_info.min <= total) & (total < math.inf))
+        top = np.ones(len(q))
+        if rescale.any():
+            rescale &= q.any(axis=1)
+            top[rescale] = q[rescale].max(axis=1)
+            q = q.copy()
+            q[rescale] /= top[rescale, None]
+            total[rescale] = power_sums(q[rescale])
+        return q, top.tolist(), total.tolist()
 
-    def value(q: ConeVector) -> float:
+    def value_rows(q: np.ndarray) -> np.ndarray:
         _, top, total = scaled(q)
-        return top * total ** (1.0 / gamma)
+        # Python float pow: numpy's array pow can differ in the last bit
+        return np.array([t * s ** (1.0 / gamma) for t, s in zip(top, total)], dtype=float)
 
-    def grad(q: ConeVector) -> DualVector:
+    def grad_rows(q: np.ndarray) -> np.ndarray:
         v, _, total = scaled(q)
-        if total <= 0.0:
+        if min(total) <= 0.0:
             raise DomainError("pseudospherical subgradient is undefined at the origin")
-        return space.dual(np.power(v, gamma - 1.0) / total ** ((gamma - 1.0) / gamma))
+        norm = np.array([s ** ((gamma - 1.0) / gamma) for s in total], dtype=float)
+        return np.power(v, gamma - 1.0) / norm[:, None]
 
     return Entropy(f"pseudospherical({gamma:g})",
-                   ConvexDomainSpec.nonnegative_orthant(space), value, grad)
+                   ConvexDomainSpec.nonnegative_orthant(space), value_rows, grad_rows)
 
 
 def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
@@ -225,14 +250,18 @@ def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
         raise ConstructionError("weighted_quadratic needs a positive-definite matrix")
     w = space.weights
 
-    def value(q: ConeVector) -> float:
-        return math.fsum((q.values * (q_mat @ q.values)).tolist())
+    def form_rows(q: np.ndarray) -> np.ndarray:
+        # one matrix-vector product per row: Q @ M.T rounds differently
+        return np.array([q_mat @ row for row in q], dtype=float).reshape(q.shape)
 
-    def grad(q: ConeVector) -> DualVector:
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        return fsum_rows(q * form_rows(q))
+
+    def grad_rows(q: np.ndarray) -> np.ndarray:
         # dual representer under the weighted pairing, hence the division
-        return space.dual(2.0 * (q_mat @ q.values) / w)
+        return 2.0 * form_rows(q) / w
 
-    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space), value, grad)
+    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
 
 
 def catalog_entropy(
@@ -286,17 +315,20 @@ def parse_rule_spec(spec: str) -> tuple[str, float | None]:
         raise ConstructionError(f"bad parameter in rule spec {spec!r}") from None
 
 
-def canonical_extension_value(entropy: Entropy, q: ConeVector) -> float:
-    """The 1-homogeneous extension ``mass(q) * value(q / mass(q))``.
+@quiet_floats
+def canonical_extension_rows(entropy: Entropy, q_rows: np.ndarray) -> np.ndarray:
+    """The 1-homogeneous extension ``mass(q) * value(q / mass(q))`` of each row.
 
     Undefined at zero mass, and the cone only contains nonnegative vectors.
     For an already 1-homogeneous entropy this reproduces ``value(q)``.
     """
-    _require_nonnegative(q.values, "the canonical extension")
-    mass = total_mass(q)
-    if mass <= 0.0:
-        raise DomainError("the canonical extension is undefined at zero total mass")
-    return mass * entropy.value(q.space.cone(q.values / mass))
+    unit_rows, mass = normalize_rows(q_rows, entropy.domain.space.weights)
+    return mass * entropy.value_rows(unit_rows)
+
+
+def canonical_extension_value(entropy: Entropy, q: ConeVector) -> float:
+    """One row of :func:`canonical_extension_rows`."""
+    return float(canonical_extension_rows(entropy, q.values[None])[0])
 
 
 def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
@@ -374,25 +406,24 @@ def composite_entropy(
     nu = spec.nu_weights
     w = space.weights
 
-    def inner_integral(q: ConeVector) -> float:
-        return math.fsum((np.asarray(spec.inner(q.values), dtype=float) * nu).tolist())
+    def inner_integrals(q: np.ndarray) -> list[float]:
+        return fsum_rows(np.asarray(spec.inner(q), dtype=float) * nu).tolist()
 
-    def value(q: ConeVector) -> float:
-        return float(spec.outer(inner_integral(q)))
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        return np.array([float(spec.outer(x)) for x in inner_integrals(q)], dtype=float)
 
-    def grad(q: ConeVector) -> DualVector:
-        slope = float(spec.outer_derivative(inner_integral(q)))
-        return space.dual(slope * np.asarray(spec.inner_derivative(q.values), dtype=float) * nu / w)
+    def grad_rows(q: np.ndarray) -> np.ndarray:
+        slope = np.array([float(spec.outer_derivative(x)) for x in inner_integrals(q)])
+        return slope[:, None] * np.asarray(spec.inner_derivative(q), dtype=float) * nu / w
 
     rng = np.random.default_rng(_COMPOSITE_SEED)
-    points = domain.sample(rng, 2 * _COMPOSITE_CHECKS)
-    for point in points:
-        if float(spec.outer_derivative(inner_integral(point))) < -1e-12:
-            raise ConstructionError("outer function is not increasing on the sampled range")
-    for left, right in zip(points[:_COMPOSITE_CHECKS], points[_COMPOSITE_CHECKS:]):
-        mid_value = value((left + right) * 0.5)
-        chord = 0.5 * (value(left) + value(right))
-        if mid_value > chord + 1e-10 * (1.0 + abs(chord)):
-            raise ConstructionError("sampled midpoint check found a non-convex composition")
+    points = np.array([p.values for p in domain.sample(rng, 2 * _COMPOSITE_CHECKS)])
+    if any(float(spec.outer_derivative(x)) < -1e-12 for x in inner_integrals(points)):
+        raise ConstructionError("outer function is not increasing on the sampled range")
+    left, right = points[:_COMPOSITE_CHECKS], points[_COMPOSITE_CHECKS:]
+    mid_value = value_rows((left + right) * 0.5)
+    chord = 0.5 * (value_rows(left) + value_rows(right))
+    if (mid_value > chord + 1e-10 * (1.0 + np.abs(chord))).any():
+        raise ConstructionError("sampled midpoint check found a non-convex composition")
 
-    return Entropy(name, domain, value, grad)
+    return Entropy(name, domain, value_rows, grad_rows)

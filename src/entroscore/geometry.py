@@ -58,6 +58,11 @@ _PROBE_POINTS = 200
 _PROBE_DIRECTIONS = 32
 
 
+def _rank(mat: np.ndarray) -> int:
+    """Numerical rank (singular values above ``_SV_TOL``); 0 for an empty block."""
+    return int(np.sum(np.linalg.svd(mat, compute_uv=False) > _SV_TOL)) if mat.size else 0
+
+
 def _null_space_basis(mat: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of ``mat``."""
     if mat.size == 0:
@@ -169,7 +174,7 @@ class ConvexDomainSpec:
 
     def affine_hull_dimension(self) -> int:
         """Dimension of the affine hull of K: the space size minus the rank of its equalities."""
-        return _null_space_basis(self.equalities[0], self.space.size).shape[1]
+        return self.space.size - _rank(self.equalities[0])
 
 
 def _implicit_equalities(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,9 +275,13 @@ def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector) -> bool:
 
     ``q`` qualifies when its two-sided direction space O(q) fills the affine
     hull's direction space, i.e. the annihilator of O(q) within that hull is
-    trivial.  In finite dimensions this is the relative interior of K.
+    trivial.  In finite dimensions this is the relative interior of K.  Both
+    dimensions are the space size minus a rank, so the ranks are compared.
     """
-    return len(lineality_space(domain, q)) == domain.affine_hull_dimension()
+    if not domain.contains(q):
+        raise DomainError("base point is not in the domain")
+    equalities = domain.equalities[0]
+    return _rank(np.vstack([_active_rows(domain, q), equalities])) == _rank(equalities)
 
 
 def annihilator_basis(

@@ -26,6 +26,11 @@ __all__ = [
     "DualVector",
     "DENSITY_MASS_TOL",
     "pair",
+    "pair_rows",
+    "fsum_rows",
+    "require_density_rows",
+    "normalize_rows",
+    "row_list",
     "total_mass",
     "normalize",
 ]
@@ -33,6 +38,10 @@ __all__ = [
 # Densities must carry unit mass to within this tolerance; off-mass inputs
 # are rejected, never silently renormalized.
 DENSITY_MASS_TOL = 1e-9
+
+# Row kernels leave out-of-range floats to the checks that name their rows,
+# without warnings.  A decorator: it nests, a ``with`` on it does not.
+quiet_floats = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _frozen_array(values, *, name: str) -> np.ndarray:
@@ -102,7 +111,7 @@ class ConeVector:
             raise StructureError(
                 f"vector of length {v.size} does not fit a space of size {self.space.size}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ConstructionError("cone vectors must have finite entries")
         object.__setattr__(self, "values", v)
 
@@ -131,11 +140,7 @@ class Density(ConeVector):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.values < 0.0):
-            raise DomainError("densities must be nonnegative")
-        mass = total_mass(self)
-        if abs(mass - 1.0) > DENSITY_MASS_TOL:
-            raise DomainError(f"density mass {mass!r} is not 1 within {DENSITY_MASS_TOL}")
+        require_density_rows(self.values[None], self.space.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +162,13 @@ class DualVector:
             raise StructureError(
                 f"vector of length {v.size} does not fit a space of size {self.space.size}"
             )
-        if np.any(np.isnan(v)):
-            raise ConstructionError("dual vectors must not contain NaN")
-        if not self.allow_infinite and not np.all(np.isfinite(v)):
-            raise ConstructionError(
-                "dual vectors must be finite unless flagged as infinite-score sentinels"
-            )
+        if not np.isfinite(v).all():
+            if np.isnan(v).any():
+                raise ConstructionError("dual vectors must not contain NaN")
+            if not self.allow_infinite:
+                raise ConstructionError(
+                    "dual vectors must be finite unless flagged as infinite-score sentinels"
+                )
         object.__setattr__(self, "values", v)
 
     def __repr__(self) -> str:
@@ -174,27 +180,76 @@ def _require_same_space(a, b) -> None:
         raise StructureError("operands live on different measure spaces")
 
 
-def pair(p: ConeVector, f: DualVector) -> float:
-    """Expected-score pairing ``sum_i p_i f_i mu_i`` with compensated summation.
+def row_list(rows: list[int]) -> str:
+    """``row 3`` or ``rows 1, 4``: 1-based row numbers for error messages."""
+    return ("row " if len(rows) == 1 else "rows ") + ", ".join(map(str, rows))
 
-    Atoms where ``p_i = 0`` contribute nothing even if ``f_i`` is infinite
-    (the 0 * inf := 0 convention for sets of measure zero).  If an infinite
-    entry of ``f`` meets positive weight the result is the matching signed
-    infinity; opposing infinities yield NaN.
+
+def fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """Exact sum of each row (``math.fsum``, rounded once).
+
+    :class:`DomainError` names the rows whose finite terms sum past the float
+    range or that add opposing infinities.
     """
+    sums, bad = [], []
+    for i, row in enumerate(terms.tolist(), start=1):
+        try:
+            sums.append(math.fsum(row))
+        except (OverflowError, ValueError):
+            bad.append(i)
+    if bad:
+        raise DomainError(f"sums leave the float range in {row_list(bad)}")
+    return np.array(sums, dtype=float)
+
+
+@quiet_floats
+def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise pairing ``sum_i q_i f_i mu_i`` of broadcastable (m, n) arrays.
+
+    Rows of ``f`` with finite entries sum ``(q f) mu`` exactly.  On the others
+    atoms where ``q_i mu_i = 0`` contribute nothing (0 * inf := 0 on sets of
+    measure zero), the rest ``(q mu) f``: an infinite term makes the signed
+    infinity, opposing infinities NaN.
+    """
+    terms = q_rows * f_rows * weights
+    if np.isfinite(f_rows).all():
+        return fsum_rows(terms)
+    q_rows, f_rows = np.broadcast_arrays(q_rows, f_rows)
+    infinite = ~np.isfinite(f_rows).all(axis=1)
+    base = q_rows[infinite] * weights
+    terms[infinite] = np.where(base != 0.0, base * f_rows[infinite], 0.0)
+    charged = infinite & np.isinf(terms).any(axis=1)
+    signed = np.where(np.isinf(terms[charged]), terms[charged], 0.0).sum(axis=1)
+    terms[charged] = 0.0
+    sums = fsum_rows(terms)
+    sums[charged] = signed
+    return sums
+
+
+def pair(p: ConeVector, f: DualVector) -> float:
+    """Expected-score pairing ``sum_i p_i f_i mu_i``: one row of :func:`pair_rows`."""
     _require_same_space(p, f)
-    w = p.space.weights
-    fv = f.values
-    if np.all(np.isfinite(fv)):
-        return math.fsum((p.values * fv * w).tolist())
-    base = p.values * w
-    charged = base != 0.0
-    terms = base[charged] * fv[charged]
-    infinite = np.isinf(terms)
-    if np.any(infinite):
-        with np.errstate(invalid="ignore"):  # inf + (-inf) is the documented NaN
-            return float(np.sum(terms[infinite]))
-    return math.fsum(terms.tolist())
+    return float(pair_rows(p.values[None], f.values[None], p.space.weights)[0])
+
+
+@quiet_floats
+def require_density_rows(q_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``q_rows`` itself, once every row is a density.
+
+    A density row has finite, nonnegative entries and a total mass within
+    ``DENSITY_MASS_TOL`` of 1; :class:`DomainError` names each row that is not.
+    """
+    finite = np.isfinite(q_rows).all(axis=1)
+    negative = (q_rows < 0.0).any(axis=1)
+    mass = fsum_rows(np.where(finite[:, None], q_rows, 0.0) * weights)
+    bad = ~finite | negative | ~(np.abs(mass - 1.0) <= DENSITY_MASS_TOL)
+    if bad.any():
+        raise DomainError("invalid density rows: " + "; ".join(
+            f"row {i + 1}: " + ("cone vectors must have finite entries" if not finite[i]
+                                else "densities must be nonnegative" if negative[i]
+                                else f"density mass {float(mass[i])!r} is not 1 within {DENSITY_MASS_TOL}")
+            for i in np.flatnonzero(bad).tolist()))
+    return q_rows
 
 
 def total_mass(q: ConeVector) -> float:
@@ -202,16 +257,22 @@ def total_mass(q: ConeVector) -> float:
     return math.fsum((q.values * q.space.weights).tolist())
 
 
-def normalize(q: ConeVector) -> Density:
-    """Rescale a nonnegative cone vector to unit mass.
+@quiet_floats
+def normalize_rows(q_rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row rescaled to unit mass (a checked density), and the masses.
 
     Raises :class:`DomainError` for negative entries or nonpositive mass;
     callers that want renormalization of an off-mass density must go through
     here explicitly.
     """
-    if np.any(q.values < 0.0):
+    if (q_rows < 0.0).any():
         raise DomainError("cannot normalize a vector with negative entries")
-    mass = total_mass(q)
-    if mass <= 0.0:
+    mass = fsum_rows(q_rows * weights)
+    if (mass <= 0.0).any():
         raise DomainError("cannot normalize a vector with nonpositive total mass")
-    return Density(q.values / mass, q.space)
+    return require_density_rows(q_rows / mass[:, None], weights), mass
+
+
+def normalize(q: ConeVector) -> Density:
+    """Rescale a nonnegative cone vector to unit mass: one row of :func:`normalize_rows`."""
+    return Density(normalize_rows(q.values[None], q.space.weights)[0][0], q.space)

@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DomainError
-from .measure import ConeVector, Density, DualVector, MeasureSpace, normalize, pair
-from .sampling import sample_cone_point, sample_density
+from .measure import (ConeVector, Density, DualVector, MeasureSpace, normalize, normalize_rows,
+                      pair, pair_rows, quiet_floats, row_list)
+from .sampling import cone_rows, density_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .entropies import Entropy
@@ -37,6 +38,7 @@ __all__ = [
     "zero_homog_extend",
     "expected_score",
     "score_divergence",
+    "score_divergence_rows",
     "verify_propriety",
     "verify_euler",
 ]
@@ -49,35 +51,58 @@ STRICT_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """Outcome-indexed score oracle on a measure space."""
+    """Outcome-indexed score oracle: ``score_rows`` maps (m, n) density rows
+    to their score vectors, ``score`` is its one-row call on a :class:`Density`."""
 
     name: str
-    score: Callable[[Density], DualVector]
+    score_rows: Callable[[np.ndarray], np.ndarray]
     space: "MeasureSpace"
+
+    def score(self, q: Density) -> DualVector:
+        # score_rows has already rejected every infinite entry its rule does not allow
+        return q.space.dual(self.score_rows(q.values[None])[0], allow_infinite=True)
 
     def __repr__(self) -> str:
         return f"ScoringRule({self.name!r}, n={self.space.size})"
 
 
+def require_float_range(what: str, values: np.ndarray, sentinel: bool = False) -> np.ndarray:
+    """``values`` itself, unless a row holds NaN or an infinity (``-inf`` is
+    allowed as a ``sentinel``): then :class:`DomainError` names every such row."""
+    if not np.isfinite(values).all():
+        bad = np.isnan(values) | (values == math.inf) | ((values == -math.inf) & (not sentinel))
+        rows = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=1)) + 1
+        if rows.size:
+            raise DomainError(f"{what} leave the float range in {row_list(rows.tolist())}")
+    return values
+
+
+def _in_float_range(name: str, rows: Callable, sentinel: bool = False) -> Callable:
+    return lambda q: require_float_range(f"{name} scores", rows(q), sentinel)
+
+
 def make_psr(entropy: "Entropy") -> ScoringRule:
     """Build the proper scoring rule of an entropy from its subgradient.
 
+    Row by row, ``S(q) = grad(q) + (value(q) - pair(q, grad(q))) * 1``.
     Uses the entropy's closed-form score when one is attached (the
     logarithmic rule, whose subgradient oracle refuses boundary points while
     ``log q`` itself extends there as a -inf sentinel).
     """
-    if entropy.subgradient is None and entropy.closed_form_score is None:
+    if entropy.closed_form_rows is not None:
+        return ScoringRule(entropy.name,
+                           _in_float_range(entropy.name, entropy.closed_form_rows, sentinel=True),
+                           entropy.domain.space)
+    if entropy.grad_rows is None:
         raise DomainError(f"entropy {entropy.name!r} has no subgradient oracle")
+    weights = entropy.domain.space.weights
 
-    if entropy.closed_form_score is not None:
-        score = entropy.closed_form_score
-    else:
-        def score(q: Density) -> DualVector:
-            grad = entropy.subgradient(q)
-            offset = entropy.value(q) - pair(q, grad)
-            return q.space.dual(grad.values + offset)
+    @quiet_floats
+    def score_rows(q: np.ndarray) -> np.ndarray:
+        grad = entropy.grad_rows(q)
+        return grad + (entropy.value_rows(q) - pair_rows(q, grad, weights))[:, None]
 
-    return ScoringRule(entropy.name, score, entropy.domain.space)
+    return ScoringRule(entropy.name, _in_float_range(entropy.name, score_rows), entropy.domain.space)
 
 
 def linear_score(space: "MeasureSpace") -> ScoringRule:
@@ -86,7 +111,7 @@ def linear_score(space: "MeasureSpace") -> ScoringRule:
     Its self-expected score is the quadratic entropy, but the rule is not a
     subgradient selection, so propriety fails with explicit witnesses.
     """
-    return ScoringRule("linear", lambda q: q.space.dual(q.values), space)
+    return ScoringRule("linear", _in_float_range("linear", np.array), space)
 
 
 def zero_homog_extend(rule: ScoringRule, q: ConeVector) -> DualVector:
@@ -99,13 +124,23 @@ def expected_score(rule: ScoringRule, p: Density, q: Density) -> float:
     return pair(p, rule.score(q))
 
 
-def score_divergence(rule: ScoringRule, p: Density, q: Density) -> float:
-    """Score divergence pair(p, S(p)) - pair(p, S(q)).
+@quiet_floats
+def score_divergence_rows(p_rows: np.ndarray, p_scores: np.ndarray, q_scores: np.ndarray,
+                          weights: np.ndarray) -> np.ndarray:
+    """Score divergence ``pair(p, S(p)) - pair(p, S(q))`` by row, from score rows.
 
     Nonnegative for proper rules; +inf when the reported density earns an
-    infinite penalty under p.
+    infinite penalty under p.  The arrays broadcast, so one p row can meet
+    many q rows.
     """
-    return expected_score(rule, p, p) - expected_score(rule, p, q)
+    return pair_rows(p_rows, p_scores, weights) - pair_rows(p_rows, q_scores, weights)
+
+
+def score_divergence(rule: ScoringRule, p: Density, q: Density) -> float:
+    """One row of :func:`score_divergence_rows`."""
+    p_rows = p.values[None]
+    return float(score_divergence_rows(p_rows, rule.score_rows(p_rows), rule.score_rows(q.values[None]),
+                                       p.space.weights)[0])
 
 
 @dataclass(frozen=True)
@@ -138,6 +173,7 @@ class ProprietyReport:
         }
 
 
+@quiet_floats
 def verify_propriety(
     rule: ScoringRule,
     seed: int = 0,
@@ -155,39 +191,32 @@ def verify_propriety(
     if samples < 1:
         raise DomainError("propriety verification needs at least one sample")
     space = rule.space
-    rng = np.random.default_rng(seed)
-    min_margin = math.inf
-    witness_p = witness_q = None
-    strict_violations = 0
-    inf_favorable = inf_unfavorable = 0
-    for _ in range(samples):
-        p = sample_density(space, rng)
-        q = sample_density(space, rng)
-        margin = score_divergence(rule, p, q)
-        if math.isnan(margin) or margin == -math.inf:
-            inf_unfavorable += 1
-            min_margin = -math.inf
-            witness_p, witness_q = p, q
-            continue
-        if margin == math.inf:
-            inf_favorable += 1
-            continue
-        separation = float(np.max(np.abs(p.values - q.values)))
-        if separation > STRICT_SEPARATION and margin < STRICT_MARGIN:
-            strict_violations += 1
-        if margin < min_margin:
-            min_margin = margin
-            witness_p, witness_q = p, q
-    if witness_p is None:  # every margin was +inf
-        witness_p = witness_q = sample_density(space, np.random.default_rng(seed))
-        min_margin = math.inf
+    draws = density_rows(space, np.random.default_rng(seed), 2 * samples)
+    p_rows, q_rows = draws[0::2], draws[1::2]
+    margins = score_divergence_rows(p_rows, rule.score_rows(p_rows), rule.score_rows(q_rows),
+                                    space.weights)
+    unfavorable = np.isnan(margins) | (margins == -math.inf)
+    favorable = margins == math.inf
+    finite = ~unfavorable & ~favorable
+    separation = np.max(np.abs(p_rows - q_rows), axis=1)
+    strict_violations = int(np.count_nonzero(
+        finite & (separation > STRICT_SEPARATION) & (margins < STRICT_MARGIN)))
+    inf_unfavorable = int(np.count_nonzero(unfavorable))
+    inf_favorable = int(np.count_nonzero(favorable))
+    if inf_unfavorable:  # the last unfavorable pair
+        i, min_margin = int(np.flatnonzero(unfavorable)[-1]), -math.inf
+    elif finite.any():  # the first smallest margin
+        i = int(np.argmin(np.where(finite, margins, math.inf)))
+        min_margin = float(margins[i])
+    else:  # every margin was +inf: the first density drawn, twice
+        i, min_margin, q_rows = 0, math.inf, p_rows
     passed = inf_unfavorable == 0 and min_margin >= -tol
     return ProprietyReport(
         rule=rule.name,
         samples=samples,
         min_margin=min_margin,
-        witness_p=witness_p,
-        witness_q=witness_q,
+        witness_p=space.density(p_rows[i]),
+        witness_q=space.density(q_rows[i]),
         strict_violations=strict_violations,
         infinite_favorable=inf_favorable,
         infinite_unfavorable=inf_unfavorable,
@@ -218,6 +247,7 @@ class EulerReport:
         }
 
 
+@quiet_floats
 def verify_euler(
     rule: ScoringRule,
     entropy: "Entropy",
@@ -231,25 +261,23 @@ def verify_euler(
     entropies do not inflate the report.  Cone points carry masses in
     [0.1, 10] to exercise the extension away from the simplex.
     """
-    from .entropies import canonical_extension_value
+    from .entropies import canonical_extension_rows
 
     if samples < 1:
         raise DomainError("Euler verification needs at least one sample")
-    rng = np.random.default_rng(seed)
-    max_defect = -math.inf
-    witness = None
-    for _ in range(samples):
-        q = sample_cone_point(rule.space, rng)
-        extended = canonical_extension_value(entropy, q)
-        defect = abs(pair(q, zero_homog_extend(rule, q)) - extended) / (1.0 + abs(extended))
-        if defect > max_defect:
-            max_defect = defect
-            witness = q
+    weights = rule.space.weights
+    points = cone_rows(rule.space, np.random.default_rng(seed), samples)
+    extended = canonical_extension_rows(entropy, points)
+    defects = (np.abs(pair_rows(points, rule.score_rows(normalize_rows(points, weights)[0]), weights)
+                      - extended) / (1.0 + np.abs(extended)))
+    # the first strict maximum; a NaN defect only when every defect is NaN
+    i = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))
+    max_defect = float(defects[i])
     return EulerReport(
         rule=rule.name,
         samples=samples,
         max_defect=max_defect,
-        witness=witness,
+        witness=rule.space.cone(points[i]),
         tol=tol,
         passed=max_defect <= tol,
     )

@@ -100,6 +100,23 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "row 4" in err and "row 3" not in err
 
+    @pytest.mark.parametrize("rule, code", [
+        ("quadratic", 3), ("spherical", 3), ("power(1.5)", 3), ("power(3)", 3),
+        ("pseudospherical(3)", 3), ("linear", 3), ("shannon", 0),
+    ])
+    def test_scores_past_the_float_range_exit_3_listing_rows(self, tmp_path, capsys, rule, code):
+        # under weights (1e-300, 1) row 2 is a density, but its scores (for
+        # linear, its expected score) overflow; the log score stays finite
+        forecasts = tmp_path / "f.csv"
+        forecasts.write_text("p1,p2\n0,1\n1e300,0\n")
+        outcomes = tmp_path / "oc.csv"
+        outcomes.write_text("outcome\n2\n1\n")
+        argv = ["score", str(forecasts), str(outcomes), "--weights", "1e-300,1", "--rules", rule]
+        assert run(tmp_path, *argv)[0] == code
+        if code == 3:
+            err = capsys.readouterr().err
+            assert "row 2" in err and "row 1" not in err
+
     def test_unknown_rule_exits_4(self, tmp_path):
         code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "nosuchrule")
         assert code == 4
@@ -178,6 +195,14 @@ class TestDivergenceCommand:
         code, payload = run(tmp_path, "divergence", str(p), str(q), "--rules", "shannon")
         assert code == 0
         assert payload.decode().splitlines()[1].split(",")[2] == "inf"
+
+    def test_scores_past_the_float_range_exit_3(self, tmp_path, capsys):
+        densities = tmp_path / "p.csv"
+        densities.write_text("p1,p2\n0,1\n1e300,0\n")
+        argv = ["divergence", str(densities), str(densities), "--weights", "1e-300,1",
+                "--rules", "quadratic"]
+        assert run(tmp_path, *argv)[0] == 3
+        assert "row 2" in capsys.readouterr().err
 
     def test_width_mismatch_exits_2(self, tmp_path):
         q = tmp_path / "q.csv"
@@ -261,6 +286,14 @@ class TestVerifyCommand:
         report = json.loads(payload)
         assert report["rules"]["quadratic"]["propriety"]["samples"] == 25
         assert report["rules"]["shannon"]["propriety"]["samples"] == 100
+
+    def test_rule_overflowing_on_its_sample_points_exits_2(self, tmp_path, capsys):
+        # power(1100)'s subgradient 1100 q^1099 overflows on the symmetry suite's box points
+        config = tmp_path / "overflow.ini"
+        config.write_text("[verify]\nweights = 1,1,1\nsamples = 50\nseed = 42\n\n[rule power(1100)]\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        err = capsys.readouterr().err
+        assert "power(1100)" in err and "symmetry" in err
 
     def test_empty_rule_list_exits_2(self, tmp_path):
         config = tmp_path / "empty.ini"

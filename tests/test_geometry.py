@@ -242,6 +242,23 @@ class TestQuasiInterior:
         assert is_quasi_interior(K, sp.density([0.5, 0.5]))
         assert not is_quasi_interior(K, sp.density([1.0, 0.0]))
 
+    @pytest.mark.parametrize("make", [ConvexDomainSpec.nonnegative_orthant, ConvexDomainSpec.simplex])
+    @pytest.mark.parametrize("zeros", [0, 10], ids=["interior", "boundary"])
+    def test_large_n_builds_no_basis(self, make, zeros):
+        # the two dimensions are ranks counted from singular values alone; the
+        # null-space bases (n x n identities for empty blocks) took 64 MB at n = 2000
+        n = 2000
+        sp = unit_space(n)
+        K = make(sp)
+        q = sp.cone(np.r_[np.zeros(zeros), np.full(n - zeros, 1.0 / (n - zeros))])
+        tracemalloc.start()
+        try:
+            assert is_quasi_interior(K, q) == (zeros == 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("kind", ["orthant", "simplex"])
     def test_matches_direct_relative_interior_test(self, kind):
         # direct oracle: strict positivity of every non-affine constraint
