@@ -62,6 +62,7 @@ from .bregman import (
     DivergenceReport,
     affine_score_at,
     bregman_divergence,
+    bregman_divergence_rows,
     linearity_check,
     quadratic_discrimination_bound,
     rebase_entropy,
@@ -95,7 +96,7 @@ __all__ = [
     "expected_score", "score_divergence", "score_divergence_rows", "verify_propriety", "verify_euler",
     "AffineScore", "DivergenceReport",
     "SYMMETRIC_GENERALIZED_QUADRATIC", "ASYMMETRIC_WITH_WITNESS", "INCONCLUSIVE",
-    "bregman_divergence", "affine_score_at", "linearity_check",
+    "bregman_divergence", "bregman_divergence_rows", "affine_score_at", "linearity_check",
     "rebase_entropy", "symmetry_defect", "quadratic_discrimination_bound",
     "PeriodicGrid", "GridDensity",
     "grid_diff", "log_slope", "hyvarinen_score", "fisher_entropy", "hyvarinen_divergence",

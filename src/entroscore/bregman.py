@@ -6,10 +6,12 @@ and its supporting hyperplane at the second argument,
     D(p, q) = value(p) - pair(p - q, grad(q)) - value(q),
 
 which on densities coincides with the score divergence of the associated
-proper scoring rule.  This module also carries:
+proper scoring rule.  :func:`bregman_divergence_rows` computes it for (m, n)
+arrays of point rows, and :func:`bregman_divergence` is its one-row call.
+This module also carries:
 
 * affine scores (one supporting hyperplane per basepoint, proper as a
-  family);
+  family) and a sampled check, on rows, that they are linear functionals;
 * the rebasing construction ``p -> D(p, a)``, which shifts the entropy by an
   affine functional and therefore regenerates the same divergence;
 * a numerical symmetry classifier.  Only generalized quadratic divergences
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import ConeVector, DualVector, pair, pair_rows
+from .measure import ConeVector, DualVector, pair, pair_rows, quiet_floats
 from .entropies import Entropy
-from .sampling import sample_cone_point, sample_positive_box
+from .sampling import _BOX_HIGH, _BOX_LOW, box_rows, cone_rows
 
 __all__ = [
     "AffineScore",
@@ -38,6 +40,7 @@ __all__ = [
     "ASYMMETRIC_WITH_WITNESS",
     "INCONCLUSIVE",
     "bregman_divergence",
+    "bregman_divergence_rows",
     "affine_score_at",
     "linearity_check",
     "rebase_entropy",
@@ -54,10 +57,26 @@ _ASYMMETRIC_DEFECT_TOL = 1e-8
 _FIT_RESIDUAL_TOL = 1e-10
 
 
+def _finite_subgradients(entropy: Entropy, grad: np.ndarray) -> np.ndarray:
+    """``grad`` itself, once every row is finite; :class:`DomainError` counts the rows that are not."""
+    bad = np.count_nonzero(~np.isfinite(grad).all(axis=1))
+    if bad:
+        raise DomainError(f"the subgradient of {entropy.name} leaves the float range "
+                          f"at {bad} of {len(grad)} points")
+    return grad
+
+
+@quiet_floats
+def bregman_divergence_rows(entropy: Entropy, p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
+    """``D(p, q)`` for each pair of rows; :class:`DomainError` where a subgradient is not finite."""
+    grad = _finite_subgradients(entropy, entropy.grad_rows(q_rows))
+    return (entropy.value_rows(p_rows) - pair_rows(p_rows - q_rows, grad, entropy.domain.space.weights)
+            - entropy.value_rows(q_rows))
+
+
 def bregman_divergence(entropy: Entropy, p: ConeVector, q: ConeVector) -> float:
-    """Divergence of ``entropy`` between two domain points (zero at p = q)."""
-    grad = entropy.subgradient(q)
-    return entropy.value(p) - pair(p - q, grad) - entropy.value(q)
+    """One row of :func:`bregman_divergence_rows`."""
+    return float(bregman_divergence_rows(entropy, p.values[None], q.values[None])[0])
 
 
 @dataclass(frozen=True)
@@ -83,31 +102,29 @@ def affine_score_at(entropy: Entropy, q: ConeVector) -> AffineScore:
     return AffineScore(grad, entropy.value(q) - pair(q, grad), q)
 
 
+@quiet_floats
 def linearity_check(entropy: Entropy, seed: int = 0, samples: int = 100) -> bool:
     """Whether the affine score family consists of linear functionals.
 
     Equivalent to 1-homogeneity of the entropy on the cone: all offsets
     vanish, the score functionals are additive in their argument, and
     ``value(lam q) = lam value(q)``.  Checked on seeded positive cone
-    points; any failure returns False.
+    points ``q, p1, p2``; any failure returns False.  A non-finite
+    subgradient at ``q`` before the first failure raises :class:`DomainError`.
     """
-    rng = np.random.default_rng(seed)
-    space = entropy.domain.space
-    for _ in range(samples):
-        q = sample_cone_point(space, rng)
-        score = affine_score_at(entropy, q)
-        if abs(score.offset) > 1e-10:
-            return False
-        p1 = sample_cone_point(space, rng)
-        p2 = sample_cone_point(space, rng)
-        additivity_gap = score(p1 + p2) - score(p1) - score(p2)
-        if abs(additivity_gap) > 1e-10 * (1.0 + abs(score(p1)) + abs(score(p2))):
-            return False
-        value = entropy.value(q)
-        for lam in (0.5, 2.0, 10.0):
-            if abs(entropy.value(lam * q) - lam * value) > 1e-10 * (1.0 + abs(lam * value)):
-                return False
-    return True
+    weights = entropy.domain.space.weights
+    points = cone_rows(entropy.domain.space, np.random.default_rng(seed), 3 * samples)
+    q, p1, p2 = points[0::3], points[1::3], points[2::3]
+    grad = entropy.grad_rows(q)
+    value = entropy.value_rows(q)
+    offset = value - pair_rows(q, grad, weights)
+    s12, s1, s2 = (pair_rows(p, grad, weights) + offset for p in (p1 + p2, p1, p2))
+    failed = (np.abs(offset) > 1e-10) | (np.abs(s12 - s1 - s2) > 1e-10 * (1.0 + np.abs(s1) + np.abs(s2)))
+    for lam in (0.5, 2.0, 10.0):
+        failed |= np.abs(entropy.value_rows(lam * q) - lam * value) > 1e-10 * (1.0 + np.abs(lam * value))
+    if not failed[:np.argmax(~np.isfinite(grad).all(axis=1))].any():
+        _finite_subgradients(entropy, grad)
+    return not failed.any()
 
 
 def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
@@ -155,23 +172,16 @@ class DivergenceReport:
         }
 
 
-def _quadratic_affine_fit_residual(entropy: Entropy, points: list[ConeVector]) -> float:
-    """Max residual of a least-squares fit of the entropy to {q_i q_j, q_i, 1}."""
-    n = points[0].space.size
-    rows, targets = [], []
-    for point in points:
-        v = point.values
-        features = [v[i] * v[j] for i in range(n) for j in range(i, n)]
-        features.extend(v.tolist())
-        features.append(1.0)
-        rows.append(features)
-        targets.append(entropy.value(point))
-    design = np.array(rows)
-    target = np.array(targets)
+def _quadratic_affine_fit_residual(entropy: Entropy, points: np.ndarray) -> float:
+    """Max residual of a least-squares fit of the entropy to {q_i q_j, q_i, 1} on the rows."""
+    i, j = np.triu_indices(points.shape[1])
+    design = np.hstack([points[:, i] * points[:, j], points, np.ones((len(points), 1))])
+    target = entropy.value_rows(points)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     return float(np.max(np.abs(design @ coef - target)))
 
 
+@quiet_floats
 def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     """Sampled symmetry classification of the entropy's divergence.
 
@@ -181,20 +191,20 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     entropy fits the quadratic-affine basis to 1e-10; asymmetric once any
     pair's defect exceeds 1e-8; inconclusive in between.
     """
-    rng = np.random.default_rng(seed)
     space = entropy.domain.space
-    worst = -math.inf
-    witness = None
-    points = []
-    for _ in range(samples):
-        p = sample_positive_box(space, rng)
-        q = sample_positive_box(space, rng)
-        points.extend([p, q])
-        defect = abs(bregman_divergence(entropy, p, q) - bregman_divergence(entropy, q, p))
-        if defect > worst:
-            worst = defect
-            witness = (p, q)
-    fit_residual = _quadratic_affine_fit_residual(entropy, points)
+    points = box_rows(space, np.random.default_rng(seed), 2 * samples)  # rows p, q, p, q, ...
+    swapped = points.reshape(samples, 2, space.size)[:, ::-1].reshape(points.shape)
+    try:
+        divergences = bregman_divergence_rows(entropy, points, swapped)
+        fit_residual = _quadratic_affine_fit_residual(entropy, points)
+    except DomainError as exc:
+        box = f"[{_BOX_LOW:g}, {_BOX_HIGH:g})^{space.size}"
+        raise DomainError(f"{exc}; the sample points lie in the box {box}") from None
+    defects = np.abs(divergences[0::2] - divergences[1::2])
+    if np.isnan(defects).all():
+        raise DomainError(f"no sampled symmetry defect of {entropy.name} is a number")
+    i = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))  # the first strict maximum
+    worst = float(defects[i])
     if worst > _ASYMMETRIC_DEFECT_TOL:
         label = ASYMMETRIC_WITH_WITNESS
     elif worst <= _SYMMETRIC_DEFECT_TOL and fit_residual <= _FIT_RESIDUAL_TOL:
@@ -205,8 +215,8 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
         entropy=entropy.name,
         pair_count=samples,
         max_symmetry_defect=worst,
-        witness_p=witness[0],
-        witness_q=witness[1],
+        witness_p=space.cone(points[2 * i]),
+        witness_q=space.cone(points[2 * i + 1]),
         fit_residual=fit_residual,
         classification=label,
     )

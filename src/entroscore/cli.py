@@ -9,7 +9,7 @@ Subcommands::
 
 CSV files carry a header row (forecast columns ``p1..pn``, outcome column
 ``outcome``; grid densities are headerless, one value per line).  Floats are
-rendered with shortest round-trip ``repr``, infinities as ``inf``/``-inf``.
+rendered with shortest round-trip ``repr`` (so ``inf``/``-inf``), ``-0.0`` as ``0.0``.
 Exit codes: 0 success, 1 verification failure, 2 malformed input or config
 (or a ``verify`` rule whose scores leave the float range on its sample
 points), 3 invalid density rows or rows whose scores leave the float range,
@@ -58,17 +58,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _fmt(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        x = 0.0  # render -0.0 as 0.0
-    return repr(x)
 
 
 # -- rule construction --------------------------------------------------------
@@ -229,11 +218,11 @@ def cmd_score(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for row_id, (outcome, *cells) in enumerate(zip(outcomes, *columns), start=1):
-        writer.writerow([str(row_id), str(outcome)] + [_fmt(x) for x in cells])
+        writer.writerow([str(row_id), str(outcome)] + [repr(x + 0.0) for x in cells])
     means, inf_counts = [], []
     for column in columns:
         finite = [x for x in column if math.isfinite(x)]
-        means.append(_fmt(math.fsum(finite) / len(finite)) if finite else "nan")
+        means.append(repr(math.fsum(finite) / len(finite) + 0.0) if finite else "nan")
         inf_counts.append(str(sum(1 for x in column if math.isinf(x))))
     writer.writerow(["mean", ""] + means)
     writer.writerow(["inf_count", ""] + inf_counts)
@@ -264,7 +253,7 @@ def cmd_divergence(args) -> int:
             q_scores = rule.score_rows(right)
         for i in range(len(left)):
             cells = score_divergence_rows(left[i:i + 1], p_scores[i:i + 1], q_scores, space.weights)
-            writer.writerow([spec, f"p{i + 1}"] + [_fmt(x) for x in cells.tolist()])
+            writer.writerow([spec, f"p{i + 1}"] + [repr(x + 0.0) for x in cells.tolist()])
     _write_text(buffer.getvalue(), args.out)
     return EXIT_OK
 
@@ -489,9 +478,9 @@ def cmd_grid_score(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["x", "score"])
-    for x, s in zip(grid.points, score.values):
-        writer.writerow([_fmt(x), _fmt(s)])
-    writer.writerow(["fisher_entropy", _fmt(fisher_entropy(density))])
+    for x, s in zip(grid.points.tolist(), score.values.tolist()):
+        writer.writerow([repr(x + 0.0), repr(s + 0.0)])
+    writer.writerow(["fisher_entropy", repr(fisher_entropy(density) + 0.0)])
     _write_text(buffer.getvalue(), args.out)
     return EXIT_OK
 

@@ -90,13 +90,6 @@ class MeasureSpace:
     def dual(self, values, *, allow_infinite: bool = False) -> "DualVector":
         return DualVector(values, self, allow_infinite=allow_infinite)
 
-    def ones_dual(self) -> "DualVector":
-        return DualVector(np.ones(self.size), self)
-
-    def uniform_density(self) -> "Density":
-        total = math.fsum(self.weights.tolist())
-        return Density(np.full(self.size, 1.0 / total), self)
-
 
 @dataclass(frozen=True, eq=False)
 class ConeVector:

@@ -12,12 +12,13 @@ import numpy as np
 
 from .measure import ConeVector, Density, MeasureSpace, require_density_rows
 
-__all__ = ["sample_density", "sample_cone_point", "sample_positive_box", "density_rows", "cone_rows"]
+__all__ = ["sample_density", "sample_cone_point", "sample_positive_box", "density_rows", "cone_rows",
+           "box_rows"]
 
 # Cone points carry a log-uniform mass in [_MASS_LOW, _MASS_HIGH]; box points
-# have coordinates below _BOX_HIGH.
+# have coordinates in [_BOX_LOW, _BOX_HIGH) unless a draw sets its own low end.
 _MASS_LOW, _MASS_HIGH = 0.1, 10.0
-_BOX_HIGH = 2.0
+_BOX_LOW, _BOX_HIGH = 0.05, 2.0
 
 
 def density_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -35,6 +36,12 @@ def cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.n
     return directions * np.array(masses)[:, None]
 
 
+def box_rows(space: MeasureSpace, rng: np.random.Generator, count: int,
+             low: float = _BOX_LOW) -> np.ndarray:
+    """``count`` componentwise uniform points in [low, 2), as rows."""
+    return rng.uniform(low, _BOX_HIGH, size=(count, space.size))
+
+
 def sample_density(space: MeasureSpace, rng: np.random.Generator) -> Density:
     """Uniform (Dirichlet(1,...,1)) random density on ``space``."""
     return space.density(density_rows(space, rng, 1)[0])
@@ -45,8 +52,7 @@ def sample_cone_point(space: MeasureSpace, rng: np.random.Generator) -> ConeVect
     return space.cone(cone_rows(space, rng, 1)[0])
 
 
-def sample_positive_box(
-    space: MeasureSpace, rng: np.random.Generator, low: float = 0.05
-) -> ConeVector:
-    """Componentwise uniform point in [low, 2), bounded away from the boundary."""
-    return space.cone(rng.uniform(low, _BOX_HIGH, size=space.size))
+def sample_positive_box(space: MeasureSpace, rng: np.random.Generator,
+                        low: float = _BOX_LOW) -> ConeVector:
+    """Componentwise uniform point in [low, 2): one row of :func:`box_rows`."""
+    return space.cone(box_rows(space, rng, 1, low)[0])

@@ -10,15 +10,22 @@ import numpy as np
 
 import entroscore
 from entroscore import (
+    ASYMMETRIC_WITH_WITNESS,
+    INCONCLUSIVE,
+    SYMMETRIC_GENERALIZED_QUADRATIC,
     CompositeEntropySpec,
     ConstructionError,
     ConvexDomainSpec,
+    DivergenceReport,
     DomainError,
     MeasureSpace,
+    affine_score_at,
     catalog_entropy,
     composite_entropy,
     make_psr,
+    pair,
     parse_rule_spec,
+    sample_cone_point,
 )
 
 # The six named rules the verification suites exercise.
@@ -223,6 +230,10 @@ def ref_score(entropy: RefEntropy | None, w) -> Callable:
     return score
 
 
+def ref_divergence(entropy: RefEntropy, p, q, w) -> float:
+    return entropy.value(p) - ref_pair(p - q, entropy.grad(q), w) - entropy.value(q)
+
+
 def ref_call(fn, *args):
     """``fn(*args)`` without float warnings, or the exception it raises."""
     with np.errstate(all="ignore"):
@@ -230,3 +241,69 @@ def ref_call(fn, *args):
             return fn(*args)
         except Exception as exc:  # the oracle's own errors are what gets compared
             return exc
+
+
+# -- sampled-suite reference ----------------------------------------------------
+#
+# The per-point loops of ``symmetry_defect`` and ``linearity_check`` before
+# they ran on rows: points drawn one at a time, one-row oracle and pairing
+# calls on library vector objects, the first failing point returning early.
+
+def ref_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
+    def divergence(p, q):
+        grad = entropy.subgradient(q)
+        return entropy.value(p) - pair(p - q, grad) - entropy.value(q)
+
+    rng = np.random.default_rng(seed)
+    space = entropy.domain.space
+    worst = -math.inf
+    witness = None
+    points = []
+    for _ in range(samples):
+        p = space.cone(rng.uniform(0.05, 2.0, size=space.size))
+        q = space.cone(rng.uniform(0.05, 2.0, size=space.size))
+        points.extend([p, q])
+        defect = abs(divergence(p, q) - divergence(q, p))
+        if defect > worst:
+            worst = defect
+            witness = (p, q)
+    n = space.size
+    rows, targets = [], []
+    for point in points:
+        v = point.values
+        features = [v[i] * v[j] for i in range(n) for j in range(i, n)]
+        features.extend(v.tolist())
+        features.append(1.0)
+        rows.append(features)
+        targets.append(entropy.value(point))
+    design = np.array(rows)
+    target = np.array(targets)
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    fit_residual = float(np.max(np.abs(design @ coef - target)))
+    if worst > 1e-8:
+        label = ASYMMETRIC_WITH_WITNESS
+    elif worst <= 1e-10 and fit_residual <= 1e-10:
+        label = SYMMETRIC_GENERALIZED_QUADRATIC
+    else:
+        label = INCONCLUSIVE
+    return DivergenceReport(entropy.name, samples, worst, witness[0], witness[1], fit_residual, label)
+
+
+def ref_linearity_check(entropy, seed: int = 0, samples: int = 100) -> bool:
+    rng = np.random.default_rng(seed)
+    space = entropy.domain.space
+    for _ in range(samples):
+        q = sample_cone_point(space, rng)
+        score = affine_score_at(entropy, q)
+        if abs(score.offset) > 1e-10:
+            return False
+        p1 = sample_cone_point(space, rng)
+        p2 = sample_cone_point(space, rng)
+        additivity_gap = score(p1 + p2) - score(p1) - score(p2)
+        if abs(additivity_gap) > 1e-10 * (1.0 + abs(score(p1)) + abs(score(p2))):
+            return False
+        value = entropy.value(q)
+        for lam in (0.5, 2.0, 10.0):
+            if abs(entropy.value(lam * q) - lam * value) > 1e-10 * (1.0 + abs(lam * value)):
+                return False
+    return True

@@ -9,7 +9,9 @@ import pytest
 from entroscore import (
     ASYMMETRIC_WITH_WITNESS,
     SYMMETRIC_GENERALIZED_QUADRATIC,
+    ConvexDomainSpec,
     DomainError,
+    Entropy,
     MeasureSpace,
     affine_score_at,
     bregman_divergence,
@@ -243,6 +245,13 @@ class TestSymmetryClassification:
                 diff = p.values - q.values
                 oracle = float(diff @ Q @ diff)
                 assert bregman_divergence(E, p, q) == pytest.approx(oracle, rel=1e-11, abs=1e-12)
+
+    def test_all_nan_defects_raise_a_domain_error_naming_the_entropy(self):
+        sp = unit_space(3)
+        E = Entropy("nan", ConvexDomainSpec.whole_space(sp), lambda q: np.full(len(q), np.nan),
+                    lambda q: np.zeros_like(q))
+        with pytest.raises(DomainError, match="symmetry defect of nan"):
+            symmetry_defect(E, seed=5, samples=20)
 
     def test_report_serializes(self):
         report = symmetry_defect(catalog_entropy("quadratic", unit_space(2)), seed=5, samples=50)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entroscore import MeasureSpace, expected_score, score_divergence
+from entroscore import MeasureSpace, cli, expected_score, score_divergence
 from entroscore.cli import main
 
 from conftest import child_env, rule_from_spec
@@ -73,6 +73,12 @@ class TestScoreCommand:
         assert float(rows[1][2]) == 0.5                     # quadratic S(q)(1) at (.5,.5)
         assert float(rows[2][4]) == math.log(0.5)           # shannon score = log 1/2
         assert rows[3][4] == "-inf"                         # log 0 at the observed atom
+        # the linear rule's score is the forecast itself: -0.0 renders as 0.0, subnormals exactly
+        forecasts.write_text("p1,p2\n1,-0.0\n1,5e-324\n")
+        outcomes.write_text("outcome\n2\n2\n")
+        code, payload = run(tmp_path, "score", str(forecasts), str(outcomes), "--rules", "linear")
+        assert code == 0
+        assert [line.split(",")[2] for line in payload.decode().splitlines()[1:3]] == ["0.0", "5e-324"]
 
     def test_malformed_header_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -187,7 +193,7 @@ class TestDivergenceCommand:
                 assert float(cell) == score_divergence(rule, forecasts[i], forecasts[j])
             assert float(row[2 + i]) == 0.0  # zero diagonal
 
-    def test_kl_blowup_renders_inf(self, tmp_path):
+    def test_kl_blowup_renders_inf(self, tmp_path, monkeypatch):
         p = tmp_path / "p.csv"
         p.write_text("p1,p2\n0.5,0.5\n")
         q = tmp_path / "q.csv"
@@ -195,6 +201,13 @@ class TestDivergenceCommand:
         code, payload = run(tmp_path, "divergence", str(p), str(q), "--rules", "shannon")
         assert code == 0
         assert payload.decode().splitlines()[1].split(",")[2] == "inf"
+        # numpy cells render as Python float reprs, -0.0 as 0.0
+        cells = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1])
+        monkeypatch.setattr(cli, "score_divergence_rows", lambda *args: cells)
+        code, payload = run(tmp_path, "divergence", str(p), str(q), "--rules", "shannon")
+        assert code == 0
+        assert payload.decode().splitlines()[1].split(",")[2:] == [
+            "0.0", "nan", "inf", "-inf", "5e-324", "0.1"]
 
     def test_scores_past_the_float_range_exit_3(self, tmp_path, capsys):
         densities = tmp_path / "p.csv"
@@ -294,6 +307,9 @@ class TestVerifyCommand:
         assert run(tmp_path, "verify", "--config", str(config))[0] == 2
         err = capsys.readouterr().err
         assert "power(1100)" in err and "symmetry" in err
+        # how many of the 100 sampled points overflow, and where they were drawn
+        assert "the subgradient of power(1100) leaves the float range at 12 of 100 points" in err
+        assert "the box [0.05, 2)^3" in err
 
     def test_empty_rule_list_exits_2(self, tmp_path):
         config = tmp_path / "empty.ini"

@@ -1,33 +1,48 @@
 """The batched (rows x atoms) kernel against the scalar reference, bit for bit.
 
-For every rule, row ``i`` of an m-row ``score_rows``, ``value_rows`` or
-``pair_rows`` call must equal the one-row call (``rule.score``,
-``entropy.value``, ``pair``) and the pre-kernel scalar formula kept in
-``conftest`` as an oracle.  Where the oracle raises, the kernel must raise an
-:class:`EntroscoreError`.  The suite turns float warnings into errors, so a
-kernel that warns on zero atoms or overflowing rows fails here as well.
+For every rule, row ``i`` of an m-row ``score_rows``, ``value_rows``,
+``pair_rows`` or ``bregman_divergence_rows`` call must equal the one-row call
+(``rule.score``, ``entropy.value``, ``pair``, ``bregman_divergence``) and the
+pre-kernel scalar formula kept in ``conftest`` as an oracle.  Where the oracle
+raises, the kernel must raise an :class:`EntroscoreError`.  The suite turns
+float warnings into errors, so a kernel that warns on zero atoms or
+overflowing rows fails here as well.  The sampled suites that run on rows
+(``symmetry_defect``, ``linearity_check``) must report what their per-point
+loops, kept in ``conftest``, reported.
 """
 
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entroscore import (
     CompositeEntropySpec,
     ConvexDomainSpec,
+    Entropy,
     EntroscoreError,
     MeasureSpace,
+    bregman,
+    bregman_divergence,
+    bregman_divergence_rows,
     catalog_entropy,
     composite_entropy,
     linear_score,
+    linearity_check,
     make_psr,
+    measure,
     pair,
     pair_rows,
     rebase_entropy,
+    sampling,
+    symmetry_defect,
 )
 
-from conftest import ref_call, ref_catalog, ref_composite, ref_pair, ref_rebased, ref_score
+from conftest import (CATALOG_SPECS, entropy_from_spec, ref_call, ref_catalog, ref_composite,
+                      ref_divergence, ref_linearity_check, ref_pair, ref_rebased, ref_score,
+                      ref_symmetry_defect)
 
 
 def kernel_call(fn, *args):
@@ -104,6 +119,11 @@ def check_rows(space: MeasureSpace, rows: np.ndarray, gamma: float, seed: int, w
             assert_rows(kernel_call(entropy.value_rows, rows),
                         [kernel_call(entropy.value, d) for d in densities],
                         [ref_call(ref.value, q) for q in rows])
+            for q_rows in (rows, rows[::-1]):
+                assert_rows(kernel_call(bregman_divergence_rows, entropy, rows, q_rows),
+                            [kernel_call(bregman_divergence, entropy, d, space.cone(q))
+                             for d, q in zip(densities, q_rows)],
+                            [ref_call(ref_divergence, ref, p, q, w) for p, q in zip(rows, q_rows)])
         if isinstance(scores, Exception):
             continue
         # the self-score, and each row against another row's scores (-inf terms
@@ -154,3 +174,64 @@ def test_rows_match_at_ten_thousand_atoms():
     rows = np.array([density_row(r, weights) for r in raw])
     for gamma in (1.0 + 1e-7, 50.0):
         check_rows(MeasureSpace(weights), rows, gamma, seed=5, with_matrix=False)
+
+
+def suite_subjects(space: MeasureSpace):
+    """The six default rules' entropies, a weighted quadratic and a rebased spherical."""
+    rng = np.random.default_rng(space.size)
+    a = rng.normal(size=(space.size, space.size))
+    matrix = a @ a.T / space.size + np.diag(rng.uniform(0.5, 2.0, size=space.size))
+    base = space.cone(rng.uniform(0.05, 2.0, size=space.size))
+    return [entropy_from_spec(spec, space) for spec in CATALOG_SPECS] + [
+        catalog_entropy("weighted_quadratic", space, matrix=matrix),
+        rebase_entropy(catalog_entropy("spherical", space), base),
+    ]
+
+
+SUITE_SPACES = {
+    "unit3": [1.0, 1.0, 1.0],
+    "bench_verify": [0.6541994224472271, 0.9799199296271267, 1.9986222874032822],  # seed 3
+    "n20": np.random.default_rng(20).uniform(0.5, 2.0, size=20).tolist(),
+    "n2": [1.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("weights", SUITE_SPACES.values(), ids=SUITE_SPACES.keys())
+def test_sampled_suites_match_their_per_point_loops(weights):
+    space = MeasureSpace(weights)
+    for entropy in suite_subjects(space):
+        for samples in (1, 50, 500):
+            seed = samples + 3
+            assert (json.dumps(symmetry_defect(entropy, seed=seed, samples=samples).as_dict())
+                    == json.dumps(ref_symmetry_defect(entropy, seed=seed, samples=samples).as_dict()))
+            assert (linearity_check(entropy, seed=seed, samples=samples)
+                    is ref_linearity_check(entropy, seed=seed, samples=samples))
+
+
+def test_linearity_check_stops_at_its_first_failing_point():
+    # power(1100)'s subgradient overflows at 8 of these 50 cone points, but the first
+    # point already fails; a subgradient that is infinite at the first point raises
+    space = MeasureSpace([1.0, 1.0, 1.0])
+    power = catalog_entropy("power", space, gamma=1100.0)
+    assert linearity_check(power, seed=1, samples=50) is False
+    assert ref_linearity_check(power, seed=1, samples=50) is False
+    infinite = Entropy("infinite", ConvexDomainSpec.whole_space(space), lambda q: np.zeros(len(q)),
+                       lambda q: np.full_like(q, np.inf))
+    for check in (linearity_check, ref_linearity_check):
+        with pytest.raises(EntroscoreError):
+            check(infinite, seed=1, samples=5)
+
+
+def test_sampled_suites_make_no_one_row_calls(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("one-row call from a sampled suite")
+
+    for module, name in ((bregman, "pair"), (measure, "pair"), (bregman, "bregman_divergence"),
+                         (sampling, "sample_positive_box"), (sampling, "sample_cone_point")):
+        monkeypatch.setattr(module, name, refuse)
+    space = MeasureSpace([0.5, 1.0, 2.0])
+    for entropy in suite_subjects(space):
+        object.__setattr__(entropy, "value", refuse)
+        object.__setattr__(entropy, "subgradient", refuse)
+        symmetry_defect(entropy, seed=1, samples=20)
+        linearity_check(entropy, seed=1, samples=20)
