@@ -19,7 +19,6 @@ from .measure import (
     normalize,
     pair,
     pair_rows,
-    total_mass,
 )
 from .geometry import (
     ConvexDomainSpec,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EntroscoreError", "StructureError", "DomainError", "ConstructionError",
     "MeasureSpace", "ConeVector", "Density", "DualVector",
-    "pair", "pair_rows", "total_mass", "normalize", "DENSITY_MASS_TOL",
+    "pair", "pair_rows", "normalize", "DENSITY_MASS_TOL",
     "ConvexDomainSpec", "SubgradientProbeResult",
     "direction_cone_membership", "lineality_space", "is_quasi_interior",
     "annihilator_basis", "subdifferential_probe",

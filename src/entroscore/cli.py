@@ -382,12 +382,11 @@ def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
         domain = _PROBE_DOMAINS[probe["domain"]](space)
         point = space.cone(_parse_vector(probe["point"]))
         candidates = [space.dual(v) for v in _parse_vector_list(probe["candidates"])]
+        if not domain.contains(point):
+            raise CliError(EXIT_INPUT, f"{where}: point is outside the {probe['domain']} domain")
+        report = subdifferential_probe(entropy, domain, point, candidates, seed=seed).as_dict()
     except EntroscoreError as exc:
         raise CliError(EXIT_INPUT, f"{where}: {exc}") from None
-    if not domain.contains(point):
-        raise CliError(EXIT_INPUT, f"{where}: point is outside the {probe['domain']} domain")
-    result = subdifferential_probe(entropy, domain, point, candidates, seed=seed)
-    report = result.as_dict()
     passed = True
     if probe["expect_verified"]:
         verified = {tuple(v) for v in report["verified"]}

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, StructureError
 from .geometry import ConvexDomainSpec
 from .measure import ConeVector, DualVector, MeasureSpace, fsum_rows, normalize_rows, quiet_floats
 from .scoring import make_psr, zero_homog_extend
@@ -52,6 +52,7 @@ __all__ = [
     "canonical_extension_rows",
     "extended_subgradient",
     "directional_derivative_fd",
+    "directional_derivative_fd_rows",
     "composite_entropy",
     "FD_STEP",
 ]
@@ -87,9 +88,9 @@ _COMPOSITE_SEED = 7
 class Entropy:
     """Convex function on a declared domain, with row oracles.
 
-    Each oracle maps an (m, n) array of cone vectors to m results, and runs
-    without float warnings: ``value_rows`` to values; ``grad_rows`` to dual
-    representers of a subgradient (None if there is none; :class:`DomainError`
+    Each oracle maps an (m, n) array of cone vectors (made C-ordered) to m
+    results without float warnings: ``value_rows`` to values; ``grad_rows`` to
+    dual representers of a subgradient (None if there is none; :class:`DomainError`
     where no finite one exists, e.g. shannon on the boundary); the optional
     ``closed_form_rows`` to the associated scores, for rules the generic
     construction cannot extend to boundary points.  ``value``, ``subgradient``
@@ -104,8 +105,8 @@ class Entropy:
 
     def __post_init__(self):
         space = self.domain.space
-        value_rows, grad_rows, closed_form_rows = (
-            oracle and quiet_floats(oracle)
+        value_rows, grad_rows, closed_form_rows = (  # numpy's strided pow and log round differently
+            oracle and quiet_floats(lambda q, oracle=oracle: oracle(np.ascontiguousarray(q)))
             for oracle in (self.value_rows, self.grad_rows, self.closed_form_rows))
         object.__setattr__(self, "value_rows", value_rows)
         object.__setattr__(self, "grad_rows", grad_rows)
@@ -341,27 +342,34 @@ def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
 
 
 @quiet_floats
-def directional_derivative_fd(entropy: Entropy, q: ConeVector, p: ConeVector) -> float:
-    """One-sided directional derivative estimate at ``q`` along ``p``.
+def directional_derivative_fd_rows(entropy: Entropy, q: ConeVector, p_rows: np.ndarray) -> np.ndarray:
+    """One-sided directional derivative estimates at ``q`` along each row of ``p_rows``.
 
     Richardson-extrapolates the forward difference quotients at steps h/2
     and h/4, with ``h = FD_STEP``, from one ``value_rows`` call on ``q`` and
-    its three steps.  When the quotients keep dropping by non-contracting
-    decrements (the signature of a boundary direction like shannon toward a
-    zero atom), returns ``-inf`` instead of a number.
+    the three steps along every row.  Where the quotients keep dropping by
+    non-contracting decrements (the signature of a boundary direction like
+    shannon toward a zero atom), the estimate is ``-inf`` instead of a number.
     """
-    h = FD_STEP
+    h, v = FD_STEP, q.values
     if not entropy.domain.contains(q):
         raise DomainError("base point is outside the entropy domain")
-    if not entropy.domain.contains(q + h * p):
+    if not entropy.domain.contains_rows(v + h * p_rows).all():
         raise DomainError("q + h p leaves the entropy domain")
     steps = np.array([h, h / 2.0, h / 4.0])
-    values = entropy.value_rows(np.vstack([q.values, q.values + steps[:, None] * p.values]))
-    d1, d2, d4 = ((values[1:] - values[0]) / steps).tolist()
+    stepped = (v + steps[:, None] * p_rows[:, None]).reshape(-1, v.size)  # each row, then each step
+    values = entropy.value_rows(np.vstack([v, stepped]))
+    d1, d2, d4 = ((values[1:].reshape(-1, 3) - values[0]) / steps).T
     dec1, dec2 = d2 - d1, d4 - d2
-    if dec2 < -_DIVERGE_MIN_DECREMENT and dec2 <= _DIVERGE_CONTRACTION * dec1:
-        return -math.inf
-    return 2.0 * d4 - d2
+    diverging = (dec2 < -_DIVERGE_MIN_DECREMENT) & (dec2 <= _DIVERGE_CONTRACTION * dec1)
+    return np.where(diverging, -np.inf, 2.0 * d4 - d2)
+
+
+def directional_derivative_fd(entropy: Entropy, q: ConeVector, p: ConeVector) -> float:
+    """One row of :func:`directional_derivative_fd_rows`."""
+    if p.space != q.space:
+        raise StructureError("operands live on different measure spaces")
+    return float(directional_derivative_fd_rows(entropy, q, p.values[None])[0])
 
 
 @dataclass(frozen=True)
@@ -417,7 +425,7 @@ def composite_entropy(
         return slope[:, None] * np.asarray(spec.inner_derivative(q), dtype=float) * nu / w
 
     rng = np.random.default_rng(_COMPOSITE_SEED)
-    points = np.array([p.values for p in domain.sample(rng, 2 * _COMPOSITE_CHECKS)])
+    points = domain.draw(rng, 2 * _COMPOSITE_CHECKS)
     if any(float(spec.outer_derivative(x)) < -1e-12 for x in inner_integrals(points)):
         raise ConstructionError("outer function is not increasing on the sampled range")
     left, right = points[:_COMPOSITE_CHECKS], points[_COMPOSITE_CHECKS:]

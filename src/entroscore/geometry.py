@@ -4,9 +4,11 @@ A :class:`ConvexDomainSpec` describes a convex set K inside a finite measure
 space: the probability simplex, the nonnegative orthant, the conical hull of
 finitely many points, or an intersection of half-spaces (the empty
 intersection doubles as the whole space).  Each constructor works out one
-constraint description of K, and every query reads only that:
+constraint description of K, and every query reads only that.  Points and
+directions are the rows of (rows x atoms) arrays; the one-point functions are
+their public calls on vector objects:
 
-* membership;
+* membership, and random points of K (``draw``);
 * feasible directions at a point (``Cone(K - q)``), decided exactly from the
   active constraints;
 * the lineality space ``O(q)`` of two-sided feasible directions;
@@ -24,7 +26,7 @@ it.
 
 from __future__ import annotations
 
-import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -32,8 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import ConeVector, DualVector, MeasureSpace, pair
-from .sampling import sample_density, sample_positive_box
+from .measure import ConeVector, DualVector, MeasureSpace, pair_rows, quiet_floats
+from .sampling import box_rows, density_rows
 
 __all__ = [
     "ConvexDomainSpec",
@@ -76,11 +78,7 @@ def _no_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((0, n)), np.zeros(0)
 
 
-def _sample_normal(space: MeasureSpace, rng: np.random.Generator) -> ConeVector:
-    return space.cone(rng.normal(0.0, 1.0, size=space.size))
-
-
-def _cannot_sample(rng: np.random.Generator) -> ConeVector:
+def _cannot_sample(rng: np.random.Generator, count: int) -> np.ndarray:
     raise DomainError("sampling a general half-space intersection is not supported")
 
 
@@ -95,8 +93,8 @@ class ConvexDomainSpec:
     ``(E, e)``: rows that hold with equality on all of K (the simplex mass
     row, implicit half-space equalities, the span complement of cone
     generators).  Sign bounds stay a flag, so no n x n block of rows is ever
-    built for them.  ``draw`` returns one random point of K.  Build domains
-    with the classmethods; ``kind`` is only a display name.
+    built for them.  ``draw(rng, count)`` returns ``count`` random points of K
+    as rows.  Build domains with the classmethods; ``kind`` is a display name.
     """
 
     kind: str
@@ -104,7 +102,7 @@ class ConvexDomainSpec:
     nonnegative: bool
     inequalities: tuple[np.ndarray, np.ndarray]
     equalities: tuple[np.ndarray, np.ndarray]
-    draw: Callable[[np.random.Generator], ConeVector]
+    draw: Callable[[np.random.Generator, int], np.ndarray]
 
     # -- constructors -------------------------------------------------------
 
@@ -112,13 +110,13 @@ class ConvexDomainSpec:
     def simplex(cls, space: MeasureSpace) -> "ConvexDomainSpec":
         n = space.size
         return cls("simplex", space, True, _no_rows(n),
-                   (space.weights.reshape(1, n), np.ones(1)), partial(sample_density, space))
+                   (space.weights.reshape(1, n), np.ones(1)), partial(density_rows, space))
 
     @classmethod
     def nonnegative_orthant(cls, space: MeasureSpace) -> "ConvexDomainSpec":
         n = space.size
         return cls("nonnegative_orthant", space, True, _no_rows(n), _no_rows(n),
-                   partial(sample_positive_box, space))
+                   partial(box_rows, space))
 
     @classmethod
     def cone_hull(cls, space: MeasureSpace, points) -> "ConvexDomainSpec":
@@ -131,8 +129,10 @@ class ConvexDomainSpec:
         # the span complement of the generators pins the cone
         comp = _null_space_basis(g, space.size)
 
-        def draw(rng: np.random.Generator) -> ConeVector:
-            return space.cone(rng.exponential(1.0, size=g.shape[0]) @ g)
+        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+            # one e @ g product per row: E @ g rounds differently
+            weights = rng.exponential(1.0, size=(count, g.shape[0]))
+            return np.array([e @ g for e in weights]).reshape(count, space.size)
 
         return cls("cone_hull_of_points", space, False, (facets, np.zeros(facets.shape[0])),
                    (comp.T, np.zeros(comp.shape[1])), draw)
@@ -142,8 +142,8 @@ class ConvexDomainSpec:
         a = np.atleast_2d(np.asarray(normals, dtype=float))
         b = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a.size == 0:  # the whole space: no LP, Gaussian samples
-            return cls("halfspace_intersection", space, False, _no_rows(space.size),
-                       _no_rows(space.size), partial(_sample_normal, space))
+            return cls("halfspace_intersection", space, False, _no_rows(space.size), _no_rows(space.size),
+                       lambda rng, count: rng.normal(0.0, 1.0, size=(count, space.size)))
         if a.shape[1] != space.size or a.shape[0] != b.size:
             raise ConstructionError("half-space rows do not match the space size")
         return cls("halfspace_intersection", space, False, (a, b),
@@ -156,21 +156,21 @@ class ConvexDomainSpec:
 
     # -- queries ------------------------------------------------------------
 
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (m, n) array that are finite points of K."""
+        (a, b), (e_rows, e) = self.inequalities, self.equalities
+        slack = _MEMBER_TOL * (1.0 + np.abs(rows).max(axis=1))[:, None]
+        inside = (np.isfinite(rows).all(axis=1) & (rows @ a.T <= b + slack).all(axis=1)
+                  & (np.abs(rows @ e_rows.T - e) <= _MEMBER_TOL).all(axis=1))
+        return inside & (rows.min(axis=1) >= -_MEMBER_TOL) if self.nonnegative else inside
+
     def contains(self, q: ConeVector) -> bool:
-        if q.space != self.space:
-            return False
-        v = q.values
-        a, b = self.inequalities
-        e_rows, e = self.equalities
-        return bool(  # the size tests only skip empty row blocks
-            (not self.nonnegative or v.min() >= -_MEMBER_TOL)
-            and (not e.size or np.all(np.abs(e_rows @ v - e) <= _MEMBER_TOL))
-            and (not b.size or np.all(a @ v <= b + _MEMBER_TOL * (1.0 + float(np.max(np.abs(v))))))
-        )
+        """Whether q lies in K: one row of :meth:`contains_rows`."""
+        return q.space == self.space and bool(self.contains_rows(q.values[None])[0])
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> list[ConeVector]:
         """Random points of the domain (interior-biased), for sampled checks."""
-        return [self.draw(rng) for _ in range(count)]
+        return [self.space.cone(row) for row in self.draw(rng, count)]
 
     def affine_hull_dimension(self) -> int:
         """Dimension of the affine hull of K: the space size minus the rank of its equalities."""
@@ -225,13 +225,12 @@ def _cone_facets(generators: np.ndarray) -> np.ndarray:
     return eqs[np.abs(eqs[:, -1]) <= 1e-9, :-1] @ span.T
 
 
-def _active_rows(domain: ConvexDomainSpec, q: ConeVector) -> np.ndarray:
-    """Constraint rows ``r . x <= c`` of K that q meets with equality.
+def _active_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
+    """Constraint rows ``r . x <= c`` of K that the point ``v`` meets with equality.
 
     Sign bounds give a row ``-e_i`` only for each zero coordinate ``i``,
     ahead of the active general rows.
     """
-    v = q.values
     tol = _MEMBER_TOL * (1.0 + float(np.max(np.abs(v))))
     a, b = domain.inequalities
     general = a[b - a @ v <= tol] if b.size else a
@@ -243,17 +242,25 @@ def _active_rows(domain: ConvexDomainSpec, q: ConeVector) -> np.ndarray:
     return np.vstack([bounds, general])
 
 
-def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVector) -> bool:
-    """Whether ``q + lam * d`` stays in K for some ``lam > 0``.
+def _feasible_rows(domain: ConvexDomainSpec, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Mask of the direction rows ``d`` with ``v + lam * d`` in K for some ``lam > 0``: none
+    may leave an active inequality, and each must be parallel to every equality."""
+    tol = _MEMBER_TOL * (1.0 + np.abs(directions).max(axis=1))[:, None]
+    return ((directions @ _active_rows(domain, v).T <= tol).all(axis=1)
+            & (np.abs(directions @ domain.equalities[0].T) <= tol).all(axis=1))
 
-    Decided exactly from the constraints: the direction must not leave any
-    active inequality and must be parallel to every equality.
-    """
+
+def _lineality_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ``O(v)`` as rows: the null space of the stacked active constraints."""
+    stacked = np.vstack([_active_rows(domain, v), domain.equalities[0]])
+    return _null_space_basis(stacked, domain.space.size).T
+
+
+def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVector) -> bool:
+    """Whether ``q + lam * d`` stays in K for some ``lam > 0``: one row of the row test."""
     if not domain.contains(q):
         raise DomainError("base point is not in the domain")
-    tol = _MEMBER_TOL * (1.0 + float(np.max(np.abs(d.values))))
-    return bool(np.all(_active_rows(domain, q) @ d.values <= tol)
-                and np.all(np.abs(domain.equalities[0] @ d.values) <= tol))
+    return bool(_feasible_rows(domain, q.values, d.values[None])[0])
 
 
 def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]:
@@ -265,9 +272,7 @@ def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]
     """
     if not domain.contains(q):
         raise DomainError("base point is not in the domain")
-    stacked = np.vstack([_active_rows(domain, q), domain.equalities[0]])
-    basis = _null_space_basis(stacked, domain.space.size)
-    return [domain.space.cone(basis[:, j]) for j in range(basis.shape[1])]
+    return [domain.space.cone(row) for row in _lineality_rows(domain, q.values)]
 
 
 def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector) -> bool:
@@ -281,7 +286,7 @@ def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector) -> bool:
     if not domain.contains(q):
         raise DomainError("base point is not in the domain")
     equalities = domain.equalities[0]
-    return _rank(np.vstack([_active_rows(domain, q), equalities])) == _rank(equalities)
+    return _rank(np.vstack([_active_rows(domain, q.values), equalities])) == _rank(equalities)
 
 
 def annihilator_basis(
@@ -318,11 +323,8 @@ class RejectedCandidate:
     gap: float
 
     def as_dict(self) -> dict:
-        return {
-            "candidate": self.candidate.values.tolist(),
-            "witness": self.witness.values.tolist(),
-            "gap": float(self.gap),
-        }
+        return {"candidate": self.candidate.values.tolist(), "witness": self.witness.values.tolist(),
+                "gap": float(self.gap)}
 
 
 @dataclass(frozen=True)
@@ -334,85 +336,75 @@ class SubgradientProbeResult:
     unique_claim: bool
 
     def as_dict(self) -> dict:
-        return {
-            "verified": [f.values.tolist() for f in self.verified],
-            "rejected": [r.as_dict() for r in self.rejected],
-            "unique_claim": self.unique_claim,
-        }
+        return {"verified": [f.values.tolist() for f in self.verified],
+                "rejected": [r.as_dict() for r in self.rejected], "unique_claim": self.unique_claim}
 
 
-def _structured_points(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]:
-    """Perturbations of q along coordinate-type directions, kept inside K."""
-    space = domain.space
-    n = space.size
-    dirs: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dirs.extend([e, -e])
-    w = space.weights
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i], d[j] = 1.0 / w[i], -1.0 / w[j]
-            dirs.extend([d, -d])
-    points = []
-    for d in dirs:
-        for eps in (1e-3, 1e-2, 0.1, 0.5):
-            p = space.cone(q.values + eps * d)
-            if domain.contains(p):
-                points.append(p)
-    return points
+def _signed(rows: np.ndarray) -> np.ndarray:
+    """Each row followed by its negation."""
+    return np.stack([rows, -rows], axis=1).reshape(-1, rows.shape[1])
 
 
-def _feasible_probe_directions(
-    domain: ConvexDomainSpec,
-    q: ConeVector,
-    points: Sequence[ConeVector],
-    rng: np.random.Generator,
-) -> list[ConeVector]:
-    space = domain.space
-    n = space.size
-    cands: list[ConeVector] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cands.append(space.cone(e))
-        cands.append(space.cone(-e))
-    for p in points[: 4 * n]:
-        d = p - q
-        if float(np.max(np.abs(d.values))) > 1e-12:
-            cands.append(d)
-    for basis_vec in lineality_space(domain, q):
-        cands.append(basis_vec)
-        cands.append(-basis_vec)
-    for p in domain.sample(rng, _PROBE_DIRECTIONS):
-        d = p - q
-        if float(np.max(np.abs(d.values))) > 1e-12:
-            cands.append(d)
-    return [d for d in cands if direction_cone_membership(domain, q, d)]
+def _structured_points(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
+    """Perturbations of q along coordinate-type directions (each, then each step), inside K."""
+    n, w, eye = v.size, domain.space.weights, np.eye(v.size)
+    i, j = np.triu_indices(n, 1)  # mass-preserving moves e_i / w_i - e_j / w_j, i < j
+    dirs = _signed(np.vstack([eye, eye[i] / w[i, None] - eye[j] / w[j, None]]))
+    points = (v + np.array([1e-3, 1e-2, 0.1, 0.5])[:, None] * dirs[:, None]).reshape(-1, n)
+    return points[domain.contains_rows(points)]
 
 
-def _violation_witness(entropy, domain, q, candidate, direction):
-    """Walk down the ray q + lam*d looking for a concrete inequality breach."""
-    base = entropy.value(q)
-    rate = pair(direction, candidate)
-    scale = (1.0 + float(np.max(np.abs(q.values)))) / (1.0 + float(np.max(np.abs(direction.values))))
-    best_p, best_gap = None, np.inf
-    lam = scale
-    for _ in range(40):
-        p = q + lam * direction
-        if domain.contains(p):
-            try:
-                gap = entropy.value(p) - base - lam * rate
-            except DomainError:
-                gap = np.inf
-            if gap < best_gap:
-                best_p, best_gap = p, gap
-        lam *= 0.5
-    return best_p, best_gap
+def _feasible_probe_directions(domain: ConvexDomainSpec, v: np.ndarray, points: np.ndarray,
+                               rng: np.random.Generator) -> np.ndarray:
+    """Coordinate, point, lineality and sampled directions at q that stay in K, as rows."""
+    def moving(rows: np.ndarray) -> np.ndarray:
+        offsets = rows - v
+        return offsets[np.abs(offsets).max(axis=1) > 1e-12]
+
+    directions = np.vstack([_signed(np.eye(v.size)), moving(points[: 4 * v.size]),
+                            _signed(_lineality_rows(domain, v)),
+                            moving(domain.draw(rng, _PROBE_DIRECTIONS))])
+    return directions[_feasible_rows(domain, v, directions)]
 
 
+def _rows_or_fill(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, fill: float) -> np.ndarray:
+    """``fn(rows)``; if that raises :class:`DomainError`, ``fn`` of each row alone,
+    and ``fill`` where that raises."""
+    try:
+        return fn(rows)
+    except DomainError:
+        out = np.full(len(rows), fill)
+        for i in range(len(rows)):
+            with suppress(DomainError):
+                out[i] = fn(rows[i:i + 1])[0]
+        return out
+
+
+def _first_min(gaps: np.ndarray) -> tuple[int, float]:
+    """Index and value of the first strict minimum, NaN counting as ``+inf``."""
+    gaps = np.where(np.isnan(gaps), np.inf, gaps)
+    return int(np.argmin(gaps)), float(gaps.min())
+
+
+def _ray_witness(entropy, domain: ConvexDomainSpec, q: ConeVector, base_value: float,
+                 direction: np.ndarray, rate: float) -> tuple[ConeVector, float]:
+    """The most violating point on the ray ``q + lam * d``, ``lam = scale * 2**-k`` for k < 40,
+    and its gap; ``(q + d, nan)`` if no point of K on the ray has a value."""
+    v = q.values
+    scale = (1.0 + float(np.max(np.abs(v)))) / (1.0 + float(np.max(np.abs(direction))))
+    lam = np.ldexp(scale, -np.arange(40))
+    ray = v + lam[:, None] * direction
+    inside = domain.contains_rows(ray)
+    gaps = np.full(lam.size, np.inf)
+    values = _rows_or_fill(entropy.value_rows, ray[inside], np.inf)
+    gaps[inside] = values - base_value - lam[inside] * rate
+    index, gap = _first_min(gaps)
+    if gap == np.inf:
+        return domain.space.cone(v + direction), float("nan")
+    return domain.space.cone(ray[index]), gap
+
+
+@quiet_floats
 def subdifferential_probe(
     entropy,
     domain: ConvexDomainSpec,
@@ -437,80 +429,52 @@ def subdifferential_probe(
     derivative on the sampled lineality directions - the sampled version of
     the equality condition under which the subgradient is unique.  The claim
     certifies sampled directions only.
+
+    A point whose value or pairing raises :class:`DomainError` is skipped; a
+    direction whose derivative raises counts as ``+inf``: never a breach, and
+    no uniqueness claim.  Each witness is the first strict minimum.
     """
-    from .entropies import directional_derivative_fd
+    from .entropies import directional_derivative_fd_rows
 
     if not domain.contains(q):
         raise DomainError("probe base point is not in the domain")
+    v, w = q.values, domain.space.weights
+    base_value = float(entropy.value_rows(v[None])[0])
     rng = np.random.default_rng(seed)
-    points = _structured_points(domain, q) + domain.sample(rng, _PROBE_POINTS)
-    directions = _feasible_probe_directions(domain, q, points, rng)
-
-    base_value = entropy.value(q)
-    fd_cache: dict[int, float] = {}
-
-    def right_derivative(idx: int) -> float:
-        if idx not in fd_cache:
-            try:
-                fd_cache[idx] = directional_derivative_fd(entropy, q, directions[idx])
-            except DomainError:
-                fd_cache[idx] = np.inf  # direction unusable: never flags a violation
-        return fd_cache[idx]
+    points = np.vstack([_structured_points(domain, v), domain.draw(rng, _PROBE_POINTS)])
+    directions = _feasible_probe_directions(domain, v, points, rng)
+    values = _rows_or_fill(entropy.value_rows, points, np.inf)
+    slopes = partial(_rows_or_fill, partial(directional_derivative_fd_rows, entropy, q), fill=np.inf)
+    right_slopes = slopes(directions)
 
     verified: list[DualVector] = []
     rejected: list[RejectedCandidate] = []
     for cand in candidates:
-        worst_p, worst_gap = None, np.inf
-        for p in points:
-            try:
-                gap = entropy.value(p) - base_value - pair(p - q, cand)
-            except DomainError:
-                continue
-            if gap < worst_gap:
-                worst_p, worst_gap = p, gap
-        scale = 1.0 + abs(base_value)
-        if worst_gap < -_INEQ_TOL * scale:
-            rejected.append(RejectedCandidate(cand, worst_p, float(worst_gap)))
+        pairings = _rows_or_fill(partial(pair_rows, f_rows=cand.values, weights=w), points - v, np.nan)
+        index, gap = _first_min(values - base_value - pairings)
+        if gap < -_INEQ_TOL * (1.0 + abs(base_value)):
+            rejected.append(RejectedCandidate(cand, domain.space.cone(points[index]), gap))
             continue
-        breach = None
-        for di, d in enumerate(directions):
-            fd = right_derivative(di)
-            if pair(d, cand) > fd + _DERIV_TOL:
-                breach = d
-                break
-        if breach is not None:
-            witness, gap = _violation_witness(entropy, domain, q, cand, breach)
-            if witness is None:
-                witness, gap = q + breach, float("nan")
-            rejected.append(RejectedCandidate(cand, witness, float(gap)))
+        rates = pair_rows(directions, cand.values, w)
+        breach = np.flatnonzero(rates > right_slopes + _DERIV_TOL)
+        if breach.size:
+            witness, gap = _ray_witness(entropy, domain, q, base_value, directions[breach[0]],
+                                        float(rates[breach[0]]))
+            rejected.append(RejectedCandidate(cand, witness, gap))
         else:
             verified.append(cand)
 
-    unique = False
-    if verified and is_quasi_interior(domain, q):
-        basis = lineality_space(domain, q)
-        two_sided = []
-        for v in basis:
-            two_sided.extend([v, -v])
-        if len(basis) > 1:
-            for _ in range(8):
-                coeff = rng.normal(size=len(basis))
-                coeff /= np.linalg.norm(coeff)
-                combo = domain.space.cone(
-                    np.sum([c * v.values for c, v in zip(coeff, basis)], axis=0)
-                )
-                two_sided.extend([combo, -combo])
-        unique = True
-        for cand in verified:
-            for d in two_sided:
-                try:
-                    fd = directional_derivative_fd(entropy, q, d)
-                except DomainError:
-                    unique = False
-                    break
-                if not math.isfinite(fd) or abs(pair(d, cand) - fd) > _DERIV_TOL:
-                    unique = False
-                    break
-            if not unique:
-                break
+    unique = bool(verified) and is_quasi_interior(domain, q)
+    if unique:
+        basis = _lineality_rows(domain, v)
+        two_sided = [basis]
+        for _ in range(8 if len(basis) > 1 else 0):
+            coeff = rng.normal(size=len(basis))
+            coeff /= np.linalg.norm(coeff)
+            two_sided.append(np.sum(coeff[:, None] * basis, axis=0)[None])
+        two_sided = _signed(np.vstack(two_sided))
+        both_slopes = slopes(two_sided)
+        unique = bool(np.isfinite(both_slopes).all()) and not any(
+            (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
+            for f in verified)
     return SubgradientProbeResult(verified, rejected, unique)

@@ -31,7 +31,6 @@ __all__ = [
     "require_density_rows",
     "normalize_rows",
     "row_list",
-    "total_mass",
     "normalize",
 ]
 
@@ -243,11 +242,6 @@ def require_density_rows(q_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
                                 else f"density mass {float(mass[i])!r} is not 1 within {DENSITY_MASS_TOL}")
             for i in np.flatnonzero(bad).tolist()))
     return q_rows
-
-
-def total_mass(q: ConeVector) -> float:
-    """Total mass ``sum_i q_i mu_i`` (the normalising constant of ``q``)."""
-    return math.fsum((q.values * q.space.weights).tolist())
 
 
 @quiet_floats

@@ -19,14 +19,20 @@ from entroscore import (
     DivergenceReport,
     DomainError,
     MeasureSpace,
+    SubgradientProbeResult,
     affine_score_at,
     catalog_entropy,
     composite_entropy,
+    direction_cone_membership,
+    directional_derivative_fd,
+    is_quasi_interior,
+    lineality_space,
     make_psr,
     pair,
     parse_rule_spec,
     sample_cone_point,
 )
+from entroscore.geometry import RejectedCandidate
 
 # The six named rules the verification suites exercise.
 CATALOG_SPECS = (
@@ -307,3 +313,151 @@ def ref_linearity_check(entropy, seed: int = 0, samples: int = 100) -> bool:
             if abs(entropy.value(lam * q) - lam * value) > 1e-10 * (1.0 + abs(lam * value)):
                 return False
     return True
+
+
+# -- subgradient-probe reference ------------------------------------------------
+#
+# ``subdifferential_probe`` before it ran on rows: points drawn one at a time,
+# one ``ConeVector`` per perturbation and direction, one-row ``contains``,
+# ``value``, ``pair`` and finite-difference calls, and a lazily filled cache of
+# one derivative per direction.
+
+def _ref_structured_points(domain, q):
+    space = domain.space
+    n = space.size
+    dirs = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        dirs.extend([e, -e])
+    w = space.weights
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = np.zeros(n)
+            d[i], d[j] = 1.0 / w[i], -1.0 / w[j]
+            dirs.extend([d, -d])
+    points = []
+    for d in dirs:
+        for eps in (1e-3, 1e-2, 0.1, 0.5):
+            p = space.cone(q.values + eps * d)
+            if domain.contains(p):
+                points.append(p)
+    return points
+
+
+def _ref_sample(domain, rng, count):
+    return [domain.sample(rng, 1)[0] for _ in range(count)]
+
+
+def _ref_feasible_probe_directions(domain, q, points, rng):
+    space = domain.space
+    n = space.size
+    cands = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        cands.append(space.cone(e))
+        cands.append(space.cone(-e))
+    for p in points[: 4 * n]:
+        d = p - q
+        if float(np.max(np.abs(d.values))) > 1e-12:
+            cands.append(d)
+    for basis_vec in lineality_space(domain, q):
+        cands.append(basis_vec)
+        cands.append(-basis_vec)
+    for p in _ref_sample(domain, rng, 32):
+        d = p - q
+        if float(np.max(np.abs(d.values))) > 1e-12:
+            cands.append(d)
+    return [d for d in cands if direction_cone_membership(domain, q, d)]
+
+
+def _ref_violation_witness(entropy, domain, q, candidate, direction):
+    base = entropy.value(q)
+    rate = pair(direction, candidate)
+    scale = (1.0 + float(np.max(np.abs(q.values)))) / (1.0 + float(np.max(np.abs(direction.values))))
+    best_p, best_gap = None, np.inf
+    lam = scale
+    for _ in range(40):
+        p = q + lam * direction
+        if domain.contains(p):
+            try:
+                gap = entropy.value(p) - base - lam * rate
+            except DomainError:
+                gap = np.inf
+            if gap < best_gap:
+                best_p, best_gap = p, gap
+        lam *= 0.5
+    return best_p, best_gap
+
+
+def ref_subdifferential_probe(entropy, domain, q, candidates, *, seed=0) -> SubgradientProbeResult:
+    if not domain.contains(q):
+        raise DomainError("probe base point is not in the domain")
+    rng = np.random.default_rng(seed)
+    points = _ref_structured_points(domain, q) + _ref_sample(domain, rng, 200)
+    directions = _ref_feasible_probe_directions(domain, q, points, rng)
+
+    base_value = entropy.value(q)
+    fd_cache = {}
+
+    def right_derivative(idx):
+        if idx not in fd_cache:
+            try:
+                fd_cache[idx] = directional_derivative_fd(entropy, q, directions[idx])
+            except DomainError:
+                fd_cache[idx] = np.inf
+        return fd_cache[idx]
+
+    verified, rejected = [], []
+    for cand in candidates:
+        worst_p, worst_gap = None, np.inf
+        for p in points:
+            try:
+                gap = entropy.value(p) - base_value - pair(p - q, cand)
+            except DomainError:
+                continue
+            if gap < worst_gap:
+                worst_p, worst_gap = p, gap
+        if worst_gap < -1e-9 * (1.0 + abs(base_value)):
+            rejected.append(RejectedCandidate(cand, worst_p, float(worst_gap)))
+            continue
+        breach = None
+        for di, d in enumerate(directions):
+            if pair(d, cand) > right_derivative(di) + 1e-6:
+                breach = d
+                break
+        if breach is not None:
+            witness, gap = _ref_violation_witness(entropy, domain, q, cand, breach)
+            if witness is None:
+                witness, gap = q + breach, float("nan")
+            rejected.append(RejectedCandidate(cand, witness, float(gap)))
+        else:
+            verified.append(cand)
+
+    unique = False
+    if verified and is_quasi_interior(domain, q):
+        basis = lineality_space(domain, q)
+        two_sided = []
+        for v in basis:
+            two_sided.extend([v, -v])
+        if len(basis) > 1:
+            for _ in range(8):
+                coeff = rng.normal(size=len(basis))
+                coeff /= np.linalg.norm(coeff)
+                combo = domain.space.cone(np.sum([c * v.values for c, v in zip(coeff, basis)], axis=0))
+                two_sided.extend([combo, -combo])
+        unique = True
+        for cand in verified:
+            for d in two_sided:
+                try:
+                    fd = directional_derivative_fd(entropy, q, d)
+                except DomainError:
+                    unique = False
+                    break
+                if not math.isfinite(fd) or abs(pair(d, cand) - fd) > 1e-6:
+                    unique = False
+                    break
+            if not unique:
+                break
+    return SubgradientProbeResult(verified, rejected, unique)

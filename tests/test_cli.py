@@ -384,6 +384,10 @@ _PROBE_CONFIG = (
     "[verify]\nseed = 1\nsamples = 5\nweights = 1,1\nsuites = propriety\n\n"
     "[rule quadratic]\n\n[probe p]\nentropy = quadratic\n"
 )
+_PROBE_CONFIG_3 = (
+    "[verify]\nseed = 1\nsamples = 5\nweights = 1,1,1\nsuites = propriety\n\n"
+    "[rule quadratic]\n\n[probe p]\n"
+)
 
 
 @pytest.mark.parametrize("command, text, code", [
@@ -392,6 +396,12 @@ _PROBE_CONFIG = (
     ("verify", _PROBE_CONFIG + "point = 1,0\ncandidates = 2,0 ; 2,0,0\n", 2),
     ("verify", _PROBE_CONFIG + "point = nan,0\ncandidates = 2,0\n", 2),
     ("verify", _PROBE_CONFIG + "point = -1,0\ncandidates = 2,0\n", 2),
+    # inside the probe's domain, outside the entropy's: the orthant's 1e-9 slack
+    # admits -1e-10, power does not
+    ("verify", _PROBE_CONFIG_3 + "entropy = shannon\ndomain = whole_space\npoint = -1,1,1\n"
+     "candidates = 0,1,1\n", 2),
+    ("verify", _PROBE_CONFIG_3 + "entropy = power\ngamma = 1.5\ndomain = orthant\n"
+     "point = -1e-10,1,1\ncandidates = 0,1.5,1.5\n", 2),
     ("verify", "[verify]\nweights = 1,1%\n\n[rule quadratic]\n", 2),
     ("verify", "[verify]\npropriety_tol = nan\n\n[rule quadratic]\n", 2),
     ("verify", "[verify]\neuler_tol = -1\n\n[rule quadratic]\n", 2),
@@ -402,7 +412,8 @@ _PROBE_CONFIG = (
     ("verify", "[verify]\n\n[rule quadratic]\nseed = -1\n", 2),
     ("grid-score", "1.0\ninf\n2.0\n3.0\n", 3),
 ], ids=["probe-gamma-abc", "probe-point-length", "probe-candidate-length", "probe-point-nan",
-        "probe-point-outside-domain", "config-percent", "config-tol-nan", "config-tol-negative",
+        "probe-point-outside-domain", "probe-point-outside-shannon-domain",
+        "probe-point-outside-power-domain", "config-percent", "config-tol-nan", "config-tol-negative",
         "rule-tol-nan", "rule-tol-inf", "rule-tol-negative", "config-seed-negative",
         "rule-seed-negative", "grid-inf"])
 def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, text, code):

@@ -12,6 +12,7 @@ from entroscore import (
     ConvexDomainSpec,
     DomainError,
     MeasureSpace,
+    StructureError,
     canonical_extension_value,
     catalog_entropy,
     composite_entropy,
@@ -332,6 +333,11 @@ class TestDirectionalDerivative:
         E = catalog_entropy("shannon", sp)
         with pytest.raises(DomainError):
             directional_derivative_fd(E, sp.cone([1.0, 0.0]), sp.cone([0.0, -1.0]))
+
+    def test_direction_on_another_space_rejected(self):
+        E = catalog_entropy("quadratic", unit_space(2))
+        with pytest.raises(StructureError):
+            directional_derivative_fd(E, unit_space(2).cone([1.0, 1.0]), MeasureSpace([1.0, 2.0]).cone([1.0, 0.0]))
 
     @pytest.mark.parametrize("spec", ["quadratic", "power(1.5)", "power(3)", "spherical", "pseudospherical(3)"])
     def test_two_sided_match_with_subgradient(self, spec):

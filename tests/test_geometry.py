@@ -1,5 +1,6 @@
 """Direction cones, lineality spaces, quasi-interior, and subgradient probes."""
 
+import json
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from entroscore import (
     ConstructionError,
     ConvexDomainSpec,
     DomainError,
+    Entropy,
     MeasureSpace,
     annihilator_basis,
     catalog_entropy,
@@ -22,8 +24,9 @@ from entroscore import (
     sample_density,
     subdifferential_probe,
 )
+from entroscore.geometry import _feasible_rows
 
-from conftest import unit_space
+from conftest import CATALOG_SPECS, entropy_from_spec, ref_subdifferential_probe, unit_space
 
 
 def random_orthant_point(space, rng, allow_boundary=True):
@@ -134,6 +137,12 @@ class TestDirectionCone:
         K, q, d = case
         assert K.contains(q)
         assert direction_cone_membership(K, q, d) == K.contains(q + 1e-6 * d)
+        # row i of the row tests is the one-point answer for row i
+        rows = np.vstack([q.values + t * d.values for t in (0.0, 1e-6, -1e-6, 1.0, -1.0)])
+        assert K.contains_rows(rows).tolist() == [K.contains(K.space.cone(r)) for r in rows]
+        directions = np.vstack([d.values, -d.values, 2.0 * d.values, q.values, np.zeros(q.values.size)])
+        assert (_feasible_rows(K, q.values, directions).tolist()
+                == [direction_cone_membership(K, q, K.space.cone(r)) for r in directions])
 
     @pytest.mark.parametrize("make", [ConvexDomainSpec.nonnegative_orthant, ConvexDomainSpec.simplex])
     def test_large_n_queries_build_no_dense_block(self, make):
@@ -336,6 +345,10 @@ class TestAnnihilator:
                 assert abs(pair(v, f)) <= 1e-10
 
 
+_PROBE_DOMAINS = {"simplex": ConvexDomainSpec.simplex, "orthant": ConvexDomainSpec.nonnegative_orthant,
+                  "whole_space": ConvexDomainSpec.whole_space}
+
+
 class TestSubdifferentialProbe:
     def test_orthant_corner_facet(self):
         # at q = (1, 0) the quadratic subdifferential relative to the orthant
@@ -431,6 +444,47 @@ class TestSubdifferentialProbe:
         payload = result.as_dict()
         assert payload["rejected"][0]["candidate"] == [2.0, 1.0]
         assert isinstance(payload["unique_claim"], bool)
+
+    def test_witness_is_the_first_of_tied_minima(self):
+        # gap(p) = -pair(p - q, (1, 1)) for the zero entropy: the steps +0.5 e_1 and
+        # +0.5 e_2 tie at -0.5, and every box sample (p < q) has a positive gap
+        sp = unit_space(2)
+        K = ConvexDomainSpec.nonnegative_orthant(sp)
+        zero = Entropy("zero", K, lambda q: np.zeros(len(q)), lambda q: np.zeros_like(q))
+        result = subdifferential_probe(zero, K, sp.cone([10.0, 10.0]), [sp.dual([1.0, 1.0])])
+        assert result.as_dict()["rejected"] == [{"candidate": [1.0, 1.0], "witness": [10.5, 10.0], "gap": -0.5}]
+
+    @pytest.mark.parametrize("family", ["simplex", "orthant", "whole_space", "cone_hull"])
+    def test_matches_the_per_point_probe(self, family):
+        # Whole-space samples have negative atoms, where power and shannon raise:
+        # those rows take the per-row fallback.  The candidate 1e-5 off the
+        # gradient along an atom passes every sampled point but breaches the
+        # derivative bound, so its witness comes from the ray walk.
+        sp = MeasureSpace([0.5, 1.0, 2.0])
+        rng = np.random.default_rng(len(family))
+        for index, spec in enumerate(CATALOG_SPECS):
+            for boundary in (False, True):
+                if family == "cone_hull":
+                    generators = np.abs(rng.normal(size=(3, 3))) + 0.1
+                    K = ConvexDomainSpec.cone_hull(sp, generators)
+                    q = rng.uniform(0.2, 1.0, size=3) * [1.0, 0.0 if boundary else 1.0, 1.0] @ generators
+                else:
+                    K = _PROBE_DOMAINS[family](sp)
+                    q = rng.uniform(0.2, 2.0, size=3) * [1.0, 1.0, 0.0 if boundary else 1.0]
+                    if family == "simplex":
+                        q = q / (q @ sp.weights)
+                E = entropy_from_spec(spec, sp)
+                try:
+                    grad = E.subgradient(sp.cone(q)).values
+                except DomainError:  # shannon at a zero atom
+                    grad = np.log(np.maximum(q, 1e-3)) + 1.0
+                step = np.array([1.0 / sp.weights[0], 0.0, 0.0])
+                candidates = [sp.dual(f) for f in (grad, grad + 1e-5 * step,
+                                                  grad + 0.3 * rng.normal(size=3), grad - 0.5 * step)]
+                seed = 2 * index + boundary
+                got = subdifferential_probe(E, K, sp.cone(q), candidates, seed=seed)
+                want = ref_subdifferential_probe(E, K, sp.cone(q), candidates, seed=seed)
+                assert json.dumps(got.as_dict()) == json.dumps(want.as_dict()), (spec, boundary)
 
 
 class TestHalfspaceGeometry:

@@ -29,6 +29,7 @@ from entroscore import (
     bregman_divergence_rows,
     catalog_entropy,
     composite_entropy,
+    entropies,
     linear_score,
     linearity_check,
     make_psr,
@@ -37,8 +38,10 @@ from entroscore import (
     pair_rows,
     rebase_entropy,
     sampling,
+    subdifferential_probe,
     symmetry_defect,
 )
+from entroscore.entropies import FD_STEP, directional_derivative_fd, directional_derivative_fd_rows
 
 from conftest import (CATALOG_SPECS, entropy_from_spec, ref_call, ref_catalog, ref_composite,
                       ref_divergence, ref_linearity_check, ref_pair, ref_rebased, ref_score,
@@ -161,6 +164,10 @@ def problems(draw):
 # under weights (1e-300, 1) the density row (1e300, 0) overflows most rules
 @example((MeasureSpace([1e-8, 1e-8]), np.array([[5e7, 5e7], [1e8, 0.0]]), 50.0, 1))
 @example((MeasureSpace([1e-300, 1.0]), np.array([[0.0, 1.0], [1e300, 0.0]]), 3.0, 2))
+# one atom: the reversed rows are a strided column, where numpy's pow rounds
+# differently from its contiguous loop
+@example((MeasureSpace([float.fromhex("0x1.94c583ada5b53p+1")]),
+          np.full((2, 1), float.fromhex("0x1.43d136248490fp-2")), float.fromhex("0x1.0000000000001p+0"), 0))
 def test_rows_match_one_row_calls_and_the_scalar_reference(problem):
     check_rows(*problem)
 
@@ -227,11 +234,38 @@ def test_sampled_suites_make_no_one_row_calls(monkeypatch):
         raise AssertionError("one-row call from a sampled suite")
 
     for module, name in ((bregman, "pair"), (measure, "pair"), (bregman, "bregman_divergence"),
+                         (entropies, "directional_derivative_fd"), (sampling, "sample_density"),
                          (sampling, "sample_positive_box"), (sampling, "sample_cone_point")):
         monkeypatch.setattr(module, name, refuse)
     space = MeasureSpace([0.5, 1.0, 2.0])
+    # an interior and a boundary point; whole-space samples take the per-row fallback
+    points = [space.cone([0.5, 1.0, 1.5]), space.cone([0.5, 1.0, 0.0])]
+    domains = [ConvexDomainSpec.nonnegative_orthant(space), ConvexDomainSpec.whole_space(space)]
+    step = np.array([1.0, 0.0, 0.0])
+    unique_claims = 0
     for entropy in suite_subjects(space):
+        grad = entropy.grad_rows(points[0].values[None])[0]
+        # verified, breaching the derivative bound only (the ray walk), breaching at points
+        candidates = [space.dual(f) for f in (grad, grad + 1e-5 * step, grad + 0.5)]
         object.__setattr__(entropy, "value", refuse)
         object.__setattr__(entropy, "subgradient", refuse)
         symmetry_defect(entropy, seed=1, samples=20)
         linearity_check(entropy, seed=1, samples=20)
+        for domain in domains:
+            for q in points:
+                unique_claims += subdifferential_probe(entropy, domain, q, candidates, seed=1).unique_claim
+    assert unique_claims > 0
+
+
+@pytest.mark.parametrize("weights", SUITE_SPACES.values(), ids=SUITE_SPACES.keys())
+def test_fd_rows_match_their_one_row_calls(weights):
+    # q has zero atoms, so shannon's slopes toward them diverge to -inf
+    space = MeasureSpace(weights)
+    rng = np.random.default_rng(space.size)
+    q = space.cone(rng.uniform(0.05, 2.0, size=space.size) * (np.arange(space.size) % 3 > 0))
+    for entropy in suite_subjects(space):
+        directions = np.vstack([np.eye(space.size), rng.normal(size=(20, space.size))])
+        directions = directions[entropy.domain.contains_rows(q.values + FD_STEP * directions)]
+        rows = directional_derivative_fd_rows(entropy, q, directions)
+        ones = [directional_derivative_fd(entropy, q, space.cone(d)) for d in directions]
+        assert rows.tobytes() == np.array(ones).tobytes(), entropy.name

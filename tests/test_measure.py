@@ -1,4 +1,4 @@
-"""Pairing, total mass, and normalization on finite measure spaces."""
+"""Pairing and normalization on finite measure spaces."""
 
 import math
 import warnings
@@ -14,7 +14,6 @@ from entroscore import (
     StructureError,
     normalize,
     pair,
-    total_mass,
 )
 
 from conftest import unit_space
@@ -124,23 +123,6 @@ class TestPair:
         lhs = pair(2.0 * p + 3.0 * r, f)
         rhs = 2.0 * pair(p, f) + 3.0 * pair(r, f)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
-
-
-class TestTotalMass:
-    def test_plain_sum(self):
-        sp = unit_space(2)
-        assert total_mass(sp.cone([2.0, 2.0])) == 4.0
-        assert total_mass(sp.cone([0.5, 0.5])) == 1.0
-
-    def test_signed_vector_can_have_zero_mass(self):
-        assert total_mass(unit_space(2).cone([1.0, -1.0])) == 0.0
-
-    def test_matches_pairing_with_ones(self):
-        rng = np.random.default_rng(3)
-        sp = MeasureSpace(rng.uniform(0.5, 2.0, size=5))
-        for _ in range(50):
-            q = sp.cone(rng.normal(size=5))
-            assert total_mass(q) == pair(q, sp.dual(np.ones(5)))
 
 
 class TestNormalize:
