@@ -9,96 +9,18 @@ quasi-interior of a convex domain.  A periodic-grid Hyvarinen rule covers
 the unnormalised-model use case.
 """
 
-from .errors import ConstructionError, DomainError, EntroscoreError, StructureError
-from .measure import (
-    DENSITY_MASS_TOL,
-    ConeVector,
-    Density,
-    DualVector,
-    MeasureSpace,
-    normalize,
-    pair,
-    pair_rows,
-)
-from .geometry import (
-    ConvexDomainSpec,
-    SubgradientProbeResult,
-    annihilator_basis,
-    direction_cone_membership,
-    is_quasi_interior,
-    lineality_space,
-    subdifferential_probe,
-)
-from .entropies import (
-    CATALOG_NAMES,
-    CompositeEntropySpec,
-    Entropy,
-    canonical_extension_value,
-    catalog_entropy,
-    composite_entropy,
-    directional_derivative_fd,
-    extended_subgradient,
-    parse_rule_spec,
-)
-from .scoring import (
-    EulerReport,
-    ProprietyReport,
-    ScoringRule,
-    expected_score,
-    linear_score,
-    make_psr,
-    score_divergence,
-    score_divergence_rows,
-    verify_euler,
-    verify_propriety,
-    zero_homog_extend,
-)
-from .bregman import (
-    ASYMMETRIC_WITH_WITNESS,
-    INCONCLUSIVE,
-    SYMMETRIC_GENERALIZED_QUADRATIC,
-    AffineScore,
-    DivergenceReport,
-    affine_score_at,
-    bregman_divergence,
-    bregman_divergence_rows,
-    linearity_check,
-    quadratic_discrimination_bound,
-    rebase_entropy,
-    symmetry_defect,
-)
-from .grid import (
-    GridDensity,
-    PeriodicGrid,
-    fisher_entropy,
-    grid_diff,
-    hyvarinen_divergence,
-    hyvarinen_score,
-    log_slope,
-)
-from .sampling import sample_cone_point, sample_density, sample_positive_box
+from .errors import *
+from .measure import *
+from .geometry import *
+from .entropies import *
+from .scoring import *
+from .bregman import *
+from .grid import *
+from .sampling import *
+from . import bregman, entropies, errors, geometry, grid, measure, sampling, scoring
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EntroscoreError", "StructureError", "DomainError", "ConstructionError",
-    "MeasureSpace", "ConeVector", "Density", "DualVector",
-    "pair", "pair_rows", "normalize", "DENSITY_MASS_TOL",
-    "ConvexDomainSpec", "SubgradientProbeResult",
-    "direction_cone_membership", "lineality_space", "is_quasi_interior",
-    "annihilator_basis", "subdifferential_probe",
-    "Entropy", "CompositeEntropySpec", "CATALOG_NAMES",
-    "catalog_entropy", "parse_rule_spec", "canonical_extension_value", "extended_subgradient",
-    "directional_derivative_fd", "composite_entropy",
-    "ScoringRule", "ProprietyReport", "EulerReport",
-    "make_psr", "linear_score", "zero_homog_extend",
-    "expected_score", "score_divergence", "score_divergence_rows", "verify_propriety", "verify_euler",
-    "AffineScore", "DivergenceReport",
-    "SYMMETRIC_GENERALIZED_QUADRATIC", "ASYMMETRIC_WITH_WITNESS", "INCONCLUSIVE",
-    "bregman_divergence", "bregman_divergence_rows", "affine_score_at", "linearity_check",
-    "rebase_entropy", "symmetry_defect", "quadratic_discrimination_bound",
-    "PeriodicGrid", "GridDensity",
-    "grid_diff", "log_slope", "hyvarinen_score", "fisher_entropy", "hyvarinen_divergence",
-    "sample_density", "sample_cone_point", "sample_positive_box",
-    "__version__",
-]
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = [name for module in (errors, measure, geometry, entropies, scoring, bregman, grid, sampling)
+           for name in module.__all__] + ["__version__"]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import ConeVector, DualVector, pair, pair_rows, quiet_floats
+from .measure import ConeVector, DualVector, fsum_rows, pair, pair_rows, quiet_floats, report_dict
 from .entropies import Entropy
 from .sampling import _BOX_HIGH, _BOX_LOW, box_rows, cone_rows
 
@@ -159,17 +159,11 @@ class DivergenceReport:
     fit_residual: float
     classification: str
 
-    def as_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "pair_count": self.pair_count,
-            "max_symmetry_defect": self.max_symmetry_defect,
-            "witness_p": self.witness_p.values.tolist(),
-            "witness_q": self.witness_q.values.tolist(),
-            "fit_residual": self.fit_residual,
-            "classification": self.classification,
-            "pass": self.classification != INCONCLUSIVE,
-        }
+    @property
+    def passed(self) -> bool:
+        return self.classification != INCONCLUSIVE
+
+    as_dict = report_dict
 
 
 def _quadratic_affine_fit_residual(entropy: Entropy, points: np.ndarray) -> float:
@@ -222,22 +216,28 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     )
 
 
+@quiet_floats
 def quadratic_discrimination_bound(p: ConeVector, q: ConeVector, nu) -> tuple[float, float]:
     """The two symmetric divergences and their Cauchy-Schwarz ordering.
 
     Returns ``(D1, (sum nu) * D2)`` where ``D1 = (sum (p-q) nu)^2`` and
     ``D2 = sum (p-q)^2 nu``; the first never exceeds the second, which is
     why the pointwise quadratic divergence discriminates more finely.
+    :class:`DomainError` when either leaves the float range.
     """
     if p.space != q.space:
         raise DomainError("discrimination bound needs points on a shared space")
     weights = np.asarray(nu, dtype=float)
-    if weights.shape != (p.space.size,) or np.any(weights <= 0.0):
-        raise DomainError("nu must be a positive vector matching the space")
+    if weights.shape != (p.space.size,) or not np.isfinite(weights).all() or np.any(weights <= 0.0):
+        raise DomainError("nu must be a finite positive vector matching the space")
     diff = p.values - q.values
-    d1 = math.fsum((diff * weights).tolist()) ** 2
-    d2 = math.fsum((diff * diff * weights).tolist())
-    bound = math.fsum(weights.tolist()) * d2
+    try:
+        mean_term, d2, mass = fsum_rows(np.stack([diff * weights, diff * diff * weights, weights]))
+    except DomainError:  # a sum past the float range
+        mean_term = d2 = mass = np.inf
+    d1, bound = mean_term ** 2, mass * d2
+    if not (np.isfinite(d1) and np.isfinite(bound)):
+        raise DomainError("the discrimination bound leaves the float range")
     if d1 > bound + 1e-9 * (1.0 + bound):
         raise EntroscoreError("Cauchy-Schwarz ordering violated; inputs are corrupt")
-    return d1, bound
+    return float(d1), float(bound)

@@ -138,6 +138,23 @@ def read_outcomes(path: str, n_outcomes: int) -> list[int]:
     return outcomes
 
 
+def read_values(path: str) -> list[float]:
+    """The numbers in a file with one value per line; blank lines are skipped."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"{path}: {exc.strerror or exc}") from None
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise CliError(EXIT_INPUT, f"{path}:{lineno}: non-numeric value") from None
+    return values
+
+
 @contextmanager
 def _rows_of(path: str):
     """Report the rows a library check rejects in the file at ``path``: exit 3."""
@@ -285,13 +302,7 @@ def _read_knobs(section) -> dict:
 def _read_verify_section(section, settings: dict) -> None:
     settings.update(_read_knobs(section))
     if section.get("weights_file"):
-        path = section["weights_file"]
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = ",".join(line.strip() for line in handle if line.strip())
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"{path}: {exc.strerror}") from None
-        settings["weights"] = _parse_vector(text)
+        settings["weights"] = read_values(section["weights_file"])
     elif "weights" in section:
         settings["weights"] = _parse_vector(section["weights"])
     if section.get("suites"):
@@ -452,19 +463,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_grid_score(args) -> int:
-    try:
-        with open(args.density, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"{args.density}: {exc.strerror or exc}") from None
-    values = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise CliError(EXIT_INPUT, f"{args.density}:{lineno}: non-numeric value") from None
+    values = read_values(args.density)
     if len(values) < 4:
         raise CliError(EXIT_INPUT, f"{args.density}: a periodic grid needs at least 4 values")
     bad = [str(i) for i, v in enumerate(values, start=1) if not 0 < v < math.inf]

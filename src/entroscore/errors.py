@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["EntroscoreError", "StructureError", "DomainError", "ConstructionError"]
+
 
 class EntroscoreError(Exception):
     """Base class for every error raised by this package."""

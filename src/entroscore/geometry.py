@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import ConeVector, DualVector, MeasureSpace, pair_rows, quiet_floats
+from .measure import ConeVector, DualVector, MeasureSpace, pair_rows, quiet_floats, report_dict
 from .sampling import box_rows, density_rows
 
 __all__ = [
@@ -322,9 +322,7 @@ class RejectedCandidate:
     witness: ConeVector
     gap: float
 
-    def as_dict(self) -> dict:
-        return {"candidate": self.candidate.values.tolist(), "witness": self.witness.values.tolist(),
-                "gap": float(self.gap)}
+    as_dict = report_dict
 
 
 @dataclass(frozen=True)
@@ -335,9 +333,7 @@ class SubgradientProbeResult:
     rejected: list[RejectedCandidate]
     unique_claim: bool
 
-    def as_dict(self) -> dict:
-        return {"verified": [f.values.tolist() for f in self.verified],
-                "rejected": [r.as_dict() for r in self.rejected], "unique_claim": self.unique_claim}
+    as_dict = report_dict
 
 
 def _signed(rows: np.ndarray) -> np.ndarray:

@@ -40,14 +40,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform grid of N >= 4 points on [0, 1) with periodic wraparound."""
 
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 4:
+        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 4:
             raise ConstructionError("a periodic grid needs an integer size of at least 4")
         object.__setattr__(self, "n", int(self.n))
 
@@ -64,12 +64,6 @@ class PeriodicGrid:
     @cached_property
     def space(self) -> MeasureSpace:
         return MeasureSpace(np.full(self.n, self.spacing))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PeriodicGrid) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("PeriodicGrid", self.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ computed with exact (compensated) summation so that identities asserted at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "fsum_rows",
     "require_density_rows",
     "normalize_rows",
-    "row_list",
     "normalize",
 ]
 
@@ -49,6 +48,14 @@ def _frozen_array(values, *, name: str) -> np.ndarray:
         raise StructureError(f"{name} must be one-dimensional, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
+
+
+def _space_values(values, space: MeasureSpace) -> np.ndarray:
+    """``values`` as a frozen 1-D array with one entry per atom of ``space``."""
+    v = _frozen_array(values, name="values")
+    if v.size != space.size:
+        raise StructureError(f"vector of length {v.size} does not fit a space of size {space.size}")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +105,7 @@ class ConeVector:
     space: MeasureSpace
 
     def __post_init__(self):
-        v = _frozen_array(self.values, name="values")
-        if v.size != self.space.size:
-            raise StructureError(
-                f"vector of length {v.size} does not fit a space of size {self.space.size}"
-            )
+        v = _space_values(self.values, self.space)
         if not np.isfinite(v).all():
             raise ConstructionError("cone vectors must have finite entries")
         object.__setattr__(self, "values", v)
@@ -149,11 +152,7 @@ class DualVector:
     allow_infinite: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        v = _frozen_array(self.values, name="values")
-        if v.size != self.space.size:
-            raise StructureError(
-                f"vector of length {v.size} does not fit a space of size {self.space.size}"
-            )
+        v = _space_values(self.values, self.space)
         if not np.isfinite(v).all():
             if np.isnan(v).any():
                 raise ConstructionError("dual vectors must not contain NaN")
@@ -170,6 +169,22 @@ class DualVector:
 def _require_same_space(a, b) -> None:
     if a.space != b.space:
         raise StructureError("operands live on different measure spaces")
+
+
+def report_dict(report) -> dict:
+    """A report's dataclass fields by name, ``passed`` as ``pass``, as plain JSON:
+    vectors become lists of floats, lists and nested reports are converted in turn."""
+    def plain(value):
+        if isinstance(value, (ConeVector, DualVector)):
+            return value.values.tolist()
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        return report_dict(value) if is_dataclass(value) else value
+
+    out = {f.name: plain(getattr(report, f.name)) for f in fields(report)}
+    if hasattr(report, "passed"):
+        out["pass"] = out.pop("passed", report.passed)
+    return out
 
 
 def row_list(rows: list[int]) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, normalize, normalize_rows,
-                      pair, pair_rows, quiet_floats, row_list)
+                      pair, pair_rows, quiet_floats, report_dict, row_list)
 from .sampling import cone_rows, density_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,19 +158,7 @@ class ProprietyReport:
     tol: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "samples": self.samples,
-            "min_margin": self.min_margin,
-            "witness_p": self.witness_p.values.tolist(),
-            "witness_q": self.witness_q.values.tolist(),
-            "strict_violations": self.strict_violations,
-            "infinite_favorable": self.infinite_favorable,
-            "infinite_unfavorable": self.infinite_unfavorable,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+    as_dict = report_dict
 
 
 @quiet_floats
@@ -236,15 +224,7 @@ class EulerReport:
     tol: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "samples": self.samples,
-            "max_defect": self.max_defect,
-            "witness": self.witness.values.tolist(),
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+    as_dict = report_dict
 
 
 @quiet_floats

@@ -19,6 +19,7 @@ from entroscore import (
     DivergenceReport,
     DomainError,
     MeasureSpace,
+    RejectedCandidate,
     SubgradientProbeResult,
     affine_score_at,
     catalog_entropy,
@@ -32,7 +33,6 @@ from entroscore import (
     parse_rule_spec,
     sample_cone_point,
 )
-from entroscore.geometry import RejectedCandidate
 
 # The six named rules the verification suites exercise.
 CATALOG_SPECS = (

@@ -256,9 +256,9 @@ class TestSymmetryClassification:
     def test_report_serializes(self):
         report = symmetry_defect(catalog_entropy("quadratic", unit_space(2)), seed=5, samples=50)
         payload = json.loads(json.dumps(report.as_dict()))
-        for key in ("entropy", "pair_count", "max_symmetry_defect", "witness_p",
-                    "witness_q", "classification", "pass"):
-            assert key in payload
+        assert set(payload) == {"entropy", "pair_count", "max_symmetry_defect", "witness_p",
+                                "witness_q", "fit_residual", "classification", "pass"}
+        assert payload["pass"] is report.passed is True  # a symmetric verdict is conclusive
 
 
 class TestDiscriminationBound:
@@ -297,3 +297,11 @@ class TestDiscriminationBound:
         sp = unit_space(2)
         with pytest.raises(DomainError):
             quadratic_discrimination_bound(sp.cone([1.0, 0.0]), sp.cone([0.0, 1.0]), [1.0, -1.0])
+
+    @pytest.mark.parametrize("p, nu", [([1e200, 0.0], [1.0, 1.0]), ([1.0, 0.0], [1.0, math.nan]),
+                                       ([1.0, 0.0], [math.inf, 1.0]), ([1.0, 0.0], [1e308, 1e308])],
+                             ids=["square-overflows", "nu-nan", "nu-inf", "mass-overflows"])
+    def test_out_of_range_is_a_domain_error(self, p, nu):
+        sp = unit_space(2)
+        with pytest.raises(DomainError):
+            quadratic_discrimination_bound(sp.cone(p), sp.cone([0.0, 1.0]), nu)

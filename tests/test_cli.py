@@ -287,6 +287,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(payload)["config"]["weights"] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("text, lineno", [("1.0\n1,x,3\n1.0\n", 2), ("\n1,1,1\n", 2)],
+                             ids=["bad-number", "several-per-line"])
+    def test_bad_weights_file_line_is_named(self, tmp_path, capsys, text, lineno):
+        weights = tmp_path / "w.csv"
+        weights.write_text(text)
+        config = tmp_path / "wf.ini"
+        config.write_text(f"[verify]\nweights_file = {weights}\n\n[rule quadratic]\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        assert capsys.readouterr().err == f"entroscore: {weights}:{lineno}: non-numeric value\n"
+
     def test_per_rule_overrides(self, tmp_path):
         config = tmp_path / "override.ini"
         config.write_text(
@@ -357,11 +367,12 @@ class TestGridScoreCommand:
         assert code == 3
         assert "2" in capsys.readouterr().err
 
-    def test_non_numeric_line_exits_2(self, tmp_path):
+    def test_non_numeric_line_exits_2(self, tmp_path, capsys):
         density = tmp_path / "bad.csv"
         density.write_text("1.0\nx\n2.0\n3.0\n")
         code, _ = run(tmp_path, "grid-score", str(density))
         assert code == 2
+        assert capsys.readouterr().err == f"entroscore: {density}:2: non-numeric value\n"
 
     def test_too_short_grid_exits_2(self, tmp_path):
         density = tmp_path / "short.csv"

@@ -441,7 +441,9 @@ class TestSubdifferentialProbe:
         E = catalog_entropy("quadratic", sp)
         K = ConvexDomainSpec.nonnegative_orthant(sp)
         result = subdifferential_probe(E, K, sp.cone([1.0, 0.0]), [sp.dual([2.0, 1.0])], seed=3)
-        payload = result.as_dict()
+        payload = json.loads(json.dumps(result.as_dict()))
+        assert set(payload) == {"verified", "rejected", "unique_claim"}
+        assert [set(r) for r in payload["rejected"]] == [{"candidate", "witness", "gap"}]
         assert payload["rejected"][0]["candidate"] == [2.0, 1.0]
         assert isinstance(payload["unique_claim"], bool)
 

@@ -32,8 +32,15 @@ def smooth_positive_field(grid, rng, modes=3, amplitude=0.6):
 
 class TestGridBasics:
     def test_grid_needs_at_least_four_points(self):
-        with pytest.raises(ConstructionError):
-            PeriodicGrid(3)
+        for n in (3, math.inf, math.nan):
+            with pytest.raises(ConstructionError):
+                PeriodicGrid(n)
+
+    def test_grids_are_equal_by_size(self):
+        grid = PeriodicGrid(8)
+        assert grid == PeriodicGrid(8.0) and hash(grid) == hash(PeriodicGrid(8))
+        assert grid != PeriodicGrid(16)
+        assert grid.points is grid.points  # cached on the frozen instance
 
     def test_density_must_be_strictly_positive(self):
         grid = PeriodicGrid(4)

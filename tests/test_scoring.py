@@ -254,8 +254,11 @@ class TestVerifyPropriety:
     def test_report_serializes_with_required_fields(self):
         report = verify_propriety(rule_from_spec("quadratic", unit_space(2)), samples=10)
         payload = json.loads(json.dumps(report.as_dict()))
-        for key in ("rule", "samples", "min_margin", "witness_p", "witness_q", "pass"):
-            assert key in payload
+        assert set(payload) == {"rule", "samples", "min_margin", "witness_p", "witness_q",
+                                "strict_violations", "infinite_favorable", "infinite_unfavorable",
+                                "tol", "pass"}
+        assert payload["witness_p"] == report.witness_p.values.tolist()
+        assert payload["pass"] is report.passed
 
 
 class TestVerifyEuler:
@@ -266,6 +269,15 @@ class TestVerifyEuler:
         report = verify_euler(make_psr(E), E, seed=42, samples=1000, tol=1e-10)
         assert report.passed
         assert report.max_defect <= 1e-10
+
+    def test_report_serializes_with_exact_fields(self):
+        sp = unit_space(2)
+        E = entropy_from_spec("quadratic", sp)
+        report = verify_euler(make_psr(E), E, samples=10)
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert set(payload) == {"rule", "samples", "max_defect", "witness", "tol", "pass"}
+        assert payload["witness"] == report.witness.values.tolist()
+        assert payload["pass"] is report.passed
 
     def test_spherical_defect_is_roundoff(self):
         sp = unit_space(3)
