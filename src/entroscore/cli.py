@@ -174,7 +174,7 @@ def _parse_vector(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError:
-        raise CliError(EXIT_INPUT, f"bad number list {text!r}") from None
+        raise ValueError(f"bad number list {text!r}") from None
 
 
 def _parse_vector_list(text: str) -> list[list[float]]:
@@ -190,7 +190,10 @@ def _measure_space(weights: list[float]) -> MeasureSpace:
 
 def _space_and_rules(args, n: int):
     """The space of ``--weights`` (unit weights by default) and the ``--rules`` on it."""
-    weights = _parse_vector(args.weights) if args.weights else [1.0] * n
+    try:
+        weights = _parse_vector(args.weights) if args.weights else [1.0] * n
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from None
     if len(weights) != n:
         raise CliError(EXIT_INPUT, f"expected {n} weights, got {len(weights)}")
     space = _measure_space(weights)
@@ -343,10 +346,10 @@ def load_verify_config(args):
                         "entropy": section.get("entropy", ""),
                         "gamma": section.getfloat("gamma", fallback=None),
                         "domain": section.get("domain", "orthant"),
-                        "point": section.get("point", ""),
-                        "candidates": section.get("candidates", ""),
-                        "expect_verified": section.get("expect_verified", ""),
-                        "expect_rejected": section.get("expect_rejected", ""),
+                        "point": _parse_vector(section.get("point", "")),
+                        "candidates": _parse_vector_list(section.get("candidates", "")),
+                        "expect_verified": _parse_vector_list(section.get("expect_verified", "")),
+                        "expect_rejected": _parse_vector_list(section.get("expect_rejected", "")),
                     })
             except (configparser.Error, ValueError) as exc:
                 raise CliError(EXIT_INPUT, f"{args.config}: [{section_name}]: {exc}") from None
@@ -391,8 +394,8 @@ def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
     try:
         entropy = catalog_entropy(probe["entropy"], space, gamma=probe["gamma"])
         domain = _PROBE_DOMAINS[probe["domain"]](space)
-        point = space.cone(_parse_vector(probe["point"]))
-        candidates = [space.dual(v) for v in _parse_vector_list(probe["candidates"])]
+        point = space.cone(probe["point"])
+        candidates = [space.dual(v) for v in probe["candidates"]]
         if not domain.contains(point):
             raise CliError(EXIT_INPUT, f"{where}: point is outside the {probe['domain']} domain")
         report = subdifferential_probe(entropy, domain, point, candidates, seed=seed).as_dict()
@@ -401,10 +404,10 @@ def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
     passed = True
     if probe["expect_verified"]:
         verified = {tuple(v) for v in report["verified"]}
-        passed &= all(tuple(v) in verified for v in _parse_vector_list(probe["expect_verified"]))
+        passed &= all(tuple(v) in verified for v in probe["expect_verified"])
     if probe["expect_rejected"]:
         rejected = {tuple(r["candidate"]) for r in report["rejected"]}
-        passed &= all(tuple(v) in rejected for v in _parse_vector_list(probe["expect_rejected"]))
+        passed &= all(tuple(v) in rejected for v in probe["expect_rejected"])
     report["pass"] = bool(passed)
     return report
 

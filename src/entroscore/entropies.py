@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, StructureError
 from .geometry import ConvexDomainSpec
-from .measure import ConeVector, DualVector, MeasureSpace, fsum_rows, normalize_rows, quiet_floats
+from .measure import (ConeVector, DualVector, MeasureSpace, exact_row_sums, fsum_rows, normalize_rows,
+                      quiet_floats)
 from .scoring import make_psr, zero_homog_extend
 
 __all__ = [
@@ -196,13 +197,10 @@ def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
     def power_sums(v: np.ndarray) -> np.ndarray:
-        sums = []
-        for row in (np.power(v, gamma) * w).tolist():
-            try:
-                sums.append(math.fsum(row))
-            except OverflowError:  # finite terms whose sum exceeds the largest float
-                sums.append(math.inf)
-        return np.array(sums, dtype=float)
+        sums, overflowed = exact_row_sums(np.power(v, gamma) * w)
+        if overflowed:  # finite terms whose sum exceeds the largest float
+            sums[overflowed] = math.inf
+        return sums
 
     def scaled(q: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
         """``(v, top, sum v^gamma mu)`` by row, with ``q = top * v``.

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entroscore import MeasureSpace, cli, expected_score, score_divergence
+from entroscore import MeasureSpace, cli, expected_score, measure, score_divergence
 from entroscore.cli import main
 
 from conftest import child_env, rule_from_spec
@@ -31,6 +31,19 @@ class TestScoreCommand:
         code, payload = run(tmp_path, "score", FORECASTS, OUTCOMES)
         assert code == 0
         assert payload == (DATA / "scores_golden.csv").read_bytes()
+
+    def test_wide_golden_file_byte_for_byte(self, tmp_path):
+        # 64 rows x 40 weighted atoms (numpy seed 20261018): half the atoms of
+        # each row are zero and every eighth outcome falls on one (a -inf log
+        # score).  Pinned before the array row sums, which it is large enough
+        # to reach.
+        forecasts = np.loadtxt(DATA / "forecasts_wide.csv", delimiter=",", skiprows=1)
+        assert forecasts.size >= measure._MIN_ARRAY_TERMS
+        weights = (DATA / "weights_wide.txt").read_text().strip()
+        code, payload = run(tmp_path, "score", str(DATA / "forecasts_wide.csv"),
+                            str(DATA / "outcomes_wide.csv"), "--weights", weights)
+        assert code == 0
+        assert payload == (DATA / "scores_wide_golden.csv").read_bytes()
 
     def test_rows_match_direct_library_calls(self, tmp_path):
         code, payload = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "quadratic,shannon")
@@ -296,6 +309,16 @@ class TestVerifyCommand:
         config.write_text(f"[verify]\nweights_file = {weights}\n\n[rule quadratic]\n")
         assert run(tmp_path, "verify", "--config", str(config))[0] == 2
         assert capsys.readouterr().err == f"entroscore: {weights}:{lineno}: non-numeric value\n"
+
+    @pytest.mark.parametrize("section, line, text", [
+        ("verify", "weights = 1,x", "1,x"),
+        ("probe a", "entropy = quadratic\npoint = 1,y\ncandidates = 2,0", "1,y"),
+    ], ids=["verify-weights", "probe-point"])
+    def test_bad_number_list_names_file_and_section(self, tmp_path, capsys, section, line, text):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{line}\n\n[rule quadratic]\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        assert capsys.readouterr().err == f"entroscore: {config}: [{section}]: bad number list {text!r}\n"
 
     def test_per_rule_overrides(self, tmp_path):
         config = tmp_path / "override.ini"
