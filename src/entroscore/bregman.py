@@ -112,6 +112,8 @@ def linearity_check(entropy: Entropy, seed: int = 0, samples: int = 100) -> bool
     points ``q, p1, p2``; any failure returns False.  A non-finite
     subgradient at ``q`` before the first failure raises :class:`DomainError`.
     """
+    if samples < 1:
+        raise DomainError("linearity check needs at least one sample")
     weights = entropy.domain.space.weights
     points = cone_rows(entropy.domain.space, np.random.default_rng(seed), 3 * samples)
     q, p1, p2 = points[0::3], points[1::3], points[2::3]
@@ -185,6 +187,8 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     entropy fits the quadratic-affine basis to 1e-10; asymmetric once any
     pair's defect exceeds 1e-8; inconclusive in between.
     """
+    if samples < 1:
+        raise DomainError("symmetry classification needs at least one sample")
     space = entropy.domain.space
     points = box_rows(space, np.random.default_rng(seed), 2 * samples)  # rows p, q, p, q, ...
     swapped = points.reshape(samples, 2, space.size)[:, ::-1].reshape(points.shape)

@@ -170,13 +170,15 @@ def _power(space: MeasureSpace, gamma: float) -> Entropy:
 
 
 def _shannon(space: MeasureSpace) -> Entropy:
-    weights = space.weights.tolist()
+    w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
         _require_nonnegative(q, "shannon entropy")
         # 0 log 0 := 0; libm log per element, as numpy's SIMD log can differ in the last bit
-        return np.array([math.fsum(x * math.log(x) * w if x else 0.0 for x, w in zip(row, weights))
-                         for row in q.tolist()], dtype=float)
+        charged = q != 0.0
+        logs = np.zeros(q.shape)
+        logs[charged] = np.fromiter(map(math.log, q[charged].tolist()), float)
+        return fsum_rows(np.where(charged, q * logs * w, 0.0))
 
     def grad_rows(q: np.ndarray) -> np.ndarray:
         if (q <= 0.0).any():

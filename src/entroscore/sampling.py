@@ -3,7 +3,8 @@
 Shared by the verification loops: densities are Dirichlet(1,...,1) draws
 (mapped through the atom weights so the weighted mass is 1), cone points are
 densities scaled by a log-uniform mass.  The ``*_rows`` samplers make the
-rng calls of as many one-point draws, in order, and return the points as rows.
+same bit-generator draws, in the same order, as that many one-point draws, and
+return the points as rows.
 """
 
 from __future__ import annotations
@@ -29,11 +30,16 @@ def density_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> n
 
 def cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` random positive cone points (Dirichlet direction, log-uniform mass), as rows."""
-    masses, draws = zip(*[  # one mass, then one direction, per point
-        (float(np.exp(rng.uniform(np.log(_MASS_LOW), np.log(_MASS_HIGH)))),
-         rng.dirichlet(np.ones(space.size))) for _ in range(count)])
-    directions = require_density_rows(np.array(draws) / space.weights, space.weights)
-    return directions * np.array(masses)[:, None]
+    low, high = float(np.log(_MASS_LOW)), float(np.log(_MASS_HIGH))
+    log_masses = np.empty(count)
+    gammas = np.empty((count, space.size))
+    for k in range(count):  # one mass, then Dirichlet(1)'s gamma(1) = exponential draws, per point
+        log_masses[k] = rng.uniform(low, high)
+        rng.standard_exponential(out=gammas[k])
+    # rng.dirichlet's normalisation: a left-to-right sum, then a product with its reciprocal
+    draws = gammas * (1.0 / np.add.accumulate(gammas, axis=1)[:, -1])[:, None]
+    directions = require_density_rows(draws / space.weights, space.weights)
+    return directions * np.exp(log_masses)[:, None]
 
 
 def box_rows(space: MeasureSpace, rng: np.random.Generator, count: int,

@@ -31,7 +31,6 @@ from entroscore import (
     make_psr,
     pair,
     parse_rule_spec,
-    sample_cone_point,
 )
 
 # The six named rules the verification suites exercise.
@@ -253,7 +252,8 @@ def ref_call(fn, *args):
 #
 # The per-point loops of ``symmetry_defect`` and ``linearity_check`` before
 # they ran on rows: points drawn one at a time, one-row oracle and pairing
-# calls on library vector objects, the first failing point returning early.
+# calls on library vector objects, the first failing point returning early;
+# and the per-point draw of the cone points behind Euler and linearity.
 
 def ref_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     def divergence(p, q):
@@ -295,16 +295,30 @@ def ref_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> Divergenc
     return DivergenceReport(entropy.name, samples, worst, witness[0], witness[1], fit_residual, label)
 
 
+def ref_cone_rows(space: MeasureSpace, rng, count: int) -> np.ndarray:
+    """``sampling.cone_rows`` before it drew on arrays: per point, one
+    ``rng.uniform`` log-mass and one ``rng.dirichlet`` direction."""
+    masses, draws = [], []
+    for _ in range(count):
+        masses.append(float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))))
+        draws.append(rng.dirichlet(np.ones(space.size)))
+    return np.reshape(draws, (count, space.size)) / space.weights * np.array(masses)[:, None]
+
+
 def ref_linearity_check(entropy, seed: int = 0, samples: int = 100) -> bool:
     rng = np.random.default_rng(seed)
     space = entropy.domain.space
+
+    def sample_cone_point():
+        return space.cone(ref_cone_rows(space, rng, 1)[0])
+
     for _ in range(samples):
-        q = sample_cone_point(space, rng)
+        q = sample_cone_point()
         score = affine_score_at(entropy, q)
         if abs(score.offset) > 1e-10:
             return False
-        p1 = sample_cone_point(space, rng)
-        p2 = sample_cone_point(space, rng)
+        p1 = sample_cone_point()
+        p2 = sample_cone_point()
         additivity_gap = score(p1 + p2) - score(p1) - score(p2)
         if abs(additivity_gap) > 1e-10 * (1.0 + abs(score(p1)) + abs(score(p2))):
             return False

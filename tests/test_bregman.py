@@ -138,6 +138,13 @@ class TestLinearityCheck:
         assert not linearity_check(catalog_entropy("shannon", unit_space(3)), seed=1, samples=50)
 
 
+@pytest.mark.parametrize("check", [linearity_check, symmetry_defect])
+@pytest.mark.parametrize("samples", [0, -2])
+def test_sampled_checks_need_at_least_one_sample(check, samples):
+    with pytest.raises(DomainError, match="needs at least one sample"):
+        check(catalog_entropy("quadratic", unit_space(3)), seed=1, samples=samples)
+
+
 class TestRebase:
     def test_zero_basepoint_reproduces_quadratic(self):
         sp = unit_space(2)

@@ -13,7 +13,7 @@ import pytest
 from entroscore import MeasureSpace, cli, expected_score, measure, score_divergence
 from entroscore.cli import main
 
-from conftest import child_env, rule_from_spec
+from conftest import CATALOG_SPECS, child_env, rule_from_spec
 
 DATA = Path(__file__).parent / "data"
 FORECASTS = str(DATA / "forecasts_10.csv")
@@ -412,6 +412,17 @@ def test_golden_outputs_byte_for_byte(tmp_path, argv, code, golden):
     # weighted atoms, every catalog rule plus linear, a probe on each domain kind;
     # the divergence matrix has inf cells
     assert run(tmp_path, *argv) == (code, (DATA / golden).read_bytes())
+
+
+def test_verify_golden_at_twenty_atoms_byte_for_byte(tmp_path):
+    # 20 weighted atoms, where a pairwise row sum and a left-to-right one round
+    # differently: the Euler cone points must keep rng.dirichlet's bits.  The
+    # linear rule fails propriety, so the exit code is 1.
+    config = tmp_path / "verify_20.ini"
+    config.write_text(f"[verify]\nsamples = 200\nweights_file = {DATA / 'weights_20.txt'}\n\n"
+                      + "".join(f"[rule {spec}]\n" for spec in (*CATALOG_SPECS, "linear")))
+    assert run(tmp_path, "verify", "--config", str(config)) == (
+        1, (DATA / "verify_20_golden.json").read_bytes())
 
 
 _PROBE_CONFIG = (

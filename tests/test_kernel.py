@@ -8,7 +8,8 @@ raises, the kernel must raise an :class:`EntroscoreError`.  The suite turns
 float warnings into errors, so a kernel that warns on zero atoms or
 overflowing rows fails here as well.  The sampled suites that run on rows
 (``symmetry_defect``, ``linearity_check``) must report what their per-point
-loops, kept in ``conftest``, reported.
+loops, kept in ``conftest``, reported, and ``cone_rows`` must draw the bits
+and leave the generator where per-point ``rng.dirichlet`` calls did.
 """
 
 import json
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from entroscore import (
     CompositeEntropySpec,
     ConvexDomainSpec,
+    DomainError,
     Entropy,
     EntroscoreError,
     MeasureSpace,
@@ -44,8 +46,8 @@ from entroscore import (
 from entroscore.entropies import FD_STEP, directional_derivative_fd, directional_derivative_fd_rows
 
 from conftest import (CATALOG_SPECS, entropy_from_spec, ref_call, ref_catalog, ref_composite,
-                      ref_divergence, ref_linearity_check, ref_pair, ref_rebased, ref_score,
-                      ref_symmetry_defect)
+                      ref_cone_rows, ref_divergence, ref_linearity_check, ref_pair, ref_rebased,
+                      ref_score, ref_symmetry_defect)
 
 
 def kernel_call(fn, *args):
@@ -181,6 +183,65 @@ def test_rows_match_at_ten_thousand_atoms():
     rows = np.array([density_row(r, weights) for r in raw])
     for gamma in (1.0 + 1e-7, 50.0):
         check_rows(MeasureSpace(weights), rows, gamma, seed=5, with_matrix=False)
+
+
+def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
+    return actual.shape == expected.shape and np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 600), st.integers(0, 2**32 - 1))
+# 9 atoms and more than 128: numpy's pairwise sum departs from a left-to-right one
+@example(seed=1, count=300, n=9, weight_seed=9)
+@example(seed=2, count=40, n=600, weight_seed=600)
+@example(seed=3, count=0, n=5, weight_seed=5)
+def test_cone_rows_match_per_point_dirichlet_draws(seed, count, n, weight_seed):
+    # weights log-uniform in [1e-3, 1e3]
+    space = MeasureSpace(10.0 ** np.random.default_rng(weight_seed).uniform(-3.0, 3.0, size=n))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert same_bits(sampling.cone_rows(space, rng, count), ref_cone_rows(space, ref_rng, count))
+    assert rng.random() == ref_rng.random()  # the stream continues where it did
+
+
+def test_samplers_return_no_rows_for_no_points():
+    space = MeasureSpace([0.5, 1.0, 2.0])
+    for rows in (sampling.density_rows, sampling.cone_rows, sampling.box_rows):
+        assert rows(space, np.random.default_rng(0), 0).shape == (0, 3)
+
+
+@st.composite
+def shannon_batches(draw):
+    n = draw(st.integers(1, 40))
+    weights = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, math.inf]), st.floats(0.0, 1.0),
+                      st.floats(0.0, 2.0 ** -1022, exclude_max=True),  # subnormals
+                      st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4)))
+    if draw(st.integers(0, 7)) == 0:  # now and then one negative entry
+        rows[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))] = -draw(
+            st.floats(5e-324, 1e300))
+    return MeasureSpace(weights), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(shannon_batches())
+@example((MeasureSpace([1.0, 2.0]), np.array([[-0.0, 5e-324], [1e-300, 1e300], [math.inf, 0.0]])))
+@example((MeasureSpace([1.0, 1.0]), np.array([[0.5, -1e-300]])))
+@example((MeasureSpace([1.0, 1.0]), np.array([[0.5, 0.5], [2e305, 2e305]])))  # the sum overflows
+def test_shannon_value_rows_match_the_per_row_fsum(batch):
+    # row i of the batch, and of the batch tiled past the array row sums'
+    # minimum, has the bits of one libm-log math.fsum over the row; a negative
+    # entry, or a row sum past the float range, is a DomainError
+    space, rows = batch
+    entropy, ref = catalog_entropy("shannon", space), ref_catalog("shannon", space.weights)
+    expected = [ref_call(ref.value, q) for q in rows]
+    tiled = np.tile(rows, (-(-measure._MIN_ARRAY_TERMS // rows.size), 1))
+    for q_rows, reps in ((rows, 1), (tiled, len(tiled) // len(rows))):
+        if any(isinstance(e, Exception) for e in expected):
+            with pytest.raises(DomainError):
+                entropy.value_rows(q_rows)
+        else:
+            assert same_bits(entropy.value_rows(q_rows), np.tile(expected, reps))
 
 
 def suite_subjects(space: MeasureSpace):
