@@ -7,9 +7,15 @@ Subcommands::
     entroscore verify [--config cfg.ini] [--seed N] [--samples N] [--tol X]
     entroscore grid-score density.csv [--out ...]
 
-CSV files carry a header row (forecast columns ``p1..pn``, outcome column
-``outcome``; grid densities are headerless, one value per line).  Floats are
-rendered with shortest round-trip ``repr`` (so ``inf``/``-inf``), ``-0.0`` as ``0.0``.
+Input files are UTF-8.  CSV files carry a header row (forecast columns
+``p1..pn``, outcome column ``outcome``; grid densities are headerless, one
+value per line).  A forecast cell is anything Python ``float()`` accepts
+(surrounding whitespace, ``1_0``, ``inf``, ``nan``, non-ASCII digits);
+quoted cells and CRLF or CR line endings are read as ``csv.reader`` reads
+them.  A forecast file with no quote and no CR is read in one split and one
+array parse; ``csv.reader`` reads any other, and names the line of any
+fault.  Floats are rendered with shortest round-trip ``repr`` (so
+``inf``/``-inf``), ``-0.0`` as ``0.0``.
 Exit codes: 0 success, 1 verification failure, 2 malformed input or config
 (or a ``verify`` rule whose scores leave the float range on its sample
 points), 3 invalid density rows or rows whose scores leave the float range,
@@ -38,7 +44,7 @@ from .entropies import catalog_entropy, parse_rule_spec
 from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
-from .measure import MeasureSpace, pair_rows, require_density_rows
+from .measure import MeasureSpace, fsum_rows, pair_rows, require_density_rows
 from .scoring import (linear_score, make_psr, require_float_range, score_divergence_rows,
                       verify_euler, verify_propriety)
 
@@ -91,22 +97,76 @@ def _parse_rule_list(text: str) -> list[str]:
 # -- CSV input ----------------------------------------------------------------
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_text(path: str) -> str:
+    """The file's text with its line endings as written; exit 2 if unreadable or not UTF-8."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            return list(csv.reader(handle))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CliError(EXIT_INPUT, f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def _csv_rows(path: str, text: str) -> list[list[str]]:
+    """The rows ``csv.reader`` reads from ``text``, as from the file opened with ``newline=""``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise CliError(EXIT_INPUT, f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _is_forecast_header(cells: list[str]) -> bool:
+    return bool(cells) and [cell.strip() for cell in cells] == [f"p{i + 1}" for i in range(len(cells))]
+
+
+def _plain_matrix(text: str) -> np.ndarray | None:
+    """The forecast matrix of ``text`` in one split and one parse, or None.
+
+    Without a quote or a CR, ``csv.reader`` splits each line as
+    ``line.split(",")``, except that it reads an empty line as no cells.  So a
+    valid file is exactly one whose data lines all hold n - 1 commas and whose
+    cells all parse; ``np.array(cells, dtype=float)`` parses each cell with
+    ``float()``.  Anything else gives None: an empty line fails the parse, and
+    so does a cell longer than ``csv.field_size_limit()``, which ``csv.reader``
+    rejects.  The caller then reads the file with ``csv.reader``, to accept it
+    or to name the line at fault.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line ending
+    if len(lines) < 2:
+        return None
+    header, body = lines[0].split(","), lines[1:]
+    n = len(header)
+    if not _is_forecast_header(header) or any(line.count(",") != n - 1 for line in body):
+        return None
+    cells = ",".join(body).split(",")
+    limit = csv.field_size_limit()
+    if max(map(len, body)) > limit and max(map(len, cells)) > limit:
+        return None
+    try:
+        return np.array(cells, dtype=float).reshape(len(body), n)
+    except ValueError:
+        return None
 
 
 def read_forecasts(path: str) -> np.ndarray:
-    rows = _read_rows(path)
+    text = _read_text(path)
+    matrix = _plain_matrix(text)
+    if matrix is not None:
+        return matrix
+    rows = _csv_rows(path, text)
     if not rows:
         raise CliError(EXIT_INPUT, f"{path}:1: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    n = len(header)
-    if header != [f"p{i + 1}" for i in range(n)] or n == 0:
+    if not _is_forecast_header(rows[0]):
         raise CliError(EXIT_INPUT, f"{path}:1: header must be p1..pn")
+    n = len(rows[0])
     data = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != n:
@@ -121,7 +181,7 @@ def read_forecasts(path: str) -> np.ndarray:
 
 
 def read_outcomes(path: str, n_outcomes: int) -> list[int]:
-    rows = _read_rows(path)
+    rows = _csv_rows(path, _read_text(path))
     if not rows or [cell.strip() for cell in rows[0]] != ["outcome"]:
         raise CliError(EXIT_INPUT, f"{path}:1: header must be 'outcome'")
     outcomes = []
@@ -140,13 +200,8 @@ def read_outcomes(path: str, n_outcomes: int) -> list[int]:
 
 def read_values(path: str) -> list[float]:
     """The numbers in a file with one value per line; blank lines are skipped."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = list(handle)
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"{path}: {exc.strerror or exc}") from None
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
         if line.strip():
             try:
                 values.append(float(line))
@@ -208,6 +263,20 @@ def _write_text(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _csv_line(fields: list[str]) -> str:
+    """One CSV line through ``csv.writer``, which quotes any field that needs it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()
+
+
+def _table_lines(labels, table: np.ndarray) -> list[str]:
+    """One CSV line per row of ``table``: its label (CSV text that ends in a comma,
+    or empty), then the cells as shortest round-trip reprs, -0.0 as 0.0.  A
+    float's repr never needs quoting."""
+    return [label + ",".join(map(repr, row.tolist())) + "\n" for label, row in zip(labels, table + 0.0)]
+
+
 # -- score --------------------------------------------------------------------
 
 
@@ -224,33 +293,32 @@ def cmd_score(args) -> int:
     forecasts = build_densities(forecasts, space, args.forecasts)
 
     header = ["id", "outcome"]
-    columns: list[list[float]] = []
-    for spec, rule in rules:
+    table = np.empty((len(outcomes), 2 * len(rules)))
+    observed = np.arange(len(outcomes)), np.array(outcomes) - 1
+    for k, (spec, rule) in enumerate(rules):
         header.extend([f"{spec}_score", f"{spec}_expected"])
         with _rows_of(args.forecasts):
             scores = rule.score_rows(forecasts)
-            expected = require_float_range(f"{spec} expected scores",
-                                           pair_rows(forecasts, scores, space.weights))
-        columns.append(scores[np.arange(len(outcomes)), np.array(outcomes) - 1].tolist())
-        columns.append(expected.tolist())
+            table[:, 2 * k + 1] = require_float_range(f"{spec} expected scores",
+                                                      pair_rows(forecasts, scores, space.weights))
+        table[:, 2 * k] = scores[observed]
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row_id, (outcome, *cells) in enumerate(zip(outcomes, *columns), start=1):
-        writer.writerow([str(row_id), str(outcome)] + [repr(x + 0.0) for x in cells])
-    means, inf_counts = [], []
-    for column in columns:
-        finite = [x for x in column if math.isfinite(x)]
-        means.append(repr(math.fsum(finite) / len(finite) + 0.0) if finite else "nan")
-        inf_counts.append(str(sum(1 for x in column if math.isinf(x))))
-    writer.writerow(["mean", ""] + means)
-    writer.writerow(["inf_count", ""] + inf_counts)
-    _write_text(buffer.getvalue(), args.out)
+    finite = np.isfinite(table)
+    counts = finite.sum(axis=0)
+    # the mean of each column's finite cells: their exact sum rounded once, over their count
+    means = np.where(counts > 0, fsum_rows(np.where(finite, table, 0.0).T) / np.maximum(counts, 1), math.nan)
+    labels = (f"{row_id},{outcome}," for row_id, outcome in enumerate(outcomes, start=1))
+    lines = [_csv_line(header), *_table_lines(labels, table), *_table_lines(["mean,,"], means[None]),
+             "inf_count,," + ",".join(map(str, np.isinf(table).sum(axis=0).tolist())) + "\n"]
+    _write_text("".join(lines), args.out)
     return EXIT_OK
 
 
 # -- divergence ----------------------------------------------------------------
+
+# Terms per score_divergence_rows call: enough to reach the array row sums,
+# few enough that the repeated p rows and tiled q scores stay small.
+_DIVERGENCE_BLOCK_TERMS = 2 ** 16
 
 
 def cmd_divergence(args) -> int:
@@ -263,18 +331,24 @@ def cmd_divergence(args) -> int:
     left = build_densities(left, space, args.p_file)
     right = build_densities(right, space, args.q_file)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["rule", "p"] + [f"q{j + 1}" for j in range(len(right))])
+    lines = [_csv_line(["rule", "p"] + [f"q{j + 1}" for j in range(len(right))])]
+    block = max(1, _DIVERGENCE_BLOCK_TERMS // right.size)
     for spec, rule in rules:
         with _rows_of(args.p_file):
             p_scores = rule.score_rows(left)
         with _rows_of(args.q_file):
             q_scores = rule.score_rows(right)
-        for i in range(len(left)):
-            cells = score_divergence_rows(left[i:i + 1], p_scores[i:i + 1], q_scores, space.weights)
-            writer.writerow([spec, f"p{i + 1}"] + [repr(x + 0.0) for x in cells.tolist()])
-    _write_text(buffer.getvalue(), args.out)
+        label = _csv_line([spec])[:-1]  # the spec as csv.writer quotes it
+        for start in range(0, len(left), block):
+            stop = min(start + block, len(left))
+            # every (p_i, q_j) pair of the block as one row: each cell is an exact
+            # row sum rounded once, so the blocking cannot change a bit
+            cells = score_divergence_rows(np.repeat(left[start:stop], len(right), axis=0),
+                                          np.repeat(p_scores[start:stop], len(right), axis=0),
+                                          np.tile(q_scores, (stop - start, 1)), space.weights)
+            lines += _table_lines([f"{label},p{i + 1}," for i in range(start, stop)],
+                                  cells.reshape(stop - start, -1))
+    _write_text("".join(lines), args.out)
     return EXIT_OK
 
 
@@ -327,11 +401,9 @@ def load_verify_config(args):
     if args.config:
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(args.config)
+            parser.read_file(io.StringIO(_read_text(args.config), newline=None), args.config)
         except configparser.Error as exc:
             raise CliError(EXIT_INPUT, f"{args.config}: {exc}") from None
-        if not read:
-            raise CliError(EXIT_INPUT, f"{args.config}: cannot read config file")
         for section_name in parser.sections():
             section = parser[section_name]
             # bad numbers raise ValueError, a stray '%' an interpolation error
@@ -474,15 +546,10 @@ def cmd_grid_score(args) -> int:
         raise CliError(EXIT_DENSITY, f"{args.density}: nonpositive or non-finite rows: {', '.join(bad)}")
     grid = PeriodicGrid(len(values))
     density = GridDensity(grid, values)
-    score = hyvarinen_score(density)
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["x", "score"])
-    for x, s in zip(grid.points.tolist(), score.values.tolist()):
-        writer.writerow([repr(x + 0.0), repr(s + 0.0)])
-    writer.writerow(["fisher_entropy", repr(fisher_entropy(density) + 0.0)])
-    _write_text(buffer.getvalue(), args.out)
+    table = np.column_stack([grid.points, hyvarinen_score(density).values])
+    lines = [_csv_line(["x", "score"]), *_table_lines([""] * len(values), table),
+             *_table_lines(["fisher_entropy,"], np.array([[fisher_entropy(density)]]))]
+    _write_text("".join(lines), args.out)
     return EXIT_OK
 
 

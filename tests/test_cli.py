@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, golden output."""
 
 import csv
+import io
 import json
 import math
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from entroscore import MeasureSpace, cli, expected_score, measure, score_divergence
+from entroscore import MeasureSpace, cli, expected_score, measure, score_divergence, score_divergence_rows
 from entroscore.cli import main
 
 from conftest import CATALOG_SPECS, child_env, rule_from_spec
@@ -397,6 +399,12 @@ class TestGridScoreCommand:
         assert code == 2
         assert capsys.readouterr().err == f"entroscore: {density}:2: non-numeric value\n"
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_any_line_ending_reads_the_same(self, tmp_path, newline):
+        density = tmp_path / "density.txt"
+        density.write_bytes((DATA / "grid_density_48.txt").read_bytes().replace(b"\n", newline.encode()))
+        assert run(tmp_path, "grid-score", str(density)) == (0, (DATA / "grid_score_golden.csv").read_bytes())
+
     def test_too_short_grid_exits_2(self, tmp_path):
         density = tmp_path / "short.csv"
         density.write_text("1.0\n2.0\n")
@@ -407,10 +415,11 @@ class TestGridScoreCommand:
 @pytest.mark.parametrize("argv, code, golden", [
     (["verify", "--config", str(DATA / "verify_golden.ini")], 1, "verify_golden.json"),
     (["divergence", FORECASTS, FORECASTS], 0, "divergence_golden.csv"),
-], ids=["verify", "divergence"])
+    (["grid-score", str(DATA / "grid_density_48.txt")], 0, "grid_score_golden.csv"),
+], ids=["verify", "divergence", "grid-score"])
 def test_golden_outputs_byte_for_byte(tmp_path, argv, code, golden):
     # weighted atoms, every catalog rule plus linear, a probe on each domain kind;
-    # the divergence matrix has inf cells
+    # the divergence matrix has inf cells; the grid density has a blank line
     assert run(tmp_path, *argv) == (code, (DATA / golden).read_bytes())
 
 
@@ -492,3 +501,211 @@ def test_import_and_whole_space_geometry_load_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, payload, lineno", [
+    ("score-forecasts", b"p1,p2\n0.5,0.5\n\xe9,1\n", 3),
+    ("score-outcomes", b"outcome\n1\n\xe9\n", 3),
+    ("divergence", b"p1,p2\n0.5,0.5\n\xe9,1\n", 3),
+    ("grid-score", b"1.0\n2.0\n\xe9\n3.0\n", 3),
+    ("verify", b"[verify]\nsamples = 5\n\n[rule quadratic]\n; caf\xe9\n", 5),
+    ("verify-weights-file", b"1.0\n\xff\n", 2),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, payload, lineno):
+    path = tmp_path / "input.txt"
+    path.write_bytes(payload)
+    two = tmp_path / "two.csv"
+    two.write_text("p1,p2\n0.5,0.5\n0.5,0.5\n")
+    config = tmp_path / "wf.ini"
+    config.write_text(f"[verify]\nweights_file = {path}\n\n[rule quadratic]\n")
+    argv = {
+        "score-forecasts": ["score", str(path), OUTCOMES],
+        "score-outcomes": ["score", str(two), str(path)],
+        "divergence": ["divergence", str(two), str(path)],
+        "grid-score": ["grid-score", str(path)],
+        "verify": ["verify", "--config", str(path)],
+        "verify-weights-file": ["verify", "--config", str(config)],
+    }[command]
+    assert run(tmp_path, *argv)[0] == 2
+    assert capsys.readouterr().err == f"entroscore: {path}:{lineno}: not UTF-8 text\n"
+
+
+# -- the forecast reader against the per-cell reader it replaced ----------------
+
+
+def _per_cell_read_forecasts(path: str) -> np.ndarray:
+    """csv.reader over the file, then float() per cell: the reader before the array parse."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise cli.CliError(2, f"{path}:1: empty file")
+    header = [cell.strip() for cell in rows[0]]
+    n = len(header)
+    if header != [f"p{i + 1}" for i in range(n)] or n == 0:
+        raise cli.CliError(2, f"{path}:1: header must be p1..pn")
+    data = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != n:
+            raise cli.CliError(2, f"{path}:{lineno}: expected {n} columns, got {len(row)}")
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError:
+            raise cli.CliError(2, f"{path}:{lineno}: non-numeric value") from None
+    if not data:
+        raise cli.CliError(2, f"{path}: no data rows")
+    return np.array(data)
+
+
+def _read_outcome(reader, path: str):
+    try:
+        matrix = reader(path)
+    except cli.CliError as exc:
+        return exc.code, str(exc)
+    return matrix.shape, matrix.tobytes()
+
+
+# Cells float() accepts, padded with whitespace it strips, and cells close to them that it rejects.
+_GOOD_CELLS = st.tuples(
+    st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2028", "\x85"]),
+    st.one_of(
+        st.floats().map(repr),
+        st.integers(-10 ** 20, 10 ** 20).map(str),
+        st.sampled_from(["1_0", "infinity", "-Infinity", "iNf", "nan", "-nan", "+NaN", "1e400", "-1e400",
+                         "1e-400", "5e-324", "-0", "-0.0", "+.5", "5.", "\u0661\u0662", "\uff11",
+                         "1.7976931348623157e308"]),
+    ),
+    st.sampled_from(["", "", "", " ", "\t", "\xa0"]),
+).map("".join)
+_BAD_CELLS = st.one_of(
+    st.sampled_from(["0x1p3", "", " ", "1.5e", "e5", "1e+", "--1", "1 2", "1__0", "_1", "nan(1)", ".",
+                     "\x1c1", "1\x1f", "\u200b1"]),
+    st.text(alphabet="0123456789.eE+-_ infatyINF", max_size=6),
+)
+
+
+@st.composite
+def _forecast_texts(draw):
+    """Forecast files: half plain (some with cells float() rejects), half at the
+    edges of a plain split: quoted cells, CR endings, blank lines, BOM, NUL."""
+    n = draw(st.integers(1, 4))
+    edge = draw(st.booleans())
+    bad_share = draw(st.sampled_from([0, 0, 0, 5, 30]))  # percent of cells float() rejects
+    header = [f"p{i + 1}" for i in range(n)]
+    if edge and draw(st.integers(0, 5)) == 0:
+        header = draw(st.sampled_from([header[:-1], header + ["p9"], [" p1 "] + header[1:], ["P1"]]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0 if edge else 1, 5))):
+        width = draw(st.integers(0, n + 1)) if edge and draw(st.integers(0, 5)) == 0 else n
+        cells = [draw(_BAD_CELLS if draw(st.integers(0, 99)) < bad_share else _GOOD_CELLS)
+                 for _ in range(width)]
+        if edge and cells and draw(st.integers(0, 3)) == 0:  # a quoted cell, maybe holding a comma or newline
+            k = draw(st.integers(0, width - 1))
+            cells[k] = '"' + draw(st.sampled_from([cells[k], cells[k] + ",", cells[k] + "\n"])) + '"'
+        lines.append(",".join(cells))
+    if edge and draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+    endings = st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"] if edge else ["\n"])
+    text = "".join(line + draw(endings) for line in lines[:-1]) + lines[-1]
+    text += draw(st.sampled_from(["", "\n", "\n\n", "\r", "\r\n", "\r\r"] if edge else ["", "\n"]))
+    if edge and draw(st.integers(0, 5)) == 0:
+        text = "\ufeff" + text
+    if edge and draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\0" + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_forecast_texts())
+@example('p1,p2\n"0.5",0.5\n')                 # a quoted cell
+@example('p1,p2\n"0.5\n",0.5\n')              # a quoted cell with a newline
+@example("p1,p2\r\n0.5,0.5\r\n")              # CRLF endings
+@example("p1,p2\r0.5,0.5\r0.25,0.75\r")       # lone-CR endings
+@example("p1,p2\n0.5,0.5\r\r\n")              # a CR that ends a line before a blank one
+@example("p1,p2\n0.5,0.5,0.5\n0.5\n")          # rows too wide and too narrow by the same count
+@example("p1,p2\n0.5,0.5\n\n0.5,0.5\n")       # a blank line
+@example("p1\n1\n\n1\n")                       # a blank line at n = 1
+@example("p1\n1\n\n")                           # a trailing blank line at n = 1
+@example("p1,p2\n0.5,0.5")                      # no final newline
+@example("p1,p2\n0.5,0.5\n\n")                 # a trailing blank line
+@example("\ufeffp1,p2\n0.5,0.5\n")             # a byte order mark
+@example("p1,p2\n0.5,0\x00.5\n")               # NUL
+@example("p1,p2\n")                             # no data rows
+@example("")                                     # an empty file
+@example("\n")                                   # an empty header
+@example("p1,p2\n 1_0 ,\xa0-nan\n1e400,1e-400\n\u0661,infinity\n")
+@example("p1,p2\n0x1p3,1\n")
+@example("p1,p2\n,1\n")
+@example("p1,p2\n1.5e,1\n")
+def test_array_reader_matches_the_per_cell_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("reader") / "forecasts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(cli.read_forecasts, str(path)) == _read_outcome(_per_cell_read_forecasts, str(path))
+
+
+def test_fields_past_the_csv_size_limit_exit_2(tmp_path, capsys):
+    # a line past csv.field_size_limit() of small cells parses; one cell past it is rejected
+    limit = csv.field_size_limit()
+    wide = tmp_path / "wide.csv"
+    n = limit // 4 + 1
+    wide.write_text(",".join(f"p{i + 1}" for i in range(n)) + "\n" + ",".join(["0.5"] * n) + "\n")
+    assert _read_outcome(cli.read_forecasts, str(wide)) == _read_outcome(_per_cell_read_forecasts, str(wide))
+    big = tmp_path / "big.csv"
+    big.write_text("p1,p2\n0.5,0.5\n" + "0" * limit + ".5,0.5\n")
+    assert run(tmp_path, "score", str(big), OUTCOMES)[0] == 2
+    assert capsys.readouterr().err == (
+        f"entroscore: {big}:3: field larger than field limit ({limit})\n")
+
+
+# -- blocked divergence against the per-p-row loop it replaced -------------------
+
+
+def _per_row_divergence(p_path: str, q_path: str, specs, weights) -> bytes:
+    """One score_divergence_rows call per p row, each row written by csv.writer."""
+    left, right = cli.read_forecasts(p_path), cli.read_forecasts(q_path)
+    space = MeasureSpace(weights)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["rule", "p"] + [f"q{j + 1}" for j in range(len(right))])
+    for spec in specs:
+        rule = cli.build_rule(spec, space)[1]
+        p_scores, q_scores = rule.score_rows(left), rule.score_rows(right)
+        for i in range(len(left)):
+            cells = score_divergence_rows(left[i:i + 1], p_scores[i:i + 1], q_scores, space.weights)
+            writer.writerow([spec, f"p{i + 1}"] + [repr(x + 0.0) for x in cells.tolist()])
+    return buffer.getvalue().encode()
+
+
+def test_rule_specs_are_quoted_as_csv_writer_quotes_them(tmp_path):
+    # float() strips the newline and the CR inside the parentheses, so these are valid specs
+    specs = ["power(1.5\n)", "power( 3 \r)"]
+    code, payload = run(tmp_path, "divergence", FORECASTS, FORECASTS, "--rules", ",".join(specs))
+    assert code == 0
+    assert payload == _per_row_divergence(FORECASTS, FORECASTS, specs, np.ones(3))
+    assert payload.count(b'"power(1.5\n)",p') == 10
+
+
+@pytest.mark.parametrize("block_terms", [None, 1000, 1], ids=["default", "blocks-of-8", "row-by-row"])
+def test_blocked_divergence_matches_the_per_row_loop(tmp_path, monkeypatch, block_terms):
+    # 30 x 40 forecasts on 3 weighted atoms: 120 terms per p row, 3,600 in all, so a
+    # block reaches the array row sums where one row does not.  A third of the
+    # entries are zero, so shannon has -inf scores and +inf divergences.
+    assert 3 * 40 < measure._MIN_ARRAY_TERMS <= 3 * 40 * 30
+    rng = np.random.default_rng(20261018)
+    weights = np.array([0.5, 1.0, 2.0])
+    paths = []
+    for name, rows in (("p", 30), ("q", 40)):
+        q = rng.dirichlet(np.ones(3), size=rows) * (rng.random((rows, 3)) > 1 / 3)
+        q[q.sum(axis=1) == 0.0, 0] = 1.0
+        q /= (q @ weights)[:, None]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("p1,p2,p3\n" + "".join(",".join(map(repr, row)) + "\n" for row in q.tolist()))
+        paths.append(str(path))
+    if block_terms is not None:
+        monkeypatch.setattr(cli, "_DIVERGENCE_BLOCK_TERMS", block_terms)
+    specs = [*CATALOG_SPECS, "linear"]
+    code, payload = run(tmp_path, "divergence", *paths, "--rules", ",".join(specs),
+                        "--weights", ",".join(map(repr, weights.tolist())))
+    assert code == 0
+    assert payload == _per_row_divergence(*paths, specs, weights)
+    assert b",inf," in payload
