@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, EntroscoreError
 from .measure import ConeVector, DualVector, fsum_rows, pair, pair_rows, quiet_floats, report_dict
 from .entropies import Entropy
-from .sampling import _BOX_HIGH, _BOX_LOW, box_rows, cone_rows
+from .sampling import _BOX_HIGH, _BOX_LOW, _seeded, box_rows, cone_rows
 
 __all__ = [
     "AffineScore",
@@ -168,15 +168,6 @@ class DivergenceReport:
     as_dict = report_dict
 
 
-def _quadratic_affine_fit_residual(entropy: Entropy, points: np.ndarray) -> float:
-    """Max residual of a least-squares fit of the entropy to {q_i q_j, q_i, 1} on the rows."""
-    i, j = np.triu_indices(points.shape[1])
-    design = np.hstack([points[:, i] * points[:, j], points, np.ones((len(points), 1))])
-    target = entropy.value_rows(points)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return float(np.max(np.abs(design @ coef - target)))
-
-
 @quiet_floats
 def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     """Sampled symmetry classification of the entropy's divergence.
@@ -190,14 +181,20 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     if samples < 1:
         raise DomainError("symmetry classification needs at least one sample")
     space = entropy.domain.space
-    points = box_rows(space, np.random.default_rng(seed), 2 * samples)  # rows p, q, p, q, ...
-    swapped = points.reshape(samples, 2, space.size)[:, ::-1].reshape(points.shape)
-    try:
-        divergences = bregman_divergence_rows(entropy, points, swapped)
-        fit_residual = _quadratic_affine_fit_residual(entropy, points)
+    points = _seeded(box_rows, space, seed, 2 * samples)  # rows p, q, p, q, ...
+    swap = np.arange(2 * samples) ^ 1  # each row's partner
+    try:  # the oracles are row-wise: one call per point serves D(p, q) and D(q, p)
+        grad = _finite_subgradients(entropy, entropy.grad_rows(points))[swap]
+        values = entropy.value_rows(points)
+        divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
     except DomainError as exc:
         box = f"[{_BOX_LOW:g}, {_BOX_HIGH:g})^{space.size}"
         raise DomainError(f"{exc}; the sample points lie in the box {box}") from None
+    # max residual of a least-squares fit of the entropy to {q_i q_j, q_i, 1} at the points
+    a, b = np.triu_indices(space.size)
+    design = np.hstack([points[:, a] * points[:, b], points, np.ones((len(points), 1))])
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    fit_residual = float(np.max(np.abs(design @ coef - values)))
     defects = np.abs(divergences[0::2] - divergences[1::2])
     if np.isnan(defects).all():
         raise DomainError(f"no sampled symmetry defect of {entropy.name} is a number")

@@ -44,9 +44,9 @@ from .entropies import catalog_entropy, parse_rule_spec
 from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
-from .measure import MeasureSpace, fsum_rows, pair_rows, require_density_rows
-from .scoring import (linear_score, make_psr, require_float_range, score_divergence_rows,
-                      verify_euler, verify_propriety)
+from .measure import MeasureSpace, fsum_rows, pair_rows, quiet_floats, require_density_rows
+from .sampling import _shared_draws
+from .scoring import linear_score, make_psr, require_float_range, verify_euler, verify_propriety
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -316,9 +316,17 @@ def cmd_score(args) -> int:
 
 # -- divergence ----------------------------------------------------------------
 
-# Terms per score_divergence_rows call: enough to reach the array row sums,
+# Terms per block of divergence cells: enough to reach the array row sums,
 # few enough that the repeated p rows and tiled q scores stay small.
 _DIVERGENCE_BLOCK_TERMS = 2 ** 16
+
+
+@quiet_floats
+def _divergence_cells(p_rows, self_pairs, q_scores, weights) -> np.ndarray:
+    """Each ``pair(p, S(p)) - pair(p, S(q))``, p-major; exact row sums, so no blocking moves a bit."""
+    m = len(q_scores)
+    return np.repeat(self_pairs, m) - pair_rows(np.repeat(p_rows, m, axis=0),
+                                                np.tile(q_scores, (len(p_rows), 1)), weights)
 
 
 def cmd_divergence(args) -> int:
@@ -336,16 +344,13 @@ def cmd_divergence(args) -> int:
     for spec, rule in rules:
         with _rows_of(args.p_file):
             p_scores = rule.score_rows(left)
+        self_pairs = pair_rows(left, p_scores, space.weights)
         with _rows_of(args.q_file):
             q_scores = rule.score_rows(right)
         label = _csv_line([spec])[:-1]  # the spec as csv.writer quotes it
         for start in range(0, len(left), block):
             stop = min(start + block, len(left))
-            # every (p_i, q_j) pair of the block as one row: each cell is an exact
-            # row sum rounded once, so the blocking cannot change a bit
-            cells = score_divergence_rows(np.repeat(left[start:stop], len(right), axis=0),
-                                          np.repeat(p_scores[start:stop], len(right), axis=0),
-                                          np.tile(q_scores, (stop - start, 1)), space.weights)
+            cells = _divergence_cells(left[start:stop], self_pairs[start:stop], q_scores, space.weights)
             lines += _table_lines([f"{label},p{i + 1}," for i in range(start, stop)],
                                   cells.reshape(stop - start, -1))
     _write_text("".join(lines), args.out)
@@ -514,17 +519,18 @@ def cmd_verify(args) -> int:
         "probes": {},
     }
     overall = True
-    for spec, overrides, entropy, rule in rules:
-        knobs = {**settings, **overrides}
-        entry = {}
-        for suite in DEFAULT_SUITES:
-            if suite in settings["suites"]:
-                try:
-                    entry[suite] = _run_suite(suite, spec, entropy, rule, knobs)
-                except EntroscoreError as exc:  # e.g. scores past the float range on its sample points
-                    raise CliError(EXIT_INPUT, f"rule {spec!r}: {suite} suite: {exc}") from None
-                overall &= entry[suite]["pass"]
-        report["rules"][spec] = entry
+    with _shared_draws():  # rules that share seed and samples share their sample points
+        for spec, overrides, entropy, rule in rules:
+            knobs = {**settings, **overrides}
+            entry = {}
+            for suite in DEFAULT_SUITES:
+                if suite in settings["suites"]:
+                    try:
+                        entry[suite] = _run_suite(suite, spec, entropy, rule, knobs)
+                    except EntroscoreError as exc:  # e.g. scores past the float range on its sample points
+                        raise CliError(EXIT_INPUT, f"rule {spec!r}: {suite} suite: {exc}") from None
+                    overall &= entry[suite]["pass"]
+            report["rules"][spec] = entry
     for probe in probes:
         probe_report = _run_probe(probe, space, settings["seed"])
         report["probes"][probe["name"]] = probe_report

@@ -5,9 +5,16 @@ Shared by the verification loops: densities are Dirichlet(1,...,1) draws
 densities scaled by a log-uniform mass.  The ``*_rows`` samplers make the
 same bit-generator draws, in the same order, as that many one-point draws, and
 return the points as rows.
+
+Each suite seeds a generator of its own, so rules that share ``seed`` and
+``samples`` are checked on the same points; one ``verify`` command draws them
+once (:func:`_shared_draws`) and hands them out read-only.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -20,6 +27,31 @@ __all__ = ["sample_density", "sample_cone_point", "sample_positive_box", "densit
 # have coordinates in [_BOX_LOW, _BOX_HIGH) unless a draw sets its own low end.
 _MASS_LOW, _MASS_HIGH = 0.1, 10.0
 _BOX_LOW, _BOX_HIGH = 0.05, 2.0
+
+_DRAWS: ContextVar[dict | None] = ContextVar("entroscore_draws", default=None)
+
+
+@contextmanager
+def _shared_draws():
+    """Within the block, :func:`_seeded` makes each distinct draw once."""
+    token = _DRAWS.set({})
+    try:
+        yield
+    finally:
+        _DRAWS.reset(token)
+
+
+def _seeded(sampler, space: MeasureSpace, seed: int, count: int):
+    """``sampler(space, np.random.default_rng(seed), count)``, made once and read-only in a block."""
+    memo = _DRAWS.get()
+    if memo is None:
+        return sampler(space, np.random.default_rng(seed), count)
+    key = (sampler, space, seed, count)
+    if key not in memo:
+        draw = memo[key] = sampler(space, np.random.default_rng(seed), count)
+        for rows in draw if isinstance(draw, tuple) else (draw,):
+            rows.flags.writeable = False
+    return memo[key]
 
 
 def density_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StructureError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, normalize, normalize_rows,
                       pair, pair_rows, quiet_floats, report_dict, row_list)
-from .sampling import cone_rows, density_rows
+from .sampling import _seeded, cone_rows, density_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .entropies import Entropy
@@ -179,7 +179,7 @@ def verify_propriety(
     if samples < 1:
         raise DomainError("propriety verification needs at least one sample")
     space = rule.space
-    draws = density_rows(space, np.random.default_rng(seed), 2 * samples)
+    draws = _seeded(density_rows, space, seed, 2 * samples)
     p_rows, q_rows = draws[0::2], draws[1::2]
     margins = score_divergence_rows(p_rows, rule.score_rows(p_rows), rule.score_rows(q_rows),
                                     space.weights)
@@ -227,6 +227,12 @@ class EulerReport:
     as_dict = report_dict
 
 
+def _unit_cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> tuple:
+    """Euler's draw: ``count`` cone points, their unit-mass rows and their masses."""
+    points = cone_rows(space, rng, count)
+    return (points, *normalize_rows(points, space.weights))
+
+
 @quiet_floats
 def verify_euler(
     rule: ScoringRule,
@@ -239,17 +245,17 @@ def verify_euler(
 
     Defects are measured relative to ``1 + |extended value|`` so near-zero
     entropies do not inflate the report.  Cone points carry masses in
-    [0.1, 10] to exercise the extension away from the simplex.
+    [0.1, 10] to exercise the extension away from the simplex.  A rule and
+    an entropy on different spaces raise :class:`StructureError`.
     """
-    from .entropies import canonical_extension_rows
-
     if samples < 1:
         raise DomainError("Euler verification needs at least one sample")
-    weights = rule.space.weights
-    points = cone_rows(rule.space, np.random.default_rng(seed), samples)
-    extended = canonical_extension_rows(entropy, points)
-    defects = (np.abs(pair_rows(points, rule.score_rows(normalize_rows(points, weights)[0]), weights)
-                      - extended) / (1.0 + np.abs(extended)))
+    if rule.space != entropy.domain.space:
+        raise StructureError("operands live on different measure spaces")
+    points, unit_rows, mass = _seeded(_unit_cone_rows, rule.space, seed, samples)
+    extended = mass * entropy.value_rows(unit_rows)  # canonical_extension_rows on the drawn points
+    defects = (np.abs(pair_rows(points, rule.score_rows(unit_rows), rule.space.weights) - extended)
+               / (1.0 + np.abs(extended)))
     # the first strict maximum; a NaN defect only when every defect is NaN
     i = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))
     max_defect = float(defects[i])

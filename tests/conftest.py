@@ -18,10 +18,13 @@ from entroscore import (
     ConvexDomainSpec,
     DivergenceReport,
     DomainError,
+    EulerReport,
     MeasureSpace,
     RejectedCandidate,
     SubgradientProbeResult,
     affine_score_at,
+    bregman_divergence_rows,
+    canonical_extension_rows,
     catalog_entropy,
     composite_entropy,
     direction_cone_membership,
@@ -29,8 +32,11 @@ from entroscore import (
     is_quasi_interior,
     lineality_space,
     make_psr,
+    normalize_rows,
     pair,
+    pair_rows,
     parse_rule_spec,
+    sampling,
 )
 
 # The six named rules the verification suites exercise.
@@ -327,6 +333,59 @@ def ref_linearity_check(entropy, seed: int = 0, samples: int = 100) -> bool:
             if abs(entropy.value(lam * q) - lam * value) > 1e-10 * (1.0 + abs(lam * value)):
                 return False
     return True
+
+
+# -- single-evaluation suite reference -------------------------------------------
+#
+# ``symmetry_defect`` and ``verify_euler`` before each evaluated its oracles once
+# per point: every pair's divergence through ``bregman_divergence_rows`` on the
+# swapped rows, a fit that calls ``value_rows`` itself, and Euler's extension
+# through ``canonical_extension_rows``, which normalizes the points a second time.
+# Each draws from a fresh generator of its own.
+
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet
+def ref_rows_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
+    space = entropy.domain.space
+    points = sampling.box_rows(space, np.random.default_rng(seed), 2 * samples)
+    swapped = points.reshape(samples, 2, space.size)[:, ::-1].reshape(points.shape)
+    try:
+        divergences = bregman_divergence_rows(entropy, points, swapped)
+        i, j = np.triu_indices(space.size)
+        design = np.hstack([points[:, i] * points[:, j], points, np.ones((len(points), 1))])
+        target = entropy.value_rows(points)
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        fit_residual = float(np.max(np.abs(design @ coef - target)))
+    except DomainError as exc:
+        raise DomainError(f"{exc}; the sample points lie in the box [0.05, 2)^{space.size}") from None
+    defects = np.abs(divergences[0::2] - divergences[1::2])
+    if np.isnan(defects).all():
+        raise DomainError(f"no sampled symmetry defect of {entropy.name} is a number")
+    k = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))
+    worst = float(defects[k])
+    if worst > 1e-8:
+        label = ASYMMETRIC_WITH_WITNESS
+    elif worst <= 1e-10 and fit_residual <= 1e-10:
+        label = SYMMETRIC_GENERALIZED_QUADRATIC
+    else:
+        label = INCONCLUSIVE
+    return DivergenceReport(entropy.name, samples, worst, space.cone(points[2 * k]),
+                            space.cone(points[2 * k + 1]), fit_residual, label)
+
+
+@_quiet
+def ref_rows_verify_euler(rule, entropy, seed: int = 0, samples: int = 1000,
+                          tol: float = 1e-10) -> EulerReport:
+    weights = rule.space.weights
+    points = sampling.cone_rows(rule.space, np.random.default_rng(seed), samples)
+    extended = canonical_extension_rows(entropy, points)
+    defects = (np.abs(pair_rows(points, rule.score_rows(normalize_rows(points, weights)[0]), weights)
+                      - extended) / (1.0 + np.abs(extended)))
+    k = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))
+    return EulerReport(rule.name, samples, float(defects[k]), rule.space.cone(points[k]), tol,
+                       float(defects[k]) <= tol)
 
 
 # -- subgradient-probe reference ------------------------------------------------

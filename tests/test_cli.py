@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroscore import MeasureSpace, cli, expected_score, measure, score_divergence, score_divergence_rows
+from entroscore import (MeasureSpace, cli, expected_score, measure, sampling, score_divergence,
+                        score_divergence_rows, symmetry_defect, verify_euler, verify_propriety)
 from entroscore.cli import main
 
 from conftest import CATALOG_SPECS, child_env, rule_from_spec
@@ -218,7 +219,7 @@ class TestDivergenceCommand:
         assert payload.decode().splitlines()[1].split(",")[2] == "inf"
         # numpy cells render as Python float reprs, -0.0 as 0.0
         cells = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1])
-        monkeypatch.setattr(cli, "score_divergence_rows", lambda *args: cells)
+        monkeypatch.setattr(cli, "_divergence_cells", lambda *args: cells)
         code, payload = run(tmp_path, "divergence", str(p), str(q), "--rules", "shannon")
         assert code == 0
         assert payload.decode().splitlines()[1].split(",")[2:] == [
@@ -432,6 +433,95 @@ def test_verify_golden_at_twenty_atoms_byte_for_byte(tmp_path):
                       + "".join(f"[rule {spec}]\n" for spec in (*CATALOG_SPECS, "linear")))
     assert run(tmp_path, "verify", "--config", str(config)) == (
         1, (DATA / "verify_20_golden.json").read_bytes())
+
+
+# -- verify's shared draws --------------------------------------------------------
+
+_SHARED_RULES = (*CATALOG_SPECS, "linear")
+
+
+@pytest.mark.parametrize("suites, overrides", [
+    ("", {"spherical": "seed = 7"}),
+    ("", {"power(3)": "samples = 40"}),
+    ("suites = euler, symmetry", {}),
+], ids=["own-seed", "own-samples", "suite-subset"])
+def test_each_rule_reports_what_it_reports_alone(tmp_path, suites, overrides):
+    # the seven rules of one command share their sample points, except the one
+    # with its own seed or samples; each entry matches a run of its rule alone
+    def rules_report(specs):
+        config = tmp_path / "shared.ini"
+        config.write_text(f"[verify]\nseed = 11\nsamples = 60\nweights = 0.5,1,2\n{suites}\n\n"
+                          + "".join(f"[rule {spec}]\n{overrides.get(spec, '')}\n\n" for spec in specs))
+        code, payload = run(tmp_path, "verify", "--config", str(config))
+        assert code == (1 if "linear" in specs and not suites else 0)
+        return json.loads(payload)["rules"]
+
+    together = rules_report(_SHARED_RULES)
+    for spec in _SHARED_RULES:
+        assert json.dumps(together[spec], sort_keys=True) == json.dumps(rules_report([spec])[spec],
+                                                                         sort_keys=True)
+
+
+def test_shared_draws_last_one_verify_command(tmp_path, monkeypatch):
+    # a memo is open while the suites run and closed once the command returns,
+    # also when a suite's DomainError exits 2
+    open_during_suites = []
+    run_suite = cli._run_suite
+
+    def spy(*args):
+        open_during_suites.append(sampling._DRAWS.get() is not None)
+        return run_suite(*args)
+
+    monkeypatch.setattr(cli, "_run_suite", spy)
+    overflow = tmp_path / "overflow.ini"
+    overflow.write_text("[verify]\nsamples = 50\n\n[rule quadratic]\n\n[rule power(1100)]\n")
+    for argv, code in ((["--samples", "20"], 0), (["--config", str(overflow)], 2)):
+        assert run(tmp_path, "verify", *argv)[0] == code
+        assert sampling._DRAWS.get() is None
+    assert open_during_suites and all(open_during_suites)
+
+
+def _recording_rule(spec, space, seen):
+    """``cli.build_rule(spec, space)`` whose entropy and rule record the rows they are given."""
+    entropy, rule = cli.build_rule(spec, space)
+    for owner, attr in ((entropy, "value_rows"), (rule, "score_rows")):
+        oracle = getattr(owner, attr)
+        object.__setattr__(owner, attr, lambda q, oracle=oracle: seen.append(q) or oracle(q))
+    return entropy, rule
+
+
+def _suite_reports(specs, space, seen):
+    reports = []
+    for spec in specs:
+        entropy, rule = _recording_rule(spec, space, seen)
+        reports.append([verify_propriety(rule, seed=3, samples=10).as_dict(),
+                        verify_euler(rule, entropy, seed=3, samples=10).as_dict(),
+                        symmetry_defect(entropy, seed=3, samples=10).as_dict()])
+    return reports
+
+
+def test_suites_in_one_block_share_one_read_only_draw():
+    space = MeasureSpace([0.5, 1.0, 2.0])
+    inside, outside = [], []
+    with sampling._shared_draws():
+        shared = _suite_reports(["quadratic", "spherical"], space, inside)
+    assert shared == _suite_reports(["quadratic", "spherical"], space, outside)
+    # the second rule's oracles see the rows the first rule's saw, in the same order:
+    # views of one array per suite, which no oracle may write into
+    half = len(inside) // 2
+    assert len(inside) == len(outside) == 2 * half > 0
+    for first, second in zip(inside[:half], inside[half:]):
+        assert _root(first) is _root(second)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+    # outside a block every suite call draws afresh, into arrays it may write
+    assert all(a.flags.writeable for a in outside)
+    assert not any(np.shares_memory(a, b) for a, b in zip(outside[:half], outside[half:]))
+
+
+def _root(rows: np.ndarray) -> np.ndarray:
+    return rows if rows.base is None else _root(rows.base)
 
 
 _PROBE_CONFIG = (

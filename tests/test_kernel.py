@@ -10,8 +10,12 @@ overflowing rows fails here as well.  The sampled suites that run on rows
 (``symmetry_defect``, ``linearity_check``) must report what their per-point
 loops, kept in ``conftest``, reported, and ``cone_rows`` must draw the bits
 and leave the generator where per-point ``rng.dirichlet`` calls did.
+``symmetry_defect`` and ``verify_euler``, which evaluate each oracle once per
+point on draws a ``verify`` command shares, must report what their earlier
+row formulas, also in ``conftest``, reported.
 """
 
+import contextlib
 import json
 import math
 
@@ -42,12 +46,13 @@ from entroscore import (
     sampling,
     subdifferential_probe,
     symmetry_defect,
+    verify_euler,
 )
 from entroscore.entropies import FD_STEP, directional_derivative_fd, directional_derivative_fd_rows
 
 from conftest import (CATALOG_SPECS, entropy_from_spec, ref_call, ref_catalog, ref_composite,
                       ref_cone_rows, ref_divergence, ref_linearity_check, ref_pair, ref_rebased,
-                      ref_score, ref_symmetry_defect)
+                      ref_rows_symmetry_defect, ref_rows_verify_euler, ref_score, ref_symmetry_defect)
 
 
 def kernel_call(fn, *args):
@@ -274,6 +279,41 @@ def test_sampled_suites_match_their_per_point_loops(weights):
                     == json.dumps(ref_symmetry_defect(entropy, seed=seed, samples=samples).as_dict()))
             assert (linearity_check(entropy, seed=seed, samples=samples)
                     is ref_linearity_check(entropy, seed=seed, samples=samples))
+
+
+@st.composite
+def suite_problems(draw):
+    n = draw(st.integers(1, 64))
+    weights = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)))
+    return (MeasureSpace(weights), draw(st.integers(1, 12)), draw(st.floats(1.0, 50.0, exclude_min=True)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def report_or_error(suite, *args):
+    """The report as JSON text, or the type and message of the error the suite raised."""
+    try:
+        return json.dumps(suite(*args).as_dict())
+    except Exception as exc:  # the reference's own errors are what gets compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(suite_problems())
+@example((MeasureSpace([1.0]), 1, 1.5, 0))
+@example((MeasureSpace([1e-8, 1.0, 1e8]), 2, 3.0, 1))
+@example((MeasureSpace(10.0 ** np.linspace(-8.0, 8.0, 64)), 12, 50.0, 2))
+def test_single_evaluation_suites_match_their_earlier_formulas(problem):
+    # on fresh draws, and on draws shared read-only by every subject after the first
+    space, samples, gamma, seed = problem
+    pairs = [(entropy, rule) for _, entropy, rule, _ in subjects(space, gamma, seed) if entropy is not None]
+    pairs.append((catalog_entropy("quadratic", space), linear_score(space)))
+    for shared in (False, True):
+        with sampling._shared_draws() if shared else contextlib.nullcontext():
+            for entropy, rule in pairs:
+                assert (report_or_error(symmetry_defect, entropy, seed, samples)
+                        == report_or_error(ref_rows_symmetry_defect, entropy, seed, samples))
+                assert (report_or_error(verify_euler, rule, entropy, seed, samples)
+                        == report_or_error(ref_rows_verify_euler, rule, entropy, seed, samples))
 
 
 def test_linearity_check_stops_at_its_first_failing_point():

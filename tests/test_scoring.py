@@ -8,6 +8,8 @@ import pytest
 
 from entroscore import (
     DomainError,
+    MeasureSpace,
+    StructureError,
     bregman_divergence,
     canonical_extension_value,
     expected_score,
@@ -278,6 +280,14 @@ class TestVerifyEuler:
         assert set(payload) == {"rule", "samples", "max_defect", "witness", "tol", "pass"}
         assert payload["witness"] == report.witness.values.tolist()
         assert payload["pass"] is report.passed
+
+    @pytest.mark.parametrize("entropy_weights", [[1.0, 2.0, 1.0], [1.0, 1.0]], ids=["weights", "atoms"])
+    def test_rule_and_entropy_on_different_spaces_raise(self, entropy_weights):
+        # once with the rule's atom count and other weights, once with fewer atoms
+        rule = make_psr(entropy_from_spec("quadratic", unit_space(3)))
+        E = entropy_from_spec("quadratic", MeasureSpace(entropy_weights))
+        with pytest.raises(StructureError, match="operands live on different measure spaces"):
+            verify_euler(rule, E, samples=10)
 
     def test_spherical_defect_is_roundoff(self):
         sp = unit_space(3)
