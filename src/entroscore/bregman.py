@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import ConeVector, DualVector, fsum_rows, pair, pair_rows, quiet_floats, report_dict
+from .measure import ConeVector, DualVector, exact_row_sums, pair, pair_rows, quiet_floats, report_dict
 from .entropies import Entropy
 from .sampling import _BOX_HIGH, _BOX_LOW, _seeded, box_rows, cone_rows
 
@@ -232,10 +232,8 @@ def quadratic_discrimination_bound(p: ConeVector, q: ConeVector, nu) -> tuple[fl
     if weights.shape != (p.space.size,) or not np.isfinite(weights).all() or np.any(weights <= 0.0):
         raise DomainError("nu must be a finite positive vector matching the space")
     diff = p.values - q.values
-    try:
-        mean_term, d2, mass = fsum_rows(np.stack([diff * weights, diff * diff * weights, weights]))
-    except DomainError:  # a sum past the float range
-        mean_term = d2 = mass = np.inf
+    # a sum past the float range is NaN, and so is d1 or the bound
+    (mean_term, d2, mass), _ = exact_row_sums(np.stack([diff * weights, diff * diff * weights, weights]))
     d1, bound = mean_term ** 2, mass * d2
     if not (np.isfinite(d1) and np.isfinite(bound)):
         raise DomainError("the discrimination bound leaves the float range")

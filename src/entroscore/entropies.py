@@ -291,13 +291,10 @@ def catalog_entropy(
         return _weighted_quadratic(space, matrix)
     if matrix is not None:
         raise ConstructionError(f"{name} entropy takes no matrix")
-    if name == "quadratic":
-        return _quadratic(space)
-    if name == "spherical":
-        return _spherical(space)
-    if name == "shannon":
-        return _shannon(space)
-    raise ConstructionError(f"unknown entropy {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+    plain = {"quadratic": _quadratic, "spherical": _spherical, "shannon": _shannon}
+    if name not in plain:
+        raise ConstructionError(f"unknown entropy {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+    return plain[name](space)
 
 
 def parse_rule_spec(spec: str) -> tuple[str, float | None]:

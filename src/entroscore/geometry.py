@@ -26,7 +26,6 @@ it.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -303,11 +302,8 @@ def annihilator_basis(
         if not vectors:
             raise ConstructionError("pass a space to take the annihilator of nothing")
         space = vectors[0].space
-    if not vectors:
-        basis = np.eye(space.size)
-    else:
-        stacked = np.array([v.values for v in vectors])
-        basis = _null_space_basis(stacked * space.weights, space.size)
+    stacked = np.array([v.values for v in vectors]).reshape(len(vectors), space.size)
+    basis = _null_space_basis(stacked * space.weights, space.size)  # the identity for no vectors
     return [space.dual(basis[:, j]) for j in range(basis.shape[1])]
 
 
@@ -363,17 +359,31 @@ def _feasible_probe_directions(domain: ConvexDomainSpec, v: np.ndarray, points: 
     return directions[_feasible_rows(domain, v, directions)]
 
 
-def _rows_or_fill(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, fill: float) -> np.ndarray:
-    """``fn(rows)``; if that raises :class:`DomainError`, ``fn`` of each row alone,
-    and ``fill`` where that raises."""
-    try:
-        return fn(rows)
-    except DomainError:
-        out = np.full(len(rows), fill)
-        for i in range(len(rows)):
-            with suppress(DomainError):
-                out[i] = fn(rows[i:i + 1])[0]
-        return out
+def _inf_outside(fn: Callable, rows: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """``fn`` of the ``defined`` rows in one call, ``+inf`` on the rest."""
+    out = np.full(len(rows), np.inf)
+    out[defined] = fn(rows[defined])
+    return out
+
+
+def _values(entropy, rows: np.ndarray) -> np.ndarray:
+    """Values of the rows; ``+inf`` on those with an entry below 0 if the domain is sign-bounded."""
+    return (_inf_outside(entropy.value_rows, rows, ~(rows < 0.0).any(axis=1)) if entropy.domain.nonnegative
+            else entropy.value_rows(rows))
+
+
+def _slopes(entropy, q: ConeVector, directions: np.ndarray) -> np.ndarray:
+    """FD right derivatives at q, ``+inf`` along the directions the estimate refuses: all if q is
+    outside the entropy's domain K, else those whose step ``q + FD_STEP * d`` leaves K or, if K is
+    sign-bounded, has an entry below 0."""
+    from .entropies import FD_STEP, directional_derivative_fd_rows
+
+    dom = entropy.domain
+    if not dom.contains(q):
+        return np.full(len(directions), np.inf)
+    stepped = q.values + FD_STEP * directions
+    accepted = dom.contains_rows(stepped) & ~(dom.nonnegative & (stepped < 0.0)).any(axis=1)
+    return _inf_outside(partial(directional_derivative_fd_rows, entropy, q), directions, accepted)
 
 
 def _first_min(gaps: np.ndarray) -> tuple[int, float]:
@@ -390,10 +400,7 @@ def _ray_witness(entropy, domain: ConvexDomainSpec, q: ConeVector, base_value: f
     scale = (1.0 + float(np.max(np.abs(v)))) / (1.0 + float(np.max(np.abs(direction))))
     lam = np.ldexp(scale, -np.arange(40))
     ray = v + lam[:, None] * direction
-    inside = domain.contains_rows(ray)
-    gaps = np.full(lam.size, np.inf)
-    values = _rows_or_fill(entropy.value_rows, ray[inside], np.inf)
-    gaps[inside] = values - base_value - lam[inside] * rate
+    gaps = _inf_outside(partial(_values, entropy), ray, domain.contains_rows(ray)) - base_value - lam * rate
     index, gap = _first_min(gaps)
     if gap == np.inf:
         return domain.space.cone(v + direction), float("nan")
@@ -426,12 +433,11 @@ def subdifferential_probe(
     the equality condition under which the subgradient is unique.  The claim
     certifies sampled directions only.
 
-    A point whose value or pairing raises :class:`DomainError` is skipped; a
-    direction whose derivative raises counts as ``+inf``: never a breach, and
-    no uniqueness claim.  Each witness is the first strict minimum.
+    The entropy is ``+inf`` off its domain: a point with an entry below 0 on a
+    sign-bounded one never violates, and a direction the FD estimate refuses is
+    never a breach and blocks the uniqueness claim.  A value or pairing sum past
+    the float range raises :class:`DomainError`.  Each witness is the first strict minimum.
     """
-    from .entropies import directional_derivative_fd_rows
-
     if not domain.contains(q):
         raise DomainError("probe base point is not in the domain")
     v, w = q.values, domain.space.weights
@@ -439,15 +445,13 @@ def subdifferential_probe(
     rng = np.random.default_rng(seed)
     points = np.vstack([_structured_points(domain, v), domain.draw(rng, _PROBE_POINTS)])
     directions = _feasible_probe_directions(domain, v, points, rng)
-    values = _rows_or_fill(entropy.value_rows, points, np.inf)
-    slopes = partial(_rows_or_fill, partial(directional_derivative_fd_rows, entropy, q), fill=np.inf)
-    right_slopes = slopes(directions)
+    values = _values(entropy, points)
+    right_slopes = _slopes(entropy, q, directions)
 
     verified: list[DualVector] = []
     rejected: list[RejectedCandidate] = []
     for cand in candidates:
-        pairings = _rows_or_fill(partial(pair_rows, f_rows=cand.values, weights=w), points - v, np.nan)
-        index, gap = _first_min(values - base_value - pairings)
+        index, gap = _first_min(values - base_value - pair_rows(points - v, cand.values, w))
         if gap < -_INEQ_TOL * (1.0 + abs(base_value)):
             rejected.append(RejectedCandidate(cand, domain.space.cone(points[index]), gap))
             continue
@@ -469,7 +473,7 @@ def subdifferential_probe(
             coeff /= np.linalg.norm(coeff)
             two_sided.append(np.sum(coeff[:, None] * basis, axis=0)[None])
         two_sided = _signed(np.vstack(two_sided))
-        both_slopes = slopes(two_sided)
+        both_slopes = _slopes(entropy, q, two_sided)
         unique = bool(np.isfinite(both_slopes).all()) and not any(
             (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
             for f in verified)

@@ -275,16 +275,16 @@ def fsum_rows(terms: np.ndarray) -> np.ndarray:
 def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise pairing ``sum_i q_i f_i mu_i`` of broadcastable (m, n) arrays.
 
-    Rows of ``f`` with finite entries sum ``(q f) mu`` exactly.  On the others
-    atoms where ``q_i mu_i = 0`` contribute nothing (0 * inf := 0 on sets of
-    measure zero), the rest ``(q mu) f``: an infinite term makes the signed
-    infinity, opposing infinities NaN.
+    Rows whose terms ``(q f) mu`` are all finite sum them exactly.  On the
+    others atoms where ``q_i mu_i = 0`` contribute nothing (0 * inf := 0 on
+    sets of measure zero), the rest ``(q mu) f``: an infinite term makes the
+    signed infinity, opposing infinities NaN.
     """
     terms = q_rows * f_rows * weights
-    if np.isfinite(f_rows).all():
+    if np.isfinite(terms).all():
         return fsum_rows(terms)
     q_rows, f_rows = np.broadcast_arrays(q_rows, f_rows)
-    infinite = ~np.isfinite(f_rows).all(axis=1)
+    infinite = ~np.isfinite(terms).all(axis=1)
     base = q_rows[infinite] * weights
     terms[infinite] = np.where(base != 0.0, base * f_rows[infinite], 0.0)
     charged = infinite & np.isinf(terms).any(axis=1)

@@ -118,8 +118,9 @@ def ref_dual(values, allow_infinite=False) -> np.ndarray:
 
 
 def ref_pair(q, f, w) -> float:
-    if np.all(np.isfinite(f)):
-        return math.fsum((q * f * w).tolist())
+    terms = q * f * w
+    if np.all(np.isfinite(terms)):
+        return math.fsum(terms.tolist())
     base = q * w
     charged = base != 0.0
     terms = base[charged] * f[charged]

@@ -124,11 +124,12 @@ class TestScoreCommand:
 
     @pytest.mark.parametrize("rule, code", [
         ("quadratic", 3), ("spherical", 3), ("power(1.5)", 3), ("power(3)", 3),
-        ("pseudospherical(3)", 3), ("linear", 3), ("shannon", 0),
+        ("pseudospherical(3)", 0), ("linear", 0), ("shannon", 0),
     ])
     def test_scores_past_the_float_range_exit_3_listing_rows(self, tmp_path, capsys, rule, code):
-        # under weights (1e-300, 1) row 2 is a density, but its scores (for
-        # linear, its expected score) overflow; the log score stays finite
+        # under weights (1e-300, 1) row 2 is a density, but most of its scores
+        # overflow; the log score stays finite, and so do linear's and
+        # pseudospherical's scores and pairings: 1e300 * 1e-300 is taken first
         forecasts = tmp_path / "f.csv"
         forecasts.write_text("p1,p2\n0,1\n1e300,0\n")
         outcomes = tmp_path / "oc.csv"
@@ -138,6 +139,17 @@ class TestScoreCommand:
         if code == 3:
             err = capsys.readouterr().err
             assert "row 2" in err and "row 1" not in err
+
+    def test_linear_expected_score_of_a_heavy_light_atom(self, tmp_path):
+        # (q f) mu would overflow at q = f = 1e300, mu = 1e-300; (q mu) f does not
+        forecasts = tmp_path / "f.csv"
+        forecasts.write_text("p1,p2\n1e300,0\n0,1\n")
+        outcomes = tmp_path / "oc.csv"
+        outcomes.write_text("outcome\n1\n2\n")
+        argv = ["score", str(forecasts), str(outcomes), "--weights", "1e-300,1", "--rules", "linear"]
+        code, payload = run(tmp_path, *argv)
+        assert code == 0
+        assert payload.decode().splitlines()[1:3] == ["1,1,1e+300,1e+300", "2,2,1.0,1.0"]
 
     def test_unknown_rule_exits_4(self, tmp_path):
         code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "nosuchrule")
@@ -233,6 +245,15 @@ class TestDivergenceCommand:
         assert run(tmp_path, *argv)[0] == 3
         assert "row 2" in capsys.readouterr().err
 
+    def test_linear_divergence_of_a_heavy_light_atom(self, tmp_path):
+        # D(p1, p1) = 0 and D(p1, p2) = 1e300 once (q mu) f is formed before (q f) mu overflows
+        densities = tmp_path / "p.csv"
+        densities.write_text("p1,p2\n1e300,0\n0,1\n")
+        argv = ["divergence", str(densities), str(densities), "--weights", "1e-300,1", "--rules", "linear"]
+        code, payload = run(tmp_path, *argv)
+        assert code == 0
+        assert payload.decode().splitlines()[1:] == ["linear,p1,0.0,1e+300", "linear,p2,1.0,0.0"]
+
     def test_width_mismatch_exits_2(self, tmp_path):
         q = tmp_path / "q.csv"
         q.write_text("p1,p2\n0.5,0.5\n")
@@ -290,6 +311,19 @@ class TestVerifyCommand:
         report = json.loads(payload)
         assert report["probes"]["corner"]["pass"] is True
         assert len(report["probes"]["corner"]["verified"]) == 3
+
+    def test_probe_past_the_float_range_exits_2_naming_it(self, tmp_path, capsys):
+        # q q mu overflows on sampled points near this point
+        config = tmp_path / "probe.ini"
+        config.write_text(
+            "[verify]\nseed = 1\nsamples = 5\nweights = 1,1,1\nsuites = propriety\n\n"
+            "[rule quadratic]\n\n"
+            "[probe big]\nentropy = quadratic\ndomain = whole_space\n"
+            "point = 1.1e154,6e153,1\ncandidates = 2.2e154,1.2e154,2\n"
+        )
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("entroscore: probe 'big': ") and "float range" in err
 
     def test_weights_file(self, tmp_path):
         weights = tmp_path / "w.csv"

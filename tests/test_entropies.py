@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroscore import (
     CompositeEntropySpec,
@@ -21,6 +22,7 @@ from entroscore import (
     make_psr,
     pair,
     parse_rule_spec,
+    rebase_entropy,
     sample_positive_box,
 )
 
@@ -184,6 +186,32 @@ class TestCatalogValues:
     def test_parse_rule_spec_rejects_malformed(self, spec):
         with pytest.raises(ConstructionError):
             parse_rule_spec(spec)
+
+
+_SIGN_SPACE = MeasureSpace([0.5, 1.0, 2.0])
+_SIGN_SUBJECTS = (*CATALOG_SPECS, "weighted_quadratic", "shannon@rebased")
+
+
+def _sign_subject(name: str):
+    if name == "weighted_quadratic":
+        return catalog_entropy(name, _SIGN_SPACE, matrix=np.diag([1.0, 2.0, 3.0]) + 0.5)
+    if name == "shannon@rebased":
+        return rebase_entropy(catalog_entropy("shannon", _SIGN_SPACE), _SIGN_SPACE.cone([0.5, 1.0, 1.5]))
+    return entropy_from_spec(name, _SIGN_SPACE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SIGN_SUBJECTS),
+       st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])), min_size=3, max_size=3))
+def test_value_rows_is_undefined_exactly_off_a_sign_bounded_domain(name, row):
+    # the rule the subgradient probe applies up front instead of calling the oracle
+    E = _sign_subject(name)
+    rows = np.array([row])
+    if E.domain.nonnegative and (rows < 0.0).any():
+        with pytest.raises(DomainError):
+            E.value_rows(rows)
+    else:
+        assert np.isfinite(E.value_rows(rows)).all()
 
 
 class TestConvexityAndHomogeneity:

@@ -349,6 +349,28 @@ _PROBE_DOMAINS = {"simplex": ConvexDomainSpec.simplex, "orthant": ConvexDomainSp
                   "whole_space": ConvexDomainSpec.whole_space}
 
 
+@st.composite
+def _probe_cases(draw):
+    """A catalog entropy, a whole-space, orthant or simplex domain on drawn weights, a
+    point with zero atoms, its gradient (a stand-in where there is none) and perturbations."""
+    n = draw(st.integers(2, 4))
+    sp = MeasureSpace(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    family = draw(st.sampled_from(sorted(_PROBE_DOMAINS)))
+    q = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 2.0)), min_size=n, max_size=n)))
+    assume(q.any())
+    if family == "simplex":
+        q = q / (q @ sp.weights)
+    E = entropy_from_spec(draw(st.sampled_from(CATALOG_SPECS)), sp)
+    try:
+        grad = E.subgradient(sp.cone(q)).values
+    except DomainError:  # shannon at a zero atom
+        grad = np.log(np.maximum(q, 1e-3)) + 1.0
+    steps = st.lists(st.sampled_from([0.0, 0.0, 1e-5, -0.5, 0.3]), min_size=n, max_size=n)
+    offsets = draw(st.lists(steps, min_size=1, max_size=3))
+    candidates = [sp.dual(grad + np.array(d) / sp.weights) for d in offsets]
+    return E, _PROBE_DOMAINS[family](sp), sp.cone(q), candidates, draw(st.integers(0, 2**32 - 1))
+
+
 class TestSubdifferentialProbe:
     def test_orthant_corner_facet(self):
         # at q = (1, 0) the quadratic subdifferential relative to the orthant
@@ -487,6 +509,41 @@ class TestSubdifferentialProbe:
                 got = subdifferential_probe(E, K, sp.cone(q), candidates, seed=seed)
                 want = ref_subdifferential_probe(E, K, sp.cone(q), candidates, seed=seed)
                 assert json.dumps(got.as_dict()) == json.dumps(want.as_dict()), (spec, boundary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_probe_cases())
+    def test_matches_the_per_point_probe_on_drawn_cases(self, case):
+        E, K, q, candidates, seed = case
+        got = subdifferential_probe(E, K, q, candidates, seed=seed)
+        want = ref_subdifferential_probe(E, K, q, candidates, seed=seed)
+        assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+
+    def test_whole_space_probe_calls_each_oracle_once_per_batch(self):
+        # sampled points with a negative atom are +inf for power without a call; one
+        # value_rows call each for the base point, the sampled points, and the FD
+        # steps of the one-sided and of the two-sided directions
+        sp = MeasureSpace([0.5, 1.0, 2.0])
+        power = catalog_entropy("power", sp, gamma=1.5)
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return power.value_rows(rows)
+
+        E = Entropy("counted power(1.5)", power.domain, counted, power.grad_rows)
+        q = sp.cone([0.5, 1.0, 1.5])
+        result = subdifferential_probe(E, ConvexDomainSpec.whole_space(sp), q, [power.subgradient(q)])
+        assert len(result.verified) == 1 and result.unique_claim
+        assert len(calls) == 4
+
+    def test_a_value_sum_past_the_float_range_raises(self):
+        # q q mu sums past the float range on some sampled points near q: the probe
+        # raises rather than judge the true gradient on the other points
+        sp = unit_space(3)
+        E = catalog_entropy("quadratic", sp)
+        q = sp.cone([1.1e154, 6e153, 1.0])
+        with pytest.raises(DomainError, match="float range"):
+            subdifferential_probe(E, ConvexDomainSpec.whole_space(sp), q, [E.subgradient(q)], seed=1)
 
 
 class TestHalfspaceGeometry:
