@@ -23,13 +23,13 @@ This module also carries:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import ConeVector, DualVector, exact_row_sums, pair, pair_rows, quiet_floats, report_dict
+from .measure import (ConeVector, DualVector, _first_min, exact_row_sums, pair, pair_rows, quiet_floats,
+                      report_dict)
 from .entropies import Entropy
 from .sampling import _BOX_HIGH, _BOX_LOW, _seeded, box_rows, cone_rows
 
@@ -198,7 +198,7 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     defects = np.abs(divergences[0::2] - divergences[1::2])
     if np.isnan(defects).all():
         raise DomainError(f"no sampled symmetry defect of {entropy.name} is a number")
-    i = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))  # the first strict maximum
+    i, _ = _first_min(-defects)  # the first strict maximum
     worst = float(defects[i])
     if worst > _ASYMMETRIC_DEFECT_TOL:
         label = ASYMMETRIC_WITH_WITNESS

@@ -18,7 +18,7 @@ fault.  Floats are rendered with shortest round-trip ``repr`` (so
 ``inf``/``-inf``), ``-0.0`` as ``0.0``.
 Exit codes: 0 success, 1 verification failure, 2 malformed input or config
 (or a ``verify`` rule whose scores leave the float range on its sample
-points), 3 invalid density rows or rows whose scores leave the float range,
+points), 3 invalid density rows or rows whose scores (or Fisher terms) leave the float range,
 4 unknown rule.
 """
 
@@ -44,9 +44,10 @@ from .entropies import catalog_entropy, parse_rule_spec
 from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
-from .measure import MeasureSpace, fsum_rows, pair_rows, quiet_floats, require_density_rows
+from .measure import (MeasureSpace, fsum_rows, pair_rows, quiet_floats, require_density_rows,
+                      require_float_range)
 from .sampling import _shared_draws
-from .scoring import linear_score, make_psr, require_float_range, verify_euler, verify_propriety
+from .scoring import linear_score, make_psr, verify_euler, verify_propriety
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -547,14 +548,12 @@ def cmd_grid_score(args) -> int:
     values = read_values(args.density)
     if len(values) < 4:
         raise CliError(EXIT_INPUT, f"{args.density}: a periodic grid needs at least 4 values")
-    bad = [str(i) for i, v in enumerate(values, start=1) if not 0 < v < math.inf]
-    if bad:
-        raise CliError(EXIT_DENSITY, f"{args.density}: nonpositive or non-finite rows: {', '.join(bad)}")
     grid = PeriodicGrid(len(values))
-    density = GridDensity(grid, values)
-    table = np.column_stack([grid.points, hyvarinen_score(density).values])
-    lines = [_csv_line(["x", "score"]), *_table_lines([""] * len(values), table),
-             *_table_lines(["fisher_entropy,"], np.array([[fisher_entropy(density)]]))]
+    with _rows_of(args.density):
+        density = GridDensity(grid, values)
+        table = np.column_stack([grid.points, hyvarinen_score(density).values])
+        lines = [_csv_line(["x", "score"]), *_table_lines([""] * len(values), table),
+                 *_table_lines(["fisher_entropy,"], np.array([[fisher_entropy(density)]]))]
     _write_text("".join(lines), args.out)
     return EXIT_OK
 

@@ -33,14 +33,15 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, StructureError
+from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
-from .measure import (ConeVector, DualVector, MeasureSpace, exact_row_sums, fsum_rows, normalize_rows,
-                      quiet_floats)
+from .measure import (ConeVector, DualVector, MeasureSpace, _require_same_space, exact_row_sums, fsum_rows,
+                      normalize_rows, quiet_floats)
 from .scoring import make_psr, zero_homog_extend
 
 __all__ = [
@@ -89,13 +90,13 @@ _COMPOSITE_SEED = 7
 class Entropy:
     """Convex function on a declared domain, with row oracles.
 
-    Each oracle maps an (m, n) array of cone vectors (made C-ordered) to m
-    results without float warnings: ``value_rows`` to values; ``grad_rows`` to
-    dual representers of a subgradient (None if there is none; :class:`DomainError`
-    where no finite one exists, e.g. shannon on the boundary); the optional
-    ``closed_form_rows`` to the associated scores, for rules the generic
-    construction cannot extend to boundary points.  ``value``, ``subgradient``
-    and ``closed_form_score`` are their one-row calls on vector objects.
+    Each oracle maps an (m, n) array of cone vectors (made C-ordered) to m results without float
+    warnings, refusing (:class:`DomainError`) a row with an entry below 0 if the domain is
+    sign-bounded: ``value_rows`` to values; ``grad_rows`` to dual representers of a subgradient
+    (None if there is none; :class:`DomainError` where no finite one exists, e.g. shannon on the
+    boundary); the optional ``closed_form_rows`` to the associated scores, for rules the generic
+    construction cannot extend to boundary points.  ``value``, ``subgradient`` and
+    ``closed_form_score`` are their one-row calls on vector objects.
     """
 
     name: str
@@ -105,26 +106,26 @@ class Entropy:
     closed_form_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        space = self.domain.space
-        value_rows, grad_rows, closed_form_rows = (  # numpy's strided pow and log round differently
-            oracle and quiet_floats(lambda q, oracle=oracle: oracle(np.ascontiguousarray(q)))
-            for oracle in (self.value_rows, self.grad_rows, self.closed_form_rows))
+        @quiet_floats
+        def checked(oracle, q):
+            q = np.ascontiguousarray(q)  # numpy's strided pow and log round differently
+            if self.domain.nonnegative and (q < 0.0).any():
+                raise DomainError(f"{self.name} requires nonnegative input")
+            return oracle(q)
+
+        value_rows, grad_rows, closed_form_rows = (oracle and partial(checked, oracle) for oracle in (
+            self.value_rows, self.grad_rows, self.closed_form_rows))
         object.__setattr__(self, "value_rows", value_rows)
         object.__setattr__(self, "grad_rows", grad_rows)
         object.__setattr__(self, "closed_form_rows", closed_form_rows)
         object.__setattr__(self, "value", lambda q: float(value_rows(q.values[None])[0]))
         object.__setattr__(self, "subgradient", grad_rows and (
-            lambda q: space.dual(grad_rows(q.values[None])[0])))
+            lambda q: self.domain.space.dual(grad_rows(q.values[None])[0])))
         object.__setattr__(self, "closed_form_score", closed_form_rows and (
-            lambda q: space.dual(closed_form_rows(q.values[None])[0], allow_infinite=True)))
+            lambda q: self.domain.space.dual(closed_form_rows(q.values[None])[0], allow_infinite=True)))
 
     def __repr__(self) -> str:
         return f"Entropy({self.name!r}, domain={self.domain.kind})"
-
-
-def _require_nonnegative(values: np.ndarray, what: str) -> None:
-    if (values < 0.0).any():
-        raise DomainError(f"{what} requires nonnegative input")
 
 
 def _quadratic(space: MeasureSpace) -> Entropy:
@@ -158,11 +159,9 @@ def _power(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
-        _require_nonnegative(q, "power entropy")
         return fsum_rows(np.power(q, gamma) * w)
 
     def grad_rows(q: np.ndarray) -> np.ndarray:
-        _require_nonnegative(q, "power entropy subgradient")
         return gamma * np.power(q, gamma - 1.0)
 
     return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space),
@@ -173,7 +172,6 @@ def _shannon(space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
-        _require_nonnegative(q, "shannon entropy")
         # 0 log 0 := 0; libm log per element, as numpy's SIMD log can differ in the last bit
         charged = q != 0.0
         logs = np.zeros(q.shape)
@@ -182,17 +180,11 @@ def _shannon(space: MeasureSpace) -> Entropy:
 
     def grad_rows(q: np.ndarray) -> np.ndarray:
         if (q <= 0.0).any():
-            raise DomainError(
-                "shannon subgradient does not exist at boundary points (zero atoms)"
-            )
+            raise DomainError("shannon subgradient does not exist at boundary points (zero atoms)")
         return np.log(q) + 1.0
 
-    def log_score_rows(q: np.ndarray) -> np.ndarray:
-        _require_nonnegative(q, "logarithmic score")
-        return np.log(q)
-
     return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value_rows, grad_rows,
-                   closed_form_rows=log_score_rows)
+                   closed_form_rows=np.log)  # the logarithmic score, -inf at zero atoms
 
 
 def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
@@ -211,7 +203,6 @@ def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
         float range; then it is the row's max.  That is exact, as the value
         is 1-homogeneous and the subgradient 0-homogeneous.
         """
-        _require_nonnegative(q, "pseudospherical entropy")
         total = power_sums(q)
         rescale = ~((sys.float_info.min <= total) & (total < math.inf))
         top = np.ones(len(q))
@@ -364,8 +355,7 @@ def directional_derivative_fd_rows(entropy: Entropy, q: ConeVector, p_rows: np.n
 
 def directional_derivative_fd(entropy: Entropy, q: ConeVector, p: ConeVector) -> float:
     """One row of :func:`directional_derivative_fd_rows`."""
-    if p.space != q.space:
-        raise StructureError("operands live on different measure spaces")
+    _require_same_space(p, q)
     return float(directional_derivative_fd_rows(entropy, q, p.values[None])[0])
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import ConeVector, DualVector, MeasureSpace, pair_rows, quiet_floats, report_dict
+from .measure import ConeVector, DualVector, MeasureSpace, _first_min, pair_rows, quiet_floats, report_dict
 from .sampling import box_rows, density_rows
 
 __all__ = [
@@ -166,10 +166,6 @@ class ConvexDomainSpec:
     def contains(self, q: ConeVector) -> bool:
         """Whether q lies in K: one row of :meth:`contains_rows`."""
         return q.space == self.space and bool(self.contains_rows(q.values[None])[0])
-
-    def sample(self, rng: np.random.Generator, count: int = 1) -> list[ConeVector]:
-        """Random points of the domain (interior-biased), for sampled checks."""
-        return [self.space.cone(row) for row in self.draw(rng, count)]
 
     def affine_hull_dimension(self) -> int:
         """Dimension of the affine hull of K: the space size minus the rank of its equalities."""
@@ -368,8 +364,7 @@ def _inf_outside(fn: Callable, rows: np.ndarray, defined: np.ndarray) -> np.ndar
 
 def _values(entropy, rows: np.ndarray) -> np.ndarray:
     """Values of the rows; ``+inf`` on those with an entry below 0 if the domain is sign-bounded."""
-    return (_inf_outside(entropy.value_rows, rows, ~(rows < 0.0).any(axis=1)) if entropy.domain.nonnegative
-            else entropy.value_rows(rows))
+    return _inf_outside(entropy.value_rows, rows, ~(entropy.domain.nonnegative & (rows < 0.0)).any(axis=1))
 
 
 def _slopes(entropy, q: ConeVector, directions: np.ndarray) -> np.ndarray:
@@ -384,12 +379,6 @@ def _slopes(entropy, q: ConeVector, directions: np.ndarray) -> np.ndarray:
     stepped = q.values + FD_STEP * directions
     accepted = dom.contains_rows(stepped) & ~(dom.nonnegative & (stepped < 0.0)).any(axis=1)
     return _inf_outside(partial(directional_derivative_fd_rows, entropy, q), directions, accepted)
-
-
-def _first_min(gaps: np.ndarray) -> tuple[int, float]:
-    """Index and value of the first strict minimum, NaN counting as ``+inf``."""
-    gaps = np.where(np.isnan(gaps), np.inf, gaps)
-    return int(np.argmin(gaps)), float(gaps.min())
 
 
 def _ray_witness(entropy, domain: ConvexDomainSpec, q: ConeVector, base_value: float,
@@ -435,46 +424,54 @@ def subdifferential_probe(
 
     The entropy is ``+inf`` off its domain: a point with an entry below 0 on a
     sign-bounded one never violates, and a direction the FD estimate refuses is
-    never a breach and blocks the uniqueness claim.  A value or pairing sum past
-    the float range raises :class:`DomainError`.  Each witness is the first strict minimum.
+    never a breach and blocks the uniqueness claim.  Each witness is the first strict minimum.
+    :class:`DomainError` if q has no finite value, or a sampled value or pairing sum overflows.
     """
     if not domain.contains(q):
         raise DomainError("probe base point is not in the domain")
     v, w = q.values, domain.space.weights
-    base_value = float(entropy.value_rows(v[None])[0])
+    try:
+        base_value = float(_values(entropy, v[None])[0])
+    except DomainError:  # finite terms summing past the float range
+        base_value = np.inf
+    if not np.isfinite(base_value):
+        raise DomainError("the entropy has no finite value at the probe base point")
     rng = np.random.default_rng(seed)
     points = np.vstack([_structured_points(domain, v), domain.draw(rng, _PROBE_POINTS)])
     directions = _feasible_probe_directions(domain, v, points, rng)
-    values = _values(entropy, points)
-    right_slopes = _slopes(entropy, q, directions)
+    try:  # the sums' own errors name rows of batches that the caller never sees
+        values = _values(entropy, points)
+        right_slopes = _slopes(entropy, q, directions)
 
-    verified: list[DualVector] = []
-    rejected: list[RejectedCandidate] = []
-    for cand in candidates:
-        index, gap = _first_min(values - base_value - pair_rows(points - v, cand.values, w))
-        if gap < -_INEQ_TOL * (1.0 + abs(base_value)):
-            rejected.append(RejectedCandidate(cand, domain.space.cone(points[index]), gap))
-            continue
-        rates = pair_rows(directions, cand.values, w)
-        breach = np.flatnonzero(rates > right_slopes + _DERIV_TOL)
-        if breach.size:
-            witness, gap = _ray_witness(entropy, domain, q, base_value, directions[breach[0]],
-                                        float(rates[breach[0]]))
-            rejected.append(RejectedCandidate(cand, witness, gap))
-        else:
-            verified.append(cand)
+        verified: list[DualVector] = []
+        rejected: list[RejectedCandidate] = []
+        for cand in candidates:
+            index, gap = _first_min(values - base_value - pair_rows(points - v, cand.values, w))
+            if gap < -_INEQ_TOL * (1.0 + abs(base_value)):
+                rejected.append(RejectedCandidate(cand, domain.space.cone(points[index]), gap))
+                continue
+            rates = pair_rows(directions, cand.values, w)
+            breach = np.flatnonzero(rates > right_slopes + _DERIV_TOL)
+            if breach.size:
+                witness, gap = _ray_witness(entropy, domain, q, base_value, directions[breach[0]],
+                                            float(rates[breach[0]]))
+                rejected.append(RejectedCandidate(cand, witness, gap))
+            else:
+                verified.append(cand)
 
-    unique = bool(verified) and is_quasi_interior(domain, q)
-    if unique:
-        basis = _lineality_rows(domain, v)
-        two_sided = [basis]
-        for _ in range(8 if len(basis) > 1 else 0):
-            coeff = rng.normal(size=len(basis))
-            coeff /= np.linalg.norm(coeff)
-            two_sided.append(np.sum(coeff[:, None] * basis, axis=0)[None])
-        two_sided = _signed(np.vstack(two_sided))
-        both_slopes = _slopes(entropy, q, two_sided)
-        unique = bool(np.isfinite(both_slopes).all()) and not any(
-            (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
-            for f in verified)
+        unique = bool(verified) and is_quasi_interior(domain, q)
+        if unique:
+            basis = _lineality_rows(domain, v)
+            two_sided = [basis]
+            for _ in range(8 if len(basis) > 1 else 0):
+                coeff = rng.normal(size=len(basis))
+                coeff /= np.linalg.norm(coeff)
+                two_sided.append(np.sum(coeff[:, None] * basis, axis=0)[None])
+            two_sided = _signed(np.vstack(two_sided))
+            both_slopes = _slopes(entropy, q, two_sided)
+            unique = bool(np.isfinite(both_slopes).all()) and not any(
+                (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
+                for f in verified)
+    except DomainError:
+        raise DomainError("values or pairings at the probe's sampled points leave the float range") from None
     return SubgradientProbeResult(verified, rejected, unique)

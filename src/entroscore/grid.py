@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import DENSITY_MASS_TOL, DualVector, MeasureSpace
+from .measure import (DENSITY_MASS_TOL, DualVector, MeasureSpace, fsum_rows, quiet_floats,
+                      require_float_range, row_list)
 
 __all__ = [
     "PeriodicGrid",
@@ -77,20 +78,26 @@ class GridDensity:
         v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise ConstructionError("grid density length does not match the grid")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise DomainError("grid densities must be finite and strictly positive")
+        bad = np.flatnonzero(~(np.isfinite(v) & (v > 0.0))) + 1
+        if bad.size:
+            raise DomainError(f"nonpositive or non-finite grid density values in {row_list(bad.tolist())}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
     def mass(self) -> float:
-        return math.fsum((self.values * self.grid.spacing).tolist())
+        return _total("grid masses", self.values * self.grid.spacing)
 
     def normalized(self) -> "GridDensity":
         return GridDensity(self.grid, self.values / self.mass)
 
     def scaled(self, factor: float) -> "GridDensity":
         return GridDensity(self.grid, self.values * float(factor))
+
+
+def _total(what: str, terms: np.ndarray) -> float:
+    """Exact sum of ``terms``, rounded once; :class:`DomainError` names terms past the float range."""
+    return float(fsum_rows(require_float_range(what, terms)[None])[0])
 
 
 def grid_diff(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
@@ -115,34 +122,39 @@ def log_slope(q: GridDensity) -> np.ndarray:
     return grid_diff(q.grid, q.values) / q.values
 
 
+@quiet_floats
 def hyvarinen_score(q: GridDensity) -> DualVector:
     """Gridwise score S(q) = -2 D r - r^2, oriented so larger is better.
 
     Exactly 0-homogeneous: any positive rescaling of q cancels inside r.
+    :class:`DomainError` names the grid points whose score leaves the float range.
     """
     r = log_slope(q)
-    return q.grid.space.dual(-2.0 * grid_diff(q.grid, r) - r * r)
+    return q.grid.space.dual(require_float_range("hyvarinen scores", -2.0 * grid_diff(q.grid, r) - r * r))
 
 
+@quiet_floats
 def fisher_entropy(q: GridDensity) -> float:
     """Discrete Fisher information sum q r^2 h; 1-homogeneous in q.
 
     Zero exactly for constant densities, and the expected self-score of the
-    grid rule (the Euler identity).
+    grid rule (the Euler identity).  :class:`DomainError` names terms past the float range.
     """
     r = log_slope(q)
-    return math.fsum((q.values * r * r * q.grid.spacing).tolist())
+    return _total("Fisher entropy terms", q.values * r * r * q.grid.spacing)
 
 
+@quiet_floats
 def hyvarinen_divergence(p: GridDensity, q: GridDensity) -> float:
     """Fisher divergence sum p (r_p - r_q)^2 h for a normalised truth p.
 
     Equal to ``pair(p, S(p)) - pair(p, S(q))`` by exact summation by parts;
     zero precisely when the log-slopes agree, in particular for q = lam p.
+    :class:`DomainError` names terms past the float range.
     """
     if p.grid != q.grid:
         raise DomainError("grid densities live on different grids")
     if abs(p.mass - 1.0) > DENSITY_MASS_TOL:
         raise DomainError("the first argument must be a normalised density")
     diff = log_slope(p) - log_slope(q)
-    return math.fsum((p.values * diff * diff * p.grid.spacing).tolist())
+    return _total("Fisher divergence terms", p.values * diff * diff * p.grid.spacing)

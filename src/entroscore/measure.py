@@ -193,6 +193,23 @@ def row_list(rows: list[int]) -> str:
     return ("row " if len(rows) == 1 else "rows ") + ", ".join(map(str, rows))
 
 
+def require_float_range(what: str, values: np.ndarray, sentinel: bool = False) -> np.ndarray:
+    """``values`` itself, unless a row holds NaN or an infinity (``-inf`` is
+    allowed as a ``sentinel``): then :class:`DomainError` names every such row."""
+    if not np.isfinite(values).all():
+        bad = np.isnan(values) | (values == math.inf) | ((values == -math.inf) & (not sentinel))
+        rows = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=1)) + 1
+        if rows.size:
+            raise DomainError(f"{what} leave the float range in {row_list(rows.tolist())}")
+    return values
+
+
+def _first_min(values: np.ndarray) -> tuple[int, float]:
+    """Index and value of the first strict minimum, NaN counting as ``+inf``."""
+    values = np.where(np.isnan(values), np.inf, values)
+    return int(np.argmin(values)), float(values.min())
+
+
 # Batches of fewer terms go to the math.fsum loop: on a 2-core Xeon (CPython
 # 3.11, numpy 2.4) the array path costs 22 us a batch, the loop 0.025 us a term
 # and 0.1 us a row, and they cross at 600 (3 atoms a row) to 1,000 terms.

@@ -24,7 +24,7 @@ __all__ = ["sample_density", "sample_cone_point", "sample_positive_box", "densit
            "box_rows"]
 
 # Cone points carry a log-uniform mass in [_MASS_LOW, _MASS_HIGH]; box points
-# have coordinates in [_BOX_LOW, _BOX_HIGH) unless a draw sets its own low end.
+# have coordinates in [_BOX_LOW, _BOX_HIGH).
 _MASS_LOW, _MASS_HIGH = 0.1, 10.0
 _BOX_LOW, _BOX_HIGH = 0.05, 2.0
 
@@ -74,10 +74,9 @@ def cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.n
     return directions * np.exp(log_masses)[:, None]
 
 
-def box_rows(space: MeasureSpace, rng: np.random.Generator, count: int,
-             low: float = _BOX_LOW) -> np.ndarray:
-    """``count`` componentwise uniform points in [low, 2), as rows."""
-    return rng.uniform(low, _BOX_HIGH, size=(count, space.size))
+def box_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` componentwise uniform points in [0.05, 2), as rows."""
+    return rng.uniform(_BOX_LOW, _BOX_HIGH, size=(count, space.size))
 
 
 def sample_density(space: MeasureSpace, rng: np.random.Generator) -> Density:
@@ -90,7 +89,6 @@ def sample_cone_point(space: MeasureSpace, rng: np.random.Generator) -> ConeVect
     return space.cone(cone_rows(space, rng, 1)[0])
 
 
-def sample_positive_box(space: MeasureSpace, rng: np.random.Generator,
-                        low: float = _BOX_LOW) -> ConeVector:
-    """Componentwise uniform point in [low, 2): one row of :func:`box_rows`."""
-    return space.cone(box_rows(space, rng, 1, low)[0])
+def sample_positive_box(space: MeasureSpace, rng: np.random.Generator) -> ConeVector:
+    """Componentwise uniform point in [0.05, 2): one row of :func:`box_rows`."""
+    return space.cone(box_rows(space, rng, 1)[0])

@@ -21,9 +21,10 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import DomainError, StructureError
-from .measure import (ConeVector, Density, DualVector, MeasureSpace, normalize, normalize_rows,
-                      pair, pair_rows, quiet_floats, report_dict, row_list)
+from .errors import DomainError
+from .measure import (ConeVector, Density, DualVector, MeasureSpace, _first_min, _require_same_space,
+                      normalize, normalize_rows, pair, pair_rows, quiet_floats, report_dict,
+                      require_float_range)
 from .sampling import _seeded, cone_rows, density_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,17 +65,6 @@ class ScoringRule:
 
     def __repr__(self) -> str:
         return f"ScoringRule({self.name!r}, n={self.space.size})"
-
-
-def require_float_range(what: str, values: np.ndarray, sentinel: bool = False) -> np.ndarray:
-    """``values`` itself, unless a row holds NaN or an infinity (``-inf`` is
-    allowed as a ``sentinel``): then :class:`DomainError` names every such row."""
-    if not np.isfinite(values).all():
-        bad = np.isnan(values) | (values == math.inf) | ((values == -math.inf) & (not sentinel))
-        rows = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=1)) + 1
-        if rows.size:
-            raise DomainError(f"{what} leave the float range in {row_list(rows.tolist())}")
-    return values
 
 
 def _in_float_range(name: str, rows: Callable, sentinel: bool = False) -> Callable:
@@ -193,11 +183,9 @@ def verify_propriety(
     inf_favorable = int(np.count_nonzero(favorable))
     if inf_unfavorable:  # the last unfavorable pair
         i, min_margin = int(np.flatnonzero(unfavorable)[-1]), -math.inf
-    elif finite.any():  # the first smallest margin
-        i = int(np.argmin(np.where(finite, margins, math.inf)))
-        min_margin = float(margins[i])
-    else:  # every margin was +inf: the first density drawn, twice
-        i, min_margin, q_rows = 0, math.inf, p_rows
+    else:  # the first smallest margin; if every margin is +inf, the first density drawn, twice
+        i, min_margin = _first_min(margins)
+        q_rows = p_rows if min_margin == math.inf else q_rows
     passed = inf_unfavorable == 0 and min_margin >= -tol
     return ProprietyReport(
         rule=rule.name,
@@ -250,14 +238,12 @@ def verify_euler(
     """
     if samples < 1:
         raise DomainError("Euler verification needs at least one sample")
-    if rule.space != entropy.domain.space:
-        raise StructureError("operands live on different measure spaces")
+    _require_same_space(rule, entropy.domain)
     points, unit_rows, mass = _seeded(_unit_cone_rows, rule.space, seed, samples)
     extended = mass * entropy.value_rows(unit_rows)  # canonical_extension_rows on the drawn points
     defects = (np.abs(pair_rows(points, rule.score_rows(unit_rows), rule.space.weights) - extended)
                / (1.0 + np.abs(extended)))
-    # the first strict maximum; a NaN defect only when every defect is NaN
-    i = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))
+    i, _ = _first_min(-defects)  # the first strict maximum; NaN only when every defect is NaN
     max_defect = float(defects[i])
     return EulerReport(
         rule=rule.name,

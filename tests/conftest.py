@@ -420,7 +420,7 @@ def _ref_structured_points(domain, q):
 
 
 def _ref_sample(domain, rng, count):
-    return [domain.sample(rng, 1)[0] for _ in range(count)]
+    return [domain.space.cone(domain.draw(rng, 1)[0]) for _ in range(count)]
 
 
 def _ref_feasible_probe_directions(domain, q, points, rng):

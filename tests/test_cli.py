@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,7 @@ class TestVerifyCommand:
         assert run(tmp_path, "verify", "--config", str(config))[0] == 2
         err = capsys.readouterr().err
         assert err.startswith("entroscore: probe 'big': ") and "float range" in err
+        assert "row " not in err  # no row of a batch inside the probe
 
     def test_weights_file(self, tmp_path):
         weights = tmp_path / "w.csv"
@@ -426,6 +428,20 @@ class TestGridScoreCommand:
         code, _ = run(tmp_path, "grid-score", str(density))
         assert code == 3
         assert "2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, what", [
+        ("1e-300\n1\n1e300\n1\n", "hyvarinen scores"),
+        ("1e-300\n1e150\n1e300\n1e150\n", "Fisher entropy terms"),
+    ], ids=["scores", "fisher-entropy"])
+    def test_values_past_the_float_range_exit_3_naming_rows(self, tmp_path, capsys, values, what):
+        # valid densities with log slopes so steep that the scores, or the Fisher
+        # entropy's terms, overflow at rows 2 and 4: no warning, no traceback
+        density = tmp_path / "steep.txt"
+        density.write_text(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "grid-score", str(density)) == (3, b"")
+        assert capsys.readouterr().err == f"entroscore: {density}: {what} leave the float range in rows 2, 4\n"
 
     def test_non_numeric_line_exits_2(self, tmp_path, capsys):
         density = tmp_path / "bad.csv"

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entroscore import (
     CompositeEntropySpec,
@@ -26,7 +26,7 @@ from entroscore import (
     sample_positive_box,
 )
 
-from conftest import CATALOG_SPECS, entropy_from_spec, unit_space
+from conftest import CATALOG_SPECS, entropy_from_spec, integrated_square_composite, unit_space
 
 
 class TestCatalogValues:
@@ -189,7 +189,7 @@ class TestCatalogValues:
 
 
 _SIGN_SPACE = MeasureSpace([0.5, 1.0, 2.0])
-_SIGN_SUBJECTS = (*CATALOG_SPECS, "weighted_quadratic", "shannon@rebased")
+_SIGN_SUBJECTS = (*CATALOG_SPECS, "weighted_quadratic", "shannon@rebased", "composite@orthant")
 
 
 def _sign_subject(name: str):
@@ -197,21 +197,31 @@ def _sign_subject(name: str):
         return catalog_entropy(name, _SIGN_SPACE, matrix=np.diag([1.0, 2.0, 3.0]) + 0.5)
     if name == "shannon@rebased":
         return rebase_entropy(catalog_entropy("shannon", _SIGN_SPACE), _SIGN_SPACE.cone([0.5, 1.0, 1.5]))
+    if name == "composite@orthant":  # (sum q nu)^2: its own oracles accept any row
+        return integrated_square_composite(_SIGN_SPACE, np.array([1.0, 2.0, 0.5]))
     return entropy_from_spec(name, _SIGN_SPACE)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_SIGN_SUBJECTS),
+@given(st.sampled_from(_SIGN_SUBJECTS), st.sampled_from(["value_rows", "grad_rows", "closed_form_rows"]),
        st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])), min_size=3, max_size=3))
-def test_value_rows_is_undefined_exactly_off_a_sign_bounded_domain(name, row):
-    # the rule the subgradient probe applies up front instead of calling the oracle
+def test_value_rows_is_undefined_exactly_off_a_sign_bounded_domain(name, oracle, row):
+    # every oracle of an entropy on a sign-bounded domain refuses a row with an entry
+    # below 0, the rule the subgradient probe applies up front instead of calling it
     E = _sign_subject(name)
+    rows_of = getattr(E, oracle)
+    assume(rows_of is not None)
     rows = np.array([row])
     if E.domain.nonnegative and (rows < 0.0).any():
-        with pytest.raises(DomainError):
-            E.value_rows(rows)
-    else:
+        with pytest.raises(DomainError, match="requires nonnegative input"):
+            rows_of(rows)
+    elif oracle == "value_rows":
         assert np.isfinite(E.value_rows(rows)).all()
+    else:
+        try:
+            assert not np.isnan(rows_of(rows)).any()
+        except DomainError as exc:  # no finite subgradient, e.g. shannon at a zero atom
+            assert oracle == "grad_rows" and "requires nonnegative input" not in str(exc)
 
 
 class TestConvexityAndHomogeneity:
@@ -375,7 +385,7 @@ class TestDirectionalDerivative:
         E = entropy_from_spec(spec, sp)
         rng = np.random.default_rng(35)
         for _ in range(100):
-            q = sample_positive_box(sp, rng, low=0.1)
+            q = sp.cone(rng.uniform(0.1, 2.0, size=3))
             d = sp.cone(rng.normal(size=3))
             forward = directional_derivative_fd(E, q, d)
             backward = directional_derivative_fd(E, q, -d)

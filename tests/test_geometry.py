@@ -435,7 +435,7 @@ class TestSubdifferentialProbe:
         result = subdifferential_probe(E, K, q, candidates, seed=3)
         rng = np.random.default_rng(4)
         directions = [sp.cone([1.0, 0.0]), sp.cone([-1.0, 0.0]), sp.cone([0.0, 1.0])]
-        directions += [p - q for p in K.sample(rng, 30)]
+        directions += [sp.cone(p) - q for p in K.draw(rng, 30)]
         for cand in result.verified:
             for d in directions:
                 fd = directional_derivative_fd(E, q, d)
@@ -536,6 +536,17 @@ class TestSubdifferentialProbe:
         assert len(result.verified) == 1 and result.unique_claim
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("point", [[2e154, 1.0, 1.0], [1.3e154, 1.3e154, 1.0]],
+                             ids=["infinite-term", "finite-terms"])
+    def test_a_base_point_without_a_finite_value_raises(self, point):
+        # q q mu is inf at (2e154, 1, 1), and sums past the float range at the other
+        # point; with value(q) = inf every gap would be NaN and every candidate verified
+        sp = unit_space(3)
+        E = catalog_entropy("quadratic", sp)
+        candidates = [sp.dual([0.0, 0.0, 0.0]), sp.dual([1.0, 5.0, -3.0])]
+        with pytest.raises(DomainError, match="no finite value at the probe base point"):
+            subdifferential_probe(E, ConvexDomainSpec.whole_space(sp), sp.cone(point), candidates, seed=1)
+
     def test_a_value_sum_past_the_float_range_raises(self):
         # q q mu sums past the float range on some sampled points near q: the probe
         # raises rather than judge the true gradient on the other points
@@ -566,7 +577,7 @@ class TestHalfspaceGeometry:
         sp = unit_space(3)
         K = ConvexDomainSpec.whole_space(sp)
         rng = np.random.default_rng(97)
-        for point in K.sample(rng, 20):
+        for point in map(sp.cone, K.draw(rng, 20)):
             assert is_quasi_interior(K, point)
             assert len(lineality_space(K, point)) == 3
 
@@ -588,7 +599,7 @@ class TestHalfspaceGeometry:
         sp = unit_space(2)
         K = ConvexDomainSpec.halfspace_intersection(sp, [[1.0, 1.0]], [1.0])
         with pytest.raises(DomainError):
-            K.sample(np.random.default_rng(0), 1)
+            K.draw(np.random.default_rng(0), 1)
 
 
 class TestConeHullGeometry:

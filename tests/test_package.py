@@ -1,4 +1,8 @@
-"""The package surface: each module's ``__all__`` is the one list of its public names."""
+"""The package surface: each module's ``__all__`` is the one list of its public names; no
+module imports a name it does not use, and only ``measure`` calls ``math.fsum``."""
+
+import ast
+from pathlib import Path
 
 import entroscore
 from entroscore import bregman, entropies, errors, geometry, grid, measure, sampling, scoring
@@ -36,3 +40,47 @@ def test_earlier_public_names_still_import():
     exec(f"from entroscore import {', '.join(EARLIER_NAMES)}", namespace)
     assert set(EARLIER_NAMES) <= set(namespace)
     assert set(EARLIER_NAMES) <= set(entroscore.__all__)
+
+
+def _module_trees() -> dict[str, ast.Module]:
+    src = Path(entroscore.__file__).parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [arg.annotation for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                                      args.vararg, args.kwarg) if arg] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for part in (sub for ann in annotations if ann for sub in ast.walk(ann)):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(part.value, mode="eval")) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for module, tree in _module_trees().items():
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*")
+                unused += [f"{module}:{node.lineno}: {name}" for name in bound if name not in used]
+    assert unused == []
+
+
+def test_only_measure_calls_math_fsum():
+    calls = [f"{module}:{node.lineno}" for module, tree in _module_trees().items() if module != "measure.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.fsum", "fsum")]
+    assert calls == []
