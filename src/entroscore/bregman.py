@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import (ConeVector, DualVector, _first_min, exact_row_sums, pair, pair_rows, quiet_floats,
-                      report_dict)
+from .measure import (ConeVector, DualVector, _first_min, _require_same_space, counted_among, exact_row_sums,
+                      pair, pair_rows, quiet_floats, report_dict)
 from .entropies import Entropy
 from .sampling import _BOX_HIGH, _BOX_LOW, _seeded, box_rows, cone_rows
 
@@ -184,9 +184,10 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     points = _seeded(box_rows, space, seed, 2 * samples)  # rows p, q, p, q, ...
     swap = np.arange(2 * samples) ^ 1  # each row's partner
     try:  # the oracles are row-wise: one call per point serves D(p, q) and D(q, p)
-        grad = _finite_subgradients(entropy, entropy.grad_rows(points))[swap]
-        values = entropy.value_rows(points)
-        divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
+        with counted_among(2 * samples, "points"):
+            grad = _finite_subgradients(entropy, entropy.grad_rows(points))[swap]
+            values = entropy.value_rows(points)
+            divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
     except DomainError as exc:
         box = f"[{_BOX_LOW:g}, {_BOX_HIGH:g})^{space.size}"
         raise DomainError(f"{exc}; the sample points lie in the box {box}") from None
@@ -224,10 +225,10 @@ def quadratic_discrimination_bound(p: ConeVector, q: ConeVector, nu) -> tuple[fl
     Returns ``(D1, (sum nu) * D2)`` where ``D1 = (sum (p-q) nu)^2`` and
     ``D2 = sum (p-q)^2 nu``; the first never exceeds the second, which is
     why the pointwise quadratic divergence discriminates more finely.
-    :class:`DomainError` when either leaves the float range.
+    :class:`StructureError` for points on different spaces,
+    :class:`DomainError` when either divergence leaves the float range.
     """
-    if p.space != q.space:
-        raise DomainError("discrimination bound needs points on a shared space")
+    _require_same_space(p, q)
     weights = np.asarray(nu, dtype=float)
     if weights.shape != (p.space.size,) or not np.isfinite(weights).all() or np.any(weights <= 0.0):
         raise DomainError("nu must be a finite positive vector matching the space")

@@ -12,9 +12,9 @@ Input files are UTF-8.  CSV files carry a header row (forecast columns
 value per line).  A forecast cell is anything Python ``float()`` accepts
 (surrounding whitespace, ``1_0``, ``inf``, ``nan``, non-ASCII digits);
 quoted cells and CRLF or CR line endings are read as ``csv.reader`` reads
-them.  A forecast file with no quote and no CR is read in one split and one
-array parse; ``csv.reader`` reads any other, and names the line of any
-fault.  Floats are rendered with shortest round-trip ``repr`` (so
+them.  A plain forecast file (ASCII, no quote, no CR, no blank line) is
+parsed by numpy's C reader; ``csv.reader`` reads any other, and names the
+line of any fault.  Floats are rendered with shortest round-trip ``repr`` (so
 ``inf``/``-inf``), ``-0.0`` as ``0.0``.
 Exit codes: 0 success, 1 verification failure, 2 malformed input or config
 (or a ``verify`` rule whose scores leave the float range on its sample
@@ -125,18 +125,20 @@ def _is_forecast_header(cells: list[str]) -> bool:
 
 
 def _plain_matrix(text: str) -> np.ndarray | None:
-    """The forecast matrix of ``text`` in one split and one parse, or None.
+    """The forecast matrix of ``text`` from numpy's C reader, or None.
 
     Without a quote or a CR, ``csv.reader`` splits each line as
-    ``line.split(",")``, except that it reads an empty line as no cells.  So a
-    valid file is exactly one whose data lines all hold n - 1 commas and whose
-    cells all parse; ``np.array(cells, dtype=float)`` parses each cell with
-    ``float()``.  Anything else gives None: an empty line fails the parse, and
-    so does a cell longer than ``csv.field_size_limit()``, which ``csv.reader``
-    rejects.  The caller then reads the file with ``csv.reader``, to accept it
-    or to name the line at fault.
+    ``line.split(",")``, and ``np.loadtxt`` parses each cell as ``float()``
+    does, with four exceptions that give None: non-ASCII text; NUL or
+    ``\x1c``-``\x1f``, which ``float()`` rejects and the C reader may strip
+    as whitespace; a blank line, which ``csv.reader`` reads as no cells and
+    ``np.loadtxt`` skips; and a line longer than ``csv.field_size_limit()``,
+    which may hold a field ``csv.reader`` rejects.  Otherwise a valid file is
+    exactly one whose data lines read as n cells each.  On None the caller
+    reads the file with ``csv.reader``, to accept it or to name the line at
+    fault.
     """
-    if '"' in text or "\r" in text:
+    if not text.isascii() or any(c in text for c in '"\r\x00\x1c\x1d\x1e\x1f'):
         return None
     lines = text.split("\n")
     if not lines[-1]:
@@ -144,17 +146,14 @@ def _plain_matrix(text: str) -> np.ndarray | None:
     if len(lines) < 2:
         return None
     header, body = lines[0].split(","), lines[1:]
-    n = len(header)
-    if not _is_forecast_header(header) or any(line.count(",") != n - 1 for line in body):
-        return None
-    cells = ",".join(body).split(",")
-    limit = csv.field_size_limit()
-    if max(map(len, body)) > limit and max(map(len, cells)) > limit:
+    if (not _is_forecast_header(header) or not all(map(str.strip, body))
+            or max(map(len, body)) > csv.field_size_limit()):
         return None
     try:
-        return np.array(cells, dtype=float).reshape(len(body), n)
+        matrix = np.loadtxt(body, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float)
     except ValueError:
         return None
+    return matrix if matrix.shape == (len(body), len(header)) else None
 
 
 def read_forecasts(path: str) -> np.ndarray:

@@ -140,17 +140,48 @@ def _quadratic(space: MeasureSpace) -> Entropy:
     return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
 
 
+def _positive_sums(terms: np.ndarray) -> np.ndarray:
+    """Exact row sums of nonnegative terms, ``inf`` where finite terms sum past the largest float."""
+    sums, overflowed = exact_row_sums(terms)
+    sums[overflowed] = math.inf
+    return sums
+
+
+def _scaled(q: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """``(v, top, sum terms(v))`` by row, with ``q = top * v``.
+
+    ``top`` is 1 unless the sum of a nonzero row leaves the normal float
+    range; then it is the row's largest magnitude.  That is exact for an
+    entropy whose value is 1-homogeneous and whose subgradient is
+    0-homogeneous, and rows inside the range keep their bits.
+    """
+    total = _positive_sums(terms(q))
+    rescale = ~((sys.float_info.min <= total) & (total < math.inf))
+    top = np.ones(len(q))
+    if rescale.any():
+        rescale &= q.any(axis=1)
+        top[rescale] = np.abs(q[rescale]).max(axis=1)
+        q = q.copy()
+        q[rescale] /= top[rescale, None]
+        total[rescale] = _positive_sums(terms(q[rescale]))
+    return q, top, total
+
+
 def _spherical(space: MeasureSpace) -> Entropy:
     w = space.weights
 
+    def squares(v: np.ndarray) -> np.ndarray:
+        return v * v * w
+
     def value_rows(q: np.ndarray) -> np.ndarray:
-        return np.sqrt(fsum_rows(q * q * w))
+        _, top, total = _scaled(q, squares)
+        return top * np.sqrt(total)
 
     def grad_rows(q: np.ndarray) -> np.ndarray:
-        norm = value_rows(q)
-        if (norm <= 0.0).any():
+        v, _, total = _scaled(q, squares)
+        if (total <= 0.0).any():
             raise DomainError("spherical subgradient is undefined at the origin")
-        return q / norm[:, None]
+        return v / np.sqrt(total)[:, None]
 
     return Entropy("spherical", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
 
@@ -190,40 +221,19 @@ def _shannon(space: MeasureSpace) -> Entropy:
 def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
-    def power_sums(v: np.ndarray) -> np.ndarray:
-        sums, overflowed = exact_row_sums(np.power(v, gamma) * w)
-        if overflowed:  # finite terms whose sum exceeds the largest float
-            sums[overflowed] = math.inf
-        return sums
-
-    def scaled(q: np.ndarray) -> tuple[np.ndarray, list[float], list[float]]:
-        """``(v, top, sum v^gamma mu)`` by row, with ``q = top * v``.
-
-        ``top`` is 1 unless the power sum of a nonzero row leaves the normal
-        float range; then it is the row's max.  That is exact, as the value
-        is 1-homogeneous and the subgradient 0-homogeneous.
-        """
-        total = power_sums(q)
-        rescale = ~((sys.float_info.min <= total) & (total < math.inf))
-        top = np.ones(len(q))
-        if rescale.any():
-            rescale &= q.any(axis=1)
-            top[rescale] = q[rescale].max(axis=1)
-            q = q.copy()
-            q[rescale] /= top[rescale, None]
-            total[rescale] = power_sums(q[rescale])
-        return q, top.tolist(), total.tolist()
+    def powers(v: np.ndarray) -> np.ndarray:
+        return np.power(v, gamma) * w
 
     def value_rows(q: np.ndarray) -> np.ndarray:
-        _, top, total = scaled(q)
+        _, top, total = _scaled(q, powers)
         # Python float pow: numpy's array pow can differ in the last bit
-        return np.array([t * s ** (1.0 / gamma) for t, s in zip(top, total)], dtype=float)
+        return np.array([t * s ** (1.0 / gamma) for t, s in zip(top.tolist(), total.tolist())], dtype=float)
 
     def grad_rows(q: np.ndarray) -> np.ndarray:
-        v, _, total = scaled(q)
-        if min(total) <= 0.0:
+        v, _, total = _scaled(q, powers)
+        if (total <= 0.0).any():
             raise DomainError("pseudospherical subgradient is undefined at the origin")
-        norm = np.array([s ** ((gamma - 1.0) / gamma) for s in total], dtype=float)
+        norm = np.array([s ** ((gamma - 1.0) / gamma) for s in total.tolist()], dtype=float)
         return np.power(v, gamma - 1.0) / norm[:, None]
 
     return Entropy(f"pseudospherical({gamma:g})",

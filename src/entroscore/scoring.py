@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, _first_min, _require_same_space,
-                      normalize, normalize_rows, pair, pair_rows, quiet_floats, report_dict,
+                      counted_among, normalize, normalize_rows, pair, pair_rows, quiet_floats, report_dict,
                       require_float_range)
 from .sampling import _seeded, cone_rows, density_rows
 
@@ -164,15 +164,18 @@ def verify_propriety(
     margins (q earns an infinite penalty) count as favorable and are tallied
     separately; -inf or undefined margins fail the check outright.  Distinct
     pairs whose margin collapses below the strictness floor are counted as
-    strictness violations.
+    strictness violations.  Scores or pairings past the float range raise
+    :class:`DomainError` with the number of sampled pairs they hit.
     """
     if samples < 1:
         raise DomainError("propriety verification needs at least one sample")
     space = rule.space
     draws = _seeded(density_rows, space, seed, 2 * samples)
     p_rows, q_rows = draws[0::2], draws[1::2]
-    margins = score_divergence_rows(p_rows, rule.score_rows(p_rows), rule.score_rows(q_rows),
-                                    space.weights)
+    with counted_among(samples, "pairs", per=2):
+        scores = rule.score_rows(draws)  # rows p, q, p, q, ...
+    with counted_among(samples, "pairs"):
+        margins = score_divergence_rows(p_rows, scores[0::2], scores[1::2], space.weights)
     unfavorable = np.isnan(margins) | (margins == -math.inf)
     favorable = margins == math.inf
     finite = ~unfavorable & ~favorable
@@ -234,15 +237,19 @@ def verify_euler(
     Defects are measured relative to ``1 + |extended value|`` so near-zero
     entropies do not inflate the report.  Cone points carry masses in
     [0.1, 10] to exercise the extension away from the simplex.  A rule and
-    an entropy on different spaces raise :class:`StructureError`.
+    an entropy on different spaces raise :class:`StructureError`.  Values,
+    scores or pairings past the float range raise :class:`DomainError` with the
+    number of sampled points they hit.
     """
     if samples < 1:
         raise DomainError("Euler verification needs at least one sample")
     _require_same_space(rule, entropy.domain)
     points, unit_rows, mass = _seeded(_unit_cone_rows, rule.space, seed, samples)
-    extended = mass * entropy.value_rows(unit_rows)  # canonical_extension_rows on the drawn points
-    defects = (np.abs(pair_rows(points, rule.score_rows(unit_rows), rule.space.weights) - extended)
-               / (1.0 + np.abs(extended)))
+    with counted_among(samples, "points"):
+        extended = mass * entropy.value_rows(unit_rows)  # canonical_extension_rows on the drawn points
+        scores = rule.score_rows(unit_rows)
+        defects = (np.abs(pair_rows(points, scores, rule.space.weights) - extended)
+                   / (1.0 + np.abs(extended)))
     i, _ = _first_min(-defects)  # the first strict maximum; NaN only when every defect is NaN
     max_defect = float(defects[i])
     return EulerReport(

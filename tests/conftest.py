@@ -38,6 +38,7 @@ from entroscore import (
     parse_rule_spec,
     sampling,
 )
+from entroscore.measure import FloatRangeError
 
 # The six named rules the verification suites exercise.
 CATALOG_SPECS = (
@@ -145,13 +146,28 @@ def ref_catalog(name: str, w, gamma=None, matrix=None) -> RefEntropy:
     if name == "quadratic":
         return RefEntropy(lambda q: math.fsum((q * q * w).tolist()), lambda q: ref_dual(2.0 * q))
     if name == "spherical":
+        def square_sum(v):
+            try:
+                return math.fsum((v * v * w).tolist())
+            except OverflowError:
+                return math.inf
+
+        def scaled(v):
+            total = square_sum(v)
+            if sys.float_info.min <= total < math.inf or not np.any(v):
+                return v, 1.0, total
+            top = float(np.max(np.abs(v)))
+            return v / top, top, square_sum(v / top)
+
         def norm(q):
-            return math.sqrt(math.fsum((q * q * w).tolist()))
+            _, top, total = scaled(q)
+            return top * math.sqrt(total)
 
         def grad(q):
-            if norm(q) <= 0.0:
+            v, _, total = scaled(q)
+            if total <= 0.0:
                 raise DomainError("spherical subgradient is undefined at the origin")
-            return ref_dual(q / norm(q))
+            return ref_dual(v / math.sqrt(total))
 
         return RefEntropy(norm, grad)
     if name == "power":
@@ -347,13 +363,21 @@ def ref_linearity_check(entropy, seed: int = 0, samples: int = 100) -> bool:
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _ref_counted(exc: FloatRangeError, points: int) -> DomainError:
+    """A row check's error on a suite's draw, as the suite reports it: a count of its points."""
+    return DomainError(f"{exc.what} leave the float range at {len(set(exc.rows))} of {points} sampled points")
+
+
 @_quiet
 def ref_rows_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     space = entropy.domain.space
     points = sampling.box_rows(space, np.random.default_rng(seed), 2 * samples)
     swapped = points.reshape(samples, 2, space.size)[:, ::-1].reshape(points.shape)
     try:
-        divergences = bregman_divergence_rows(entropy, points, swapped)
+        try:
+            divergences = bregman_divergence_rows(entropy, points, swapped)
+        except FloatRangeError as exc:
+            raise _ref_counted(exc, 2 * samples) from None
         i, j = np.triu_indices(space.size)
         design = np.hstack([points[:, i] * points[:, j], points, np.ones((len(points), 1))])
         target = entropy.value_rows(points)
@@ -381,9 +405,12 @@ def ref_rows_verify_euler(rule, entropy, seed: int = 0, samples: int = 1000,
                           tol: float = 1e-10) -> EulerReport:
     weights = rule.space.weights
     points = sampling.cone_rows(rule.space, np.random.default_rng(seed), samples)
-    extended = canonical_extension_rows(entropy, points)
-    defects = (np.abs(pair_rows(points, rule.score_rows(normalize_rows(points, weights)[0]), weights)
-                      - extended) / (1.0 + np.abs(extended)))
+    try:
+        extended = canonical_extension_rows(entropy, points)
+        defects = (np.abs(pair_rows(points, rule.score_rows(normalize_rows(points, weights)[0]), weights)
+                          - extended) / (1.0 + np.abs(extended)))
+    except FloatRangeError as exc:
+        raise _ref_counted(exc, samples) from None
     k = int(np.argmax(np.where(np.isnan(defects), -math.inf, defects)))
     return EulerReport(rule.name, samples, float(defects[k]), rule.space.cone(points[k]), tol,
                        float(defects[k]) <= tol)

@@ -13,6 +13,7 @@ from entroscore import (
     DomainError,
     Entropy,
     MeasureSpace,
+    StructureError,
     affine_score_at,
     bregman_divergence,
     catalog_entropy,
@@ -312,3 +313,8 @@ class TestDiscriminationBound:
         sp = unit_space(2)
         with pytest.raises(DomainError):
             quadratic_discrimination_bound(sp.cone(p), sp.cone([0.0, 1.0]), nu)
+
+    def test_points_on_different_spaces_are_a_structure_error(self):
+        p, q = MeasureSpace([1.0, 1.0]).cone([1.0, 0.0]), MeasureSpace([1.0, 2.0]).cone([0.0, 1.0])
+        with pytest.raises(StructureError, match="different measure spaces"):
+            quadratic_discrimination_bound(p, q, [1.0, 1.0])

@@ -124,13 +124,14 @@ class TestScoreCommand:
         assert "row 2" in err and "row 4" in err and "row 3" not in err
 
     @pytest.mark.parametrize("rule, code", [
-        ("quadratic", 3), ("spherical", 3), ("power(1.5)", 3), ("power(3)", 3),
+        ("quadratic", 3), ("spherical", 0), ("power(1.5)", 3), ("power(3)", 3),
         ("pseudospherical(3)", 0), ("linear", 0), ("shannon", 0),
     ])
     def test_scores_past_the_float_range_exit_3_listing_rows(self, tmp_path, capsys, rule, code):
         # under weights (1e-300, 1) row 2 is a density, but most of its scores
-        # overflow; the log score stays finite, and so do linear's and
-        # pseudospherical's scores and pairings: 1e300 * 1e-300 is taken first
+        # overflow; the log score stays finite, and so do linear's, spherical's
+        # and pseudospherical's scores and pairings: 1e300 * 1e-300 is taken
+        # first, and the 1-homogeneous norms rescale the row by its max
         forecasts = tmp_path / "f.csv"
         forecasts.write_text("p1,p2\n0,1\n1e300,0\n")
         outcomes = tmp_path / "oc.csv"
@@ -382,6 +383,20 @@ class TestVerifyCommand:
         # how many of the 100 sampled points overflow, and where they were drawn
         assert "the subgradient of power(1100) leaves the float range at 12 of 100 points" in err
         assert "the box [0.05, 2)^3" in err
+
+    @pytest.mark.parametrize("suite, count", [("propriety", "20 of 20 sampled pairs"),
+                                              ("euler", "20 of 20 sampled points")])
+    def test_suite_past_the_float_range_counts_its_points(self, tmp_path, capsys, suite, count):
+        # power(3)'s scores overflow wherever the 1e-200 atom holds mass: the
+        # suite counts its sampled points, whose rows no report shows
+        config = tmp_path / "tiny.ini"
+        config.write_text(f"[verify]\nseed = 1\nsamples = 20\nweights = 1e-200,1,1\nsuites = {suite}\n\n"
+                          "[rule power(3)]\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        err = capsys.readouterr().err
+        assert err == (f"entroscore: rule 'power(3)': {suite} suite: "
+                       f"power(3) scores leave the float range at {count}\n")
+        assert "row " not in err
 
     def test_empty_rule_list_exits_2(self, tmp_path):
         config = tmp_path / "empty.ini"
@@ -755,6 +770,7 @@ def _forecast_texts(draw):
     return text
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # as loadtxt's "input contained no data": never on stderr
 @settings(max_examples=400, deadline=None)
 @given(_forecast_texts())
 @example('p1,p2\n"0.5",0.5\n')                 # a quoted cell
@@ -770,6 +786,9 @@ def _forecast_texts(draw):
 @example("p1,p2\n0.5,0.5\n\n")                 # a trailing blank line
 @example("\ufeffp1,p2\n0.5,0.5\n")             # a byte order mark
 @example("p1,p2\n0.5,0\x00.5\n")               # NUL
+@example("p1,p2\n0.5\x00,0.5\n")               # NUL mid-line, at the end of a cell
+@example("p1,p2\n\x1c0.5,0.5\n")               # a separator the C reader strips as whitespace
+@example("p1\n \n")                             # a whitespace-only line, the only data line
 @example("p1,p2\n")                             # no data rows
 @example("")                                     # an empty file
 @example("\n")                                   # an empty header

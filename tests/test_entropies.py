@@ -123,6 +123,23 @@ class TestCatalogValues:
             np.testing.assert_array_equal(E.subgradient(big).values,
                                           np.array([1.0, 0.0, 1.0]) / 2.0 ** (1999 / 2000))
 
+    @pytest.mark.parametrize("scale", [2.9e-303, 1e160, -1e160])
+    def test_spherical_leaves_no_float_range(self, scale):
+        # sum q^2 mu underflows to 0 at 2.9e-303 and overflows at 1e160; both
+        # are read at q / max |q|, as pseudospherical(2) reads them
+        sp = MeasureSpace([0.5, 1.0, 2.0])
+        E = catalog_entropy("spherical", sp)
+        q = sp.cone([scale] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert E.value(q) == pytest.approx(abs(scale) * 3.5 ** 0.5, rel=1e-15)
+            np.testing.assert_allclose(E.subgradient(q).values, [math.copysign(3.5 ** -0.5, scale)] * 3,
+                                       rtol=1e-15)
+        if scale > 0:
+            pseudo = catalog_entropy("pseudospherical", sp, gamma=2.0)
+            assert E.value(q) == pytest.approx(pseudo.value(q), rel=1e-15)
+            np.testing.assert_allclose(E.subgradient(q).values, pseudo.subgradient(q).values, rtol=1e-15)
+
     def test_weighted_quadratic_is_the_quadratic_form(self):
         rng = np.random.default_rng(5)
         sp = MeasureSpace(rng.uniform(0.5, 2.0, size=4))

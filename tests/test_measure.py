@@ -1,6 +1,8 @@
 """Pairing and normalization on finite measure spaces."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,6 +248,38 @@ class TestExactRowSums:
             assert str(info.value) == f"sums leave the float range in {measure.row_list(bad)}"
         else:
             assert _bits(fsum_rows(terms)) == _bits(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("blocks", [2, 3])
+    @pytest.mark.parametrize("n", [3, 500])
+    def test_batches_over_several_blocks_match_math_fsum_bit_for_bit(self, n, blocks, seed):
+        # the last block partly filled; rows that need math.fsum on each side of every block edge
+        rng = np.random.default_rng(seed)
+        per_block = measure._BLOCK_TERMS // n
+        m = (blocks - 1) * per_block + per_block // 2
+        families = sorted(_ROW_FAMILIES)
+        kinds = rng.integers(0, len(families), size=m)
+        terms = np.empty((m, n))
+        for k, family in enumerate(families):
+            terms[kinds == k] = _ROW_FAMILIES[family](rng, int((kinds == k).sum()), n)
+        edges = sorted({0, m - 1} | {i for b in range(1, blocks) for i in (b * per_block - 1, b * per_block)})
+        for i, family in zip(edges, itertools.cycle(["huge", "non_finite", "zeros", "mixed_scales"])):
+            terms[i] = _ROW_FAMILIES[family](rng, 1, n)
+        expected, bad = _fsum_oracle(terms)
+        sums, rejected = measure.exact_row_sums(terms)
+        assert rejected == [i - 1 for i in bad]
+        assert _bits(sums) == _bits(expected)
+
+    def test_wide_batch_peaks_below_its_own_size(self):
+        # the kernel's scratch is two blocks, reused: no temporary of the batch's size
+        terms = np.random.default_rng(6).random((400, 500))
+        tracemalloc.start()
+        try:
+            fsum_rows(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < terms.nbytes
 
     def test_intermediate_overflow_names_the_rows(self):
         terms = np.random.default_rng(3).normal(size=(1000, 3))

@@ -9,6 +9,7 @@ import pytest
 from entroscore import (
     DomainError,
     MeasureSpace,
+    ScoringRule,
     StructureError,
     bregman_divergence,
     canonical_extension_value,
@@ -17,12 +18,14 @@ from entroscore import (
     make_psr,
     pair,
     sample_cone_point,
+    sampling,
     sample_density,
     score_divergence,
     verify_euler,
     verify_propriety,
     zero_homog_extend,
 )
+from entroscore.measure import require_float_range
 
 from conftest import CATALOG_SPECS, entropy_from_spec, rule_from_spec, unit_space
 
@@ -212,6 +215,19 @@ class TestVerifyPropriety:
         assert report.min_margin >= -1e-10
         assert report.strict_violations == 0
         assert report.infinite_unfavorable == 0
+
+    @pytest.mark.parametrize("cut", [0.6, 0.8, 0.95])
+    def test_scores_past_the_float_range_count_the_pairs_they_hit(self, cut):
+        # a rule whose scores are +inf wherever an atom holds more than ``cut``:
+        # the error counts each pair with such a p or q once, and names no row
+        sp = unit_space(3)
+        S = ScoringRule("cut", lambda q: require_float_range("cut scores", np.where(q > cut, np.inf, q)), sp)
+        draws = sampling.density_rows(sp, np.random.default_rng(5), 2 * 40)
+        hit = int(np.count_nonzero((draws > cut).reshape(40, -1).any(axis=1)))
+        assert 0 < hit < 40
+        with pytest.raises(DomainError) as info:
+            verify_propriety(S, seed=5, samples=40)
+        assert str(info.value) == f"cut scores leave the float range at {hit} of 40 sampled pairs"
 
     def test_witness_reproduces_min_margin(self):
         S = rule_from_spec("quadratic", unit_space(3))
