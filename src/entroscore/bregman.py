@@ -15,10 +15,10 @@ This module also carries:
 * the rebasing construction ``p -> D(p, a)``, which shifts the entropy by an
   affine functional and therefore regenerates the same divergence;
 * a numerical symmetry classifier.  Only generalized quadratic divergences
-  are symmetric, so the classifier pairs a sampled symmetry defect with a
-  least-squares fit of the entropy against the quadratic-affine basis
-  {q_i q_j, q_i, 1}; everything else is reported asymmetric with a witness
-  pair.  The verdict is sampled evidence, not a proof.
+  are symmetric, so the classifier pairs a sampled symmetry defect with the
+  entropy's third differences along the sampled segments, which vanish on
+  every line exactly when a continuous function is at most quadratic; the
+  rest is reported asymmetric with a witness pair.  Sampled evidence only.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EntroscoreError
-from .measure import (ConeVector, DualVector, _first_min, _require_same_space, counted_among, exact_row_sums,
-                      pair, pair_rows, quiet_floats, report_dict)
+from .measure import (ConeVector, DualVector, MeasureSpace, _first_min, _require_same_space, counted_among,
+                      exact_row_sums, pair, pair_rows, quiet_floats, report_dict, require_float_range)
 from .entropies import Entropy
 from .sampling import _BOX_HIGH, _BOX_LOW, _seeded, box_rows, cone_rows
 
@@ -54,7 +54,9 @@ INCONCLUSIVE = "inconclusive"
 
 _SYMMETRIC_DEFECT_TOL = 1e-10
 _ASYMMETRIC_DEFECT_TOL = 1e-8
-_FIT_RESIDUAL_TOL = 1e-10
+_THIRD_DIFFERENCE_TOL = 1e-12
+# (1, -3, 3, -1) / 8: no sum of |terms| of finite values overflows, and the ratio keeps its bits
+_THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0]) / 8.0
 
 
 def _finite_subgradients(entropy: Entropy, grad: np.ndarray) -> np.ndarray:
@@ -151,14 +153,14 @@ def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Evidence from the sampled symmetry classification of a divergence."""
+    """Sampled symmetry evidence: the worst defect, its witness pair, the worst relative third difference."""
 
     entropy: str
     pair_count: int
     max_symmetry_defect: float
     witness_p: ConeVector
     witness_q: ConeVector
-    fit_residual: float
+    max_third_difference: float
     classification: str
 
     @property
@@ -168,42 +170,50 @@ class DivergenceReport:
     as_dict = report_dict
 
 
+def _box_segment_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> tuple:
+    """Box rows p, q, p, q, ... and, per pair, the rows ``p + d``, ``p + 2d``; ``d = (q - p) / 3``."""
+    points = box_rows(space, rng, count)
+    p, d = points[0::2], (points[1::2] - points[0::2]) / 3.0
+    return points, np.stack([p + d, p + 2.0 * d], axis=1).reshape(points.shape)
+
+
 @quiet_floats
 def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     """Sampled symmetry classification of the entropy's divergence.
 
     Pairs are drawn componentwise Uniform(0.05, 2) - bounded away from the
-    boundary so every catalog subgradient exists.  Classified symmetric
-    generalized quadratic when the worst defect stays below 1e-10 *and* the
-    entropy fits the quadratic-affine basis to 1e-10; asymmetric once any
-    pair's defect exceeds 1e-8; inconclusive in between.
+    boundary so every catalog subgradient exists.  Classified symmetric generalized
+    quadratic when the worst defect stays below 1e-10 *and* each pair's third difference
+    ``H(p) - 3 H(p + d) + 3 H(p + 2d) - H(q)``, ``d = (q - p) / 3``, is at most 1e-12 of the
+    sum of its terms' magnitudes; asymmetric once any pair's defect exceeds 1e-8; inconclusive
+    in between.  Non-finite subgradients or values raise :class:`DomainError` with a count.
     """
     if samples < 1:
         raise DomainError("symmetry classification needs at least one sample")
     space = entropy.domain.space
-    points = _seeded(box_rows, space, seed, 2 * samples)  # rows p, q, p, q, ...
+    points, segments = _seeded(_box_segment_rows, space, seed, 2 * samples)
     swap = np.arange(2 * samples) ^ 1  # each row's partner
     try:  # the oracles are row-wise: one call per point serves D(p, q) and D(q, p)
         with counted_among(2 * samples, "points"):
             grad = _finite_subgradients(entropy, entropy.grad_rows(points))[swap]
             values = entropy.value_rows(points)
             divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
+            require_float_range(f"{entropy.name} values", values)
+            inner = require_float_range(f"{entropy.name} values", entropy.value_rows(segments))
     except DomainError as exc:
         box = f"[{_BOX_LOW:g}, {_BOX_HIGH:g})^{space.size}"
         raise DomainError(f"{exc}; the sample points lie in the box {box}") from None
-    # max residual of a least-squares fit of the entropy to {q_i q_j, q_i, 1} at the points
-    a, b = np.triu_indices(space.size)
-    design = np.hstack([points[:, a] * points[:, b], points, np.ones((len(points), 1))])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    fit_residual = float(np.max(np.abs(design @ coef - values)))
+    terms = np.column_stack([values[0::2], inner[0::2], inner[1::2], values[1::2]]) * _THIRD_DIFFERENCE
+    sums, _ = exact_row_sums(np.vstack([terms, np.abs(terms)]))
+    third = np.divide(np.abs(sums[:samples]), sums[samples:], out=np.zeros(samples), where=sums[samples:] > 0)
     defects = np.abs(divergences[0::2] - divergences[1::2])
     if np.isnan(defects).all():
         raise DomainError(f"no sampled symmetry defect of {entropy.name} is a number")
     i, _ = _first_min(-defects)  # the first strict maximum
-    worst = float(defects[i])
+    worst, max_third = float(defects[i]), float(third.max())
     if worst > _ASYMMETRIC_DEFECT_TOL:
         label = ASYMMETRIC_WITH_WITNESS
-    elif worst <= _SYMMETRIC_DEFECT_TOL and fit_residual <= _FIT_RESIDUAL_TOL:
+    elif worst <= _SYMMETRIC_DEFECT_TOL and max_third <= _THIRD_DIFFERENCE_TOL:
         label = SYMMETRIC_GENERALIZED_QUADRATIC
     else:
         label = INCONCLUSIVE
@@ -213,7 +223,7 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
         max_symmetry_defect=worst,
         witness_p=space.cone(points[2 * i]),
         witness_q=space.cone(points[2 * i + 1]),
-        fit_residual=fit_residual,
+        max_third_difference=max_third,
         classification=label,
     )
 

@@ -278,6 +278,17 @@ def ref_call(fn, *args):
 # calls on library vector objects, the first failing point returning early;
 # and the per-point draw of the cone points behind Euler and linearity.
 
+# The third difference's coefficients (1, -3, 3, -1), over 8 as the suite scales them.
+THIRD_DIFFERENCE = (0.125, -0.375, 0.375, -0.125)
+
+
+def ref_third_difference(values) -> float:
+    """``|sum t| / sum |t|`` for the terms ``t`` of one segment's third difference, 0 if all are 0."""
+    terms = [c * v for c, v in zip(THIRD_DIFFERENCE, values)]
+    scale = math.fsum(abs(t) for t in terms)
+    return abs(math.fsum(terms)) / scale if scale > 0.0 else 0.0
+
+
 def ref_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     def divergence(p, q):
         grad = entropy.subgradient(q)
@@ -287,35 +298,24 @@ def ref_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> Divergenc
     space = entropy.domain.space
     worst = -math.inf
     witness = None
-    points = []
+    third = 0.0
     for _ in range(samples):
         p = space.cone(rng.uniform(0.05, 2.0, size=space.size))
         q = space.cone(rng.uniform(0.05, 2.0, size=space.size))
-        points.extend([p, q])
         defect = abs(divergence(p, q) - divergence(q, p))
         if defect > worst:
             worst = defect
             witness = (p, q)
-    n = space.size
-    rows, targets = [], []
-    for point in points:
-        v = point.values
-        features = [v[i] * v[j] for i in range(n) for j in range(i, n)]
-        features.extend(v.tolist())
-        features.append(1.0)
-        rows.append(features)
-        targets.append(entropy.value(point))
-    design = np.array(rows)
-    target = np.array(targets)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    fit_residual = float(np.max(np.abs(design @ coef - target)))
+        d = (q.values - p.values) / 3.0
+        inner = [entropy.value(space.cone(p.values + k * d)) for k in (1.0, 2.0)]
+        third = max(third, ref_third_difference([entropy.value(p), *inner, entropy.value(q)]))
     if worst > 1e-8:
         label = ASYMMETRIC_WITH_WITNESS
-    elif worst <= 1e-10 and fit_residual <= 1e-10:
+    elif worst <= 1e-10 and third <= 1e-12:
         label = SYMMETRIC_GENERALIZED_QUADRATIC
     else:
         label = INCONCLUSIVE
-    return DivergenceReport(entropy.name, samples, worst, witness[0], witness[1], fit_residual, label)
+    return DivergenceReport(entropy.name, samples, worst, witness[0], witness[1], third, label)
 
 
 def ref_cone_rows(space: MeasureSpace, rng, count: int) -> np.ndarray:
@@ -356,9 +356,9 @@ def ref_linearity_check(entropy, seed: int = 0, samples: int = 100) -> bool:
 #
 # ``symmetry_defect`` and ``verify_euler`` before each evaluated its oracles once
 # per point: every pair's divergence through ``bregman_divergence_rows`` on the
-# swapped rows, a fit that calls ``value_rows`` itself, and Euler's extension
-# through ``canonical_extension_rows``, which normalizes the points a second time.
-# Each draws from a fresh generator of its own.
+# swapped rows, third differences that call ``value_rows`` themselves, and Euler's
+# extension through ``canonical_extension_rows``, which normalizes the points a
+# second time.  Each draws from a fresh generator of its own.
 
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
@@ -368,21 +368,30 @@ def _ref_counted(exc: FloatRangeError, points: int) -> DomainError:
     return DomainError(f"{exc.what} leave the float range at {len(set(exc.rows))} of {points} sampled points")
 
 
+def _ref_finite_values(entropy, rows: np.ndarray) -> np.ndarray:
+    values = entropy.value_rows(rows)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise DomainError(f"{entropy.name} values leave the float range at {bad} of {len(rows)} sampled points")
+    return values
+
+
 @_quiet
 def ref_rows_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> DivergenceReport:
     space = entropy.domain.space
     points = sampling.box_rows(space, np.random.default_rng(seed), 2 * samples)
     swapped = points.reshape(samples, 2, space.size)[:, ::-1].reshape(points.shape)
+    p, q = points[0::2], points[1::2]
+    d = (q - p) / 3.0
     try:
         try:
             divergences = bregman_divergence_rows(entropy, points, swapped)
         except FloatRangeError as exc:
             raise _ref_counted(exc, 2 * samples) from None
-        i, j = np.triu_indices(space.size)
-        design = np.hstack([points[:, i] * points[:, j], points, np.ones((len(points), 1))])
-        target = entropy.value_rows(points)
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        fit_residual = float(np.max(np.abs(design @ coef - target)))
+        ends = _ref_finite_values(entropy, points)
+        inner = _ref_finite_values(entropy, np.vstack([p + d, p + 2.0 * d]))  # all p + d, then all p + 2d
+        third = max(ref_third_difference(row)
+                    for row in zip(ends[0::2], inner[:samples], inner[samples:], ends[1::2]))
     except DomainError as exc:
         raise DomainError(f"{exc}; the sample points lie in the box [0.05, 2)^{space.size}") from None
     defects = np.abs(divergences[0::2] - divergences[1::2])
@@ -392,12 +401,12 @@ def ref_rows_symmetry_defect(entropy, seed: int = 0, samples: int = 200) -> Dive
     worst = float(defects[k])
     if worst > 1e-8:
         label = ASYMMETRIC_WITH_WITNESS
-    elif worst <= 1e-10 and fit_residual <= 1e-10:
+    elif worst <= 1e-10 and third <= 1e-12:
         label = SYMMETRIC_GENERALIZED_QUADRATIC
     else:
         label = INCONCLUSIVE
     return DivergenceReport(entropy.name, samples, worst, space.cone(points[2 * k]),
-                            space.cone(points[2 * k + 1]), fit_residual, label)
+                            space.cone(points[2 * k + 1]), third, label)
 
 
 @_quiet

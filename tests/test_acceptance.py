@@ -129,7 +129,7 @@ def test_criterion_6_symmetry_classification():
     for generator in (power_law_composite(sp, 2.0, nu=nu), integrated_square_composite(sp, nu)):
         report = symmetry_defect(generator, seed=42)
         ok &= report.classification == SYMMETRIC_GENERALIZED_QUADRATIC
-        ok &= report.max_symmetry_defect <= 1e-10 and report.fit_residual <= 1e-10
+        ok &= report.max_symmetry_defect <= 1e-10 and report.max_third_difference <= 1e-12
 
     cubic = catalog_entropy("power", sp, gamma=3.0)
     report = symmetry_defect(cubic, seed=42)

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entroscore import (
     ASYMMETRIC_WITH_WITNESS,
+    INCONCLUSIVE,
     SYMMETRIC_GENERALIZED_QUADRATIC,
     ConvexDomainSpec,
     DomainError,
@@ -21,6 +23,7 @@ from entroscore import (
     quadratic_discrimination_bound,
     rebase_entropy,
     sample_positive_box,
+    sampling,
     symmetry_defect,
 )
 
@@ -196,7 +199,7 @@ class TestSymmetryClassification:
         report = symmetry_defect(power_law_composite(sp, 2.0, nu=nu), seed=5)
         assert report.classification == SYMMETRIC_GENERALIZED_QUADRATIC
         assert report.max_symmetry_defect <= 1e-12
-        assert report.fit_residual <= 1e-10
+        assert report.max_third_difference <= 1e-12
 
     def test_integrated_square_is_symmetric(self):
         sp = unit_space(3)
@@ -205,7 +208,7 @@ class TestSymmetryClassification:
         report = symmetry_defect(E, seed=5)
         assert report.classification == SYMMETRIC_GENERALIZED_QUADRATIC
         assert report.max_symmetry_defect <= 1e-12
-        assert report.fit_residual <= 1e-10
+        assert report.max_third_difference <= 1e-12
         # and its divergence is literally (sum (p-q) nu)^2
         rng = np.random.default_rng(80)
         for _ in range(50):
@@ -258,14 +261,83 @@ class TestSymmetryClassification:
         sp = unit_space(3)
         E = Entropy("nan", ConvexDomainSpec.whole_space(sp), lambda q: np.full(len(q), np.nan),
                     lambda q: np.zeros_like(q))
-        with pytest.raises(DomainError, match="symmetry defect of nan"):
+        with pytest.raises(DomainError, match="^nan values leave the float range at 40 of 40 sampled points;"):
             symmetry_defect(E, seed=5, samples=20)
+
+    def test_non_finite_values_are_counted_not_dropped(self):
+        # a quadratic without a value where q_1 > 1.9, about 5% of the box: every other
+        # pair's defect is below 1e-10, so dropping those points would call it symmetric
+        sp = unit_space(3)
+        quadratic = catalog_entropy("quadratic", sp)
+        holed = Entropy("holed", ConvexDomainSpec.whole_space(sp),
+                        lambda q: np.where(q[:, 0] > 1.9, np.nan, quadratic.value_rows(q)), quadratic.grad_rows)
+        hit = np.count_nonzero(sampling.box_rows(sp, np.random.default_rng(5), 400)[:, 0] > 1.9)
+        assert 0 < hit < 40
+        with pytest.raises(DomainError, match=rf"^holed values leave the float range at {hit} of 400 sampled "
+                                              r"points; the sample points lie in the box \[0.05, 2\)\^3$"):
+            symmetry_defect(holed, seed=5)
+
+    @pytest.mark.parametrize("n", [3, 27, 200, 1000])
+    def test_third_differences_separate_the_catalog_at_every_size(self, n):
+        sp = MeasureSpace(np.linspace(0.5, 2.0, n))
+        for spec in CATALOG_SPECS:
+            report = symmetry_defect(entropy_from_spec(spec, sp), seed=0, samples=200)
+            if spec == "quadratic":
+                assert report.max_third_difference <= 1e-15
+                assert report.classification == SYMMETRIC_GENERALIZED_QUADRATIC
+            else:
+                assert report.max_third_difference >= 1e-4, spec
+                assert report.classification == ASYMMETRIC_WITH_WITNESS, spec
+        # 0 / 0 reads 0: the zero entropy is a (degenerate) generalized quadratic
+        zero = Entropy("zero", ConvexDomainSpec.whole_space(sp), lambda q: np.zeros(len(q)), np.zeros_like)
+        report = symmetry_defect(zero, seed=0, samples=200)
+        assert report.max_symmetry_defect == report.max_third_difference == 0.0
+        assert report.classification == SYMMETRIC_GENERALIZED_QUADRATIC
+
+    def test_a_tiny_cubic_is_not_called_quadratic(self):
+        # defects of 1e-19 pass the absolute defect bound; the relative third difference
+        # does not depend on the entropy's scale, so the verdict stays open
+        cubic = catalog_entropy("power", unit_space(3), gamma=3.0)
+        tiny = Entropy("tiny_cubic", cubic.domain, lambda q: 1e-20 * cubic.value_rows(q),
+                       lambda q: 1e-20 * cubic.grad_rows(q))
+        report = symmetry_defect(tiny, seed=5)
+        assert report.max_symmetry_defect <= 1e-18
+        assert report.max_third_difference >= 1e-2
+        assert report.classification == INCONCLUSIVE
+
+    def test_third_differences_have_power_where_a_quadratic_fit_has_none(self):
+        # 27 atoms give 27 * 28 / 2 + 27 + 1 = 406 quadratic-affine features for 400 points,
+        # so a least-squares fit interpolates spherical to about 3e-14, as it would a quadratic
+        sp = unit_space(27)
+        spherical = catalog_entropy("spherical", sp)
+        points = sampling.box_rows(sp, np.random.default_rng(0), 400)
+        i, j = np.triu_indices(sp.size)
+        design = np.hstack([points[:, i] * points[:, j], points, np.ones((len(points), 1))])
+        values = spherical.value_rows(points)
+        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+        assert design.shape == (400, 406)
+        assert np.max(np.abs(design @ coef - values)) <= 1e-10
+        report = symmetry_defect(spherical, seed=0, samples=200)
+        assert report.max_third_difference >= 1e-3
+        assert report.classification == ASYMMETRIC_WITH_WITNESS
+
+    def test_memory_stays_bounded_at_250_atoms(self):
+        # a 400 x 31,626 quadratic-affine design matrix alone would take 101 MB here
+        sp = MeasureSpace(np.linspace(0.5, 2.0, 250))
+        tracemalloc.start()
+        try:
+            for spec in CATALOG_SPECS:
+                symmetry_defect(entropy_from_spec(spec, sp), seed=0, samples=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_report_serializes(self):
         report = symmetry_defect(catalog_entropy("quadratic", unit_space(2)), seed=5, samples=50)
         payload = json.loads(json.dumps(report.as_dict()))
         assert set(payload) == {"entropy", "pair_count", "max_symmetry_defect", "witness_p",
-                                "witness_q", "fit_residual", "classification", "pass"}
+                                "witness_q", "max_third_difference", "classification", "pass"}
         assert payload["pass"] is report.passed is True  # a symmetric verdict is conclusive
 
 

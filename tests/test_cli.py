@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import platform
 import subprocess
 import sys
 import warnings
@@ -498,6 +499,43 @@ def test_verify_golden_at_twenty_atoms_byte_for_byte(tmp_path):
                       + "".join(f"[rule {spec}]\n" for spec in (*CATALOG_SPECS, "linear")))
     assert run(tmp_path, "verify", "--config", str(config)) == (
         1, (DATA / "verify_20_golden.json").read_bytes())
+
+
+def _golden_commands(tmp_path) -> list:
+    """Every byte-golden command: (argv without ``--out``, exit code, golden file)."""
+    config = tmp_path / "verify_20.ini"
+    config.write_text(f"[verify]\nsamples = 200\nweights_file = {DATA / 'weights_20.txt'}\n\n"
+                      + "".join(f"[rule {spec}]\n" for spec in (*CATALOG_SPECS, "linear")))
+    wide = [str(DATA / "forecasts_wide.csv"), str(DATA / "outcomes_wide.csv"),
+            "--weights", (DATA / "weights_wide.txt").read_text().strip()]
+    return [(["score", FORECASTS, OUTCOMES], 0, "scores_golden.csv"),
+            (["score", *wide], 0, "scores_wide_golden.csv"),
+            (["divergence", FORECASTS, FORECASTS], 0, "divergence_golden.csv"),
+            (["grid-score", str(DATA / "grid_density_48.txt")], 0, "grid_score_golden.csv"),
+            (["verify", "--config", str(DATA / "verify_golden.ini")], 1, "verify_golden.json"),
+            (["verify", "--config", str(config)], 1, "verify_20_golden.json")]
+
+
+_GOLDEN_CHILD = ("import json, sys\nfrom entroscore.cli import main\n"
+                 "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types name x86-64 kernels")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_golden_outputs_hold_on_other_openblas_kernels(tmp_path, coretype):
+    # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS (numpy's wheels bundle one) run an
+    # older core's kernels, in the child only.  A numpy on another BLAS ignores it, and
+    # there this checks nothing the in-process golden tests do not.
+    commands = _golden_commands(tmp_path)
+    outs = [tmp_path / f"{k}.out" for k in range(len(commands))]
+    argvs = [[*argv, "--out", str(out)] for (argv, _, _), out in zip(commands, outs)]
+    child = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, json.dumps(argvs)], capture_output=True,
+                           text=True, env={**child_env(), "OPENBLAS_CORETYPE": coretype}, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == [code for _, code, _ in commands]
+    for out, (_, _, golden) in zip(outs, commands):
+        assert out.read_bytes() == (DATA / golden).read_bytes(), golden
 
 
 # -- verify's shared draws --------------------------------------------------------
