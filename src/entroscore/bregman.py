@@ -71,9 +71,10 @@ def _finite_subgradients(entropy: Entropy, grad: np.ndarray) -> np.ndarray:
 @quiet_floats
 def bregman_divergence_rows(entropy: Entropy, p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     """``D(p, q)`` for each pair of rows; :class:`DomainError` where a subgradient is not finite."""
-    grad = _finite_subgradients(entropy, entropy.grad_rows(q_rows))
+    value_q, grad = entropy.value_grad_rows(q_rows)
+    _finite_subgradients(entropy, grad)
     return (entropy.value_rows(p_rows) - pair_rows(p_rows - q_rows, grad, entropy.domain.space.weights)
-            - entropy.value_rows(q_rows))
+            - value_q)
 
 
 def bregman_divergence(entropy: Entropy, p: ConeVector, q: ConeVector) -> float:
@@ -100,8 +101,9 @@ class AffineScore:
 
 def affine_score_at(entropy: Entropy, q: ConeVector) -> AffineScore:
     """The affine score ``s(., q)``: gradient part grad(q), offset value(q) - pair(q, grad(q))."""
-    grad = entropy.subgradient(q)
-    return AffineScore(grad, entropy.value(q) - pair(q, grad), q)
+    (value,), (grad,) = entropy.value_grad_rows(q.values[None])
+    grad = entropy.domain.space.dual(grad)
+    return AffineScore(grad, float(value) - pair(q, grad), q)
 
 
 @quiet_floats
@@ -119,8 +121,7 @@ def linearity_check(entropy: Entropy, seed: int = 0, samples: int = 100) -> bool
     weights = entropy.domain.space.weights
     points = cone_rows(entropy.domain.space, np.random.default_rng(seed), 3 * samples)
     q, p1, p2 = points[0::3], points[1::3], points[2::3]
-    grad = entropy.grad_rows(q)
-    value = entropy.value_rows(q)
+    value, grad = entropy.value_grad_rows(q)
     offset = value - pair_rows(q, grad, weights)
     s12, s1, s2 = (pair_rows(p, grad, weights) + offset for p in (p1 + p2, p1, p2))
     failed = (np.abs(offset) > 1e-10) | (np.abs(s12 - s1 - s2) > 1e-10 * (1.0 + np.abs(s1) + np.abs(s2)))
@@ -138,17 +139,19 @@ def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
     that cancels out of the divergence; the new subgradient is
     ``grad(p) - grad(a)`` and the new entropy vanishes at ``a``.
     """
-    grad_a = entropy.subgradient(a).values
-    value_a = entropy.value(a)
+    (value_a,), (grad_a,) = entropy.value_grad_rows(a.values[None])
+    grad_a = entropy.domain.space.dual(grad_a).values
     weights = entropy.domain.space.weights
 
-    def value_rows(p: np.ndarray) -> np.ndarray:
-        return entropy.value_rows(p) - pair_rows(p - a.values, grad_a, weights) - value_a
+    def value_rows(p: np.ndarray, value: np.ndarray | None = None) -> np.ndarray:
+        value = entropy.value_rows(p) if value is None else value
+        return value - pair_rows(p - a.values, grad_a, weights) - value_a
 
-    def grad_rows(p: np.ndarray) -> np.ndarray:
-        return entropy.grad_rows(p) - grad_a
+    def value_grad_rows(p: np.ndarray) -> tuple:
+        value, grad = entropy.value_grad_rows(p)
+        return value_rows(p, value), grad - grad_a
 
-    return Entropy(f"{entropy.name}@rebased", entropy.domain, value_rows, grad_rows)
+    return Entropy(f"{entropy.name}@rebased", entropy.domain, value_rows, value_grad_rows)
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,8 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     swap = np.arange(2 * samples) ^ 1  # each row's partner
     try:  # the oracles are row-wise: one call per point serves D(p, q) and D(q, p)
         with counted_among(2 * samples, "points"):
-            grad = _finite_subgradients(entropy, entropy.grad_rows(points))[swap]
-            values = entropy.value_rows(points)
+            values, grad = entropy.value_grad_rows(points)
+            grad = _finite_subgradients(entropy, grad)[swap]
             divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
             require_float_range(f"{entropy.name} values", values)
             inner = require_float_range(f"{entropy.name} values", entropy.value_rows(segments))

@@ -14,12 +14,12 @@ pseudospherical(g)  (sum q^g mu)^(1/g)             q^(g-1) / (...)^((g-1)/g)
 weighted_quadratic  q^T Q q                        2 Q q / mu
 ==================  =============================  ==========================
 
-Subgradients are represented in the weighted dual: ``pair(d, grad)`` equals
-the directional derivative, which is why the matrix and composite forms
-divide by the atom weights.  Shannon uses the 0*log 0 := 0 convention and
-refuses boundary subgradients (they do not exist as finite test functions);
-its scoring rule instead carries the closed form ``log q`` with -inf
-sentinels.
+Each entropy has a ``value_rows`` oracle and a ``value_grad_rows`` oracle that
+gives values and subgradients from one pass.  Subgradients live in the weighted
+dual (``pair(d, grad)`` is the directional derivative), hence the division by
+atom weights in the matrix and composite forms.  Shannon uses 0 log 0 := 0 and
+refuses boundary subgradients; its rule is the closed form ``log q``, -inf at
+zeros.  Array ``pow`` and ``log`` keep zeros off numpy's slow special-value path.
 
 Beyond the catalog: the canonical 1-homogeneous extension to the positive
 cone and its 0-homogeneous subgradient, one-sided directional derivatives by
@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
-from .measure import (ConeVector, DualVector, MeasureSpace, _require_same_space, exact_row_sums, fsum_rows,
-                      normalize_rows, quiet_floats)
+from .measure import (ConeVector, DualVector, MeasureSpace, _require_same_space, _times, exact_row_sums,
+                      fsum_rows, normalize_rows, quiet_floats)
 from .scoring import make_psr, zero_homog_extend
 
 __all__ = [
@@ -92,17 +92,17 @@ class Entropy:
 
     Each oracle maps an (m, n) array of cone vectors (made C-ordered) to m results without float
     warnings, refusing (:class:`DomainError`) a row with an entry below 0 if the domain is
-    sign-bounded: ``value_rows`` to values; ``grad_rows`` to dual representers of a subgradient
-    (None if there is none; :class:`DomainError` where no finite one exists, e.g. shannon on the
-    boundary); the optional ``closed_form_rows`` to the associated scores, for rules the generic
-    construction cannot extend to boundary points.  ``value``, ``subgradient`` and
-    ``closed_form_score`` are their one-row calls on vector objects.
+    sign-bounded: ``value_rows`` to values; ``value_grad_rows`` to values and dual subgradient
+    representers from one pass (None if there is none; :class:`DomainError` where no finite one
+    exists, e.g. shannon on the boundary); the optional ``closed_form_rows`` to the associated
+    scores, for rules the generic construction cannot extend to boundary points.  ``value``,
+    ``subgradient`` and ``closed_form_score`` are their one-row calls on vector objects.
     """
 
     name: str
     domain: ConvexDomainSpec
     value_rows: Callable[[np.ndarray], np.ndarray]
-    grad_rows: Callable[[np.ndarray], np.ndarray] | None
+    value_grad_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     closed_form_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -113,14 +113,14 @@ class Entropy:
                 raise DomainError(f"{self.name} requires nonnegative input")
             return oracle(q)
 
-        value_rows, grad_rows, closed_form_rows = (oracle and partial(checked, oracle) for oracle in (
-            self.value_rows, self.grad_rows, self.closed_form_rows))
+        value_rows, value_grad_rows, closed_form_rows = (oracle and partial(checked, oracle) for oracle in (
+            self.value_rows, self.value_grad_rows, self.closed_form_rows))
         object.__setattr__(self, "value_rows", value_rows)
-        object.__setattr__(self, "grad_rows", grad_rows)
+        object.__setattr__(self, "value_grad_rows", value_grad_rows)
         object.__setattr__(self, "closed_form_rows", closed_form_rows)
         object.__setattr__(self, "value", lambda q: float(value_rows(q.values[None])[0]))
-        object.__setattr__(self, "subgradient", grad_rows and (
-            lambda q: self.domain.space.dual(grad_rows(q.values[None])[0])))
+        object.__setattr__(self, "subgradient", value_grad_rows and (
+            lambda q: self.domain.space.dual(value_grad_rows(q.values[None])[1][0])))
         object.__setattr__(self, "closed_form_score", closed_form_rows and (
             lambda q: self.domain.space.dual(closed_form_rows(q.values[None])[0], allow_infinite=True)))
 
@@ -128,16 +128,36 @@ class Entropy:
         return f"Entropy({self.name!r}, domain={self.domain.kind})"
 
 
+@quiet_floats
+def _zero_safe(ufunc, q: np.ndarray, *args) -> np.ndarray:
+    """``np.power(q, exponent > 0)`` or ``np.log(q)`` of C-ordered ``q``, bit for bit.  numpy's SIMD
+    kernels take a slow special-value path on zeros, so the ufunc runs on ``q + (q == 0)`` and the zeros
+    are mended in place by arithmetic (a masked write branches per entry): ``1 ** e - 1 = +0`` and
+    ``(log 1 - 1) / 0 = -inf``."""
+    zero = q == 0.0
+    if not zero.any():
+        return ufunc(q, *args)
+    out = q + zero
+    ufunc(out, *args, out=out)
+    out -= zero
+    if ufunc is np.log:
+        out /= ~zero
+    elif np.signbit(ufunc(np.array([-0.0]), *args))[0] and (negative := zero & np.signbit(q)).any():
+        out[negative] = -0.0  # numpy's -0 ** e: -0 for odd integers, and for 0.5 (sqrt)
+    return out
+
+
+_pow, _log = partial(_zero_safe, np.power), partial(_zero_safe, np.log)
+
+
 def _quadratic(space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
-        return fsum_rows(q * q * w)
+        return fsum_rows(_times(q * q, w))
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
-        return 2.0 * q
-
-    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
+    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value_rows,
+                   lambda q: (value_rows(q), 2.0 * q))
 
 
 def _positive_sums(terms: np.ndarray) -> np.ndarray:
@@ -171,32 +191,29 @@ def _spherical(space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def squares(v: np.ndarray) -> np.ndarray:
-        return v * v * w
+        return _times(v * v, w)
 
-    def value_rows(q: np.ndarray) -> np.ndarray:
-        _, top, total = _scaled(q, squares)
+    def value_rows(q: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
+        _, top, total = scaled or _scaled(q, squares)
         return top * np.sqrt(total)
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
-        v, _, total = _scaled(q, squares)
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        v, _, total = scaled = _scaled(q, squares)
         if (total <= 0.0).any():
             raise DomainError("spherical subgradient is undefined at the origin")
-        return v / np.sqrt(total)[:, None]
+        return value_rows(q, scaled), v / np.sqrt(total)[:, None]
 
-    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
+    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
 
 
 def _power(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
-        return fsum_rows(np.power(q, gamma) * w)
+        return fsum_rows(_times(_pow(q, gamma), w))
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
-        return gamma * np.power(q, gamma - 1.0)
-
-    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space),
-                   value_rows, grad_rows)
+    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space), value_rows,
+                   lambda q: (value_rows(q), _times(_pow(q, gamma - 1.0), gamma)))
 
 
 def _shannon(space: MeasureSpace) -> Entropy:
@@ -207,37 +224,39 @@ def _shannon(space: MeasureSpace) -> Entropy:
         charged = q != 0.0
         logs = np.zeros(q.shape)
         logs[charged] = np.fromiter(map(math.log, q[charged].tolist()), float)
-        return fsum_rows(np.where(charged, q * logs * w, 0.0))
+        return fsum_rows(np.where(charged, _times(q * logs, w), 0.0))
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
+    def value_grad_rows(q: np.ndarray) -> tuple:
         if (q <= 0.0).any():
             raise DomainError("shannon subgradient does not exist at boundary points (zero atoms)")
-        return np.log(q) + 1.0
+        return value_rows(q), np.log(q) + 1.0
 
-    return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value_rows, grad_rows,
-                   closed_form_rows=np.log)  # the logarithmic score, -inf at zero atoms
+    return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
+                   closed_form_rows=_log)  # the logarithmic score, -inf at zero atoms
 
 
 def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
     def powers(v: np.ndarray) -> np.ndarray:
-        return np.power(v, gamma) * w
+        return _times(_pow(v, gamma), w)
 
-    def value_rows(q: np.ndarray) -> np.ndarray:
-        _, top, total = _scaled(q, powers)
+    def value_rows(q: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
+        _, top, total = scaled or _scaled(q, powers)
         # Python float pow: numpy's array pow can differ in the last bit
         return np.array([t * s ** (1.0 / gamma) for t, s in zip(top.tolist(), total.tolist())], dtype=float)
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
-        v, _, total = _scaled(q, powers)
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        v, _, total = scaled = _scaled(q, powers)
         if (total <= 0.0).any():
             raise DomainError("pseudospherical subgradient is undefined at the origin")
         norm = np.array([s ** ((gamma - 1.0) / gamma) for s in total.tolist()], dtype=float)
-        return np.power(v, gamma - 1.0) / norm[:, None]
+        grad = _pow(v, gamma - 1.0)
+        grad /= norm[:, None]
+        return value_rows(q, scaled), grad
 
     return Entropy(f"pseudospherical({gamma:g})",
-                   ConvexDomainSpec.nonnegative_orthant(space), value_rows, grad_rows)
+                   ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows)
 
 
 def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
@@ -259,11 +278,11 @@ def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
     def value_rows(q: np.ndarray) -> np.ndarray:
         return fsum_rows(q * form_rows(q))
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
-        # dual representer under the weighted pairing, hence the division
-        return 2.0 * form_rows(q) / w
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        form = form_rows(q)
+        return fsum_rows(q * form), 2.0 * form / w  # the dual representer, hence the division
 
-    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space), value_rows, grad_rows)
+    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
 
 
 def catalog_entropy(
@@ -414,12 +433,13 @@ def composite_entropy(
     def inner_integrals(q: np.ndarray) -> list[float]:
         return fsum_rows(np.asarray(spec.inner(q), dtype=float) * nu).tolist()
 
-    def value_rows(q: np.ndarray) -> np.ndarray:
-        return np.array([float(spec.outer(x)) for x in inner_integrals(q)], dtype=float)
+    def value_rows(q: np.ndarray, integrals: list[float] | None = None) -> np.ndarray:
+        return np.array([float(spec.outer(x)) for x in integrals or inner_integrals(q)], dtype=float)
 
-    def grad_rows(q: np.ndarray) -> np.ndarray:
-        slope = np.array([float(spec.outer_derivative(x)) for x in inner_integrals(q)])
-        return slope[:, None] * np.asarray(spec.inner_derivative(q), dtype=float) * nu / w
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        integrals = inner_integrals(q)
+        slope = np.array([float(spec.outer_derivative(x)) for x in integrals])[:, None]
+        return value_rows(q, integrals), slope * np.asarray(spec.inner_derivative(q), dtype=float) * nu / w
 
     rng = np.random.default_rng(_COMPOSITE_SEED)
     points = domain.draw(rng, 2 * _COMPOSITE_CHECKS)
@@ -431,4 +451,4 @@ def composite_entropy(
     if (mid_value > chord + 1e-10 * (1.0 + np.abs(chord))).any():
         raise ConstructionError("sampled midpoint check found a non-convex composition")
 
-    return Entropy(name, domain, value_rows, grad_rows)
+    return Entropy(name, domain, value_rows, value_grad_rows)

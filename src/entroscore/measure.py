@@ -322,6 +322,11 @@ def fsum_rows(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _times(terms: np.ndarray, factor) -> np.ndarray:
+    terms *= factor  # in place: no second (rows x atoms) temporary
+    return terms
+
+
 @quiet_floats
 def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise pairing ``sum_i q_i f_i mu_i`` of broadcastable (m, n) arrays.
@@ -331,14 +336,15 @@ def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np
     sets of measure zero), the rest ``(q mu) f``: an infinite term makes the
     signed infinity, opposing infinities NaN.
     """
-    terms = q_rows * f_rows * weights
-    if np.isfinite(terms).all():
+    terms = _times(q_rows * f_rows, weights)
+    finite = np.isfinite(terms).all(axis=1)
+    if finite.all():
         return fsum_rows(terms)
-    q_rows, f_rows = np.broadcast_arrays(q_rows, f_rows)
-    infinite = ~np.isfinite(terms).all(axis=1)
-    base = q_rows[infinite] * weights
-    terms[infinite] = np.where(base != 0.0, base * f_rows[infinite], 0.0)
-    charged = infinite & np.isinf(terms).any(axis=1)
+    base = q_rows * weights
+    infinite = ~finite[:, None]
+    np.multiply(base, f_rows, out=terms, where=infinite)
+    np.copyto(terms, 0.0, where=infinite & (base == 0.0))
+    charged = np.isinf(terms).any(axis=1)
     signed = np.where(np.isinf(terms[charged]), terms[charged], 0.0).sum(axis=1)
     terms[charged] = 0.0
     sums = fsum_rows(terms)
@@ -361,7 +367,7 @@ def require_density_rows(q_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     finite = np.isfinite(q_rows).all(axis=1)
     negative = (q_rows < 0.0).any(axis=1)
-    mass = fsum_rows(np.where(finite[:, None], q_rows, 0.0) * weights)
+    mass = fsum_rows(_times(np.where(finite[:, None], q_rows, 0.0), weights))
     bad = ~finite | negative | ~(np.abs(mass - 1.0) <= DENSITY_MASS_TOL)
     if bad.any():
         raise DomainError("invalid density rows: " + "; ".join(

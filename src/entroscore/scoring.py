@@ -83,14 +83,14 @@ def make_psr(entropy: "Entropy") -> ScoringRule:
         return ScoringRule(entropy.name,
                            _in_float_range(entropy.name, entropy.closed_form_rows, sentinel=True),
                            entropy.domain.space)
-    if entropy.grad_rows is None:
+    if entropy.value_grad_rows is None:
         raise DomainError(f"entropy {entropy.name!r} has no subgradient oracle")
     weights = entropy.domain.space.weights
 
     @quiet_floats
     def score_rows(q: np.ndarray) -> np.ndarray:
-        grad = entropy.grad_rows(q)
-        return grad + (entropy.value_rows(q) - pair_rows(q, grad, weights))[:, None]
+        value, grad = entropy.value_grad_rows(q)
+        return grad + (value - pair_rows(q, grad, weights))[:, None]
 
     return ScoringRule(entropy.name, _in_float_range(entropy.name, score_rows), entropy.domain.space)
 

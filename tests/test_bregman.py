@@ -260,7 +260,7 @@ class TestSymmetryClassification:
     def test_all_nan_defects_raise_a_domain_error_naming_the_entropy(self):
         sp = unit_space(3)
         E = Entropy("nan", ConvexDomainSpec.whole_space(sp), lambda q: np.full(len(q), np.nan),
-                    lambda q: np.zeros_like(q))
+                    lambda q: (np.full(len(q), np.nan), np.zeros_like(q)))
         with pytest.raises(DomainError, match="^nan values leave the float range at 40 of 40 sampled points;"):
             symmetry_defect(E, seed=5, samples=20)
 
@@ -269,8 +269,10 @@ class TestSymmetryClassification:
         # pair's defect is below 1e-10, so dropping those points would call it symmetric
         sp = unit_space(3)
         quadratic = catalog_entropy("quadratic", sp)
-        holed = Entropy("holed", ConvexDomainSpec.whole_space(sp),
-                        lambda q: np.where(q[:, 0] > 1.9, np.nan, quadratic.value_rows(q)), quadratic.grad_rows)
+        def values(q):
+            return np.where(q[:, 0] > 1.9, np.nan, quadratic.value_rows(q))
+
+        holed = Entropy("holed", ConvexDomainSpec.whole_space(sp), values, lambda q: (values(q), 2.0 * q))
         hit = np.count_nonzero(sampling.box_rows(sp, np.random.default_rng(5), 400)[:, 0] > 1.9)
         assert 0 < hit < 40
         with pytest.raises(DomainError, match=rf"^holed values leave the float range at {hit} of 400 sampled "
@@ -289,7 +291,8 @@ class TestSymmetryClassification:
                 assert report.max_third_difference >= 1e-4, spec
                 assert report.classification == ASYMMETRIC_WITH_WITNESS, spec
         # 0 / 0 reads 0: the zero entropy is a (degenerate) generalized quadratic
-        zero = Entropy("zero", ConvexDomainSpec.whole_space(sp), lambda q: np.zeros(len(q)), np.zeros_like)
+        zero = Entropy("zero", ConvexDomainSpec.whole_space(sp), lambda q: np.zeros(len(q)),
+                       lambda q: (np.zeros(len(q)), np.zeros_like(q)))
         report = symmetry_defect(zero, seed=0, samples=200)
         assert report.max_symmetry_defect == report.max_third_difference == 0.0
         assert report.classification == SYMMETRIC_GENERALIZED_QUADRATIC
@@ -299,7 +302,7 @@ class TestSymmetryClassification:
         # does not depend on the entropy's scale, so the verdict stays open
         cubic = catalog_entropy("power", unit_space(3), gamma=3.0)
         tiny = Entropy("tiny_cubic", cubic.domain, lambda q: 1e-20 * cubic.value_rows(q),
-                       lambda q: 1e-20 * cubic.grad_rows(q))
+                       lambda q: tuple(1e-20 * rows for rows in cubic.value_grad_rows(q)))
         report = symmetry_defect(tiny, seed=5)
         assert report.max_symmetry_defect <= 1e-18
         assert report.max_third_difference >= 1e-2

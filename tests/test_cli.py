@@ -37,6 +37,17 @@ class TestScoreCommand:
         assert code == 0
         assert payload == (DATA / "scores_golden.csv").read_bytes()
 
+    def test_signed_zero_cells_keep_their_bytes(self, tmp_path):
+        # -0.0 and 0.0 cells, and outcomes on zero atoms (rows 2 and 4: -inf log scores),
+        # take the zero-atom paths of pow, log and the pairing; pinned before those paths
+        forecasts, outcomes = tmp_path / "f.csv", tmp_path / "o.csv"
+        forecasts.write_text("p1,p2,p3,p4\n-0.0,0.5,0.25,0.0\n-0.0,-0.0,0.5,0.0\n0.5,0.25,0.125,1.0\n"
+                             "1.0,0.25,0.125,-0.0\n0.6,0.4,0.1,0.4\n")
+        outcomes.write_text("outcome\n2\n1\n4\n4\n3\n")
+        code, payload = run(tmp_path, "score", str(forecasts), str(outcomes), "--weights", "0.5,1,2,0.25")
+        assert code == 0
+        assert payload == (DATA / "scores_signed_zero_golden.csv").read_bytes()
+
     def test_wide_golden_file_byte_for_byte(self, tmp_path):
         # 64 rows x 40 weighted atoms (numpy seed 20261018): half the atoms of
         # each row are zero and every eighth outcome falls on one (a -inf log

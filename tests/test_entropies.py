@@ -25,6 +25,7 @@ from entroscore import (
     rebase_entropy,
     sample_positive_box,
 )
+from entroscore import entropies
 
 from conftest import CATALOG_SPECS, entropy_from_spec, integrated_square_composite, unit_space
 
@@ -220,7 +221,7 @@ def _sign_subject(name: str):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_SIGN_SUBJECTS), st.sampled_from(["value_rows", "grad_rows", "closed_form_rows"]),
+@given(st.sampled_from(_SIGN_SUBJECTS), st.sampled_from(["value_rows", "value_grad_rows", "closed_form_rows"]),
        st.lists(st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])), min_size=3, max_size=3))
 def test_value_rows_is_undefined_exactly_off_a_sign_bounded_domain(name, oracle, row):
     # every oracle of an entropy on a sign-bounded domain refuses a row with an entry
@@ -236,9 +237,36 @@ def test_value_rows_is_undefined_exactly_off_a_sign_bounded_domain(name, oracle,
         assert np.isfinite(E.value_rows(rows)).all()
     else:
         try:
-            assert not np.isnan(rows_of(rows)).any()
+            results = rows_of(rows)
+            assert not any(np.isnan(part).any() for part in (results if oracle == "value_grad_rows" else [results]))
         except DomainError as exc:  # no finite subgradient, e.g. shannon at a zero atom
-            assert oracle == "grad_rows" and "requires nonnegative input" not in str(exc)
+            assert oracle == "value_grad_rows" and "requires nonnegative input" not in str(exc)
+
+
+# Entries that send numpy's SIMD pow and log off their fast path: signed zeros, subnormals,
+# the float maximum and its neighbourhood, infinities and NaN of either sign.
+_SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1.0,
+                             1.7976931348623157e308, 1e308, 1e300, math.inf, -math.inf, math.nan, -math.nan])
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("gamma", [1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0, 50.0])
+def test_zero_safe_pow_and_log_keep_numpys_bits(gamma):
+    # every entry, NaN payloads and signed zeros included, against numpy's own kernels, on
+    # batches with and without zeros, of lengths inside one SIMD vector and across many
+    rng = np.random.default_rng(int(gamma * 1000))
+    for shape in [(1, 1), (1, 7), (3, 5), (4, 64), (40, 250)]:
+        for share in (0.0, 0.1, 0.5, 1.0):
+            q = rng.uniform(0.0, 2.0, size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            special = rng.random(shape) < share
+            q[special] = rng.choice(_SPECIAL_ENTRIES, size=int(special.sum()))
+            with np.errstate(all="ignore"):
+                for exponent in (gamma, gamma - 1.0):
+                    assert (_bits(entropies._pow(q, exponent)) == _bits(np.power(q, exponent))).all(), exponent
+                assert (_bits(entropies._log(q)) == _bits(np.log(q))).all()
 
 
 class TestConvexityAndHomogeneity:

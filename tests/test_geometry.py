@@ -474,7 +474,7 @@ class TestSubdifferentialProbe:
         # +0.5 e_2 tie at -0.5, and every box sample (p < q) has a positive gap
         sp = unit_space(2)
         K = ConvexDomainSpec.nonnegative_orthant(sp)
-        zero = Entropy("zero", K, lambda q: np.zeros(len(q)), lambda q: np.zeros_like(q))
+        zero = Entropy("zero", K, lambda q: np.zeros(len(q)), lambda q: (np.zeros(len(q)), np.zeros_like(q)))
         result = subdifferential_probe(zero, K, sp.cone([10.0, 10.0]), [sp.dual([1.0, 1.0])])
         assert result.as_dict()["rejected"] == [{"candidate": [1.0, 1.0], "witness": [10.5, 10.0], "gap": -0.5}]
 
@@ -530,7 +530,7 @@ class TestSubdifferentialProbe:
             calls.append(len(rows))
             return power.value_rows(rows)
 
-        E = Entropy("counted power(1.5)", power.domain, counted, power.grad_rows)
+        E = Entropy("counted power(1.5)", power.domain, counted, power.value_grad_rows)
         q = sp.cone([0.5, 1.0, 1.5])
         result = subdifferential_probe(E, ConvexDomainSpec.whole_space(sp), q, [power.subgradient(q)])
         assert len(result.verified) == 1 and result.unique_claim

@@ -324,7 +324,7 @@ def test_linearity_check_stops_at_its_first_failing_point():
     assert linearity_check(power, seed=1, samples=50) is False
     assert ref_linearity_check(power, seed=1, samples=50) is False
     infinite = Entropy("infinite", ConvexDomainSpec.whole_space(space), lambda q: np.zeros(len(q)),
-                       lambda q: np.full_like(q, np.inf))
+                       lambda q: (np.zeros(len(q)), np.full_like(q, np.inf)))
     for check in (linearity_check, ref_linearity_check):
         with pytest.raises(EntroscoreError):
             check(infinite, seed=1, samples=5)
@@ -345,7 +345,7 @@ def test_sampled_suites_make_no_one_row_calls(monkeypatch):
     step = np.array([1.0, 0.0, 0.0])
     unique_claims = 0
     for entropy in suite_subjects(space):
-        grad = entropy.grad_rows(points[0].values[None])[0]
+        grad = entropy.value_grad_rows(points[0].values[None])[1][0]
         # verified, breaching the derivative bound only (the ray walk), breaching at points
         candidates = [space.dual(f) for f in (grad, grad + 1e-5 * step, grad + 0.5)]
         object.__setattr__(entropy, "value", refuse)

@@ -21,9 +21,10 @@ from entroscore import (
     pair,
     pair_rows,
     require_density_rows,
+    score_divergence_rows,
 )
 
-from conftest import entropy_from_spec, rule_from_spec, unit_space
+from conftest import entropy_from_spec, ref_call, ref_pair, rule_from_spec, unit_space
 
 
 class TestConstruction:
@@ -130,6 +131,28 @@ class TestPair:
         lhs = pair(2.0 * p + 3.0 * r, f)
         rhs = 2.0 * pair(p, f) + 3.0 * pair(r, f)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+
+    def test_mixed_batch_matches_the_per_row_reference_bit_for_bit(self):
+        # one batch of finite rows and of rows whose log score is -inf on a zero atom, which
+        # the row does (0) or does not (-inf) charge, or meets +inf too (NaN); then one p row
+        # against every score row, the broadcast of score_divergence_rows
+        rng = np.random.default_rng(23)
+        n = 9
+        w = rng.uniform(0.5, 2.0, n)
+        q = rng.dirichlet(np.ones(n), 30) / w
+        q[1::3, 2] = 0.0
+        q[2::5, [0, 5]] = 0.0
+        with np.errstate(divide="ignore"):
+            f = np.log(q)
+        f[0::3] = rng.normal(size=(10, n))  # all-finite rows
+        f[4::6, 7] = -math.inf  # charged: -inf
+        f[5::6, [3, 6]] = [math.inf, -math.inf]  # charged both ways: NaN
+        for f_rows in (f, f[::-1].copy()):
+            assert _bits(pair_rows(q, f_rows, w)) == _bits([ref_call(ref_pair, a, b, w) for a, b in zip(q, f_rows)])
+        for p in (q[1], q[3]):  # with and without a zero atom
+            assert _bits(pair_rows(p[None], f, w)) == _bits([ref_call(ref_pair, p, b, w) for b in f])
+            assert _bits(score_divergence_rows(p[None], f[:1], f, w)) == _bits(
+                [ref_call(ref_pair, p, f[0], w) - ref_call(ref_pair, p, b, w) for b in f])
 
 
 class TestNormalize:

@@ -2,6 +2,7 @@
 module imports a name it does not use, and only ``measure`` calls ``math.fsum``."""
 
 import ast
+import re
 from pathlib import Path
 
 import entroscore
@@ -84,3 +85,16 @@ def test_only_measure_calls_math_fsum():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.fsum", "fsum")]
     assert calls == []
+
+
+def test_the_gradient_oracle_is_value_grad_rows_only():
+    # value_grad_rows replaced the separate gradient oracle, whose name must not come back
+    # in the package, its tests, the demos or the README (this file names it only in pieces)
+    root = Path(entroscore.__file__).parents[2]
+    retired = re.compile(r"\b" + "grad" + r"_rows\b")
+    paths = [root / "README.md",
+             *(path for part in ("src", "tests", "demos") for path in (root / part).rglob("*.py"))]
+    hits = [f"{path.relative_to(root)}:{number}" for path in paths
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if retired.search(line)]
+    assert hits == []

@@ -8,14 +8,18 @@ import pytest
 
 from entroscore import (
     DomainError,
+    Entropy,
     MeasureSpace,
     ScoringRule,
     StructureError,
     bregman_divergence,
     canonical_extension_value,
+    catalog_entropy,
+    entropies,
     expected_score,
     linear_score,
     make_psr,
+    measure,
     pair,
     sample_cone_point,
     sampling,
@@ -28,6 +32,38 @@ from entroscore import (
 from entroscore.measure import require_float_range
 
 from conftest import CATALOG_SPECS, entropy_from_spec, rule_from_spec, unit_space
+
+
+@pytest.mark.parametrize("spec", ["quadratic", "spherical", "power(1.5)", "power(3)", "pseudospherical(3)",
+                                  "weighted_quadratic"])
+def test_score_rows_makes_one_oracle_call_and_two_exact_sums(spec, monkeypatch):
+    # S(q) needs the value and the subgradient at q, from one oracle pass over the shared
+    # terms; the value's row sums and the pairing's are the only exact sums
+    space = MeasureSpace(np.linspace(0.5, 2.0, 40))
+    if spec == "weighted_quadratic":
+        entropy = catalog_entropy(spec, space, matrix=np.diag(np.linspace(1.0, 3.0, 40)) + 0.1)
+    else:
+        entropy = entropy_from_spec(spec, space)
+    rows = sampling.density_rows(space, np.random.default_rng(4), 50)
+    rows[::2, 3] = 0.0  # zero atoms too; the rows need not be densities here
+    oracle_calls, sums = [], []
+
+    def counted(oracle):
+        return lambda q: oracle_calls.append(len(q)) or oracle(q)
+
+    counted_entropy = Entropy(entropy.name, entropy.domain, counted(entropy.value_rows),
+                              counted(entropy.value_grad_rows))
+    exact_row_sums = measure.exact_row_sums
+
+    def counted_sums(terms):
+        sums.append(terms.shape)
+        return exact_row_sums(terms)
+
+    for module in (measure, entropies):
+        monkeypatch.setattr(module, "exact_row_sums", counted_sums)
+    scores = make_psr(counted_entropy).score_rows(rows)
+    assert oracle_calls == [50] and sums == [(50, 40), (50, 40)]
+    assert np.array_equal(scores, make_psr(entropy).score_rows(rows))
 
 
 class TestMakePsr:
