@@ -79,6 +79,7 @@ def bregman_divergence_rows(entropy: Entropy, p_rows: np.ndarray, q_rows: np.nda
 
 def bregman_divergence(entropy: Entropy, p: ConeVector, q: ConeVector) -> float:
     """One row of :func:`bregman_divergence_rows`."""
+    _require_same_space(entropy.domain.space, p, q)
     return float(bregman_divergence_rows(entropy, p.values[None], q.values[None])[0])
 
 
@@ -101,6 +102,7 @@ class AffineScore:
 
 def affine_score_at(entropy: Entropy, q: ConeVector) -> AffineScore:
     """The affine score ``s(., q)``: gradient part grad(q), offset value(q) - pair(q, grad(q))."""
+    _require_same_space(entropy.domain.space, q)
     (value,), (grad,) = entropy.value_grad_rows(q.values[None])
     grad = entropy.domain.space.dual(grad)
     return AffineScore(grad, float(value) - pair(q, grad), q)
@@ -139,6 +141,7 @@ def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
     that cancels out of the divergence; the new subgradient is
     ``grad(p) - grad(a)`` and the new entropy vanishes at ``a``.
     """
+    _require_same_space(entropy.domain.space, a)
     (value_a,), (grad_a,) = entropy.value_grad_rows(a.values[None])
     grad_a = entropy.domain.space.dual(grad_a).values
     weights = entropy.domain.space.weights
@@ -241,7 +244,7 @@ def quadratic_discrimination_bound(p: ConeVector, q: ConeVector, nu) -> tuple[fl
     :class:`StructureError` for points on different spaces,
     :class:`DomainError` when either divergence leaves the float range.
     """
-    _require_same_space(p, q)
+    _require_same_space(p.space, q)
     weights = np.asarray(nu, dtype=float)
     if weights.shape != (p.space.size,) or not np.isfinite(weights).all() or np.any(weights <= 0.0):
         raise DomainError("nu must be a finite positive vector matching the space")

@@ -428,10 +428,14 @@ def load_verify_config(args):
                         "expect_verified": _parse_vector_list(section.get("expect_verified", "")),
                         "expect_rejected": _parse_vector_list(section.get("expect_rejected", "")),
                     })
+                    if not probes[-1]["candidates"]:
+                        raise ValueError("no candidates to probe")
             except (configparser.Error, ValueError) as exc:
                 raise CliError(EXIT_INPUT, f"{args.config}: [{section_name}]: {exc}") from None
         if not rule_specs:
             raise CliError(EXIT_INPUT, f"{args.config}: no [rule ...] sections configured")
+        if not settings["suites"] and not probes:
+            raise CliError(EXIT_INPUT, f"{args.config}: nothing to verify: no suites and no probes")
     else:
         rule_specs = [(spec, {}) for spec in _parse_rule_list(DEFAULT_RULES)]
     if args.seed is not None:
@@ -478,14 +482,9 @@ def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
         report = subdifferential_probe(entropy, domain, point, candidates, seed=seed).as_dict()
     except EntroscoreError as exc:
         raise CliError(EXIT_INPUT, f"{where}: {exc}") from None
-    passed = True
-    if probe["expect_verified"]:
-        verified = {tuple(v) for v in report["verified"]}
-        passed &= all(tuple(v) in verified for v in probe["expect_verified"])
-    if probe["expect_rejected"]:
-        rejected = {tuple(r["candidate"]) for r in report["rejected"]}
-        passed &= all(tuple(v) in rejected for v in probe["expect_rejected"])
-    report["pass"] = bool(passed)
+    verified, rejected = report["verified"], [r["candidate"] for r in report["rejected"]]
+    report["pass"] = (all(v in verified for v in probe["expect_verified"])
+                      and all(v in rejected for v in probe["expect_rejected"]))
     return report
 
 

@@ -22,9 +22,7 @@ refuses boundary subgradients; its rule is the closed form ``log q``, -inf at
 zeros.  Array ``pow`` and ``log`` keep zeros off numpy's slow special-value path.
 
 Beyond the catalog: the canonical 1-homogeneous extension to the positive
-cone and its 0-homogeneous subgradient, one-sided directional derivatives by
-extrapolated finite differences, and composite entropies
-``phi(sum f(q) nu)`` for symmetry analysis.
+cone, and composite entropies ``phi(sum f(q) nu)`` for symmetry analysis.
 """
 
 from __future__ import annotations
@@ -40,9 +38,8 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
-from .measure import (ConeVector, DualVector, MeasureSpace, _require_same_space, _times, exact_row_sums,
-                      fsum_rows, normalize_rows, quiet_floats)
-from .scoring import make_psr, zero_homog_extend
+from .measure import (ConeVector, MeasureSpace, _require_same_space, _times, exact_row_sums, fsum_rows,
+                      normalize_rows, quiet_floats)
 
 __all__ = [
     "Entropy",
@@ -52,11 +49,7 @@ __all__ = [
     "CATALOG_NAMES",
     "canonical_extension_value",
     "canonical_extension_rows",
-    "extended_subgradient",
-    "directional_derivative_fd",
-    "directional_derivative_fd_rows",
     "composite_entropy",
-    "FD_STEP",
 ]
 
 CATALOG_NAMES = (
@@ -70,16 +63,6 @@ CATALOG_NAMES = (
 
 # A catalog name with an optional parenthesised exponent, as in ``power(1.5)``
 _RULE_SPEC = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
-
-# One-sided finite-difference step; one Richardson refinement on top of it
-# sets the 1e-6 tolerance used by the derivative checks.
-FD_STEP = 1e-5
-
-# One-sided difference quotients of a convex function decrease as the step
-# shrinks.  If the decrements stay this large and fail to contract, the
-# quotient is diverging to -inf rather than converging.
-_DIVERGE_MIN_DECREMENT = 0.05
-_DIVERGE_CONTRACTION = 0.75
 
 # composite_entropy checks convexity on this many seeded midpoint pairs.
 _COMPOSITE_CHECKS = 32
@@ -113,16 +96,20 @@ class Entropy:
                 raise DomainError(f"{self.name} requires nonnegative input")
             return oracle(q)
 
+        def row(q):  # a vector of the entropy's space as a one-row batch
+            _require_same_space(self.domain.space, q)
+            return q.values[None]
+
         value_rows, value_grad_rows, closed_form_rows = (oracle and partial(checked, oracle) for oracle in (
             self.value_rows, self.value_grad_rows, self.closed_form_rows))
         object.__setattr__(self, "value_rows", value_rows)
         object.__setattr__(self, "value_grad_rows", value_grad_rows)
         object.__setattr__(self, "closed_form_rows", closed_form_rows)
-        object.__setattr__(self, "value", lambda q: float(value_rows(q.values[None])[0]))
+        object.__setattr__(self, "value", lambda q: float(value_rows(row(q))[0]))
         object.__setattr__(self, "subgradient", value_grad_rows and (
-            lambda q: self.domain.space.dual(value_grad_rows(q.values[None])[1][0])))
+            lambda q: self.domain.space.dual(value_grad_rows(row(q))[1][0])))
         object.__setattr__(self, "closed_form_score", closed_form_rows and (
-            lambda q: self.domain.space.dual(closed_form_rows(q.values[None])[0], allow_infinite=True)))
+            lambda q: self.domain.space.dual(closed_form_rows(row(q))[0], allow_infinite=True)))
 
     def __repr__(self) -> str:
         return f"Entropy({self.name!r}, domain={self.domain.kind})"
@@ -346,46 +333,8 @@ def canonical_extension_rows(entropy: Entropy, q_rows: np.ndarray) -> np.ndarray
 
 def canonical_extension_value(entropy: Entropy, q: ConeVector) -> float:
     """One row of :func:`canonical_extension_rows`."""
+    _require_same_space(entropy.domain.space, q)
     return float(canonical_extension_rows(entropy, q.values[None])[0])
-
-
-def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
-    """0-homogeneous subgradient of the canonical extension at ``q``.
-
-    This is the associated proper scoring rule evaluated at the normalised
-    argument; it pairs with ``q`` to the extended entropy value (Euler).
-    """
-    return zero_homog_extend(make_psr(entropy), q)
-
-
-@quiet_floats
-def directional_derivative_fd_rows(entropy: Entropy, q: ConeVector, p_rows: np.ndarray) -> np.ndarray:
-    """One-sided directional derivative estimates at ``q`` along each row of ``p_rows``.
-
-    Richardson-extrapolates the forward difference quotients at steps h/2
-    and h/4, with ``h = FD_STEP``, from one ``value_rows`` call on ``q`` and
-    the three steps along every row.  Where the quotients keep dropping by
-    non-contracting decrements (the signature of a boundary direction like
-    shannon toward a zero atom), the estimate is ``-inf`` instead of a number.
-    """
-    h, v = FD_STEP, q.values
-    if not entropy.domain.contains(q):
-        raise DomainError("base point is outside the entropy domain")
-    if not entropy.domain.contains_rows(v + h * p_rows).all():
-        raise DomainError("q + h p leaves the entropy domain")
-    steps = np.array([h, h / 2.0, h / 4.0])
-    stepped = (v + steps[:, None] * p_rows[:, None]).reshape(-1, v.size)  # each row, then each step
-    values = entropy.value_rows(np.vstack([v, stepped]))
-    d1, d2, d4 = ((values[1:].reshape(-1, 3) - values[0]) / steps).T
-    dec1, dec2 = d2 - d1, d4 - d2
-    diverging = (dec2 < -_DIVERGE_MIN_DECREMENT) & (dec2 <= _DIVERGE_CONTRACTION * dec1)
-    return np.where(diverging, -np.inf, 2.0 * d4 - d2)
-
-
-def directional_derivative_fd(entropy: Entropy, q: ConeVector, p: ConeVector) -> float:
-    """One row of :func:`directional_derivative_fd_rows`."""
-    _require_same_space(p, q)
-    return float(directional_derivative_fd_rows(entropy, q, p.values[None])[0])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ their public calls on vector objects:
   active constraints;
 * the lineality space ``O(q)`` of two-sided feasible directions;
 * annihilators under the weighted pairing, and the algebraic quasi-interior
-  test ``dim O(q) == dim(affine hull of K)``.
+  test ``dim O(q) == dim(affine hull of K)``;
+* extrapolated finite-difference derivatives, and the subgradient probe on them.
 
 Lower-dimensional sets (the simplex) are treated relative to their affine
 hull, so quasi-interior coincides with the relative interior there.
@@ -33,7 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import ConeVector, DualVector, MeasureSpace, _first_min, pair_rows, quiet_floats, report_dict
+from .measure import (ConeVector, DualVector, MeasureSpace, _first_min, _require_same_space, pair_rows,
+                      quiet_floats, report_dict)
 from .sampling import box_rows, density_rows
 
 __all__ = [
@@ -45,18 +47,29 @@ __all__ = [
     "is_quasi_interior",
     "annihilator_basis",
     "subdifferential_probe",
+    "directional_derivative_fd",
+    "directional_derivative_fd_rows",
+    "FD_STEP",
 ]
 
 _SV_TOL = 1e-10  # singular-value threshold for rank decisions
 _MEMBER_TOL = 1e-9  # slack allowed in membership and active-constraint tests
 # A subgradient candidate is rejected when the supporting-hyperplane inequality
 # fails by more than _INEQ_TOL (relative), or a directional derivative bound
-# by more than _DERIV_TOL (absolute, the finite-difference accuracy).
+# by more than _DERIV_TOL (absolute): the accuracy of one Richardson
+# refinement of one-sided finite differences at step FD_STEP.
 _INEQ_TOL = 1e-9
 _DERIV_TOL = 1e-6
+FD_STEP = 1e-5
 # subdifferential_probe samples this many points of K and random directions.
 _PROBE_POINTS = 200
 _PROBE_DIRECTIONS = 32
+
+# One-sided difference quotients of a convex function decrease as the step
+# shrinks.  If the decrements stay this large and fail to contract, the
+# quotient is diverging to -inf rather than converging.
+_DIVERGE_MIN_DECREMENT = 0.05
+_DIVERGE_CONTRACTION = 0.75
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -255,6 +268,7 @@ def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVe
     """Whether ``q + lam * d`` stays in K for some ``lam > 0``: one row of the row test."""
     if not domain.contains(q):
         raise DomainError("base point is not in the domain")
+    _require_same_space(domain.space, d)
     return bool(_feasible_rows(domain, q.values, d.values[None])[0])
 
 
@@ -298,6 +312,7 @@ def annihilator_basis(
         if not vectors:
             raise ConstructionError("pass a space to take the annihilator of nothing")
         space = vectors[0].space
+    _require_same_space(space, *vectors)
     stacked = np.array([v.values for v in vectors]).reshape(len(vectors), space.size)
     basis = _null_space_basis(stacked * space.weights, space.size)  # the identity for no vectors
     return [space.dual(basis[:, j]) for j in range(basis.shape[1])]
@@ -367,18 +382,51 @@ def _values(entropy, rows: np.ndarray) -> np.ndarray:
     return _inf_outside(entropy.value_rows, rows, ~(entropy.domain.nonnegative & (rows < 0.0)).any(axis=1))
 
 
+def _fd_steps(entropy, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Mask of the directions an FD estimate at ``v`` may step along: ``v + FD_STEP * d`` lies in
+    the entropy's domain K and, if K is sign-bounded, has no entry below 0."""
+    dom, stepped = entropy.domain, v + FD_STEP * directions
+    return dom.contains_rows(stepped) & ~(dom.nonnegative & (stepped < 0.0)).any(axis=1)
+
+
+@quiet_floats
+def directional_derivative_fd_rows(entropy, q: ConeVector, p_rows: np.ndarray) -> np.ndarray:
+    """One-sided directional derivative estimates at ``q`` along each row of ``p_rows``.
+
+    Richardson-extrapolates the forward difference quotients at steps h/2
+    and h/4, with ``h = FD_STEP``, from one ``value_rows`` call on ``q`` and
+    the three steps along every row.  Where the quotients keep dropping by
+    non-contracting decrements (the signature of a boundary direction like
+    shannon toward a zero atom), the estimate is ``-inf`` instead of a number.
+    :class:`DomainError` if q or a step is off the entropy's domain, or below 0 where it is sign-bounded.
+    """
+    h, v = FD_STEP, q.values
+    if not entropy.domain.contains(q):
+        raise DomainError("base point is outside the entropy domain")
+    if not _fd_steps(entropy, v, p_rows).all():
+        raise DomainError("q + h p leaves the entropy domain")
+    steps = np.array([h, h / 2.0, h / 4.0])
+    stepped = (v + steps[:, None] * p_rows[:, None]).reshape(-1, v.size)  # each row, then each step
+    values = entropy.value_rows(np.vstack([v, stepped]))
+    d1, d2, d4 = ((values[1:].reshape(-1, 3) - values[0]) / steps).T
+    dec1, dec2 = d2 - d1, d4 - d2
+    diverging = (dec2 < -_DIVERGE_MIN_DECREMENT) & (dec2 <= _DIVERGE_CONTRACTION * dec1)
+    return np.where(diverging, -np.inf, 2.0 * d4 - d2)
+
+
+def directional_derivative_fd(entropy, q: ConeVector, p: ConeVector) -> float:
+    """One row of :func:`directional_derivative_fd_rows`."""
+    _require_same_space(q.space, p)
+    return float(directional_derivative_fd_rows(entropy, q, p.values[None])[0])
+
+
 def _slopes(entropy, q: ConeVector, directions: np.ndarray) -> np.ndarray:
     """FD right derivatives at q, ``+inf`` along the directions the estimate refuses: all if q is
-    outside the entropy's domain K, else those whose step ``q + FD_STEP * d`` leaves K or, if K is
-    sign-bounded, has an entry below 0."""
-    from .entropies import FD_STEP, directional_derivative_fd_rows
-
-    dom = entropy.domain
-    if not dom.contains(q):
+    outside the entropy's domain, else those :func:`_fd_steps` refuses."""
+    if not entropy.domain.contains(q):
         return np.full(len(directions), np.inf)
-    stepped = q.values + FD_STEP * directions
-    accepted = dom.contains_rows(stepped) & ~(dom.nonnegative & (stepped < 0.0)).any(axis=1)
-    return _inf_outside(partial(directional_derivative_fd_rows, entropy, q), directions, accepted)
+    return _inf_outside(partial(directional_derivative_fd_rows, entropy, q), directions,
+                        _fd_steps(entropy, q.values, directions))
 
 
 def _ray_witness(entropy, domain: ConvexDomainSpec, q: ConeVector, base_value: float,
@@ -416,11 +464,11 @@ def subdifferential_probe(
       sampled feasible directions.  A derivative breach is converted into a
       concrete violating point by walking down the offending ray.
 
-    ``unique_claim`` is set when q is quasi-interior (relative to the affine
-    hull of K) and every verified candidate matches the two-sided directional
-    derivative on the sampled lineality directions - the sampled version of
-    the equality condition under which the subgradient is unique.  The claim
-    certifies sampled directions only.
+    ``unique_claim`` is set when q is quasi-interior (relative to the affine hull of K) and every
+    verified candidate matches the two-sided directional derivative along each lineality basis
+    direction.  Two-sided derivatives along a basis make a convex function differentiable on its
+    span (Rockafellar 1970, Thm 25.2), so the claim covers the whole lineality space up to the FD
+    tolerance: the equality condition under which the subgradient is unique.
 
     The entropy is ``+inf`` off its domain: a point with an entry below 0 on a
     sign-bounded one never violates, and a direction the FD estimate refuses is
@@ -429,6 +477,7 @@ def subdifferential_probe(
     """
     if not domain.contains(q):
         raise DomainError("probe base point is not in the domain")
+    _require_same_space(domain.space, entropy.domain, *candidates)
     v, w = q.values, domain.space.weights
     try:
         base_value = float(_values(entropy, v[None])[0])
@@ -461,13 +510,7 @@ def subdifferential_probe(
 
         unique = bool(verified) and is_quasi_interior(domain, q)
         if unique:
-            basis = _lineality_rows(domain, v)
-            two_sided = [basis]
-            for _ in range(8 if len(basis) > 1 else 0):
-                coeff = rng.normal(size=len(basis))
-                coeff /= np.linalg.norm(coeff)
-                two_sided.append(np.sum(coeff[:, None] * basis, axis=0)[None])
-            two_sided = _signed(np.vstack(two_sided))
+            two_sided = _signed(_lineality_rows(domain, v))
             both_slopes = _slopes(entropy, q, two_sided)
             unique = bool(np.isfinite(both_slopes).all()) and not any(
                 (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()

@@ -113,11 +113,11 @@ class ConeVector:
         object.__setattr__(self, "values", v)
 
     def __add__(self, other: "ConeVector") -> "ConeVector":
-        _require_same_space(self, other)
+        _require_same_space(self.space, other)
         return ConeVector(self.values + other.values, self.space)
 
     def __sub__(self, other: "ConeVector") -> "ConeVector":
-        _require_same_space(self, other)
+        _require_same_space(self.space, other)
         return ConeVector(self.values - other.values, self.space)
 
     def __neg__(self) -> "ConeVector":
@@ -168,8 +168,8 @@ class DualVector:
         return f"DualVector({np.array2string(self.values, precision=6)})"
 
 
-def _require_same_space(a, b) -> None:
-    if a.space != b.space:
+def _require_same_space(space: MeasureSpace, *operands) -> None:
+    if any(x.space != space for x in operands):
         raise StructureError("operands live on different measure spaces")
 
 
@@ -354,7 +354,7 @@ def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np
 
 def pair(p: ConeVector, f: DualVector) -> float:
     """Expected-score pairing ``sum_i p_i f_i mu_i``: one row of :func:`pair_rows`."""
-    _require_same_space(p, f)
+    _require_same_space(p.space, f)
     return float(pair_rows(p.values[None], f.values[None], p.space.weights)[0])
 
 

@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from .entropies import Entropy
 from .errors import DomainError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, _first_min, _require_same_space,
                       counted_among, normalize, normalize_rows, pair, pair_rows, quiet_floats, report_dict,
                       require_float_range)
 from .sampling import _seeded, cone_rows, density_rows
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .entropies import Entropy
 
 __all__ = [
     "ScoringRule",
@@ -37,6 +35,7 @@ __all__ = [
     "make_psr",
     "linear_score",
     "zero_homog_extend",
+    "extended_subgradient",
     "expected_score",
     "score_divergence",
     "score_divergence_rows",
@@ -57,9 +56,10 @@ class ScoringRule:
 
     name: str
     score_rows: Callable[[np.ndarray], np.ndarray]
-    space: "MeasureSpace"
+    space: MeasureSpace
 
     def score(self, q: Density) -> DualVector:
+        _require_same_space(self.space, q)
         # score_rows has already rejected every infinite entry its rule does not allow
         return q.space.dual(self.score_rows(q.values[None])[0], allow_infinite=True)
 
@@ -71,7 +71,7 @@ def _in_float_range(name: str, rows: Callable, sentinel: bool = False) -> Callab
     return lambda q: require_float_range(f"{name} scores", rows(q), sentinel)
 
 
-def make_psr(entropy: "Entropy") -> ScoringRule:
+def make_psr(entropy: Entropy) -> ScoringRule:
     """Build the proper scoring rule of an entropy from its subgradient.
 
     Row by row, ``S(q) = grad(q) + (value(q) - pair(q, grad(q))) * 1``.
@@ -95,7 +95,7 @@ def make_psr(entropy: "Entropy") -> ScoringRule:
     return ScoringRule(entropy.name, _in_float_range(entropy.name, score_rows), entropy.domain.space)
 
 
-def linear_score(space: "MeasureSpace") -> ScoringRule:
+def linear_score(space: MeasureSpace) -> ScoringRule:
     """The improper linear rule S(q) = q, a stock counterexample.
 
     Its self-expected score is the quadratic entropy, but the rule is not a
@@ -107,6 +107,15 @@ def linear_score(space: "MeasureSpace") -> ScoringRule:
 def zero_homog_extend(rule: ScoringRule, q: ConeVector) -> DualVector:
     """Evaluate the 0-homogeneous extension S(q) = S(q / mass(q))."""
     return rule.score(normalize(q))
+
+
+def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
+    """0-homogeneous subgradient of the canonical extension at ``q``.
+
+    This is the associated proper scoring rule evaluated at the normalised
+    argument; it pairs with ``q`` to the extended entropy value (Euler).
+    """
+    return zero_homog_extend(make_psr(entropy), q)
 
 
 def expected_score(rule: ScoringRule, p: Density, q: Density) -> float:
@@ -128,6 +137,7 @@ def score_divergence_rows(p_rows: np.ndarray, p_scores: np.ndarray, q_scores: np
 
 def score_divergence(rule: ScoringRule, p: Density, q: Density) -> float:
     """One row of :func:`score_divergence_rows`."""
+    _require_same_space(rule.space, p, q)
     p_rows = p.values[None]
     return float(score_divergence_rows(p_rows, rule.score_rows(p_rows), rule.score_rows(q.values[None]),
                                        p.space.weights)[0])
@@ -227,7 +237,7 @@ def _unit_cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -
 @quiet_floats
 def verify_euler(
     rule: ScoringRule,
-    entropy: "Entropy",
+    entropy: Entropy,
     seed: int = 0,
     samples: int = 1000,
     tol: float = 1e-10,
@@ -243,7 +253,7 @@ def verify_euler(
     """
     if samples < 1:
         raise DomainError("Euler verification needs at least one sample")
-    _require_same_space(rule, entropy.domain)
+    _require_same_space(rule.space, entropy.domain)
     points, unit_rows, mass = _seeded(_unit_cone_rows, rule.space, seed, samples)
     with counted_among(samples, "points"):
         extended = mass * entropy.value_rows(unit_rows)  # canonical_extension_rows on the drawn points

@@ -416,6 +416,29 @@ class TestVerifyCommand:
         code, _ = run(tmp_path, "verify", "--config", str(config))
         assert code == 2
 
+    def test_no_suites_and_no_probes_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "nothing.ini"
+        config.write_text("[verify]\nsamples = 5\nsuites = ,\n\n[rule quadratic]\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        assert capsys.readouterr().err == f"entroscore: {config}: nothing to verify: no suites and no probes\n"
+
+    def test_probe_without_candidates_exits_2_naming_its_section(self, tmp_path, capsys):
+        config = tmp_path / "bare.ini"
+        config.write_text("[verify]\nsamples = 5\nsuites = propriety\n\n[rule quadratic]\n\n"
+                          "[probe bare]\nentropy = quadratic\npoint = 1,1,1\n")
+        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
+        assert capsys.readouterr().err == f"entroscore: {config}: [probe bare]: no candidates to probe\n"
+
+    def test_probes_alone_still_run_without_suites(self, tmp_path):
+        config = tmp_path / "probes.ini"
+        config.write_text("[verify]\nweights = 1,1\nsuites = ,\n\n[rule quadratic]\n\n"
+                          "[probe corner]\nentropy = quadratic\npoint = 1,0\n"
+                          "candidates = 2,0 ; 2,1\nexpect_verified = 2,0\nexpect_rejected = 2,1\n")
+        code, payload = run(tmp_path, "verify", "--config", str(config))
+        report = json.loads(payload)
+        assert code == 0 and report["pass"] is True and report["rules"] == {"quadratic": {}}
+        assert report["probes"]["corner"]["pass"] is True
+
     def test_config_parse_error_exits_2(self, tmp_path):
         config = tmp_path / "broken.ini"
         config.write_text("[verify\nseed = 1\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entroscore import (
+    FD_STEP,
     ConstructionError,
     ConvexDomainSpec,
     DomainError,
@@ -622,3 +623,30 @@ class TestConeHullGeometry:
         assert is_quasi_interior(K, sp.cone([2.0, 2.0]))
         assert not direction_cone_membership(K, sp.cone([1.0, 1.0]), sp.cone([1.0, 0.0]))
         assert direction_cone_membership(K, sp.cone([1.0, 1.0]), sp.cone([-0.5, -0.5]))
+
+
+def test_fd_refuses_a_step_below_zero_that_membership_allows():
+    # the step's entry 1e-6 - 1e-5 * 0.10001 = -1e-11 is inside contains_rows' 1e-9 slack,
+    # but power(1.5) has no value below 0: the guard refuses it, not the oracle
+    space = unit_space(3)
+    entropy = catalog_entropy("power", space, gamma=1.5)
+    q, p = space.cone([1.0, 1e-6, 0.5]), space.cone([0.0, -0.10001, 0.0])
+    assert entropy.domain.contains_rows((q.values + FD_STEP * p.values)[None])[0]
+    with pytest.raises(DomainError, match=r"^q \+ h p leaves the entropy domain$"):
+        directional_derivative_fd(entropy, q, p)
+
+
+def test_a_base_point_off_the_entropys_domain_refuses_every_direction():
+    # the entropy lives on {x_1 <= 0}; q is just outside it, q - FD_STEP e_1 just inside
+    space = unit_space(2)
+    quadratic = catalog_entropy("quadratic", space)
+    half = Entropy("half", ConvexDomainSpec.halfspace_intersection(space, [[1.0, 0.0]], [0.0]),
+                   quadratic.value_rows, quadratic.value_grad_rows)
+    whole = ConvexDomainSpec.whole_space(space)
+    q = space.cone([5e-6, 1.0])
+    # the gradient, and one that breaches the derivative bound along e_1 only
+    candidates = [space.dual(2.0 * q.values), space.dual(2.0 * q.values + [1e-5, 0.0])]
+    assert len(subdifferential_probe(quadratic, whole, q, candidates, seed=1).rejected) == 1
+    result = subdifferential_probe(half, whole, q, candidates, seed=1)
+    assert result.verified == candidates and result.rejected == []
+    assert result.unique_claim is False

@@ -35,7 +35,7 @@ from entroscore import (
     bregman_divergence_rows,
     catalog_entropy,
     composite_entropy,
-    entropies,
+    geometry,
     linear_score,
     linearity_check,
     make_psr,
@@ -48,7 +48,7 @@ from entroscore import (
     symmetry_defect,
     verify_euler,
 )
-from entroscore.entropies import FD_STEP, directional_derivative_fd, directional_derivative_fd_rows
+from entroscore.geometry import FD_STEP, directional_derivative_fd, directional_derivative_fd_rows
 
 from conftest import (CATALOG_SPECS, entropy_from_spec, ref_call, ref_catalog, ref_composite,
                       ref_cone_rows, ref_divergence, ref_linearity_check, ref_pair, ref_rebased,
@@ -335,7 +335,7 @@ def test_sampled_suites_make_no_one_row_calls(monkeypatch):
         raise AssertionError("one-row call from a sampled suite")
 
     for module, name in ((bregman, "pair"), (measure, "pair"), (bregman, "bregman_divergence"),
-                         (entropies, "directional_derivative_fd"), (sampling, "sample_density"),
+                         (geometry, "directional_derivative_fd"), (sampling, "sample_density"),
                          (sampling, "sample_positive_box"), (sampling, "sample_cone_point")):
         monkeypatch.setattr(module, name, refuse)
     space = MeasureSpace([0.5, 1.0, 2.0])

@@ -11,17 +11,31 @@ from hypothesis import given, settings, strategies as st
 
 from entroscore import (
     ConstructionError,
+    ConvexDomainSpec,
     Density,
     DomainError,
     MeasureSpace,
     StructureError,
+    affine_score_at,
+    annihilator_basis,
+    bregman_divergence,
+    canonical_extension_value,
+    catalog_entropy,
+    direction_cone_membership,
+    expected_score,
+    extended_subgradient,
     fsum_rows,
+    lineality_space,
+    make_psr,
     measure,
     normalize,
     pair,
     pair_rows,
+    rebase_entropy,
     require_density_rows,
+    score_divergence,
     score_divergence_rows,
+    subdifferential_probe,
 )
 
 from conftest import entropy_from_spec, ref_call, ref_pair, rule_from_spec, unit_space
@@ -153,6 +167,57 @@ class TestPair:
             assert _bits(pair_rows(p[None], f, w)) == _bits([ref_call(ref_pair, p, b, w) for b in f])
             assert _bits(score_divergence_rows(p[None], f[:1], f, w)) == _bits(
                 [ref_call(ref_pair, p, f[0], w) - ref_call(ref_pair, p, b, w) for b in f])
+
+
+# The vector API on a unit-weight space of 3 atoms, called with vectors of another space
+_HOME = unit_space(3)
+_QUADRATIC = catalog_entropy("quadratic", _HOME)
+_ORTHANT = ConvexDomainSpec.nonnegative_orthant(_HOME)
+_POINT = _HOME.cone([1.0, 1.0, 1.0])
+
+
+def _cone(space):
+    return space.cone(np.ones(space.size))
+
+
+def _density(space):
+    return space.density(np.full(space.size, 1.0 / math.fsum(space.weights)))
+
+
+_MIXED_SPACE_CALLS = {
+    "Entropy.value": lambda sp: _QUADRATIC.value(_cone(sp)),
+    "Entropy.subgradient": lambda sp: _QUADRATIC.subgradient(_cone(sp)),
+    "Entropy.closed_form_score": lambda sp: catalog_entropy("shannon", _HOME).closed_form_score(_density(sp)),
+    "ScoringRule.score": lambda sp: make_psr(_QUADRATIC).score(_density(sp)),
+    "expected_score": lambda sp: expected_score(make_psr(_QUADRATIC), _density(sp), _density(sp)),
+    "score_divergence": lambda sp: score_divergence(make_psr(_QUADRATIC), _density(sp), _density(sp)),
+    "extended_subgradient": lambda sp: extended_subgradient(_QUADRATIC, _cone(sp)),
+    "canonical_extension_value": lambda sp: canonical_extension_value(_QUADRATIC, _cone(sp)),
+    "bregman_divergence": lambda sp: bregman_divergence(_QUADRATIC, _cone(sp), _cone(sp)),
+    "affine_score_at": lambda sp: affine_score_at(_QUADRATIC, _cone(sp)),
+    "rebase_entropy": lambda sp: rebase_entropy(_QUADRATIC, _cone(sp)),
+    "direction_cone_membership": lambda sp: direction_cone_membership(_ORTHANT, _POINT, _cone(sp)),
+    "annihilator_basis": lambda sp: annihilator_basis([_cone(sp)], _HOME),
+    "probe entropy": lambda sp: subdifferential_probe(
+        catalog_entropy("quadratic", sp), _ORTHANT, _POINT, [_HOME.dual([2.0, 0.0, 1.0])]),
+    "probe candidates": lambda sp: subdifferential_probe(
+        _QUADRATIC, _ORTHANT, _POINT, [sp.dual(np.full(sp.size, 2.0))]),
+}
+
+
+@pytest.mark.parametrize("weights", [[0.5, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]],
+                         ids=["other-weights", "other-size"])
+@pytest.mark.parametrize("call", _MIXED_SPACE_CALLS.values(), ids=_MIXED_SPACE_CALLS.keys())
+def test_vector_entry_points_refuse_vectors_of_another_space(call, weights):
+    with pytest.raises(StructureError, match="^operands live on different measure spaces$"):
+        call(MeasureSpace(weights))
+
+
+def test_a_base_point_of_another_space_keeps_its_typed_answer():
+    other = _cone(MeasureSpace([0.5, 1.0, 2.0]))
+    assert _ORTHANT.contains(other) is False
+    with pytest.raises(DomainError, match="base point is not in the domain"):
+        lineality_space(_ORTHANT, other)
 
 
 class TestNormalize:

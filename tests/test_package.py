@@ -1,5 +1,6 @@
 """The package surface: each module's ``__all__`` is the one list of its public names; no
-module imports a name it does not use, and only ``measure`` calls ``math.fsum``."""
+module imports a name it does not use, the modules import one another one way only, and only
+``measure`` calls ``math.fsum``."""
 
 import ast
 import re
@@ -78,6 +79,37 @@ def test_no_module_imports_a_name_it_does_not_use():
                 bound = (alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*")
                 unused += [f"{module}:{node.lineno}: {name}" for name in bound if name not in used]
     assert unused == []
+
+
+# Each module imports only modules earlier in this order, at its top level.
+LAYERS = ("errors", "measure", "sampling", "geometry", "entropies", "scoring", "bregman", "grid", "cli")
+
+
+def _package_imports(node: ast.AST) -> list[str]:
+    """The ``entroscore`` modules an import statement names (none for any other statement)."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("entroscore"):
+        return [node.module.partition(".")[2] or alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("entroscore")]
+    return []
+
+
+def test_modules_import_one_another_one_way():
+    trees = _module_trees()
+    assert set(trees) - {"__init__.py"} == {f"{name}.py" for name in LAYERS}
+    wrong = []
+    for name in LAYERS:
+        tree = trees[f"{name}.py"]
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            for target in _package_imports(node):
+                if id(node) not in top:  # in a function body, or under ``if TYPE_CHECKING``
+                    wrong.append(f"{name}:{node.lineno}: nested import of {target}")
+                elif target not in LAYERS[:LAYERS.index(name)]:
+                    wrong.append(f"{name}:{node.lineno}: imports {target}")
+    assert wrong == []
 
 
 def test_only_measure_calls_math_fsum():

@@ -301,6 +301,23 @@ class TestVerifyPropriety:
                 worst = min(worst, expected_score(S, p, p) - expected_score(S, p, q))
         assert worst == pytest.approx(-0.125, abs=1e-12)
 
+    def test_unfavorable_margins_fail_with_the_last_unfavorable_pair(self):
+        # S(q) is -inf on every atom when q_1 > 0.5, else 0: a margin is -inf or NaN exactly
+        # when p_1 > 0.5, +inf when only q_1 > 0.5, and 0 otherwise
+        sp = MeasureSpace([0.5, 1.0, 2.0])
+        S = ScoringRule("cliff", lambda q: np.where(q[:, :1] > 0.5, -np.inf, np.zeros(q.shape)), sp)
+        draws = sampling.density_rows(sp, np.random.default_rng(3), 2 * 60)
+        p_rows, q_rows = draws[0::2], draws[1::2]
+        unfavorable = np.flatnonzero(p_rows[:, 0] > 0.5)
+        both = unfavorable[q_rows[unfavorable, 0] > 0.5]  # NaN margins
+        assert 1 < both.size < unfavorable.size < 60
+        report = verify_propriety(S, seed=3, samples=60)
+        assert report.passed is False and report.min_margin == -math.inf
+        assert report.infinite_unfavorable == unfavorable.size
+        assert report.infinite_favorable == np.count_nonzero((p_rows[:, 0] <= 0.5) & (q_rows[:, 0] > 0.5))
+        assert report.witness_p.values.tobytes() == p_rows[unfavorable[-1]].tobytes()
+        assert report.witness_q.values.tobytes() == q_rows[unfavorable[-1]].tobytes()
+
     def test_zero_samples_rejected(self):
         with pytest.raises(DomainError):
             verify_propriety(rule_from_spec("quadratic", unit_space(2)), samples=0)
