@@ -59,20 +59,11 @@ _THIRD_DIFFERENCE_TOL = 1e-12
 _THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0]) / 8.0
 
 
-def _finite_subgradients(entropy: Entropy, grad: np.ndarray) -> np.ndarray:
-    """``grad`` itself, once every row is finite; :class:`DomainError` counts the rows that are not."""
-    bad = np.count_nonzero(~np.isfinite(grad).all(axis=1))
-    if bad:
-        raise DomainError(f"the subgradient of {entropy.name} leaves the float range "
-                          f"at {bad} of {len(grad)} points")
-    return grad
-
-
 @quiet_floats
 def bregman_divergence_rows(entropy: Entropy, p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    """``D(p, q)`` for each pair of rows; :class:`DomainError` where a subgradient is not finite."""
+    """``D(p, q)`` for each pair of rows; :class:`FloatRangeError` names rows without a finite subgradient."""
     value_q, grad = entropy.value_grad_rows(q_rows)
-    _finite_subgradients(entropy, grad)
+    require_float_range(f"{entropy.name} subgradients", grad)
     return (entropy.value_rows(p_rows) - pair_rows(p_rows - q_rows, grad, entropy.domain.space.weights)
             - value_q)
 
@@ -116,7 +107,7 @@ def linearity_check(entropy: Entropy, seed: int = 0, samples: int = 100) -> bool
     vanish, the score functionals are additive in their argument, and
     ``value(lam q) = lam value(q)``.  Checked on seeded positive cone
     points ``q, p1, p2``; any failure returns False.  A non-finite
-    subgradient at ``q`` before the first failure raises :class:`DomainError`.
+    subgradient at ``q`` before the first failure raises :class:`DomainError` with a count.
     """
     if samples < 1:
         raise DomainError("linearity check needs at least one sample")
@@ -130,7 +121,8 @@ def linearity_check(entropy: Entropy, seed: int = 0, samples: int = 100) -> bool
     for lam in (0.5, 2.0, 10.0):
         failed |= np.abs(entropy.value_rows(lam * q) - lam * value) > 1e-10 * (1.0 + np.abs(lam * value))
     if not failed[:np.argmax(~np.isfinite(grad).all(axis=1))].any():
-        _finite_subgradients(entropy, grad)
+        with counted_among(samples, "points"):
+            require_float_range(f"{entropy.name} subgradients", grad)
     return not failed.any()
 
 
@@ -202,7 +194,7 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     try:  # the oracles are row-wise: one call per point serves D(p, q) and D(q, p)
         with counted_among(2 * samples, "points"):
             values, grad = entropy.value_grad_rows(points)
-            grad = _finite_subgradients(entropy, grad)[swap]
+            grad = require_float_range(f"{entropy.name} subgradients", grad)[swap]
             divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
             require_float_range(f"{entropy.name} values", values)
             inner = require_float_range(f"{entropy.name} values", entropy.value_rows(segments))

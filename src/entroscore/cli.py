@@ -372,106 +372,107 @@ def _expected_symmetry(spec: str) -> str:
     return _EXPECTED_SYMMETRY.get(name, ASYMMETRIC_WITH_WITNESS)
 
 
-# Settings that [verify] sets for every rule and a [rule ...] section may
-# override for its own rule: key -> type.
-_KNOBS = {"seed": int, "samples": int, "propriety_tol": float, "euler_tol": float}
+_PROBE_DOMAINS = {"orthant": ConvexDomainSpec.nonnegative_orthant, "simplex": ConvexDomainSpec.simplex,
+                  "whole_space": ConvexDomainSpec.whole_space}
 
 
-def _read_knobs(section) -> dict:
-    return {key: cast(section[key]) for key, cast in _KNOBS.items() if key in section}
+def _checked(cast, flaw, fault: str):
+    """A key's parser: ``cast`` its text; a value with a ``flaw`` raises ValueError(``fault``, formatted)."""
+    def parse(text):
+        value = cast(text)
+        if flaw(value):
+            raise ValueError(fault.format(value, flaw=flaw(value)))
+        return value
+    return parse
 
 
-def _read_verify_section(section, settings: dict) -> None:
-    settings.update(_read_knobs(section))
-    if section.get("weights_file"):
-        settings["weights"] = read_values(section["weights_file"])
-    elif "weights" in section:
-        settings["weights"] = _parse_vector(section["weights"])
-    if section.get("suites"):
-        settings["suites"] = [s.strip() for s in section["suites"].split(",") if s.strip()]
+def _weights_file(path: str) -> list[float]:
+    if not path:
+        raise ValueError("weights_file names no file")
+    return read_values(path)
+
+
+def _probe_settings(values: dict) -> dict:
+    """A probe's keys over their defaults; ValueError if it has no candidates or no expected verdict."""
+    probe = {"entropy": "", "gamma": None, "domain": "orthant", "point": [], "candidates": [],
+             "expect_verified": [], "expect_rejected": [], **values}
+    if not probe["candidates"]:
+        raise ValueError("no candidates to probe")
+    if not (probe["expect_verified"] or probe["expect_rejected"]):
+        raise ValueError("no expect_verified or expect_rejected: the probe would pass on nothing")
+    return probe
+
+
+# Settings that [verify] sets for every rule, and a [rule SPEC] section or a flag may override: key -> parser.
+_KNOBS = {
+    "seed": _checked(int, lambda v: v < 0, "seed must be nonnegative"),
+    "samples": _checked(int, lambda v: v < 1, "samples must be at least 1"),
+    **{key: _checked(float, lambda v: not 0.0 <= v < math.inf, f"{key} must be finite and nonnegative")
+       for key in ("propriety_tol", "euler_tol")},
+}
+# The sections of a config: kind -> (whether a name follows the kind, key -> parser, keys -> settings).
+_SECTIONS = {
+    "verify": (False, {**_KNOBS, "weights": _parse_vector, "weights_file": _weights_file,
+                       "suites": _checked(lambda text: [s.strip() for s in text.split(",") if s.strip()],
+                                          lambda suites: ", ".join(sorted(set(suites) - set(DEFAULT_SUITES))),
+                                          "unknown suites: {flaw}")}, dict),
+    "rule": (True, _KNOBS, dict),
+    "probe": (True, {"entropy": str, "gamma": float, "point": _parse_vector,
+                     "domain": _checked(str, lambda name: name not in _PROBE_DOMAINS, "unknown domain {!r}"),
+                     **dict.fromkeys(("candidates", "expect_verified", "expect_rejected"), _parse_vector_list)},
+              _probe_settings),
+}
+
+
+def _read_section(section) -> tuple[str, str, dict]:
+    """A config section's kind, name and settings, each key read by its parser in ``_SECTIONS``."""
+    kind, _, name = section.name.partition(" ")
+    if kind not in _SECTIONS or _SECTIONS[kind][0] != bool(name.strip()):
+        raise ValueError("unknown section")
+    _, parsers, settings = _SECTIONS[kind]
+    if unknown := sorted(set(section) - set(parsers)):
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    return kind, name.strip(), settings({key: parsers[key](section[key]) for key in section})
 
 
 def load_verify_config(args):
     """Merge the INI config (if any) with command-line overrides."""
-    settings = {
-        "seed": 42,
-        "samples": 1000,
-        "weights": [1.0, 1.0, 1.0],
-        "propriety_tol": 1e-10,
-        "euler_tol": 1e-10,
-        "suites": list(DEFAULT_SUITES),
-    }
-    rule_specs: list[tuple[str, dict]] = []
-    probes: list[dict] = []
+    settings = {"seed": 42, "samples": 1000, "weights": [1.0, 1.0, 1.0], "propriety_tol": 1e-10,
+                "euler_tol": 1e-10, "suites": list(DEFAULT_SUITES)}
+    read = {kind: [] for kind in _SECTIONS}  # kind -> [(name, settings)]
     if args.config:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(default_section="")  # no header names "": [DEFAULT] lends no keys
         try:
             parser.read_file(io.StringIO(_read_text(args.config), newline=None), args.config)
         except configparser.Error as exc:
             raise CliError(EXIT_INPUT, f"{args.config}: {exc}") from None
-        for section_name in parser.sections():
-            section = parser[section_name]
-            # bad numbers raise ValueError, a stray '%' an interpolation error
-            try:
-                if section_name == "verify":
-                    _read_verify_section(section, settings)
-                elif section_name.startswith("rule "):
-                    rule_specs.append((section_name[len("rule "):].strip(), _read_knobs(section)))
-                elif section_name.startswith("probe "):
-                    probes.append({
-                        "name": section_name[len("probe "):].strip(),
-                        "entropy": section.get("entropy", ""),
-                        "gamma": section.getfloat("gamma", fallback=None),
-                        "domain": section.get("domain", "orthant"),
-                        "point": _parse_vector(section.get("point", "")),
-                        "candidates": _parse_vector_list(section.get("candidates", "")),
-                        "expect_verified": _parse_vector_list(section.get("expect_verified", "")),
-                        "expect_rejected": _parse_vector_list(section.get("expect_rejected", "")),
-                    })
-                    if not probes[-1]["candidates"]:
-                        raise ValueError("no candidates to probe")
+        for title in parser.sections():
+            try:  # bad numbers raise ValueError, a stray '%' an interpolation error
+                kind, name, values = _read_section(parser[title])
+                if {"weights", "weights_file"} <= values.keys():  # neither may be ignored
+                    raise ValueError("weights and weights_file are both set")
             except (configparser.Error, ValueError) as exc:
-                raise CliError(EXIT_INPUT, f"{args.config}: [{section_name}]: {exc}") from None
-        if not rule_specs:
+                raise CliError(EXIT_INPUT, f"{args.config}: [{title}]: {exc}") from None
+            read[kind].append((name, values))
+        for _, values in read["verify"]:
+            settings.update(values)
+            settings["weights"] = settings.pop("weights_file", settings["weights"])
+        if not read["rule"]:
             raise CliError(EXIT_INPUT, f"{args.config}: no [rule ...] sections configured")
-        if not settings["suites"] and not probes:
+        if not settings["suites"] and not read["probe"]:
             raise CliError(EXIT_INPUT, f"{args.config}: nothing to verify: no suites and no probes")
     else:
-        rule_specs = [(spec, {}) for spec in _parse_rule_list(DEFAULT_RULES)]
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.samples is not None:
-        settings["samples"] = args.samples
-    if args.tol is not None:
-        settings["propriety_tol"] = args.tol
-        settings["euler_tol"] = args.tol
-    unknown = set(settings["suites"]) - set(DEFAULT_SUITES)
-    if unknown:
-        raise CliError(EXIT_INPUT, f"unknown suites: {', '.join(sorted(unknown))}")
-    for spec, overrides in [("", {})] + rule_specs:
-        knobs = {**settings, **overrides}
-        where = f"[rule {spec}]: " if overrides else ""
-        if knobs["samples"] < 1:
-            raise CliError(EXIT_INPUT, f"{where}samples must be at least 1")
-        if knobs["seed"] < 0:
-            raise CliError(EXIT_INPUT, f"{where}seed must be nonnegative")
-        for key in ("propriety_tol", "euler_tol"):
-            if not 0.0 <= knobs[key] < math.inf:
-                raise CliError(EXIT_INPUT, f"{where}{key} must be finite and nonnegative")
-    return settings, rule_specs, probes
+        read["rule"] = [(spec, {}) for spec in _parse_rule_list(DEFAULT_RULES)]
+    flags = {"seed": args.seed, "samples": args.samples, "propriety_tol": args.tol, "euler_tol": args.tol}
+    try:
+        settings.update({key: _KNOBS[key](value) for key, value in flags.items() if value is not None})
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from None
+    return settings, read["rule"], read["probe"]
 
 
-_PROBE_DOMAINS = {
-    "orthant": ConvexDomainSpec.nonnegative_orthant,
-    "simplex": ConvexDomainSpec.simplex,
-    "whole_space": ConvexDomainSpec.whole_space,
-}
-
-
-def _run_probe(probe: dict, space: MeasureSpace, seed: int) -> dict:
-    where = f"probe {probe['name']!r}"
-    if probe["domain"] not in _PROBE_DOMAINS:
-        raise CliError(EXIT_INPUT, f"{where}: unknown domain {probe['domain']!r}")
+def _run_probe(name: str, probe: dict, space: MeasureSpace, seed: int) -> dict:
+    where = f"probe {name!r}"
     try:
         entropy = catalog_entropy(probe["entropy"], space, gamma=probe["gamma"])
         domain = _PROBE_DOMAINS[probe["domain"]](space)
@@ -530,10 +531,9 @@ def cmd_verify(args) -> int:
                         raise CliError(EXIT_INPUT, f"rule {spec!r}: {suite} suite: {exc}") from None
                     overall &= entry[suite]["pass"]
             report["rules"][spec] = entry
-    for probe in probes:
-        probe_report = _run_probe(probe, space, settings["seed"])
-        report["probes"][probe["name"]] = probe_report
-        overall &= probe_report["pass"]
+    for name, probe in probes:
+        report["probes"][name] = _run_probe(name, probe, space, settings["seed"])
+        overall &= report["probes"][name]["pass"]
     report["pass"] = bool(overall)
     _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if overall else EXIT_FAIL

@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .measure import (ConeVector, DualVector, MeasureSpace, _first_min, _require_same_space, pair_rows,
-                      quiet_floats, report_dict)
+from .measure import (ConeVector, DualVector, FloatRangeError, MeasureSpace, _first_min, _require_same_space,
+                      pair_rows, quiet_floats, report_dict)
 from .sampling import box_rows, density_rows
 
 __all__ = [
@@ -481,7 +481,7 @@ def subdifferential_probe(
     v, w = q.values, domain.space.weights
     try:
         base_value = float(_values(entropy, v[None])[0])
-    except DomainError:  # finite terms summing past the float range
+    except FloatRangeError:  # finite terms summing past the float range
         base_value = np.inf
     if not np.isfinite(base_value):
         raise DomainError("the entropy has no finite value at the probe base point")
@@ -515,6 +515,6 @@ def subdifferential_probe(
             unique = bool(np.isfinite(both_slopes).all()) and not any(
                 (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
                 for f in verified)
-    except DomainError:
+    except FloatRangeError:
         raise DomainError("values or pairings at the probe's sampled points leave the float range") from None
     return SubgradientProbeResult(verified, rejected, unique)

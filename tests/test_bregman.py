@@ -18,6 +18,7 @@ from entroscore import (
     StructureError,
     affine_score_at,
     bregman_divergence,
+    bregman_divergence_rows,
     catalog_entropy,
     linearity_check,
     quadratic_discrimination_bound,
@@ -26,6 +27,7 @@ from entroscore import (
     sampling,
     symmetry_defect,
 )
+from entroscore.measure import FloatRangeError
 
 from conftest import (
     CATALOG_SPECS,
@@ -86,6 +88,19 @@ class TestBregmanDivergence:
                 assert bregman_divergence(E, p, q) > 1e-12
 
 
+def test_divergence_rows_name_the_rows_without_a_finite_subgradient():
+    # power(1100)'s subgradient 1100 q^1099 overflows at q_i = 2, as every row function says
+    sp = unit_space(3)
+    power = catalog_entropy("power", sp, gamma=1100.0)
+    q_rows = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 0.5, 1.0], [1.0, 2.0, 2.0]])
+    with pytest.raises(FloatRangeError) as info:
+        bregman_divergence_rows(power, np.ones((4, 3)), q_rows)
+    assert str(info.value) == "power(1100) subgradients leave the float range in rows 2, 4"
+    assert info.value.rows == [1, 3]
+    with pytest.raises(FloatRangeError, match="^power\\(1100\\) subgradients leave the float range in row 1$"):
+        bregman_divergence(power, sp.cone([1.0, 1.0, 1.0]), sp.cone(q_rows[1]))
+
+
 class TestAffineScore:
     def test_quadratic_components(self):
         sp = unit_space(2)
@@ -140,6 +155,18 @@ class TestLinearityCheck:
 
     def test_shannon_is_not(self):
         assert not linearity_check(catalog_entropy("shannon", unit_space(3)), seed=1, samples=50)
+
+    def test_non_finite_subgradients_are_counted_among_the_sampled_points(self):
+        # a linear entropy whose subgradient is infinite where q_1 > 1: the check counts
+        # those of its sampled points, whose rows no report shows
+        sp = unit_space(3)
+        linear = Entropy("linear", ConvexDomainSpec.whole_space(sp), lambda q: q.sum(axis=1),
+                         lambda q: (q.sum(axis=1), np.where(q[:, :1] > 1.0, np.inf, np.ones_like(q))))
+        hit = np.count_nonzero(sampling.cone_rows(sp, np.random.default_rng(1), 60)[0::3, 0] > 1.0)
+        assert 0 < hit < 20
+        with pytest.raises(DomainError) as info:
+            linearity_check(linear, seed=1, samples=20)
+        assert str(info.value) == f"linear subgradients leave the float range at {hit} of 20 sampled points"
 
 
 @pytest.mark.parametrize("check", [linearity_check, symmetry_defect])

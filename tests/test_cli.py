@@ -333,7 +333,7 @@ class TestVerifyCommand:
             "[verify]\nseed = 1\nsamples = 5\nweights = 1,1,1\nsuites = propriety\n\n"
             "[rule quadratic]\n\n"
             "[probe big]\nentropy = quadratic\ndomain = whole_space\n"
-            "point = 1.1e154,6e153,1\ncandidates = 2.2e154,1.2e154,2\n"
+            "point = 1.1e154,6e153,1\ncandidates = 2.2e154,1.2e154,2\nexpect_verified = 2.2e154,1.2e154,2\n"
         )
         assert run(tmp_path, "verify", "--config", str(config))[0] == 2
         err = capsys.readouterr().err
@@ -393,7 +393,7 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "power(1100)" in err and "symmetry" in err
         # how many of the 100 sampled points overflow, and where they were drawn
-        assert "the subgradient of power(1100) leaves the float range at 12 of 100 points" in err
+        assert "power(1100) subgradients leave the float range at 12 of 100 sampled points" in err
         assert "the box [0.05, 2)^3" in err
 
     @pytest.mark.parametrize("suite, count", [("propriety", "20 of 20 sampled pairs"),
@@ -663,11 +663,11 @@ def _root(rows: np.ndarray) -> np.ndarray:
 
 _PROBE_CONFIG = (
     "[verify]\nseed = 1\nsamples = 5\nweights = 1,1\nsuites = propriety\n\n"
-    "[rule quadratic]\n\n[probe p]\nentropy = quadratic\n"
+    "[rule quadratic]\n\n[probe p]\nentropy = quadratic\nexpect_verified = 2,0\n"
 )
 _PROBE_CONFIG_3 = (
     "[verify]\nseed = 1\nsamples = 5\nweights = 1,1,1\nsuites = propriety\n\n"
-    "[rule quadratic]\n\n[probe p]\n"
+    "[rule quadratic]\n\n[probe p]\nexpect_verified = 0,1,1\n"
 )
 
 
@@ -710,6 +710,82 @@ def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, text, co
 def test_malformed_verify_flag_exits_2(tmp_path, capsys, flags):
     assert run(tmp_path, "verify", "--samples", "5", *flags)[0] == 2
     assert capsys.readouterr().err.startswith("entroscore: ")
+
+
+# A config whose one probe rejects its only candidate: (3, 3, 3) is no subgradient
+# of quadratic at (1, 1, 1).
+_HEAD = "[verify]\nsamples = 5\nsuites = propriety\n\n[rule quadratic]\n\n"
+_REJECTING = "entropy = quadratic\npoint = 1,1,1\ncandidates = 3,3,3\n"
+_CONFIG = ["verify", "--config", "FILE"]
+
+
+# argv and the text of FILE, the file each argv names as FILE; the exit code and stderr, FILE named
+@pytest.mark.parametrize("argv, text, code, err", [
+    (["score", FORECASTS, OUTCOMES, "--rules", "linear(2)"], "", 4,
+     "cannot build rule 'linear(2)': rule 'linear' takes no parameter"),
+    (["score", FORECASTS, OUTCOMES, "--rules", "quadratic,,shannon"], "", 4, "empty rule name in --rules"),
+    (["score", FORECASTS, "FILE"], "outcomes\n1\n", 2, "FILE:1: header must be 'outcome'"),
+    (["score", FORECASTS, "FILE"], "outcome\n1\n2,3\n", 2, "FILE:3: expected a single column"),
+    (["score", FORECASTS, "FILE"], "outcome\n1.0\n", 2, "FILE:2: non-integer outcome"),
+    (["score", FORECASTS, OUTCOMES, "--weights", "1,x,1"], "", 2, "bad number list '1,x,1'"),
+    (["score", FORECASTS, OUTCOMES, "--weights", "1,1"], "", 2, "expected 3 weights, got 2"),
+    (["score", FORECASTS, OUTCOMES, "--weights", "1,0,1"], "", 2,
+     "atom weights must be finite and strictly positive"),
+    (["verify", "--samples", "0"], "", 2, "samples must be at least 1"),
+    (_CONFIG, "[verify]\nsamples = 0\n\n[rule quadratic]\n", 2, "FILE: [verify]: samples must be at least 1"),
+    (_CONFIG, "[verify]\nseed =\n\n[rule quadratic]\n", 2,
+     "FILE: [verify]: invalid literal for int() with base 10: ''"),
+    (_CONFIG, "[rule quadratic]\nsamples = 0\n", 2, "FILE: [rule quadratic]: samples must be at least 1"),
+    (_CONFIG, "[verify]\nsuites = propriety, nonsense, bogus\n\n[rule quadratic]\n", 2,
+     "FILE: [verify]: unknown suites: bogus, nonsense"),
+    (_CONFIG, "[verify]\nsuites =\n\n[rule quadratic]\n", 2,
+     "FILE: nothing to verify: no suites and no probes"),
+    (_CONFIG, "[verify]\nweights_file =\n\n[rule quadratic]\n", 2,
+     "FILE: [verify]: weights_file names no file"),
+    (_CONFIG, f"[verify]\nweights = 1,1\nweights_file = {DATA / 'weights_20.txt'}\n\n[rule quadratic]\n",
+     2, "FILE: [verify]: weights and weights_file are both set"),
+    (_CONFIG, _HEAD + "[probe p]\ndomain = cube\n" + _REJECTING + "expect_rejected = 3,3,3\n",
+     2, "FILE: [probe p]: unknown domain 'cube'"),
+    # a probe without a name, a misspelled key or kind: unread, each would let verify pass on nothing
+    (_CONFIG, _HEAD + "[probe]\n" + _REJECTING + "expect_verified = 3,3,3\n", 2,
+     "FILE: [probe]: unknown section"),
+    (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING + "expect_verfied = 3,3,3\n", 2,
+     "FILE: [probe p]: unknown keys: expect_verfied"),
+    (_CONFIG, "[Verify]\nsamples = 0\nsuites = nonsense\n\n[rule quadratic]\nsample = 0\n",
+     2, "FILE: [Verify]: unknown section"),
+    (_CONFIG, "[rule quadratic]\nsample = 0\ntol = 1\n", 2,
+     "FILE: [rule quadratic]: unknown keys: sample, tol"),
+    (_CONFIG, _HEAD + "[probes p]\n" + _REJECTING, 2, "FILE: [probes p]: unknown section"),
+    (_CONFIG, "[DEFAULT]\nsamples = 0\n\n[rule quadratic]\n", 2, "FILE: [DEFAULT]: unknown section"),
+    (_CONFIG, "[verify quadratic]\n\n[rule quadratic]\n", 2, "FILE: [verify quadratic]: unknown section"),
+    (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING, 2,
+     "FILE: [probe p]: no expect_verified or expect_rejected: the probe would pass on nothing"),
+], ids=["linear-with-parameter", "empty-rule-name", "outcome-header", "outcome-columns", "outcome-not-integer",
+        "weights-not-numeric", "weights-count", "weights-nonpositive", "flag-samples-0", "samples-0",
+        "seed-empty", "rule-samples-0", "unknown-suites", "suites-empty", "weights-file-empty",
+        "weights-and-weights-file", "unknown-domain", "probe-without-name", "misspelled-key",
+        "capitalised-verify", "rule-unknown-keys", "misspelled-kind", "default-section", "named-verify",
+        "probe-expecting-nothing"])
+def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, text, code, err):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert run(tmp_path, *[str(path) if arg == "FILE" else arg for arg in argv])[0] == code
+    assert capsys.readouterr().err == f"entroscore: {err.replace('FILE', str(path))}\n"
+
+
+def test_an_empty_suites_key_selects_no_suite(tmp_path):
+    # `suites =` is read like any other key present: it selects no suite, not the defaults
+    config = tmp_path / "probe.ini"
+    config.write_text("[verify]\nsuites =\n\n[rule quadratic]\n\n[probe p]\n" + _REJECTING
+                      + "expect_rejected = 3,3,3\n")
+    code, payload = run(tmp_path, "verify", "--config", str(config))
+    report = json.loads(payload)
+    assert code == 0 and report["config"]["suites"] == [] and report["rules"] == {"quadratic": {}}
+
+
+def test_without_out_the_report_goes_to_stdout(capsys):
+    assert main(["score", FORECASTS, OUTCOMES]) == 0
+    assert capsys.readouterr().out == (DATA / "scores_golden.csv").read_text(encoding="utf-8")
 
 
 def test_import_and_whole_space_geometry_load_no_scipy():

@@ -526,3 +526,16 @@ class TestCompositeEntropy:
     def test_nu_must_be_positive(self):
         with pytest.raises(ConstructionError):
             self._quadratic_spec(np.array([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda sp: catalog_entropy("weighted_quadratic", sp, matrix=np.eye(2)),
+     "weighted_quadratic needs a 3x3 matrix"),
+    (lambda sp: catalog_entropy("weighted_quadratic", sp), "weighted_quadratic needs a matrix"),
+    (lambda sp: catalog_entropy("quadratic", sp, matrix=np.eye(3)), "quadratic entropy takes no matrix"),
+    (lambda sp: integrated_square_composite(sp, np.ones(2)), "nu weights do not match the space size"),
+], ids=["matrix-shape", "matrix-missing", "matrix-to-quadratic", "nu-size"])
+def test_entropy_constructions_refuse_ingredients_that_do_not_fit(build, message):
+    with pytest.raises(ConstructionError) as info:
+        build(unit_space(3))
+    assert str(info.value) == message

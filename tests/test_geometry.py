@@ -650,3 +650,49 @@ def test_a_base_point_off_the_entropys_domain_refuses_every_direction():
     result = subdifferential_probe(half, whole, q, candidates, seed=1)
     assert result.verified == candidates and result.rejected == []
     assert result.unique_claim is False
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda sp: ConvexDomainSpec.cone_hull(sp, [[1.0, 0.0]]), "generator points do not match the space size"),
+    (lambda sp: ConvexDomainSpec.cone_hull(sp, np.zeros((0, 3))),
+     "a conical hull needs at least one generator"),
+    (lambda sp: ConvexDomainSpec.halfspace_intersection(sp, [[1.0, 0.0]], [1.0]),
+     "half-space rows do not match the space size"),
+    (lambda sp: ConvexDomainSpec.halfspace_intersection(sp, [[1.0, 0.0, 0.0]], [1.0, 2.0]),
+     "half-space rows do not match the space size"),
+    (lambda sp: annihilator_basis([]), "pass a space to take the annihilator of nothing"),
+], ids=["cone-size", "cone-no-generators", "halfspace-size", "halfspace-offsets", "annihilator-of-nothing"])
+def test_domain_constructions_refuse_what_fits_no_space(build, message):
+    with pytest.raises(ConstructionError) as info:
+        build(unit_space(3))
+    assert str(info.value) == message
+
+
+def test_rank_one_generators_on_both_sides_of_the_origin_span_a_line():
+    sp = unit_space(3)
+    line = ConvexDomainSpec.cone_hull(sp, [[1.0, 2.0, 0.0], [-2.0, -4.0, 0.0]])
+    ray = ConvexDomainSpec.cone_hull(sp, [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+    assert line.inequalities[0].shape == (0, 3) and ray.inequalities[0].shape == (1, 3)
+    assert line.contains(sp.cone([-3.0, -6.0, 0.0])) and not ray.contains(sp.cone([-3.0, -6.0, 0.0]))
+    assert not line.contains(sp.cone([1.0, 0.0, 0.0]))
+    assert line.affine_hull_dimension() == 1
+    origin = sp.cone([0.0, 0.0, 0.0])
+    assert is_quasi_interior(line, origin) and not is_quasi_interior(ray, origin)
+
+
+def test_the_probe_lets_an_oracles_own_domain_error_through():
+    # an entropy without a value past q_1 = 2, which some sampled points reach: the probe
+    # counts only float-range faults, so the oracle's own message comes through
+    sp = unit_space(3)
+    quadratic = catalog_entropy("quadratic", sp)
+
+    def values(q):
+        if (q[:, 0] > 2.0).any():
+            raise DomainError("capped: no value past q_1 = 2")
+        return quadratic.value_rows(q)
+
+    capped = Entropy("capped", ConvexDomainSpec.whole_space(sp), values, lambda q: (values(q), 2.0 * q))
+    q = sp.cone([1.0, 1.0, 1.0])
+    with pytest.raises(DomainError) as info:
+        subdifferential_probe(capped, ConvexDomainSpec.whole_space(sp), q, [sp.dual([2.0, 2.0, 2.0])], seed=1)
+    assert str(info.value) == "capped: no value past q_1 = 2"

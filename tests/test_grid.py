@@ -234,3 +234,17 @@ class TestGridEulerAndPropriety:
             q = smooth_positive_field(grid, rng).scaled(float(rng.uniform(0.1, 10.0)))
             support = pair(sp.cone(p.values), hyvarinen_score(q))
             assert fisher_entropy(p) - support >= -1e-12
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda grid: GridDensity(grid, np.ones(7)), ConstructionError,
+     "grid density length does not match the grid"),
+    (lambda grid: grid_diff(grid, np.ones(9)), ConstructionError, "values length does not match the grid"),
+    (lambda grid: hyvarinen_divergence(GridDensity(grid, np.ones(8)).normalized(),
+                                       GridDensity(PeriodicGrid(16), np.ones(16))),
+     DomainError, "grid densities live on different grids"),
+], ids=["density-length", "diff-length", "divergence-across-grids"])
+def test_grid_operations_refuse_values_of_another_grid(call, error, message):
+    with pytest.raises(error) as info:
+        call(PeriodicGrid(8))
+    assert str(info.value) == message

@@ -400,3 +400,9 @@ class TestExactRowSums:
             for f in scores:
                 pair_rows(q, f, w)
         pseudospherical.value_rows(wide)  # its power sums run on the same kernel
+
+
+def test_a_measure_space_refuses_weights_that_are_not_a_vector():
+    with pytest.raises(StructureError) as info:
+        MeasureSpace(np.ones((2, 2)))
+    assert str(info.value) == "weights must be one-dimensional, got shape (2, 2)"

@@ -130,3 +130,31 @@ def test_the_gradient_oracle_is_value_grad_rows_only():
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
             if retired.search(line)]
     assert hits == []
+
+
+# The library raises typed errors and lets them through; only the CLI turns them into
+# exit codes.  A library module may catch FloatRangeError, whose rows it then counts or
+# names, but no broader class: that would re-label faults it did not classify.
+BROAD_ERRORS = {"DomainError", "EntroscoreError", "Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list[tuple[str, ast.ExceptHandler]]:
+    """(innermost enclosing function, handler) for each bare except or one that names a broad class."""
+    owner = {}
+    for func in ast.walk(tree):  # outer functions come first, so an inner one overrides them
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update({id(node): func.name for node in ast.walk(func)})
+    return [(owner.get(id(node), "<module>"), node) for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and (node.type is None or {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                 & BROAD_ERRORS)]
+
+
+def test_library_modules_catch_no_broad_error():
+    caught = [(f"{module}:{handler.lineno}", owner, handler) for module, tree in _module_trees().items()
+              if module != "cli.py" for owner, handler in _broad_handlers(tree)]
+    # only symmetry_defect's, which adds the box of its sample points after the message it caught
+    assert [(module, owner) for module, owner, _ in caught] == [(caught[0][0], "symmetry_defect")], caught
+    raised = caught[0][2].body[-1]
+    assert isinstance(raised, ast.Raise)
+    assert ast.unparse(raised.exc).startswith(f"DomainError(f'{{{caught[0][2].name}}}; ")

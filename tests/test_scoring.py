@@ -358,6 +358,12 @@ class TestVerifyEuler:
         with pytest.raises(StructureError, match="operands live on different measure spaces"):
             verify_euler(rule, E, samples=10)
 
+    def test_zero_samples_rejected(self):
+        sp = unit_space(3)
+        with pytest.raises(DomainError) as info:
+            verify_euler(rule_from_spec("quadratic", sp), entropy_from_spec("quadratic", sp), samples=0)
+        assert str(info.value) == "Euler verification needs at least one sample"
+
     def test_spherical_defect_is_roundoff(self):
         sp = unit_space(3)
         E = entropy_from_spec("spherical", sp)
