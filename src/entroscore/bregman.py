@@ -94,8 +94,8 @@ class AffineScore:
 def affine_score_at(entropy: Entropy, q: ConeVector) -> AffineScore:
     """The affine score ``s(., q)``: gradient part grad(q), offset value(q) - pair(q, grad(q))."""
     _require_same_space(entropy.domain.space, q)
-    (value,), (grad,) = entropy.value_grad_rows(q.values[None])
-    grad = entropy.domain.space.dual(grad)
+    (value,), grad = entropy.value_grad_rows(q.values[None])
+    grad = entropy.domain.space.dual(require_float_range(f"{entropy.name} subgradients", grad)[0])
     return AffineScore(grad, float(value) - pair(q, grad), q)
 
 
@@ -134,8 +134,8 @@ def rebase_entropy(entropy: Entropy, a: ConeVector) -> Entropy:
     ``grad(p) - grad(a)`` and the new entropy vanishes at ``a``.
     """
     _require_same_space(entropy.domain.space, a)
-    (value_a,), (grad_a,) = entropy.value_grad_rows(a.values[None])
-    grad_a = entropy.domain.space.dual(grad_a).values
+    (value_a,), grad_a = entropy.value_grad_rows(a.values[None])
+    grad_a = require_float_range(f"{entropy.name} subgradients", grad_a)[0]
     weights = entropy.domain.space.weights
 
     def value_rows(p: np.ndarray, value: np.ndarray | None = None) -> np.ndarray:

@@ -98,10 +98,17 @@ def _parse_rule_list(text: str) -> list[str]:
 # -- CSV input ----------------------------------------------------------------
 
 
+def _named(path: str) -> str:
+    """``path`` itself; exit 2 if it is empty, since no file has that name."""
+    if not path:
+        raise CliError(EXIT_INPUT, "an empty path names no file")
+    return path
+
+
 def _read_text(path: str) -> str:
     """The file's text with its line endings as written; exit 2 if unreadable or not UTF-8."""
     try:
-        with open(path, "rb") as handle:
+        with open(_named(path), "rb") as handle:
             data = handle.read()
         return data.decode("utf-8")
     except OSError as exc:
@@ -256,11 +263,15 @@ def _space_and_rules(args, n: int):
 
 
 def _write_text(text: str, out: str | None) -> None:
+    """``text`` to stdout, or to the file ``out``; exit 2 if that cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        return
+    try:
+        with open(_named(out), "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"{out}: {exc.strerror or exc}") from None
 
 
 def _csv_line(fields: list[str]) -> str:
@@ -362,7 +373,6 @@ def cmd_divergence(args) -> int:
 
 _EXPECTED_SYMMETRY = {
     "quadratic": SYMMETRIC_GENERALIZED_QUADRATIC,
-    "weighted_quadratic": SYMMETRIC_GENERALIZED_QUADRATIC,
     "linear": SYMMETRIC_GENERALIZED_QUADRATIC,  # reported against the quadratic entropy
 }
 
@@ -451,6 +461,8 @@ def load_verify_config(args):
                 kind, name, values = _read_section(parser[title])
                 if {"weights", "weights_file"} <= values.keys():  # neither may be ignored
                     raise ValueError("weights and weights_file are both set")
+                if any(name == seen for seen, _ in read[kind]):  # titles may differ in spacing
+                    raise ValueError("duplicate section")
             except (configparser.Error, ValueError) as exc:
                 raise CliError(EXIT_INPUT, f"{args.config}: [{title}]: {exc}") from None
             read[kind].append((name, values))

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
 from .measure import (ConeVector, MeasureSpace, _require_same_space, _times, exact_row_sums, fsum_rows,
-                      normalize_rows, quiet_floats)
+                      normalize_rows, quiet_floats, require_float_range)
 
 __all__ = [
     "Entropy",
@@ -106,8 +106,8 @@ class Entropy:
         object.__setattr__(self, "value_grad_rows", value_grad_rows)
         object.__setattr__(self, "closed_form_rows", closed_form_rows)
         object.__setattr__(self, "value", lambda q: float(value_rows(row(q))[0]))
-        object.__setattr__(self, "subgradient", value_grad_rows and (
-            lambda q: self.domain.space.dual(value_grad_rows(row(q))[1][0])))
+        object.__setattr__(self, "subgradient", value_grad_rows and (lambda q: self.domain.space.dual(
+            require_float_range(f"{self.name} subgradients", value_grad_rows(row(q))[1])[0])))
         object.__setattr__(self, "closed_form_score", closed_form_rows and (
             lambda q: self.domain.space.dual(closed_form_rows(row(q))[0], allow_infinite=True)))
 

@@ -358,15 +358,14 @@ def _structured_points(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
 
 
 def _feasible_probe_directions(domain: ConvexDomainSpec, v: np.ndarray, points: np.ndarray,
-                               rng: np.random.Generator) -> np.ndarray:
+                               lineality: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Coordinate, point, lineality and sampled directions at q that stay in K, as rows."""
     def moving(rows: np.ndarray) -> np.ndarray:
         offsets = rows - v
         return offsets[np.abs(offsets).max(axis=1) > 1e-12]
 
     directions = np.vstack([_signed(np.eye(v.size)), moving(points[: 4 * v.size]),
-                            _signed(_lineality_rows(domain, v)),
-                            moving(domain.draw(rng, _PROBE_DIRECTIONS))])
+                            _signed(lineality), moving(domain.draw(rng, _PROBE_DIRECTIONS))])
     return directions[_feasible_rows(domain, v, directions)]
 
 
@@ -389,6 +388,17 @@ def _fd_steps(entropy, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return dom.contains_rows(stepped) & ~(dom.nonnegative & (stepped < 0.0)).any(axis=1)
 
 
+def _fd_estimates(entropy, v: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
+    """The estimates of :func:`directional_derivative_fd_rows` at the point row ``v``, unchecked."""
+    steps = FD_STEP / np.array([1.0, 2.0, 4.0])  # h, h/2, h/4 exactly
+    stepped = (v + steps[:, None] * p_rows[:, None]).reshape(-1, v.size)  # each row, then each step
+    values = entropy.value_rows(np.vstack([v, stepped]))
+    d1, d2, d4 = ((values[1:].reshape(-1, 3) - values[0]) / steps).T
+    dec1, dec2 = d2 - d1, d4 - d2
+    diverging = (dec2 < -_DIVERGE_MIN_DECREMENT) & (dec2 <= _DIVERGE_CONTRACTION * dec1)
+    return np.where(diverging, -np.inf, 2.0 * d4 - d2)
+
+
 @quiet_floats
 def directional_derivative_fd_rows(entropy, q: ConeVector, p_rows: np.ndarray) -> np.ndarray:
     """One-sided directional derivative estimates at ``q`` along each row of ``p_rows``.
@@ -400,18 +410,11 @@ def directional_derivative_fd_rows(entropy, q: ConeVector, p_rows: np.ndarray) -
     shannon toward a zero atom), the estimate is ``-inf`` instead of a number.
     :class:`DomainError` if q or a step is off the entropy's domain, or below 0 where it is sign-bounded.
     """
-    h, v = FD_STEP, q.values
     if not entropy.domain.contains(q):
         raise DomainError("base point is outside the entropy domain")
-    if not _fd_steps(entropy, v, p_rows).all():
+    if not _fd_steps(entropy, q.values, p_rows).all():
         raise DomainError("q + h p leaves the entropy domain")
-    steps = np.array([h, h / 2.0, h / 4.0])
-    stepped = (v + steps[:, None] * p_rows[:, None]).reshape(-1, v.size)  # each row, then each step
-    values = entropy.value_rows(np.vstack([v, stepped]))
-    d1, d2, d4 = ((values[1:].reshape(-1, 3) - values[0]) / steps).T
-    dec1, dec2 = d2 - d1, d4 - d2
-    diverging = (dec2 < -_DIVERGE_MIN_DECREMENT) & (dec2 <= _DIVERGE_CONTRACTION * dec1)
-    return np.where(diverging, -np.inf, 2.0 * d4 - d2)
+    return _fd_estimates(entropy, q.values, p_rows)
 
 
 def directional_derivative_fd(entropy, q: ConeVector, p: ConeVector) -> float:
@@ -420,28 +423,26 @@ def directional_derivative_fd(entropy, q: ConeVector, p: ConeVector) -> float:
     return float(directional_derivative_fd_rows(entropy, q, p.values[None])[0])
 
 
-def _slopes(entropy, q: ConeVector, directions: np.ndarray) -> np.ndarray:
-    """FD right derivatives at q, ``+inf`` along the directions the estimate refuses: all if q is
-    outside the entropy's domain, else those :func:`_fd_steps` refuses."""
-    if not entropy.domain.contains(q):
+def _slopes(entropy, v: np.ndarray, directions: np.ndarray, base_in_domain: bool) -> np.ndarray:
+    """FD right derivatives at ``v``, ``+inf`` along the directions the estimate refuses: all if
+    ``v`` is outside the entropy's domain, else those :func:`_fd_steps` refuses."""
+    if not base_in_domain:
         return np.full(len(directions), np.inf)
-    return _inf_outside(partial(directional_derivative_fd_rows, entropy, q), directions,
-                        _fd_steps(entropy, q.values, directions))
+    return _inf_outside(partial(_fd_estimates, entropy, v), directions, _fd_steps(entropy, v, directions))
 
 
-def _ray_witness(entropy, domain: ConvexDomainSpec, q: ConeVector, base_value: float,
-                 direction: np.ndarray, rate: float) -> tuple[ConeVector, float]:
-    """The most violating point on the ray ``q + lam * d``, ``lam = scale * 2**-k`` for k < 40,
-    and its gap; ``(q + d, nan)`` if no point of K on the ray has a value."""
-    v = q.values
+def _ray_witness(entropy, domain: ConvexDomainSpec, v: np.ndarray, base_value: float,
+                 direction: np.ndarray, rate: float) -> tuple[np.ndarray, float]:
+    """The most violating point on the ray ``v + lam * d``, ``lam = scale * 2**-k`` for k < 40,
+    and its gap; ``(v + d, nan)`` if no point of K on the ray has a value."""
     scale = (1.0 + float(np.max(np.abs(v)))) / (1.0 + float(np.max(np.abs(direction))))
     lam = np.ldexp(scale, -np.arange(40))
     ray = v + lam[:, None] * direction
     gaps = _inf_outside(partial(_values, entropy), ray, domain.contains_rows(ray)) - base_value - lam * rate
     index, gap = _first_min(gaps)
     if gap == np.inf:
-        return domain.space.cone(v + direction), float("nan")
-    return domain.space.cone(ray[index]), gap
+        return v + direction, float("nan")
+    return ray[index], gap
 
 
 @quiet_floats
@@ -464,7 +465,7 @@ def subdifferential_probe(
       sampled feasible directions.  A derivative breach is converted into a
       concrete violating point by walking down the offending ray.
 
-    ``unique_claim`` is set when q is quasi-interior (relative to the affine hull of K) and every
+    ``unique_claim`` is set when q is quasi-interior (O(q) fills K's affine hull directions) and every
     verified candidate matches the two-sided directional derivative along each lineality basis
     direction.  Two-sided derivatives along a basis make a convex function differentiable on its
     span (Rockafellar 1970, Thm 25.2), so the claim covers the whole lineality space up to the FD
@@ -486,11 +487,13 @@ def subdifferential_probe(
     if not np.isfinite(base_value):
         raise DomainError("the entropy has no finite value at the probe base point")
     rng = np.random.default_rng(seed)
+    lineality = _lineality_rows(domain, v)
+    in_domain = bool(entropy.domain.contains_rows(v[None])[0])  # the FD estimate's own base check
     points = np.vstack([_structured_points(domain, v), domain.draw(rng, _PROBE_POINTS)])
-    directions = _feasible_probe_directions(domain, v, points, rng)
+    directions = _feasible_probe_directions(domain, v, points, lineality, rng)
     try:  # the sums' own errors name rows of batches that the caller never sees
         values = _values(entropy, points)
-        right_slopes = _slopes(entropy, q, directions)
+        right_slopes = _slopes(entropy, v, directions, in_domain)
 
         verified: list[DualVector] = []
         rejected: list[RejectedCandidate] = []
@@ -502,16 +505,16 @@ def subdifferential_probe(
             rates = pair_rows(directions, cand.values, w)
             breach = np.flatnonzero(rates > right_slopes + _DERIV_TOL)
             if breach.size:
-                witness, gap = _ray_witness(entropy, domain, q, base_value, directions[breach[0]],
+                witness, gap = _ray_witness(entropy, domain, v, base_value, directions[breach[0]],
                                             float(rates[breach[0]]))
-                rejected.append(RejectedCandidate(cand, witness, gap))
+                rejected.append(RejectedCandidate(cand, domain.space.cone(witness), gap))
             else:
                 verified.append(cand)
 
-        unique = bool(verified) and is_quasi_interior(domain, q)
+        unique = bool(verified) and len(lineality) == domain.affine_hull_dimension()
         if unique:
-            two_sided = _signed(_lineality_rows(domain, v))
-            both_slopes = _slopes(entropy, q, two_sided)
+            two_sided = _signed(lineality)
+            both_slopes = _slopes(entropy, v, two_sided, in_domain)
             unique = bool(np.isfinite(both_slopes).all()) and not any(
                 (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
                 for f in verified)

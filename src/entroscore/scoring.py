@@ -24,8 +24,7 @@ import numpy as np
 from .entropies import Entropy
 from .errors import DomainError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, _first_min, _require_same_space,
-                      counted_among, normalize, normalize_rows, pair, pair_rows, quiet_floats, report_dict,
-                      require_float_range)
+                      counted_among, normalize_rows, pair_rows, quiet_floats, report_dict, require_float_range)
 from .sampling import _seeded, cone_rows, density_rows
 
 __all__ = [
@@ -106,7 +105,9 @@ def linear_score(space: MeasureSpace) -> ScoringRule:
 
 def zero_homog_extend(rule: ScoringRule, q: ConeVector) -> DualVector:
     """Evaluate the 0-homogeneous extension S(q) = S(q / mass(q))."""
-    return rule.score(normalize(q))
+    _require_same_space(rule.space, q)
+    unit_rows, _ = normalize_rows(q.values[None], q.space.weights)
+    return q.space.dual(rule.score_rows(unit_rows)[0], allow_infinite=True)  # infinities its rule allows
 
 
 def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
@@ -120,7 +121,8 @@ def extended_subgradient(entropy: Entropy, q: ConeVector) -> DualVector:
 
 def expected_score(rule: ScoringRule, p: Density, q: Density) -> float:
     """Expected score pair(p, S(q)); -inf when p charges an infinite penalty."""
-    return pair(p, rule.score(q))
+    _require_same_space(rule.space, p, q)
+    return float(pair_rows(p.values[None], rule.score_rows(q.values[None]), p.space.weights)[0])
 
 
 @quiet_floats

@@ -101,6 +101,23 @@ def test_divergence_rows_name_the_rows_without_a_finite_subgradient():
         bregman_divergence(power, sp.cone([1.0, 1.0, 1.0]), sp.cone(q_rows[1]))
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda power, a: power.subgradient(a),
+    lambda power, a: affine_score_at(power, a),
+    lambda power, a: bregman_divergence(power, a, a),
+    lambda power, a: rebase_entropy(power, a),
+], ids=["subgradient", "affine_score_at", "bregman_divergence", "rebase_entropy"])
+def test_each_vector_entry_point_names_an_overflowed_subgradient(call):
+    # power(1100)'s subgradient 1100 * 2^1099 at a = (2, 1, 1) is past the float range; no
+    # infinite-score sentinel is involved, so the error names the overflow, as the row functions do
+    sp = unit_space(3)
+    power = catalog_entropy("power", sp, gamma=1100.0)
+    with pytest.raises(FloatRangeError) as info:
+        call(power, sp.cone([2.0, 1.0, 1.0]))
+    assert str(info.value) == "power(1100) subgradients leave the float range in row 1"
+
+
 class TestAffineScore:
     def test_quadratic_components(self):
         sp = unit_space(2)

@@ -760,17 +760,38 @@ _CONFIG = ["verify", "--config", "FILE"]
     (_CONFIG, "[verify quadratic]\n\n[rule quadratic]\n", 2, "FILE: [verify quadratic]: unknown section"),
     (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING, 2,
      "FILE: [probe p]: no expect_verified or expect_rejected: the probe would pass on nothing"),
+    # one section per kind and name, whatever the spacing of its title
+    (_CONFIG, "[rule quadratic]\nsamples = 7\n\n[rule  quadratic]\nsamples = 9\n", 2,
+     "FILE: [rule  quadratic]: duplicate section"),
+    (_CONFIG, "[verify]\nsamples = 7\n\n[verify ]\nsamples = 11\n\n[rule quadratic]\n", 2,
+     "FILE: [verify ]: duplicate section"),
+    # a path that names no file, or no file that can be written
+    (["grid-score", ""], "", 2, "an empty path names no file"),
+    (["score", "", ""], "", 2, "an empty path names no file"),
+    (["grid-score", "FILE", "--out", ""], "1\n2\n3\n4\n", 2, "an empty path names no file"),
+    (["grid-score", "FILE", "--out", "DIR"], "1\n2\n3\n4\n", 2, "DIR: Is a directory"),
+    (["grid-score", "FILE", "--out", "DIR/missing/x.csv"], "1\n2\n3\n4\n", 2,
+     "DIR/missing/x.csv: No such file or directory"),
+    (["verify", "--samples", "5", "--out", "DIR/missing/r.json"], "", 2,
+     "DIR/missing/r.json: No such file or directory"),
 ], ids=["linear-with-parameter", "empty-rule-name", "outcome-header", "outcome-columns", "outcome-not-integer",
         "weights-not-numeric", "weights-count", "weights-nonpositive", "flag-samples-0", "samples-0",
         "seed-empty", "rule-samples-0", "unknown-suites", "suites-empty", "weights-file-empty",
         "weights-and-weights-file", "unknown-domain", "probe-without-name", "misspelled-key",
         "capitalised-verify", "rule-unknown-keys", "misspelled-kind", "default-section", "named-verify",
-        "probe-expecting-nothing"])
+        "probe-expecting-nothing", "duplicate-rule", "duplicate-verify", "empty-input-path",
+        "empty-input-paths", "empty-out", "out-a-directory", "out-in-no-directory", "verify-out-in-no-directory"])
 def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, text, code, err):
     path = tmp_path / "input.txt"
     path.write_text(text)
-    assert run(tmp_path, *[str(path) if arg == "FILE" else arg for arg in argv])[0] == code
-    assert capsys.readouterr().err == f"entroscore: {err.replace('FILE', str(path))}\n"
+
+    def named(words: str) -> str:  # FILE is that file, DIR its directory
+        return words.replace("DIR", str(tmp_path)).replace("FILE", str(path))
+
+    argv = [named(arg) if arg == "FILE" or arg.startswith("DIR") else arg for arg in argv]
+    # an argv with its own --out runs as it is: run() adds an --out that would override it
+    assert (main(argv) if "--out" in argv else run(tmp_path, *argv)[0]) == code
+    assert capsys.readouterr().err == f"entroscore: {named(err)}\n"
 
 
 def test_an_empty_suites_key_selects_no_suite(tmp_path):
@@ -1016,3 +1037,9 @@ def test_blocked_divergence_matches_the_per_row_loop(tmp_path, monkeypatch, bloc
     assert code == 0
     assert payload == _per_row_divergence(*paths, specs, weights)
     assert b",inf," in payload
+
+
+def test_the_module_runs_as_a_script():
+    child = subprocess.run([sys.executable, "-m", "entroscore.cli", "--help"], env=child_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0 and child.stdout.startswith("usage: entroscore ")

@@ -25,6 +25,7 @@ from entroscore import (
     sample_density,
     subdifferential_probe,
 )
+from entroscore import geometry
 from entroscore.geometry import _feasible_rows
 
 from conftest import CATALOG_SPECS, entropy_from_spec, ref_subdifferential_probe, unit_space
@@ -696,3 +697,41 @@ def test_the_probe_lets_an_oracles_own_domain_error_through():
     with pytest.raises(DomainError) as info:
         subdifferential_probe(capped, ConvexDomainSpec.whole_space(sp), q, [sp.dual([2.0, 2.0, 2.0])], seed=1)
     assert str(info.value) == "capped: no value past q_1 = 2"
+
+
+@pytest.mark.parametrize("entropy, domain, point, candidates, seed", [
+    # the gradient verified, at a quasi-interior point: the uniqueness claim runs
+    ("spherical", ConvexDomainSpec.whole_space, [1.0, 0.0, 0.0],
+     [[2 ** 0.5, 0.0, 0.0], [2 ** 0.5, 1.0, 0.0]], 7),
+    # the orthant corner of the verify golden config: verified candidates, not quasi-interior
+    ("quadratic", ConvexDomainSpec.nonnegative_orthant, [1.0, 0.0, 0.5],
+     [[2.0, 0.0, 1.0], [2.0, -1.0, 1.0], [2.0, 1.0, 1.0]], 7),
+], ids=["spherical-whole-space", "quadratic-orthant-corner"])
+def test_the_probe_checks_its_base_point_once_and_reads_one_lineality_basis(
+        monkeypatch, entropy, domain, point, candidates, seed):
+    sp = MeasureSpace([0.5, 1.0, 2.0])
+    E, K, q = catalog_entropy(entropy, sp), domain(sp), sp.cone(point)
+    duals = [sp.dual(c) for c in candidates]
+    calls = []
+    contains, lineality = ConvexDomainSpec.contains, geometry._lineality_rows
+    monkeypatch.setattr(ConvexDomainSpec, "contains", lambda *a: calls.append("contains") or contains(*a))
+    monkeypatch.setattr(geometry, "_lineality_rows", lambda *a: calls.append("lineality") or lineality(*a))
+    result = subdifferential_probe(E, K, q, duals, seed=seed)
+    assert result.verified == duals[:-1] and len(result.rejected) == 1
+    assert sorted(calls) == ["contains", "lineality"]
+
+
+def test_quasi_interior_refuses_a_point_outside_the_domain():
+    sp = unit_space(2)
+    with pytest.raises(DomainError) as info:
+        is_quasi_interior(ConvexDomainSpec.simplex(sp), sp.cone([1.0, 1.0]))
+    assert str(info.value) == "base point is not in the domain"
+
+
+def test_fd_refuses_a_base_point_outside_the_entropys_domain():
+    # the public FD call's one check on its base point: power(1.5) lives on the orthant
+    sp = unit_space(2)
+    power = catalog_entropy("power", sp, gamma=1.5)
+    with pytest.raises(DomainError) as info:
+        directional_derivative_fd(power, sp.cone([-1.0, 1.0]), sp.cone([1.0, 0.0]))
+    assert str(info.value) == "base point is outside the entropy domain"

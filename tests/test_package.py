@@ -6,8 +6,11 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import entroscore
 from entroscore import bregman, entropies, errors, geometry, grid, measure, sampling, scoring
+from entroscore.measure import MeasureSpace
 
 MODULES = (errors, measure, geometry, entropies, scoring, bregman, grid, sampling)
 
@@ -158,3 +161,35 @@ def test_library_modules_catch_no_broad_error():
     raised = caught[0][2].body[-1]
     assert isinstance(raised, ast.Raise)
     assert ast.unparse(raised.exc).startswith(f"DomainError(f'{{{caught[0][2].name}}}; ")
+
+
+# Vector objects are built, and one-row entry points called, only by public functions: the
+# private helpers of the library pass raw rows.  A name here is caught as a call by name or
+# as a method call.
+VECTOR_ONLY_CALLS = {"ConeVector", "Density", "DualVector", "cone", "density", "dual",  # construction
+                     "pair", "normalize", "score", "value", "subgradient", "closed_form_score", "contains"}
+
+
+def test_private_functions_build_no_vector_and_make_no_one_row_call():
+    found = []
+    for module, tree in _module_trees().items():
+        if module == "cli.py":
+            continue
+        for func in ast.walk(tree):
+            if (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name.startswith("_")
+                    and not (func.name.startswith("__") and func.name.endswith("__"))):
+                calls = (node.func for node in ast.walk(func) if isinstance(node, ast.Call))
+                found += [f"{module}:{call.lineno}: {func.name} calls {ast.unparse(call)}" for call in calls
+                          if getattr(call, "attr", getattr(call, "id", None)) in VECTOR_ONLY_CALLS]
+    assert found == []
+
+
+def test_the_vector_reprs():
+    space = MeasureSpace([1.0, 2.0, 0.5])
+    entropy = entropies.catalog_entropy("quadratic", space)
+    assert repr(space) == "MeasureSpace(n=3)"
+    assert repr(space.cone([1.0, -0.5, 1 / 3])) == "ConeVector([ 1.       -0.5       0.333333])"
+    assert repr(space.density([0.5, 0.125, 0.5])) == "Density([0.5   0.125 0.5  ])"
+    assert repr(space.dual([-np.inf, 0.0, 2.0], allow_infinite=True)) == "DualVector([-inf   0.   2.])"
+    assert repr(entropy) == "Entropy('quadratic', domain=halfspace_intersection)"
+    assert repr(scoring.make_psr(entropy)) == "ScoringRule('quadratic', n=3)"

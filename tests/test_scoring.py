@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from entroscore import (
+    Density,
     DomainError,
+    DualVector,
     Entropy,
     MeasureSpace,
     ScoringRule,
@@ -17,10 +19,12 @@ from entroscore import (
     catalog_entropy,
     entropies,
     expected_score,
+    extended_subgradient,
     linear_score,
     make_psr,
     measure,
     pair,
+    rebase_entropy,
     sample_cone_point,
     sampling,
     sample_density,
@@ -401,3 +405,34 @@ class TestConeSubgradientProperty:
             q = sample_cone_point(sp, rng)
             equality_gap = canonical_extension_value(E, q) - pair(q, zero_homog_extend(S, q))
             assert abs(equality_gap) <= 1e-10 * (1.0 + abs(equality_gap))
+
+
+def test_one_row_calls_build_only_the_vector_they_return(monkeypatch):
+    # one-row calls run on raw rows: a vector is built where a public function returns one
+    sp = MeasureSpace([0.5, 1.0, 2.0])
+    shannon = catalog_entropy("shannon", sp)
+    rule = make_psr(shannon)
+    p, q, c = sp.density([0.5, 0.25, 0.25]), sp.density([0.5, 0.5, 0.125]), sp.cone([2.0, 1.0, 1.0])
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (Density, DualVector):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    calls = {"expected_score": lambda: expected_score(rule, p, q),
+             "zero_homog_extend": lambda: zero_homog_extend(rule, c),
+             "extended_subgradient": lambda: extended_subgradient(shannon, c),
+             "rebase_entropy": lambda: rebase_entropy(shannon, c)}
+    counts = {}
+    for name, call in calls.items():
+        built.clear()
+        call()
+        counts[name] = sorted(built)
+    assert counts == {"expected_score": [], "zero_homog_extend": ["DualVector"],
+                      "extended_subgradient": ["DualVector"], "rebase_entropy": []}
