@@ -27,9 +27,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -272,6 +274,24 @@ def _write_text(text: str, out: str | None) -> None:
             handle.write(text)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"{out}: {exc.strerror or exc}") from None
+
+
+def _require_writable(out: str | None) -> None:
+    """Exit 2 as :func:`_write_text` would, before any work, unless ``out`` is
+    unset, a writable file, or a new name in a writable directory.  Opens,
+    creates and truncates nothing."""
+    if out is None:
+        return
+    exists = os.path.exists(_named(out))
+    target = out if exists else os.path.dirname(out) or "."
+    try:
+        os.stat(target)  # a missing parent, or one below a file, fails as open would
+        if os.path.isdir(target) == exists:  # out is a directory, or its parent is not one
+            raise OSError(errno.EISDIR if exists else errno.ENOTDIR, "")
+        if not os.access(target, os.W_OK):
+            raise OSError(errno.EACCES, "")
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"{out}: {os.strerror(exc.errno)}") from None
 
 
 def _csv_line(fields: list[str]) -> str:
@@ -613,6 +633,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_writable(args.out)
         return args.func(args)
     except CliError as exc:
         print(f"entroscore: {exc}", file=sys.stderr)

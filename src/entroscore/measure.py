@@ -7,8 +7,9 @@ roles (cone vectors, probability densities, dual vectors) and the pairing
     pair(p, f) = sum_i p_i * f_i * mu_i
 
 computed exactly and rounded once (the bits of ``math.fsum``; large batches
-certified on arrays, :func:`exact_row_sums`) so that identities asserted at
-1e-12 survive outcome sets up to ~10^4 atoms.
+on arrays, narrow rows by TwoSum cascades down the columns and long rows by
+one round of extraction, each certified: :func:`exact_row_sums`) so that
+identities asserted at 1e-12 survive outcome sets up to ~10^4 atoms.
 """
 
 from __future__ import annotations
@@ -232,69 +233,108 @@ def _first_min(values: np.ndarray) -> tuple[int, float]:
 
 
 # Batches of fewer terms go to the math.fsum loop: on a 2-core Xeon (CPython
-# 3.11, numpy 2.4) the array path costs 22 us a batch, the loop 0.025 us a term
-# and 0.1 us a row, and they cross at 600 (3 atoms a row) to 1,000 terms.
-_MIN_ARRAY_TERMS = 1024
-# Larger batches run in blocks of whole rows of at most this many terms (one
-# row if it is longer), whose two scratch arrays stay in cache: on the same
-# host a 400 x 500 batch took 2.8 ms in one block and 1.5 ms in blocks of 2^15.
+# 3.11, numpy 2.4) the arrays cost 24 us a batch of 3-atom rows and 35-40 us
+# on longer rows, the loop 0.075 us a term on 3 atoms, 0.035 us on 20: they
+# cross at about 300 terms on 3 atoms, 750 on 5 and 1,100 on 20.
+_MIN_ARRAY_TERMS = 512
+# Rows of at most this many atoms are summed by cascades down the columns,
+# longer rows by extraction: on the same host the two cost the same at 7
+# atoms in batches of 3,000 terms, 8 in 12,000 and about 12 in 48,000.
+_CASCADE_ATOMS = 8
+# Longer rows run in blocks of whole rows of at most this many terms (one row
+# if it is longer), whose scratch array stays in cache: on the same host a
+# 400 x 500 batch took 0.84-0.99 ms in one block, 0.75-0.88 ms in blocks of
+# 2^15, and the peak stays below the batch's size.
 _BLOCK_TERMS = 2 ** 15
-# Rows whose sum of |terms| is outside this range (zeros, infinities, NaN,
-# extreme scales) go to math.fsum; inside it extraction is exact and no sum overflows.
+# Narrow rows with a term of magnitude _SAFE_HIGH or more, long rows whose sum
+# of |terms| is outside this range, and rows with NaN or an infinity go to
+# math.fsum: inside, nothing overflows and extraction is exact.
 _SAFE_LOW, _SAFE_HIGH = 2.0 ** -900, 2.0 ** 900
 
 
-@quiet_floats
-def _distilled_sums(terms: np.ndarray, q: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row ``s = fl(t1 + t2)`` and whether ``s`` is certified to be the exact sum rounded once.
+def _two_sum(a, b):
+    """``s = fl(a + b)`` and its error ``a + b - s``: exact, or NaN or infinite
+    if a step overflows (TwoSum: Knuth; Shewchuk 1997)."""
+    s = a + b
+    back = s - a
+    return s, (a - (s - back)) + (b - back)
 
-    ``q`` and ``rest`` are scratch arrays of ``terms``' shape, overwritten.
+
+def _cascaded_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row ``t1``, ``t2`` and a bound on ``|sum x - t1 - t2|``.  Two TwoSum
+    cascades run down the columns (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+    2005): ``t1`` is the float sum, ``t2`` the float sum of its exact errors,
+    and the bound twice the rounded sum of ``|d|`` over the exact errors ``d`` of ``t2``."""
+    t1, t2 = _two_sum(terms[:, 0], terms[:, 1] if terms.shape[1] > 1 else 0.0)
+    bound = np.zeros(len(terms))
+    for x in terms.T[2:]:
+        t1, e = _two_sum(t1, x)
+        t2, d = _two_sum(t2, e)
+        bound += np.abs(d)
+    if not (terms.max() < _SAFE_HIGH and terms.min() > -_SAFE_HIGH):  # a whole-array test first
+        bound[~(np.abs(terms) < _SAFE_HIGH).all(axis=1)] = math.inf
+    return t1, t2, 2.0 * bound
+
+
+def _extracted_sums(terms: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row ``t1``, ``t2`` and a bound on ``|sum x - t1 - t2|``; ``q`` is scratch.
+
     ExtractVector (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008): with
     ``sigma = 2^(k+2)`` and ``2^k`` above the rounded sum of ``|x|``, every
     ``q = (sigma + x) - sigma`` is a multiple of ``2^-53 sigma`` and every sum
-    of them stays below ``sigma``, so ``t = sum q`` is exact in any order (a
-    matrix-vector product), as is ``r = x - q``.  Two rounds give
-    ``sum x = t1 + t2 + sum r``, and TwoSum (Shewchuk 1997) ``t1 + t2 = s + e``.
-    ``s`` is the rounded sum when every ``r`` is zero, or when ``|e| + sum |r|``
-    is below half the float gap at ``s`` on the side the remainder lies on.
+    of them stays below ``sigma``, so ``t1 = sum q`` is exact in any order (a
+    matrix-vector product), as is ``r = x - q``.  ``t2`` rounds ``sum r`` in
+    any order, and ``|r| <= 2^-53 sigma`` bounds its error a priori:
+    ``gamma_(n-1) n 2^-53 sigma``, below ``n^2 2^-104 sigma``.
     """
-    ones = np.ones(terms.shape[1])
-    top = scale = np.abs(terms, out=q) @ ones
-    parts = []
-    for _ in range(2):
-        sigma = np.ldexp(4.0, np.frexp(scale)[1])[:, None]
-        np.add(terms, sigma, out=q)
-        q -= sigma
-        parts.append(q @ ones)
-        terms = np.subtract(terms, q, out=rest)
-        scale = np.abs(rest, out=q) @ ones
-    (t1, t2), bound = parts, 2.0 * scale  # twice the rounded sum: above sum |r|
-    s = t1 + t2
-    back = s - t1
-    e = (t1 - (s - back)) + (t2 - back)
-    # past the bound the remainder lies on e's side; else take the smaller gap, toward zero
-    side = np.where(np.abs(e) > bound, e, -s)
-    gap = np.abs(np.nextafter(s, np.copysign(np.inf, side)) - s)
-    certified = (bound == 0.0) | (gap / 2 - np.abs(e) > bound)
-    return s, certified & (top >= _SAFE_LOW) & (top < _SAFE_HIGH)
+    n = terms.shape[1]
+    ones = np.ones(n)
+    top = np.abs(terms, out=q) @ ones
+    sigma = np.ldexp(4.0, np.frexp(top)[1])
+    np.add(terms, sigma[:, None], out=q)
+    q -= sigma[:, None]
+    t1 = q @ ones
+    t2 = np.subtract(terms, q, out=q) @ ones
+    safe = (top >= _SAFE_LOW) & (top < _SAFE_HIGH)
+    return t1, t2, np.where(safe, sigma * (n * n * 2.0 ** -104), math.inf)
 
 
+@quiet_floats
 def exact_row_sums(terms: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Each row's exact sum rounded once (the bits of ``math.fsum``), and the
-    0-based rows ``math.fsum`` rejects, which hold NaN.  Batches of
-    ``_MIN_ARRAY_TERMS`` terms or more run on arrays, in blocks of at most
-    ``_BLOCK_TERMS``; rows without a certificate, and smaller batches, go to
-    ``math.fsum``."""
+    0-based rows ``math.fsum`` rejects, which hold NaN.
+
+    Batches of ``_MIN_ARRAY_TERMS`` terms or more run on arrays: rows of up to
+    ``_CASCADE_ATOMS`` atoms by cascades, longer ones by extraction in blocks
+    of at most ``_BLOCK_TERMS``.  Either gives ``sum x = t1 + t2 + delta`` with
+    ``|delta| <= bound``, and ``s = fl(t1 + t2)`` is that sum rounded once: at
+    once where ``bound`` is 0, ties included; else if TwoSum's ``t1 + t2 - s``
+    and ``bound`` together stay below half the float gap at ``s`` on the side
+    the remainder lies on.  Other rows, zero sums (``math.fsum`` gives their
+    sign), and smaller batches go to ``math.fsum``.
+    """
     sums = None
     if terms.size >= _MIN_ARRAY_TERMS:
         m, n = terms.shape
-        rows = min(m, max(1, _BLOCK_TERMS // n))
-        q, rest = np.empty((rows, n)), np.empty((rows, n))
-        sums, certified = np.empty(m), np.empty(m, dtype=bool)
-        for start in range(0, m, rows):
-            block = terms[start:start + rows]
-            k = len(block)
-            sums[start:start + k], certified[start:start + k] = _distilled_sums(block, q[:k], rest[:k])
+        if n <= _CASCADE_ATOMS:
+            t1, t2, bound = _cascaded_sums(terms)
+        else:
+            rows = min(m, max(1, _BLOCK_TERMS // n))
+            q, parts = np.empty((rows, n)), np.empty((3, m))
+            for start in range(0, m, rows):
+                block = terms[start:start + rows]
+                parts[:, start:start + len(block)] = _extracted_sums(block, q[:len(block)])
+            t1, t2, bound = parts
+        sums = t1 + t2
+        certified = np.isfinite(sums) & (sums != 0.0)
+        check = np.flatnonzero(certified & (bound != 0.0))
+        if check.size:
+            s, e = _two_sum(t1[check], t2[check])
+            bound = bound[check]
+            # past the bound the remainder lies on e's side; else take the smaller gap, toward zero
+            side = np.where(np.abs(e) > bound, e, -s)
+            gap = np.abs(np.nextafter(s, np.copysign(np.inf, side)) - s)
+            certified[check] = gap / 2 - np.abs(e) > bound
         left = np.flatnonzero(~certified)
         terms = terms[left]
     exact, bad = [], []
@@ -337,11 +377,10 @@ def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np
     signed infinity, opposing infinities NaN.
     """
     terms = _times(q_rows * f_rows, weights)
-    finite = np.isfinite(terms).all(axis=1)
-    if finite.all():
+    if np.isfinite(terms).all():  # a whole-array test first: per-row masks only when it fails
         return fsum_rows(terms)
     base = q_rows * weights
-    infinite = ~finite[:, None]
+    infinite = ~np.isfinite(terms).all(axis=1)[:, None]
     np.multiply(base, f_rows, out=terms, where=infinite)
     np.copyto(terms, 0.0, where=infinite & (base == 0.0))
     charged = np.isinf(terms).any(axis=1)
@@ -365,17 +404,19 @@ def require_density_rows(q_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     A density row has finite, nonnegative entries and a total mass within
     ``DENSITY_MASS_TOL`` of 1; :class:`DomainError` names each row that is not.
     """
+    # whole-array tests first: the per-row masks only name the rows that fail
+    if np.isfinite(q_rows).all() and not (q_rows < 0.0).any():
+        if (np.abs(fsum_rows(q_rows * weights) - 1.0) <= DENSITY_MASS_TOL).all():
+            return q_rows
     finite = np.isfinite(q_rows).all(axis=1)
     negative = (q_rows < 0.0).any(axis=1)
     mass = fsum_rows(_times(np.where(finite[:, None], q_rows, 0.0), weights))
     bad = ~finite | negative | ~(np.abs(mass - 1.0) <= DENSITY_MASS_TOL)
-    if bad.any():
-        raise DomainError("invalid density rows: " + "; ".join(
-            f"row {i + 1}: " + ("cone vectors must have finite entries" if not finite[i]
-                                else "densities must be nonnegative" if negative[i]
-                                else f"density mass {float(mass[i])!r} is not 1 within {DENSITY_MASS_TOL}")
-            for i in np.flatnonzero(bad).tolist()))
-    return q_rows
+    raise DomainError("invalid density rows: " + "; ".join(
+        f"row {i + 1}: " + ("cone vectors must have finite entries" if not finite[i]
+                            else "densities must be nonnegative" if negative[i]
+                            else f"density mass {float(mass[i])!r} is not 1 within {DENSITY_MASS_TOL}")
+        for i in np.flatnonzero(bad).tolist()))
 
 
 @quiet_floats

@@ -774,13 +774,19 @@ _CONFIG = ["verify", "--config", "FILE"]
      "DIR/missing/x.csv: No such file or directory"),
     (["verify", "--samples", "5", "--out", "DIR/missing/r.json"], "", 2,
      "DIR/missing/r.json: No such file or directory"),
+    (["score", FORECASTS, OUTCOMES, "--out", "DIR/input.txt/x.csv"], "", 2, "DIR/input.txt/x.csv: Not a directory"),
+    (["divergence", FORECASTS, FORECASTS, "--out", "DIR"], "", 2, "DIR: Is a directory"),
+    # --out is checked before any input is read
+    (["grid-score", "DIR/none.csv", "--out", "DIR/missing/x.csv"], "", 2,
+     "DIR/missing/x.csv: No such file or directory"),
 ], ids=["linear-with-parameter", "empty-rule-name", "outcome-header", "outcome-columns", "outcome-not-integer",
         "weights-not-numeric", "weights-count", "weights-nonpositive", "flag-samples-0", "samples-0",
         "seed-empty", "rule-samples-0", "unknown-suites", "suites-empty", "weights-file-empty",
         "weights-and-weights-file", "unknown-domain", "probe-without-name", "misspelled-key",
         "capitalised-verify", "rule-unknown-keys", "misspelled-kind", "default-section", "named-verify",
         "probe-expecting-nothing", "duplicate-rule", "duplicate-verify", "empty-input-path",
-        "empty-input-paths", "empty-out", "out-a-directory", "out-in-no-directory", "verify-out-in-no-directory"])
+        "empty-input-paths", "empty-out", "out-a-directory", "out-in-no-directory", "verify-out-in-no-directory",
+        "out-below-a-file", "divergence-out-a-directory", "out-before-inputs"])
 def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, text, code, err):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -792,6 +798,26 @@ def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, te
     # an argv with its own --out runs as it is: run() adds an --out that would override it
     assert (main(argv) if "--out" in argv else run(tmp_path, *argv)[0]) == code
     assert capsys.readouterr().err == f"entroscore: {named(err)}\n"
+
+
+def test_an_unusable_out_stops_verify_before_any_suite(tmp_path, capsys, monkeypatch):
+    def ran(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_run_suite", ran)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--samples", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"entroscore: {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checking_out_creates_and_truncates_nothing(tmp_path):
+    # a command that fails on its input leaves a usable --out as it was: absent, or with its text
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("earlier\n")
+    for out in (kept, absent):
+        assert main(["grid-score", str(tmp_path / "none.csv"), "--out", str(out)]) == 2
+    assert kept.read_text() == "earlier\n" and not absent.exists()
 
 
 def test_an_empty_suites_key_selects_no_suite(tmp_path):

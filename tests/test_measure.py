@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -33,6 +34,7 @@ from entroscore import (
     pair_rows,
     rebase_entropy,
     require_density_rows,
+    sampling,
     score_divergence,
     score_divergence_rows,
     subdifferential_probe,
@@ -339,9 +341,10 @@ class TestExactRowSums:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("blocks", [2, 3])
-    @pytest.mark.parametrize("n", [3, 500])
+    @pytest.mark.parametrize("n", [3, measure._CASCADE_ATOMS, measure._CASCADE_ATOMS + 1, 500])
     def test_batches_over_several_blocks_match_math_fsum_bit_for_bit(self, n, blocks, seed):
-        # the last block partly filled; rows that need math.fsum on each side of every block edge
+        # the last block partly filled; rows that need math.fsum on each side of every block edge,
+        # on both sides of the crossover from column cascades (unblocked) to blocked extraction
         rng = np.random.default_rng(seed)
         per_block = measure._BLOCK_TERMS // n
         m = (blocks - 1) * per_block + per_block // 2
@@ -359,7 +362,7 @@ class TestExactRowSums:
         assert _bits(sums) == _bits(expected)
 
     def test_wide_batch_peaks_below_its_own_size(self):
-        # the kernel's scratch is two blocks, reused: no temporary of the batch's size
+        # the kernel's scratch is one block, reused: no temporary of the batch's size
         terms = np.random.default_rng(6).random((400, 500))
         tracemalloc.start()
         try:
@@ -376,29 +379,43 @@ class TestExactRowSums:
         with pytest.raises(DomainError, match=r"^sums leave the float range in rows 5, 700$"):
             fsum_rows(terms)
 
+    def test_an_overflow_only_math_fsum_meets_names_the_rows(self):
+        # every float partial sum of the row is finite, but math.fsum's exact partial
+        # max + 5 * 2^968 overflows: the row must leave the array path
+        terms = np.random.default_rng(3).normal(size=(1000, 4))
+        terms[[4, 699]] = [sys.float_info.max, 2.0 ** 969, 3 * 2.0 ** 968, -sys.float_info.max]
+        with pytest.raises(DomainError, match=r"^sums leave the float range in rows 5, 700$"):
+            fsum_rows(terms)
+
     def test_workload_shaped_batches_need_no_fallback(self, monkeypatch):
-        # 400 x 500 weighted with half the atoms of each row zero, and 1500 x 5
+        # 400 x 500 weighted with half the atoms of each row zero, 1500 x 5, and verify's
+        # batches: 1000 densities on 3 atoms weighted in [0.5, 2], and its cone points
         rng = np.random.default_rng(8)
         weights = rng.uniform(0.25, 4.0, size=500)
         wide = np.zeros((400, 500))
         for row in wide:
             support = rng.permutation(500)[:250]
             row[support] = rng.dirichlet(np.ones(250)) / weights[support]
-        batches = [(wide, weights), (rng.dirichlet(np.ones(5), size=1500), np.ones(5))]
+        narrow = MeasureSpace(rng.uniform(0.5, 2.0, size=3))
+        batches = [(wide, weights, None), (rng.dirichlet(np.ones(5), size=1500), np.ones(5), None),
+                   (sampling.density_rows(narrow, rng, 1000), narrow.weights,
+                    sampling.cone_rows(narrow, rng, 1000))]
         specs = ("quadratic", "spherical", "shannon", "power(1.5)", "power(3)", "pseudospherical(3)")
-        scored = [(q, w, [rule_from_spec(spec, MeasureSpace(w)).score_rows(q) for spec in specs])
-                  for q, w in batches]
+        scored = [(q, w, cone, [rule_from_spec(spec, MeasureSpace(w)).score_rows(q) for spec in specs])
+                  for q, w, cone in batches]
         pseudospherical = entropy_from_spec("pseudospherical(3)", MeasureSpace(weights))
 
         def fell_back(row):
             raise AssertionError("a row fell back to math.fsum")
 
         monkeypatch.setattr(measure.math, "fsum", fell_back)
-        for q, w, scores in scored:
+        for q, w, cone, scores in scored:
             require_density_rows(q, w)
             fsum_rows(q * w)
             for f in scores:
                 pair_rows(q, f, w)
+                if cone is not None:
+                    pair_rows(cone, f, w)
         pseudospherical.value_rows(wide)  # its power sums run on the same kernel
 
 

@@ -1,6 +1,6 @@
 """The package surface: each module's ``__all__`` is the one list of its public names; no
 module imports a name it does not use, the modules import one another one way only, and only
-``measure`` calls ``math.fsum``."""
+``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``."""
 
 import ast
 import re
@@ -115,11 +115,39 @@ def test_modules_import_one_another_one_way():
     assert wrong == []
 
 
+def _owned_nodes():
+    """``(module:top-level name, node)`` for every node of every package module."""
+    for module, tree in _module_trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                yield f"{module}:{getattr(top, 'name', top.lineno)}", node
+
+
 def test_only_measure_calls_math_fsum():
-    calls = [f"{module}:{node.lineno}" for module, tree in _module_trees().items() if module != "measure.py"
-             for node in ast.walk(tree)
+    # and only in exact_row_sums, the one exact-sum kernel
+    calls = [owner for owner, node in _owned_nodes()
              if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.fsum", "fsum")]
-    assert calls == []
+    assert calls == ["measure.py:exact_row_sums"]
+
+
+def _is_two_sum_error(node) -> bool:
+    """``(a - (s - b)) + (c - b)``, either way round: the error term of TwoSum."""
+    def sub(x):
+        return isinstance(x, ast.BinOp) and isinstance(x.op, ast.Sub)
+
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    return any(sub(left) and sub(left.right) and sub(right)
+               and ast.unparse(left.right.right) == ast.unparse(right.right)
+               for left, right in ((node.left, node.right), (node.right, node.left)))
+
+
+def test_two_sum_is_written_once():
+    # measure._two_sum is the one TwoSum: no other function is named for it, and no
+    # other code inlines its error term
+    found = [owner for owner, node in _owned_nodes()
+             if isinstance(node, ast.FunctionDef) and "two_sum" in node.name.lower() or _is_two_sum_error(node)]
+    assert found == ["measure.py:_two_sum", "measure.py:_two_sum"]  # the definition and its error term
 
 
 def test_the_gradient_oracle_is_value_grad_rows_only():
