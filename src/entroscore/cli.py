@@ -42,7 +42,7 @@ from .bregman import (
     SYMMETRIC_GENERALIZED_QUADRATIC,
     symmetry_defect,
 )
-from .entropies import catalog_entropy, parse_rule_spec
+from .entropies import catalog_entropy, catalog_symmetric, parse_rule_spec
 from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
@@ -72,18 +72,20 @@ class CliError(Exception):
 # -- rule construction --------------------------------------------------------
 
 
-def build_rule(spec: str, space: MeasureSpace):
-    """Resolve a rule spec like ``power(1.5)`` to (entropy, scoring rule).
+# Rules that are not their entropy's PSR: name -> (the catalog entropy the suites report against,
+# the rule on a space).  ``linear`` is the stock improper rule; its self-expected score is quadratic.
+_ALIASES = {"linear": ("quadratic", linear_score)}
 
-    ``linear`` is the stock improper rule; its self-expected score is the
-    quadratic entropy, which is what verification suites report against.
-    """
+
+def build_rule(spec: str, space: MeasureSpace):
+    """Resolve a rule spec like ``power(1.5)`` to (entropy, scoring rule)."""
     try:
         name, gamma = parse_rule_spec(spec)
-        if name == "linear":
+        if name in _ALIASES:
             if gamma is not None:
-                raise ConstructionError("rule 'linear' takes no parameter")
-            return catalog_entropy("quadratic", space), linear_score(space)
+                raise ConstructionError(f"rule {name!r} takes no parameter")
+            entropy_name, rule = _ALIASES[name]
+            return catalog_entropy(entropy_name, space), rule(space)
         entropy = catalog_entropy(name, space, gamma=gamma)
     except EntroscoreError as exc:
         raise CliError(EXIT_RULE, f"cannot build rule {spec!r}: {exc}") from None
@@ -391,17 +393,6 @@ def cmd_divergence(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-_EXPECTED_SYMMETRY = {
-    "quadratic": SYMMETRIC_GENERALIZED_QUADRATIC,
-    "linear": SYMMETRIC_GENERALIZED_QUADRATIC,  # reported against the quadratic entropy
-}
-
-
-def _expected_symmetry(spec: str) -> str:
-    name, _ = parse_rule_spec(spec)
-    return _EXPECTED_SYMMETRY.get(name, ASYMMETRIC_WITH_WITNESS)
-
-
 _PROBE_DOMAINS = {"orthant": ConvexDomainSpec.nonnegative_orthant, "simplex": ConvexDomainSpec.simplex,
                   "whole_space": ConvexDomainSpec.whole_space}
 
@@ -521,14 +512,15 @@ def _run_probe(name: str, probe: dict, space: MeasureSpace, seed: int) -> dict:
     return report
 
 
-def _run_suite(suite: str, spec: str, entropy, rule, knobs: dict) -> dict:
+def _run_suite(suite: str, entropy, rule, knobs: dict) -> dict:
     seed, samples = knobs["seed"], knobs["samples"]
     if suite == "propriety":
         return verify_propriety(rule, seed=seed, samples=samples, tol=knobs["propriety_tol"]).as_dict()
     if suite == "euler":
         return verify_euler(rule, entropy, seed=seed, samples=samples, tol=knobs["euler_tol"]).as_dict()
     report = symmetry_defect(entropy, seed=seed, samples=min(samples, 500)).as_dict()
-    report["expected"] = _expected_symmetry(spec)
+    symmetric = catalog_symmetric(*parse_rule_spec(entropy.name))  # an alias's entropy is a catalog one
+    report["expected"] = SYMMETRIC_GENERALIZED_QUADRATIC if symmetric else ASYMMETRIC_WITH_WITNESS
     report["pass"] = report["classification"] == report["expected"]
     return report
 
@@ -558,7 +550,7 @@ def cmd_verify(args) -> int:
             for suite in DEFAULT_SUITES:
                 if suite in settings["suites"]:
                     try:
-                        entry[suite] = _run_suite(suite, spec, entropy, rule, knobs)
+                        entry[suite] = _run_suite(suite, entropy, rule, knobs)
                     except EntroscoreError as exc:  # e.g. scores past the float range on its sample points
                         raise CliError(EXIT_INPUT, f"rule {spec!r}: {suite} suite: {exc}") from None
                     overall &= entry[suite]["pass"]

@@ -21,6 +21,10 @@ atom weights in the matrix and composite forms.  Shannon uses 0 log 0 := 0 and
 refuses boundary subgradients; its rule is the closed form ``log q``, -inf at
 zeros.  Array ``pow`` and ``log`` keep zeros off numpy's slow special-value path.
 
+The catalog is one table, and adding an entropy is one row of it plus the
+row's constructor.  An entropy with an exponent is named with the exponent's
+shortest round-trip form, as in ``power(1.5)``, which ``parse_rule_spec`` reads back.
+
 Beyond the catalog: the canonical 1-homogeneous extension to the positive
 cone, and composite entropies ``phi(sum f(q) nu)`` for symmetry analysis.
 """
@@ -45,21 +49,13 @@ __all__ = [
     "Entropy",
     "CompositeEntropySpec",
     "catalog_entropy",
+    "catalog_symmetric",
     "parse_rule_spec",
     "CATALOG_NAMES",
     "canonical_extension_value",
     "canonical_extension_rows",
     "composite_entropy",
 ]
-
-CATALOG_NAMES = (
-    "quadratic",
-    "spherical",
-    "power",
-    "shannon",
-    "pseudospherical",
-    "weighted_quadratic",
-)
 
 # A catalog name with an optional parenthesised exponent, as in ``power(1.5)``
 _RULE_SPEC = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
@@ -137,13 +133,13 @@ def _zero_safe(ufunc, q: np.ndarray, *args) -> np.ndarray:
 _pow, _log = partial(_zero_safe, np.power), partial(_zero_safe, np.log)
 
 
-def _quadratic(space: MeasureSpace) -> Entropy:
+def _quadratic(name: str, space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
         return fsum_rows(_times(q * q, w))
 
-    return Entropy("quadratic", ConvexDomainSpec.whole_space(space), value_rows,
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows,
                    lambda q: (value_rows(q), 2.0 * q))
 
 
@@ -174,7 +170,7 @@ def _scaled(q: np.ndarray, terms: Callable[[np.ndarray], np.ndarray]) -> tuple:
     return q, top, total
 
 
-def _spherical(space: MeasureSpace) -> Entropy:
+def _spherical(name: str, space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def squares(v: np.ndarray) -> np.ndarray:
@@ -190,20 +186,20 @@ def _spherical(space: MeasureSpace) -> Entropy:
             raise DomainError("spherical subgradient is undefined at the origin")
         return value_rows(q, scaled), v / np.sqrt(total)[:, None]
 
-    return Entropy("spherical", ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
 
 
-def _power(space: MeasureSpace, gamma: float) -> Entropy:
+def _power(name: str, space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
         return fsum_rows(_times(_pow(q, gamma), w))
 
-    return Entropy(f"power({gamma:g})", ConvexDomainSpec.nonnegative_orthant(space), value_rows,
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows,
                    lambda q: (value_rows(q), _times(_pow(q, gamma - 1.0), gamma)))
 
 
-def _shannon(space: MeasureSpace) -> Entropy:
+def _shannon(name: str, space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
@@ -218,11 +214,11 @@ def _shannon(space: MeasureSpace) -> Entropy:
             raise DomainError("shannon subgradient does not exist at boundary points (zero atoms)")
         return value_rows(q), np.log(q) + 1.0
 
-    return Entropy("shannon", ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
                    closed_form_rows=_log)  # the logarithmic score, -inf at zero atoms
 
 
-def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
+def _pseudospherical(name: str, space: MeasureSpace, gamma: float) -> Entropy:
     w = space.weights
 
     def powers(v: np.ndarray) -> np.ndarray:
@@ -242,11 +238,10 @@ def _pseudospherical(space: MeasureSpace, gamma: float) -> Entropy:
         grad /= norm[:, None]
         return value_rows(q, scaled), grad
 
-    return Entropy(f"pseudospherical({gamma:g})",
-                   ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows)
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows)
 
 
-def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
+def _weighted_quadratic(name: str, space: MeasureSpace, matrix) -> Entropy:
     q_mat = np.asarray(matrix, dtype=float)
     n = space.size
     if q_mat.shape != (n, n):
@@ -269,39 +264,58 @@ def _weighted_quadratic(space: MeasureSpace, matrix) -> Entropy:
         form = form_rows(q)
         return fsum_rows(q * form), 2.0 * form / w  # the dual representer, hence the division
 
-    return Entropy("weighted_quadratic", ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
 
 
-def catalog_entropy(
-    name: str,
-    space: MeasureSpace,
-    *,
-    gamma: float | None = None,
-    matrix=None,
-) -> Entropy:
+# The catalog, name -> (its constructor, called as (name, space) or (name, space, parameter); the
+# kind of parameter it takes: None, "exponent" or "matrix"; whether its Bregman divergence is
+# symmetric at gamma, as only those of generalized quadratic entropies are).
+_CATALOG = {
+    "quadratic": (_quadratic, None, lambda gamma: True),
+    "spherical": (_spherical, None, lambda gamma: False),
+    "power": (_power, "exponent", lambda gamma: gamma == 2.0),  # power(2) is the quadratic entropy
+    "shannon": (_shannon, None, lambda gamma: False),
+    "pseudospherical": (_pseudospherical, "exponent", lambda gamma: False),  # (2) is the spherical one
+    "weighted_quadratic": (_weighted_quadratic, "matrix", lambda gamma: True),
+}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
+def _catalog_row(name: str) -> tuple:
+    if name not in _CATALOG:
+        raise ConstructionError(f"unknown entropy {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+    return _CATALOG[name]
+
+
+def catalog_entropy(name: str, space: MeasureSpace, *, gamma: float | None = None, matrix=None) -> Entropy:
     """Look up a catalog entropy by name.
 
     ``power`` and ``pseudospherical`` take a finite exponent ``gamma > 1``
-    (convexity breaks at or below 1); ``weighted_quadratic`` takes a
+    (convexity breaks at or below 1) and are named with its shortest
+    round-trip form, as in ``power(1.5)``; ``weighted_quadratic`` takes a
     symmetric positive-definite matrix that already includes any desired
-    atom weighting.
+    atom weighting.  Adding an entropy is one row of the catalog table plus
+    its constructor.
     """
-    if name in ("power", "pseudospherical"):
+    build, parameter, _ = _catalog_row(name)
+    for kind, value in (("exponent", gamma), ("matrix", matrix)):
+        if value is not None and kind != parameter:
+            raise ConstructionError(f"{name} entropy takes no {kind}")
+    if parameter == "exponent":
         if gamma is None or not 1.0 < gamma < math.inf:
             raise ConstructionError(f"{name} entropy needs a finite exponent gamma > 1")
-        return _power(space, float(gamma)) if name == "power" else _pseudospherical(space, float(gamma))
-    if gamma is not None:
-        raise ConstructionError(f"{name} entropy takes no exponent")
-    if name == "weighted_quadratic":
+        return build(f"{name}({repr(float(gamma)).removesuffix('.0')})", space, float(gamma))
+    if parameter == "matrix":
         if matrix is None:
-            raise ConstructionError("weighted_quadratic needs a matrix")
-        return _weighted_quadratic(space, matrix)
-    if matrix is not None:
-        raise ConstructionError(f"{name} entropy takes no matrix")
-    plain = {"quadratic": _quadratic, "spherical": _spherical, "shannon": _shannon}
-    if name not in plain:
-        raise ConstructionError(f"unknown entropy {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    return plain[name](space)
+            raise ConstructionError(f"{name} needs a matrix")
+        return build(name, space, matrix)
+    return build(name, space)
+
+
+def catalog_symmetric(name: str, gamma: float | None = None) -> bool:
+    """Whether the Bregman divergence of catalog entropy ``name`` at exponent ``gamma`` is symmetric:
+    true for ``quadratic``, ``weighted_quadratic`` and ``power(2)``, the generalized quadratics."""
+    return _catalog_row(name)[2](gamma)
 
 
 def parse_rule_spec(spec: str) -> tuple[str, float | None]:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroscore import (MeasureSpace, cli, expected_score, measure, sampling, score_divergence,
+from entroscore import (ASYMMETRIC_WITH_WITNESS, SYMMETRIC_GENERALIZED_QUADRATIC, MeasureSpace,
+                        catalog_entropy, cli, entropies, expected_score, measure, sampling, score_divergence,
                         score_divergence_rows, symmetry_defect, verify_euler, verify_propriety)
 from entroscore.cli import main
 
@@ -384,6 +385,27 @@ class TestVerifyCommand:
         report = json.loads(payload)
         assert report["rules"]["quadratic"]["propriety"]["samples"] == 25
         assert report["rules"]["shannon"]["propriety"]["samples"] == 100
+
+    def test_power_two_is_expected_symmetric(self, tmp_path):
+        # power(2) is the quadratic entropy, the Brier score's; pseudospherical(2) is the spherical one
+        config = tmp_path / "two.ini"
+        config.write_text("[verify]\nsamples = 200\nsuites = symmetry\n\n[rule power(2)]\n\n"
+                          "[rule pseudospherical(2)]\n")
+        code, payload = run(tmp_path, "verify", "--config", str(config))
+        assert code == 0
+        rules = json.loads(payload)["rules"]
+        assert [rules[spec]["symmetry"]["expected"] for spec in ("power(2)", "pseudospherical(2)")] == [
+            SYMMETRIC_GENERALIZED_QUADRATIC, ASYMMETRIC_WITH_WITNESS]
+
+    def test_exponents_that_round_alike_report_their_own_names(self, tmp_path):
+        # both exponents were reported as power(1), an exponent the catalog refuses
+        specs = ("power(1.0000001)", "power(1.00000012)")
+        config = tmp_path / "near.ini"
+        config.write_text("[verify]\nsamples = 20\nsuites = propriety\n\n" + "".join(f"[rule {spec}]\n"
+                                                                                        for spec in specs))
+        code, payload = run(tmp_path, "verify", "--config", str(config))
+        assert code == 0
+        assert [json.loads(payload)["rules"][spec]["propriety"]["rule"] for spec in specs] == list(specs)
 
     def test_rule_overflowing_on_its_sample_points_exits_2(self, tmp_path, capsys):
         # power(1100)'s subgradient 1100 q^1099 overflows on the symmetry suite's box points
@@ -1028,6 +1050,36 @@ def _per_row_divergence(p_path: str, q_path: str, specs, weights) -> bytes:
             cells = score_divergence_rows(left[i:i + 1], p_scores[i:i + 1], q_scores, space.weights)
             writer.writerow([spec, f"p{i + 1}"] + [repr(x + 0.0) for x in cells.tolist()])
     return buffer.getvalue().encode()
+
+
+def test_each_catalog_row_builds_and_expects_the_symmetry_it_shows(tmp_path, capsys):
+    # the catalog table, row by row: a rule spec builds each row it can give a parameter to,
+    # the matrix row exits 4 naming what it needs, and each row's symmetry column is what
+    # symmetry_defect classifies at n = 3, also through the linear alias
+    assert entropies.CATALOG_NAMES == tuple(entropies._CATALOG)
+    space = MeasureSpace([0.5, 1.0, 2.0])
+    checked = []  # (the row's symmetry column at gamma, entropy, build_rule's (entropy, rule) or None)
+    for name, (_, parameter, symmetric) in entropies._CATALOG.items():
+        if parameter == "matrix":
+            assert run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", name)[0] == 4
+            assert capsys.readouterr().err == f"entroscore: cannot build rule {name!r}: {name} needs a matrix\n"
+            matrix = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+            checked.append((symmetric(None), catalog_entropy(name, space, matrix=matrix), None))
+            continue
+        for gamma in (1.5, 2.0, 3.0) if parameter == "exponent" else (None,):
+            spec = name if gamma is None else f"{name}({gamma:g})"
+            entropy, rule = cli.build_rule(spec, space)
+            assert entropy.name == spec
+            checked.append((symmetric(gamma), entropy, (entropy, rule)))
+    quadratic, _ = cli._ALIASES["linear"]
+    linear = cli.build_rule("linear", space)
+    checked.append((entropies.catalog_symmetric(quadratic), linear[0], linear))
+    for symmetric, entropy, built in checked:
+        expected = SYMMETRIC_GENERALIZED_QUADRATIC if symmetric else ASYMMETRIC_WITH_WITNESS
+        assert symmetry_defect(entropy, seed=3, samples=100).classification == expected, entropy.name
+        if built:  # what verify expects of the rule is the column
+            report = cli._run_suite("symmetry", *built, {"seed": 3, "samples": 100})
+            assert (report["expected"], report["pass"]) == (expected, True), entropy.name
 
 
 def test_rule_specs_are_quoted_as_csv_writer_quotes_them(tmp_path):

@@ -205,6 +205,17 @@ class TestCatalogValues:
         with pytest.raises(ConstructionError):
             parse_rule_spec(spec)
 
+    @pytest.mark.parametrize("name", ["power", "pseudospherical"])
+    @pytest.mark.parametrize("gamma, text", [
+        (1.5, "1.5"), (3.0, "3"), (1100.0, "1100"), (2000.0, "2000"), (1.0000001, "1.0000001"),
+        (1.00000012, "1.00000012"), (123456789.0, "123456789"), (1e20, "1e+20"), (1.0 + 2 ** -52, None),
+    ])
+    def test_an_exponent_keeps_its_shortest_round_trip_form_in_the_name(self, name, gamma, text):
+        # the form of %g kept 6 digits: power(1.0000001) was named power(1), an exponent refused
+        entropy = catalog_entropy(name, unit_space(2), gamma=gamma)
+        assert parse_rule_spec(entropy.name) == (name, gamma)
+        assert text is None or entropy.name == f"{name}({text})"
+
 
 _SIGN_SPACE = MeasureSpace([0.5, 1.0, 2.0])
 _SIGN_SUBJECTS = (*CATALOG_SPECS, "weighted_quadratic", "shannon@rebased", "composite@orthant")
@@ -533,8 +544,13 @@ class TestCompositeEntropy:
      "weighted_quadratic needs a 3x3 matrix"),
     (lambda sp: catalog_entropy("weighted_quadratic", sp), "weighted_quadratic needs a matrix"),
     (lambda sp: catalog_entropy("quadratic", sp, matrix=np.eye(3)), "quadratic entropy takes no matrix"),
+    (lambda sp: catalog_entropy("power", sp, gamma=1.5, matrix=np.eye(3)), "power entropy takes no matrix"),
+    (lambda sp: catalog_entropy("frobnicate", sp, gamma=2.0),
+     "unknown entropy 'frobnicate'; catalog: quadratic, spherical, power, shannon, pseudospherical, "
+     "weighted_quadratic"),
     (lambda sp: integrated_square_composite(sp, np.ones(2)), "nu weights do not match the space size"),
-], ids=["matrix-shape", "matrix-missing", "matrix-to-quadratic", "nu-size"])
+], ids=["matrix-shape", "matrix-missing", "matrix-to-quadratic", "matrix-to-power", "unknown-with-exponent",
+        "nu-size"])
 def test_entropy_constructions_refuse_ingredients_that_do_not_fit(build, message):
     with pytest.raises(ConstructionError) as info:
         build(unit_space(3))

@@ -1,6 +1,7 @@
 """The package surface: each module's ``__all__`` is the one list of its public names; no
-module imports a name it does not use, the modules import one another one way only, and only
-``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``."""
+module imports a name it does not use, the modules import one another one way only, only
+``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``,
+and each catalog entropy is named once, in the catalog table."""
 
 import ast
 import re
@@ -116,11 +117,13 @@ def test_modules_import_one_another_one_way():
 
 
 def _owned_nodes():
-    """``(module:top-level name, node)`` for every node of every package module."""
+    """``(module:top-level name, node)`` for every node of every package module; a top-level
+    assignment is named by its first target, any other statement by its line."""
     for module, tree in _module_trees().items():
         for top in tree.body:
+            name = ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) else top.lineno
             for node in ast.walk(top):
-                yield f"{module}:{getattr(top, 'name', top.lineno)}", node
+                yield f"{module}:{getattr(top, 'name', name)}", node
 
 
 def test_only_measure_calls_math_fsum():
@@ -148,6 +151,21 @@ def test_two_sum_is_written_once():
     found = [owner for owner, node in _owned_nodes()
              if isinstance(node, ast.FunctionDef) and "two_sum" in node.name.lower() or _is_two_sum_error(node)]
     assert found == ["measure.py:_two_sum", "measure.py:_two_sum"]  # the definition and its error term
+
+
+def test_each_catalog_name_is_written_once():
+    # as a key of the catalog table, and "quadratic" once more, as the entropy of cli's
+    # linear alias: adding an entropy is one row of the table
+    found = [(owner, node.value) for owner, node in _owned_nodes()
+             if isinstance(node, ast.Constant) and node.value in entropies.CATALOG_NAMES]
+    assert found == [("cli.py:_ALIASES", "quadratic"),
+                     *(("entropies.py:_CATALOG", name) for name in entropies.CATALOG_NAMES)]
+
+
+def test_the_readme_catalog_paragraph_names_every_entry():
+    readme = (Path(entroscore.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(part for part in readme.split("\n\n") if part.startswith("Entropy catalog:"))
+    assert [name for name in entropies.CATALOG_NAMES if not re.search(rf"`{name}[`(]", paragraph)] == []
 
 
 def test_the_gradient_oracle_is_value_grad_rows_only():
