@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .measure import (ConeVector, DualVector, FloatRangeError, MeasureSpace, _first_min, _require_same_space,
-                      pair_rows, quiet_floats, report_dict)
+                      pair_rows, quiet_floats, reduce_rows, report_dict)
 from .sampling import box_rows, density_rows
 
 __all__ = [
@@ -70,6 +70,8 @@ _PROBE_DIRECTIONS = 32
 # quotient is diverging to -inf rather than converging.
 _DIVERGE_MIN_DECREMENT = 0.05
 _DIVERGE_CONTRACTION = 0.75
+
+_all, _any = partial(reduce_rows, np.logical_and), partial(reduce_rows, np.logical_or)  # per mask row
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -171,10 +173,10 @@ class ConvexDomainSpec:
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the rows of an (m, n) array that are finite points of K."""
         (a, b), (e_rows, e) = self.inequalities, self.equalities
-        slack = _MEMBER_TOL * (1.0 + np.abs(rows).max(axis=1))[:, None]
-        inside = (np.isfinite(rows).all(axis=1) & (rows @ a.T <= b + slack).all(axis=1)
-                  & (np.abs(rows @ e_rows.T - e) <= _MEMBER_TOL).all(axis=1))
-        return inside & (rows.min(axis=1) >= -_MEMBER_TOL) if self.nonnegative else inside
+        slack = _MEMBER_TOL * (1.0 + reduce_rows(np.maximum, np.abs(rows)))[:, None]
+        inside = (_all(np.isfinite(rows)) & _all(rows @ a.T <= b + slack)
+                  & _all(np.abs(rows @ e_rows.T - e) <= _MEMBER_TOL))
+        return inside & (reduce_rows(np.minimum, rows) >= -_MEMBER_TOL) if self.nonnegative else inside
 
     def contains(self, q: ConeVector) -> bool:
         """Whether q lies in K: one row of :meth:`contains_rows`."""
@@ -253,9 +255,9 @@ def _active_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
 def _feasible_rows(domain: ConvexDomainSpec, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Mask of the direction rows ``d`` with ``v + lam * d`` in K for some ``lam > 0``: none
     may leave an active inequality, and each must be parallel to every equality."""
-    tol = _MEMBER_TOL * (1.0 + np.abs(directions).max(axis=1))[:, None]
-    return ((directions @ _active_rows(domain, v).T <= tol).all(axis=1)
-            & (np.abs(directions @ domain.equalities[0].T) <= tol).all(axis=1))
+    tol = _MEMBER_TOL * (1.0 + reduce_rows(np.maximum, np.abs(directions)))[:, None]
+    return (_all(directions @ _active_rows(domain, v).T <= tol)
+            & _all(np.abs(directions @ domain.equalities[0].T) <= tol))
 
 
 def _lineality_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
@@ -362,7 +364,7 @@ def _feasible_probe_directions(domain: ConvexDomainSpec, v: np.ndarray, points: 
     """Coordinate, point, lineality and sampled directions at q that stay in K, as rows."""
     def moving(rows: np.ndarray) -> np.ndarray:
         offsets = rows - v
-        return offsets[np.abs(offsets).max(axis=1) > 1e-12]
+        return offsets[reduce_rows(np.maximum, np.abs(offsets)) > 1e-12]
 
     directions = np.vstack([_signed(np.eye(v.size)), moving(points[: 4 * v.size]),
                             _signed(lineality), moving(domain.draw(rng, _PROBE_DIRECTIONS))])
@@ -378,14 +380,14 @@ def _inf_outside(fn: Callable, rows: np.ndarray, defined: np.ndarray) -> np.ndar
 
 def _values(entropy, rows: np.ndarray) -> np.ndarray:
     """Values of the rows; ``+inf`` on those with an entry below 0 if the domain is sign-bounded."""
-    return _inf_outside(entropy.value_rows, rows, ~(entropy.domain.nonnegative & (rows < 0.0)).any(axis=1))
+    return _inf_outside(entropy.value_rows, rows, ~_any(entropy.domain.nonnegative & (rows < 0.0)))
 
 
 def _fd_steps(entropy, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Mask of the directions an FD estimate at ``v`` may step along: ``v + FD_STEP * d`` lies in
     the entropy's domain K and, if K is sign-bounded, has no entry below 0."""
     dom, stepped = entropy.domain, v + FD_STEP * directions
-    return dom.contains_rows(stepped) & ~(dom.nonnegative & (stepped < 0.0)).any(axis=1)
+    return dom.contains_rows(stepped) & ~_any(dom.nonnegative & (stepped < 0.0))
 
 
 def _fd_estimates(entropy, v: np.ndarray, p_rows: np.ndarray) -> np.ndarray:

@@ -235,11 +235,13 @@ def _first_min(values: np.ndarray) -> tuple[int, float]:
 # Batches of fewer terms go to the math.fsum loop: on a 2-core Xeon (CPython
 # 3.11, numpy 2.4) the arrays cost 24 us a batch of 3-atom rows and 35-40 us
 # on longer rows, the loop 0.075 us a term on 3 atoms, 0.035 us on 20: they
-# cross at about 300 terms on 3 atoms, 750 on 5 and 1,100 on 20.
+# cross at about 300 terms on 3 atoms, 750 on 5 and 1,100 on 20.  Nor does reduce_rows fold
+# a smaller batch: on 3 atoms its max beats reduce(axis=1) from about 32 rows, its all from 100.
 _MIN_ARRAY_TERMS = 512
 # Rows of at most this many atoms are summed by cascades down the columns,
 # longer rows by extraction: on the same host the two cost the same at 7
-# atoms in batches of 3,000 terms, 8 in 12,000 and about 12 in 48,000.
+# atoms in batches of 3,000 terms, 8 in 12,000 and about 12 in 48,000.  On
+# 250 rows reduce_rows' all ties reduce(axis=1) at 8 atoms and loses at 12.
 _CASCADE_ATOMS = 8
 # Longer rows run in blocks of whole rows of at most this many terms (one row
 # if it is longer), whose scratch array stays in cache: on the same host a
@@ -250,6 +252,17 @@ _BLOCK_TERMS = 2 ** 15
 # of |terms| is outside this range, and rows with NaN or an infinity go to
 # math.fsum: inside, nothing overflows and extraction is exact.
 _SAFE_LOW, _SAFE_HIGH = 2.0 ** -900, 2.0 ** 900
+
+
+def reduce_rows(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(rows, axis=1)`` as a new array, for a ``ufunc`` no order changes (not ``add``):
+    batches of ``_MIN_ARRAY_TERMS`` terms or more, rows of up to ``_CASCADE_ATOMS`` atoms, fold by column."""
+    if not (rows.shape[1] <= _CASCADE_ATOMS and rows.size >= _MIN_ARRAY_TERMS):
+        return ufunc.reduce(rows, axis=1)
+    out = ufunc(rows[:, 0], rows[:, -1])  # one atom: the column with itself, a copy
+    for column in rows.T[1:-1]:
+        ufunc(out, column, out=out)
+    return out
 
 
 def _two_sum(a, b):
@@ -310,8 +323,9 @@ def exact_row_sums(terms: np.ndarray) -> tuple[np.ndarray, list[int]]:
     ``|delta| <= bound``, and ``s = fl(t1 + t2)`` is that sum rounded once: at
     once where ``bound`` is 0, ties included; else if TwoSum's ``t1 + t2 - s``
     and ``bound`` together stay below half the float gap at ``s`` on the side
-    the remainder lies on.  Other rows, zero sums (``math.fsum`` gives their
-    sign), and smaller batches go to ``math.fsum``.
+    the remainder lies on (a zero sum only at ``bound`` 0, as ``+0.0``).  Once
+    every row is certified the sums return; other rows and smaller batches go
+    to ``math.fsum``.
     """
     sums = None
     if terms.size >= _MIN_ARRAY_TERMS:
@@ -325,16 +339,18 @@ def exact_row_sums(terms: np.ndarray) -> tuple[np.ndarray, list[int]]:
                 block = terms[start:start + rows]
                 parts[:, start:start + len(block)] = _extracted_sums(block, q[:len(block)])
             t1, t2, bound = parts
-        sums = t1 + t2
-        certified = np.isfinite(sums) & (sums != 0.0)
-        check = np.flatnonzero(certified & (bound != 0.0))
-        if check.size:
+        sums = t1 + t2  # at bound 0 a zero is +0.0, as in math.fsum: no TwoSum error is -0.0
+        certified = np.isfinite(sums)
+        if bound.any():
+            check = np.flatnonzero(certified & (bound != 0.0))
             s, e = _two_sum(t1[check], t2[check])
             bound = bound[check]
             # past the bound the remainder lies on e's side; else take the smaller gap, toward zero
             side = np.where(np.abs(e) > bound, e, -s)
             gap = np.abs(np.nextafter(s, np.copysign(np.inf, side)) - s)
             certified[check] = gap / 2 - np.abs(e) > bound
+        if certified.all():
+            return sums, []
         left = np.flatnonzero(~certified)
         terms = terms[left]
     exact, bad = [], []

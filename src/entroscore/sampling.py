@@ -63,15 +63,16 @@ def density_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> n
 def cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` random positive cone points (Dirichlet direction, log-uniform mass), as rows."""
     low, high = float(np.log(_MASS_LOW)), float(np.log(_MASS_HIGH))
-    log_masses = np.empty(count)
+    unit = np.empty(count)
     gammas = np.empty((count, space.size))
     for k in range(count):  # one mass, then Dirichlet(1)'s gamma(1) = exponential draws, per point
-        log_masses[k] = rng.uniform(low, high)
+        unit[k] = rng.random()
         rng.standard_exponential(out=gammas[k])
     # rng.dirichlet's normalisation: a left-to-right sum, then a product with its reciprocal
     draws = gammas * (1.0 / np.add.accumulate(gammas, axis=1)[:, -1])[:, None]
     directions = require_density_rows(draws / space.weights, space.weights)
-    return directions * np.exp(log_masses)[:, None]
+    # each point's rng.uniform(low, high) as numpy computes it, low + (high - low) * rng.random()
+    return directions * np.exp(low + (high - low) * unit)[:, None]
 
 
 def box_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 from .entropies import Entropy
 from .errors import DomainError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, _first_min, _require_same_space,
-                      counted_among, normalize_rows, pair_rows, quiet_floats, report_dict, require_float_range)
+                      counted_among, normalize_rows, pair_rows, quiet_floats, reduce_rows, report_dict,
+                      require_float_range)
 from .sampling import _seeded, cone_rows, density_rows
 
 __all__ = [
@@ -191,7 +192,7 @@ def verify_propriety(
     unfavorable = np.isnan(margins) | (margins == -math.inf)
     favorable = margins == math.inf
     finite = ~unfavorable & ~favorable
-    separation = np.max(np.abs(p_rows - q_rows), axis=1)
+    separation = reduce_rows(np.maximum, np.abs(p_rows - q_rows))
     strict_violations = int(np.count_nonzero(
         finite & (separation > STRICT_SEPARATION) & (margins < STRICT_MARGIN)))
     inf_unfavorable = int(np.count_nonzero(unfavorable))

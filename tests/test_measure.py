@@ -38,6 +38,7 @@ from entroscore import (
     score_divergence,
     score_divergence_rows,
     subdifferential_probe,
+    symmetry_defect,
 )
 
 from conftest import entropy_from_spec, ref_call, ref_pair, rule_from_spec, unit_space
@@ -361,6 +362,16 @@ class TestExactRowSums:
         assert rejected == [i - 1 for i in bad]
         assert _bits(sums) == _bits(expected)
 
+    def test_zero_float_sums_are_exact_only_without_an_error_bound(self):
+        # both rows' cascades sum to 0; the first row's errors sum exactly (bound 0) and it sums
+        # to +0.0, the second's round off 2^-110 (bound 2^-109), which only math.fsum finds
+        rows = np.array([[1.0, 2.0 ** -53, -1.0, 0.0, -2.0 ** -53],
+                         [1.0, 2.0 ** -53, -1.0, 2.0 ** -110, -2.0 ** -53]])
+        terms = np.tile(rows, (measure._MIN_ARRAY_TERMS // 5, 1))
+        sums, rejected = measure.exact_row_sums(terms)
+        assert rejected == [] and _bits(sums[:2]) == _bits([0.0, 2.0 ** -110])
+        assert _bits(sums) == _bits(_fsum_oracle(terms)[0])
+
     def test_wide_batch_peaks_below_its_own_size(self):
         # the kernel's scratch is one block, reused: no temporary of the batch's size
         terms = np.random.default_rng(6).random((400, 500))
@@ -389,7 +400,8 @@ class TestExactRowSums:
 
     def test_workload_shaped_batches_need_no_fallback(self, monkeypatch):
         # 400 x 500 weighted with half the atoms of each row zero, 1500 x 5, and verify's
-        # batches: 1000 densities on 3 atoms weighted in [0.5, 2], and its cone points
+        # batches: 1000 densities on 3 atoms weighted in [0.5, 2], its cone points, and
+        # quadratic's third differences, many of which sum to exactly zero
         rng = np.random.default_rng(8)
         weights = rng.uniform(0.25, 4.0, size=500)
         wide = np.zeros((400, 500))
@@ -404,6 +416,7 @@ class TestExactRowSums:
         scored = [(q, w, cone, [rule_from_spec(spec, MeasureSpace(w)).score_rows(q) for spec in specs])
                   for q, w, cone in batches]
         pseudospherical = entropy_from_spec("pseudospherical(3)", MeasureSpace(weights))
+        quadratic = entropy_from_spec("quadratic", narrow)
 
         def fell_back(row):
             raise AssertionError("a row fell back to math.fsum")
@@ -417,6 +430,12 @@ class TestExactRowSums:
                 if cone is not None:
                     pair_rows(cone, f, w)
         pseudospherical.value_rows(wide)  # its power sums run on the same kernel
+        symmetry_defect(quadratic, samples=500)
+
+    def test_math_fsum_gives_exact_zero_sums_a_clear_sign_bit(self):
+        # exact_row_sums certifies an exact zero sum as +0.0 without calling math.fsum
+        for terms in ([-0.0, -0.0], [0.45, -0.45], [1e300, -1e300, -0.0]):
+            assert math.copysign(1.0, math.fsum(terms)) == 1.0, terms
 
 
 def test_a_measure_space_refuses_weights_that_are_not_a_vector():
