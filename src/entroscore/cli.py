@@ -46,10 +46,9 @@ from .entropies import catalog_entropy, catalog_symmetric, parse_rule_spec
 from .errors import ConstructionError, EntroscoreError
 from .geometry import ConvexDomainSpec, subdifferential_probe
 from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
-from .measure import (MeasureSpace, fsum_rows, pair_rows, quiet_floats, require_density_rows,
-                      require_float_range)
+from .measure import MeasureSpace, fsum_rows, pair_rows, require_density_rows, require_float_range
 from .sampling import _shared_draws
-from .scoring import linear_score, make_psr, verify_euler, verify_propriety
+from .scoring import linear_score, make_psr, score_divergence_rows, verify_euler, verify_propriety
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -350,16 +349,8 @@ def cmd_score(args) -> int:
 # -- divergence ----------------------------------------------------------------
 
 # Terms per block of divergence cells: enough to reach the array row sums,
-# few enough that the repeated p rows and tiled q scores stay small.
+# few enough that a block's (rows x q rows x atoms) product stays small.
 _DIVERGENCE_BLOCK_TERMS = 2 ** 16
-
-
-@quiet_floats
-def _divergence_cells(p_rows, self_pairs, q_scores, weights) -> np.ndarray:
-    """Each ``pair(p, S(p)) - pair(p, S(q))``, p-major; exact row sums, so no blocking moves a bit."""
-    m = len(q_scores)
-    return np.repeat(self_pairs, m) - pair_rows(np.repeat(p_rows, m, axis=0),
-                                                np.tile(q_scores, (len(p_rows), 1)), weights)
 
 
 def cmd_divergence(args) -> int:
@@ -377,15 +368,14 @@ def cmd_divergence(args) -> int:
     for spec, rule in rules:
         with _rows_of(args.p_file):
             p_scores = rule.score_rows(left)
-        self_pairs = pair_rows(left, p_scores, space.weights)
         with _rows_of(args.q_file):
             q_scores = rule.score_rows(right)
         label = _csv_line([spec])[:-1]  # the spec as csv.writer quotes it
-        for start in range(0, len(left), block):
+        for start in range(0, len(left), block):  # exact row sums: no blocking moves a bit
             stop = min(start + block, len(left))
-            cells = _divergence_cells(left[start:stop], self_pairs[start:stop], q_scores, space.weights)
-            lines += _table_lines([f"{label},p{i + 1}," for i in range(start, stop)],
-                                  cells.reshape(stop - start, -1))
+            cells = score_divergence_rows(left[start:stop, None], p_scores[start:stop, None], q_scores,
+                                          space.weights)
+            lines += _table_lines([f"{label},p{i + 1}," for i in range(start, stop)], cells)
     _write_text("".join(lines), args.out)
     return EXIT_OK
 

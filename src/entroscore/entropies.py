@@ -36,6 +36,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -133,6 +134,11 @@ def _zero_safe(ufunc, q: np.ndarray, *args) -> np.ndarray:
 _pow, _log = partial(_zero_safe, np.power), partial(_zero_safe, np.log)
 
 
+def _libm(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(x, *args)`` of each element ``x`` through Python floats: libm's bits, not numpy's SIMD ones."""
+    return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, values.size)
+
+
 def _quadratic(name: str, space: MeasureSpace) -> Entropy:
     w = space.weights
 
@@ -203,16 +209,15 @@ def _shannon(name: str, space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
-        # 0 log 0 := 0; libm log per element, as numpy's SIMD log can differ in the last bit
-        charged = q != 0.0
+        charged = q != 0.0  # 0 log 0 := 0
         logs = np.zeros(q.shape)
-        logs[charged] = np.fromiter(map(math.log, q[charged].tolist()), float)
+        logs[charged] = _libm(math.log, q[charged])
         return fsum_rows(np.where(charged, _times(q * logs, w), 0.0))
 
     def value_grad_rows(q: np.ndarray) -> tuple:
         if (q <= 0.0).any():
             raise DomainError("shannon subgradient does not exist at boundary points (zero atoms)")
-        return value_rows(q), np.log(q) + 1.0
+        return value_rows(q), _log(q) + 1.0
 
     return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
                    closed_form_rows=_log)  # the logarithmic score, -inf at zero atoms
@@ -226,14 +231,13 @@ def _pseudospherical(name: str, space: MeasureSpace, gamma: float) -> Entropy:
 
     def value_rows(q: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
         _, top, total = scaled or _scaled(q, powers)
-        # Python float pow: numpy's array pow can differ in the last bit
-        return np.array([t * s ** (1.0 / gamma) for t, s in zip(top.tolist(), total.tolist())], dtype=float)
+        return top * _libm(pow, total, 1.0 / gamma)
 
     def value_grad_rows(q: np.ndarray) -> tuple:
         v, _, total = scaled = _scaled(q, powers)
         if (total <= 0.0).any():
             raise DomainError("pseudospherical subgradient is undefined at the origin")
-        norm = np.array([s ** ((gamma - 1.0) / gamma) for s in total.tolist()], dtype=float)
+        norm = _libm(pow, total, (gamma - 1.0) / gamma)
         grad = _pow(v, gamma - 1.0)
         grad /= norm[:, None]
         return value_rows(q, scaled), grad

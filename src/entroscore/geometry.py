@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .measure import (ConeVector, DualVector, FloatRangeError, MeasureSpace, _first_min, _require_same_space,
                       pair_rows, quiet_floats, reduce_rows, report_dict)
-from .sampling import box_rows, density_rows
+from .sampling import _hull_rows, _normal_rows, box_rows, density_rows
 
 __all__ = [
     "ConvexDomainSpec",
@@ -61,7 +61,7 @@ _MEMBER_TOL = 1e-9  # slack allowed in membership and active-constraint tests
 _INEQ_TOL = 1e-9
 _DERIV_TOL = 1e-6
 FD_STEP = 1e-5
-# subdifferential_probe samples this many points of K and random directions.
+# subdifferential_probe draws this many points of K, then the points behind its random directions.
 _PROBE_POINTS = 200
 _PROBE_DIRECTIONS = 32
 
@@ -142,14 +142,8 @@ class ConvexDomainSpec:
         facets = _cone_facets(g)
         # the span complement of the generators pins the cone
         comp = _null_space_basis(g, space.size)
-
-        def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-            # one e @ g product per row: E @ g rounds differently
-            weights = rng.exponential(1.0, size=(count, g.shape[0]))
-            return np.array([e @ g for e in weights]).reshape(count, space.size)
-
         return cls("cone_hull_of_points", space, False, (facets, np.zeros(facets.shape[0])),
-                   (comp.T, np.zeros(comp.shape[1])), draw)
+                   (comp.T, np.zeros(comp.shape[1])), partial(_hull_rows, g))
 
     @classmethod
     def halfspace_intersection(cls, space: MeasureSpace, normals, offsets) -> "ConvexDomainSpec":
@@ -157,7 +151,7 @@ class ConvexDomainSpec:
         b = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a.size == 0:  # the whole space: no LP, Gaussian samples
             return cls("halfspace_intersection", space, False, _no_rows(space.size), _no_rows(space.size),
-                       lambda rng, count: rng.normal(0.0, 1.0, size=(count, space.size)))
+                       partial(_normal_rows, space))
         if a.shape[1] != space.size or a.shape[0] != b.size:
             raise ConstructionError("half-space rows do not match the space size")
         return cls("halfspace_intersection", space, False, (a, b),
@@ -360,21 +354,22 @@ def _structured_points(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
 
 
 def _feasible_probe_directions(domain: ConvexDomainSpec, v: np.ndarray, points: np.ndarray,
-                               lineality: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Coordinate, point, lineality and sampled directions at q that stay in K, as rows."""
+                               lineality: np.ndarray, sampled: np.ndarray) -> np.ndarray:
+    """Coordinate, point, lineality and ``sampled`` point directions at q that stay in K, as rows."""
     def moving(rows: np.ndarray) -> np.ndarray:
         offsets = rows - v
         return offsets[reduce_rows(np.maximum, np.abs(offsets)) > 1e-12]
 
     directions = np.vstack([_signed(np.eye(v.size)), moving(points[: 4 * v.size]),
-                            _signed(lineality), moving(domain.draw(rng, _PROBE_DIRECTIONS))])
+                            _signed(lineality), moving(sampled)])
     return directions[_feasible_rows(domain, v, directions)]
 
 
 def _inf_outside(fn: Callable, rows: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """``fn`` of the ``defined`` rows in one call, ``+inf`` on the rest."""
+    """``fn`` of the ``defined`` rows in one call, ``+inf`` on the rest (no call if none is defined)."""
     out = np.full(len(rows), np.inf)
-    out[defined] = fn(rows[defined])
+    if defined.any():
+        out[defined] = fn(rows[defined])
     return out
 
 
@@ -384,10 +379,10 @@ def _values(entropy, rows: np.ndarray) -> np.ndarray:
 
 
 def _fd_steps(entropy, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Mask of the directions an FD estimate at ``v`` may step along: ``v + FD_STEP * d`` lies in
-    the entropy's domain K and, if K is sign-bounded, has no entry below 0."""
+    """Mask of the directions an FD estimate at ``v`` may step along: ``v`` and ``v + FD_STEP * d``
+    lie in the entropy's domain K and, if K is sign-bounded, the step has no entry below 0."""
     dom, stepped = entropy.domain, v + FD_STEP * directions
-    return dom.contains_rows(stepped) & ~_any(dom.nonnegative & (stepped < 0.0))
+    return dom.contains_rows(v[None]) & dom.contains_rows(stepped) & ~_any(dom.nonnegative & (stepped < 0.0))
 
 
 def _fd_estimates(entropy, v: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
@@ -425,11 +420,8 @@ def directional_derivative_fd(entropy, q: ConeVector, p: ConeVector) -> float:
     return float(directional_derivative_fd_rows(entropy, q, p.values[None])[0])
 
 
-def _slopes(entropy, v: np.ndarray, directions: np.ndarray, base_in_domain: bool) -> np.ndarray:
-    """FD right derivatives at ``v``, ``+inf`` along the directions the estimate refuses: all if
-    ``v`` is outside the entropy's domain, else those :func:`_fd_steps` refuses."""
-    if not base_in_domain:
-        return np.full(len(directions), np.inf)
+def _slopes(entropy, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """FD right derivatives at ``v``, ``+inf`` along the directions :func:`_fd_steps` refuses."""
     return _inf_outside(partial(_fd_estimates, entropy, v), directions, _fd_steps(entropy, v, directions))
 
 
@@ -488,14 +480,13 @@ def subdifferential_probe(
         base_value = np.inf
     if not np.isfinite(base_value):
         raise DomainError("the entropy has no finite value at the probe base point")
-    rng = np.random.default_rng(seed)
     lineality = _lineality_rows(domain, v)
-    in_domain = bool(entropy.domain.contains_rows(v[None])[0])  # the FD estimate's own base check
-    points = np.vstack([_structured_points(domain, v), domain.draw(rng, _PROBE_POINTS)])
-    directions = _feasible_probe_directions(domain, v, points, lineality, rng)
+    drawn = domain.draw(np.random.default_rng(seed), _PROBE_POINTS + _PROBE_DIRECTIONS)
+    points = np.vstack([_structured_points(domain, v), drawn[:_PROBE_POINTS]])
+    directions = _feasible_probe_directions(domain, v, points, lineality, drawn[_PROBE_POINTS:])
     try:  # the sums' own errors name rows of batches that the caller never sees
         values = _values(entropy, points)
-        right_slopes = _slopes(entropy, v, directions, in_domain)
+        right_slopes = _slopes(entropy, v, directions)
 
         verified: list[DualVector] = []
         rejected: list[RejectedCandidate] = []
@@ -516,7 +507,7 @@ def subdifferential_probe(
         unique = bool(verified) and len(lineality) == domain.affine_hull_dimension()
         if unique:
             two_sided = _signed(lineality)
-            both_slopes = _slopes(entropy, v, two_sided, in_domain)
+            both_slopes = _slopes(entropy, v, two_sided)
             unique = bool(np.isfinite(both_slopes).all()) and not any(
                 (np.abs(pair_rows(two_sided, f.values, w) - both_slopes) > _DERIV_TOL).any()
                 for f in verified)

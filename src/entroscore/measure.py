@@ -367,15 +367,15 @@ def exact_row_sums(terms: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def fsum_rows(terms: np.ndarray) -> np.ndarray:
-    """Exact sum of each row, rounded once (the bits of ``math.fsum``).
+    """Exact sum of each row along the last axis, rounded once (the bits of ``math.fsum``).
 
-    :class:`FloatRangeError` names the rows whose finite terms sum past the
-    float range or that add opposing infinities.
+    :class:`FloatRangeError` names the rows, by their flattened leading index,
+    whose finite terms sum past the float range or that add opposing infinities.
     """
-    sums, bad = exact_row_sums(terms)
+    sums, bad = exact_row_sums(terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1]))
     if bad:
         raise FloatRangeError("sums", bad)
-    return sums
+    return sums.reshape(terms.shape[:-1])
 
 
 def _times(terms: np.ndarray, factor) -> np.ndarray:
@@ -385,21 +385,23 @@ def _times(terms: np.ndarray, factor) -> np.ndarray:
 
 @quiet_floats
 def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise pairing ``sum_i q_i f_i mu_i`` of broadcastable (m, n) arrays.
+    """Row-wise pairing ``sum_i q_i f_i mu_i`` of broadcastable arrays of any leading shape,
+    rows of atoms on the last axis: ``(b, 1, n)`` against ``(m, n)`` gives a ``(b, m)`` table.
 
     Rows whose terms ``(q f) mu`` are all finite sum them exactly.  On the
     others atoms where ``q_i mu_i = 0`` contribute nothing (0 * inf := 0 on
     sets of measure zero), the rest ``(q mu) f``: an infinite term makes the
-    signed infinity, opposing infinities NaN.
+    signed infinity, opposing infinities NaN.  A :class:`FloatRangeError`
+    names rows of the flattened leading index.
     """
     terms = _times(q_rows * f_rows, weights)
     if np.isfinite(terms).all():  # a whole-array test first: per-row masks only when it fails
         return fsum_rows(terms)
     base = q_rows * weights
-    infinite = ~np.isfinite(terms).all(axis=1)[:, None]
+    infinite = ~np.isfinite(terms).all(axis=-1)[..., None]
     np.multiply(base, f_rows, out=terms, where=infinite)
     np.copyto(terms, 0.0, where=infinite & (base == 0.0))
-    charged = np.isinf(terms).any(axis=1)
+    charged = np.isinf(terms).any(axis=-1)
     signed = np.where(np.isinf(terms[charged]), terms[charged], 0.0).sum(axis=1)
     terms[charged] = 0.0
     sums = fsum_rows(terms)

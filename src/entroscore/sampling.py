@@ -1,10 +1,10 @@
-"""Seeded random points on the simplex and the positive cone.
+"""Seeded random points: every draw the package makes, ``geometry``'s domains' included.
 
 Shared by the verification loops: densities are Dirichlet(1,...,1) draws
 (mapped through the atom weights so the weighted mass is 1), cone points are
 densities scaled by a log-uniform mass.  The ``*_rows`` samplers make the
-same bit-generator draws, in the same order, as that many one-point draws, and
-return the points as rows.
+same bit-generator draws, in the same order, as that many one-point draws
+(so ``k`` rows then ``l`` are ``k + l`` rows in one draw), and return rows.
 
 Each suite seeds a generator of its own, so rules that share ``seed`` and
 ``samples`` are checked on the same points; one ``verify`` command draws them
@@ -78,6 +78,18 @@ def cone_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.n
 def box_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` componentwise uniform points in [0.05, 2), as rows."""
     return rng.uniform(_BOX_LOW, _BOX_HIGH, size=(count, space.size))
+
+
+def _hull_rows(generators: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` points of the generators' conical hull: one ``e @ generators`` per exponential
+    row ``e``, since one matrix product of all rows rounds differently."""
+    weights = rng.exponential(1.0, size=(count, generators.shape[0]))
+    return np.array([e @ generators for e in weights]).reshape(count, generators.shape[1])
+
+
+def _normal_rows(space: MeasureSpace, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` standard normal points of the whole space, as rows."""
+    return rng.normal(0.0, 1.0, size=(count, space.size))
 
 
 def sample_density(space: MeasureSpace, rng: np.random.Generator) -> Density:

@@ -132,8 +132,9 @@ def score_divergence_rows(p_rows: np.ndarray, p_scores: np.ndarray, q_scores: np
     """Score divergence ``pair(p, S(p)) - pair(p, S(q))`` by row, from score rows.
 
     Nonnegative for proper rules; +inf when the reported density earns an
-    infinite penalty under p.  The arrays broadcast, so one p row can meet
-    many q rows.
+    infinite penalty under p.  The arrays broadcast over any leading shape:
+    ``(b, 1, n)`` p rows and scores against ``(m, n)`` q scores give the
+    ``(b, m)`` table of every pair.
     """
     return pair_rows(p_rows, p_scores, weights) - pair_rows(p_rows, q_scores, weights)
 

@@ -246,7 +246,7 @@ class TestDivergenceCommand:
         assert payload.decode().splitlines()[1].split(",")[2] == "inf"
         # numpy cells render as Python float reprs, -0.0 as 0.0
         cells = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1])
-        monkeypatch.setattr(cli, "_divergence_cells", lambda *args: cells)
+        monkeypatch.setattr(cli, "score_divergence_rows", lambda *args: cells[None])
         code, payload = run(tmp_path, "divergence", str(p), str(q), "--rules", "shannon")
         assert code == 0
         assert payload.decode().splitlines()[1].split(",")[2:] == [

@@ -1,5 +1,6 @@
 """Direction cones, lineality spaces, quasi-interior, and subgradient probes."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -602,6 +603,36 @@ class TestHalfspaceGeometry:
         K = ConvexDomainSpec.halfspace_intersection(sp, [[1.0, 1.0]], [1.0])
         with pytest.raises(DomainError):
             K.draw(np.random.default_rng(0), 1)
+
+
+_HULL = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.25, 3.0]]
+_DRAWN_DOMAINS = {"simplex": ConvexDomainSpec.simplex, "orthant": ConvexDomainSpec.nonnegative_orthant,
+                  "whole_space": ConvexDomainSpec.whole_space,
+                  "cone_hull": lambda sp: ConvexDomainSpec.cone_hull(sp, _HULL)}
+
+
+class TestDraws:
+    @pytest.mark.parametrize("kind", sorted(_DRAWN_DOMAINS))
+    def test_the_probe_draws_one_stream(self, kind):
+        # the probe's points and then its direction points are one draw of both counts
+        K = _DRAWN_DOMAINS[kind](MeasureSpace([0.5, 1.0, 2.0]))
+        points, directions = geometry._PROBE_POINTS, geometry._PROBE_DIRECTIONS
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            apart = np.vstack([K.draw(rng, points), K.draw(rng, directions)])
+            together = K.draw(np.random.default_rng(seed), points + directions)
+            assert np.array_equal(apart.view(np.int64), together.view(np.int64))
+
+    @pytest.mark.parametrize("kind, digests", [
+        ("cone_hull", ["09cdd90bc16076c4", "45d44f7ad62779f5", "25d0ce97aa1e2c3c"]),
+        ("whole_space", ["9c815f9a43da429e", "56007edf33de4bd4", "93f0f7877ff38d93"]),
+    ])
+    def test_draws_keep_their_bits(self, kind, digests):
+        # sha256 prefixes of 232 rows at seeds 0-2, as drawn before sampling made these draws
+        K = _DRAWN_DOMAINS[kind](MeasureSpace([0.5, 1.0, 2.0]))
+        got = [hashlib.sha256(K.draw(np.random.default_rng(seed), 232).tobytes()).hexdigest()[:16]
+               for seed in range(3)]
+        assert got == digests
 
 
 class TestConeHullGeometry:

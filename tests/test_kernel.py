@@ -20,6 +20,7 @@ import contextlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from entroscore import (
     pair_rows,
     rebase_entropy,
     sampling,
+    score_divergence_rows,
     subdifferential_probe,
     symmetry_defect,
     verify_euler,
@@ -152,20 +154,32 @@ def density_row(raw: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return raw / math.fsum((raw * weights).tolist())
 
 
-@st.composite
-def problems(draw):
-    n = draw(st.integers(1, 64))
-    weights = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)))
-    rows = []
-    for _ in range(draw(st.integers(1, 3))):
-        atom = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # zero atoms are common
+def draw_weights(draw, max_atoms: int) -> np.ndarray:
+    """Atom weights log-uniform in [1e-8, 1e8]."""
+    n = draw(st.integers(1, max_atoms))
+    return 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)))
+
+
+def draw_densities(draw, weights: np.ndarray, count: int, zero_atoms: bool = True) -> np.ndarray:
+    n, rows = weights.size, []
+    for _ in range(count):
+        # zero atoms are common, unless left out: then no atom underflows to 0 when divided by the mass
+        atom = st.one_of(st.just(0.0), st.floats(0.0, 1.0)) if zero_atoms else st.floats(1e-300, 1.0)
         raw = np.array(draw(st.lists(atom, min_size=n, max_size=n)))
         if not math.fsum((raw * weights).tolist()) > 1e-300:  # a density needs positive mass
             raw[draw(st.integers(0, n - 1))] = 1.0
         rows.append(density_row(raw, weights))
-    gamma = draw(st.one_of(st.floats(1.0, 1.0 + 1e-6, exclude_min=True),
-                           st.floats(1.0, 50.0, exclude_min=True)))
-    return MeasureSpace(weights), np.array(rows), gamma, draw(st.integers(0, 2**32 - 1))
+    return np.array(rows)
+
+
+GAMMAS = st.one_of(st.floats(1.0, 1.0 + 1e-6, exclude_min=True), st.floats(1.0, 50.0, exclude_min=True))
+
+
+@st.composite
+def problems(draw):
+    weights = draw_weights(draw, 64)
+    rows = draw_densities(draw, weights, draw(st.integers(1, 3)))
+    return MeasureSpace(weights), rows, draw(GAMMAS), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,6 +209,89 @@ def test_rows_match_at_ten_thousand_atoms():
 
 def same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
     return actual.shape == expected.shape and np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+@st.composite
+def broadcast_pairings(draw):
+    """Weights, density rows ``P`` with zero atoms, and rows ``F`` of every float class."""
+    weights = draw_weights(draw, 40)
+    p_rows = draw_densities(draw, weights, draw(st.integers(1, 4)))
+    top = sys.float_info.max
+    entry = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, top, -top]),
+                      st.floats(-2.0 ** -1022, 2.0 ** -1022, exclude_min=True, exclude_max=True),  # subnormals
+                      st.floats(-1e6, 1e6), st.floats(-top, top))
+    return weights, p_rows, draw(arrays(float, (draw(st.integers(1, 8)), weights.size), elements=entry))
+
+
+_WIDE_F = np.random.default_rng(3).normal(size=(8, 64)) * 10.0 ** np.arange(-8, 8, 0.25)
+_WIDE_F[2, 5], _WIDE_F[5, 9:11] = math.inf, (math.inf, -math.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(broadcast_pairings())
+# 2,048 terms of 64 atoms: the array sums, with infinite and opposing terms
+@example((np.ones(64), np.vstack([np.full(64, 1 / 64), np.eye(64)[:3]]), _WIDE_F))
+# finite terms summing past the float range, and NaN, on some rows of some blocks only
+@example((np.ones(2), np.array([[0.5, 0.5], [1.0, 0.0]]),
+          np.array([[sys.float_info.max, sys.float_info.max], [1.0, math.nan], [0.0, 1.0]])))
+def test_broadcast_pairing_matches_row_by_row_calls(case):
+    # pair_rows(P[:, None], F) is the (b, m) table of one (m, n) call per row of P, bit for bit,
+    # and a FloatRangeError names the rows p-major: i * m + j
+    weights, p_rows, f_rows = case
+    m = len(f_rows)
+    one_row = [kernel_call(pair_rows, p[None], f_rows, weights) for p in p_rows]
+    table = kernel_call(pair_rows, p_rows[:, None], f_rows, weights)
+    if any(isinstance(row, Exception) for row in one_row):
+        assert isinstance(table, measure.FloatRangeError)
+        assert all(isinstance(row, measure.FloatRangeError) for row in one_row if isinstance(row, Exception))
+        assert table.rows == [i * m + j for i, row in enumerate(one_row) if isinstance(row, Exception)
+                              for j in row.rows]
+    else:
+        assert not isinstance(table, Exception), table
+        assert same_bits(table, np.array(one_row))
+
+
+@st.composite
+def divergence_tables(draw):
+    weights = draw_weights(draw, 20)
+    p_rows = draw_densities(draw, weights, draw(st.integers(1, 8)))
+    m = draw(st.integers(1, 8))
+    q_rows = draw_densities(draw, weights, m)
+    positive_q_rows = draw_densities(draw, weights, m, zero_atoms=False)
+    return MeasureSpace(weights), p_rows, q_rows, positive_q_rows, draw(GAMMAS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(divergence_tables())
+@example((MeasureSpace([1e-8, 1.0, 1e8]), np.array([[1e8, 0.0, 0.0], [0.0, 0.5, 5e-9]]),
+          np.array([[0.0, 1.0, 0.0], [1e8, 0.0, 0.0]]), np.array([[2e7, 0.4, 4e-9], [5e7, 0.1, 4e-9]]), 3.0))
+# G(q) = 2.3e6 for the point mass on the light atom: both sides cancel it, and they differ by 1.6e-10
+# where D(p, q) = 0.12
+@example((MeasureSpace([1e-7, 1.0, 1.0, 10.0]), np.array([[1e7, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.1]]),
+          np.array([[1e7, 0.0, 0.0, 0.0]]), np.array([[1e6, 0.3, 0.3, 0.03]]), 11.0))
+def test_score_divergence_tables_are_bregman_divergences(case):
+    # the paper's identity: D_S(p, q) = pair(p, S(p)) - pair(p, S(q)) is the Bregman divergence of the
+    # entropy, for every cell of the divergence command's table, up to rounding at the scale of the
+    # summands: the two pairings, and G(q), which the Bregman side subtracts and each side cancels;
+    # shannon's q rows charge every atom, since the Bregman side has no subgradient at a zero atom
+    space, p_rows, q_rows, positive_q_rows, gamma = case
+    w = space.weights
+    b, m = len(p_rows), len(q_rows)
+    for name, g in (("quadratic", None), ("spherical", None), ("shannon", None), ("power", 1.5),
+                    ("power", 3.0), ("pseudospherical", 3.0), ("power", gamma), ("pseudospherical", gamma)):
+        entropy = catalog_entropy(name, space, gamma=g)
+        rule, q = make_psr(entropy), positive_q_rows if name == "shannon" else q_rows
+        try:
+            p_scores, q_scores = rule.score_rows(p_rows)[:, None], rule.score_rows(q)
+            table = score_divergence_rows(p_rows[:, None], p_scores, q_scores, w)
+            bregman = bregman_divergence_rows(entropy, np.repeat(p_rows, m, axis=0), np.tile(q, (b, 1)))
+            scale = (1.0 + np.abs(pair_rows(p_rows[:, None], p_scores, w))
+                     + np.abs(pair_rows(p_rows[:, None], q_scores, w)) + np.abs(entropy.value_rows(q)))
+        except EntroscoreError:  # a typed refusal, e.g. power(50)'s scores past the float range
+            continue
+        finite = np.isfinite(table)
+        gap = np.abs(table[finite] - bregman.reshape(b, m)[finite])
+        assert (gap <= 1e-10 * scale[finite]).all(), (name, g, gap.max())
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,8 @@
 """The package surface: each module's ``__all__`` is the one list of its public names; no
 module imports a name it does not use, the modules import one another one way only, only
 ``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``,
-geometry and scoring reduce rows through ``measure.reduce_rows``, and each catalog entropy is
-named once, in the catalog table."""
+geometry and scoring reduce rows through ``measure.reduce_rows``, only ``sampling`` draws from a
+generator, and each catalog entropy is named once, in the catalog table."""
 
 import ast
 import re
@@ -171,6 +171,20 @@ def test_row_reductions_in_the_sampled_checks_go_through_reduce_rows():
     found = [owner for owner, node in _owned_nodes()
              if owner.startswith(("geometry.py:", "scoring.py:")) and isinstance(node, ast.Call)
              and _row_axis(node) in ("1", "-1")]
+    assert found == []
+
+
+def test_only_sampling_draws_from_a_generator():
+    # sampling makes every seeded draw: no other module calls a Generator method (np.power and
+    # math.gamma are not draws), and np.random gives nothing but default_rng
+    methods = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    found = []
+    for module, tree in _module_trees().items():
+        calls = [node.func for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and module != "sampling.py"]
+        found += [f"{module}:{func.lineno}: {ast.unparse(func)}" for func in calls
+                  if (owner := ast.unparse(func.value)) == "np.random" and func.attr != "default_rng"
+                  or owner not in ("np", "math", "np.random") and func.attr in methods]
     assert found == []
 
 
