@@ -405,7 +405,7 @@ def _weights_file(path: str) -> list[float]:
 
 def _probe_settings(values: dict) -> dict:
     """A probe's keys over their defaults; ValueError if it has no candidates or no expected verdict."""
-    probe = {"entropy": "", "gamma": None, "domain": "orthant", "point": [], "candidates": [],
+    probe = {"entropy": "", "domain": "orthant", "point": [], "candidates": [],
              "expect_verified": [], "expect_rejected": [], **values}
     if not probe["candidates"]:
         raise ValueError("no candidates to probe")
@@ -428,7 +428,7 @@ _SECTIONS = {
                                           lambda suites: ", ".join(sorted(set(suites) - set(DEFAULT_SUITES))),
                                           "unknown suites: {flaw}")}, dict),
     "rule": (True, _KNOBS, dict),
-    "probe": (True, {"entropy": str, "gamma": float, "point": _parse_vector,
+    "probe": (True, {"entropy": str, "point": _parse_vector,  # entropy: a rule spec, as in [rule SPEC]
                      "domain": _checked(str, lambda name: name not in _PROBE_DOMAINS, "unknown domain {!r}"),
                      **dict.fromkeys(("candidates", "expect_verified", "expect_rejected"), _parse_vector_list)},
               _probe_settings),
@@ -485,17 +485,15 @@ def load_verify_config(args):
 
 
 def _run_probe(name: str, probe: dict, space: MeasureSpace, seed: int) -> dict:
-    where = f"probe {name!r}"
-    try:
-        entropy = catalog_entropy(probe["entropy"], space, gamma=probe["gamma"])
+    try:  # the probe refuses a point outside its domain
+        entropy_name, gamma = parse_rule_spec(probe["entropy"])
+        entropy = catalog_entropy(entropy_name, space, gamma=gamma)
         domain = _PROBE_DOMAINS[probe["domain"]](space)
         point = space.cone(probe["point"])
         candidates = [space.dual(v) for v in probe["candidates"]]
-        if not domain.contains(point):
-            raise CliError(EXIT_INPUT, f"{where}: point is outside the {probe['domain']} domain")
         report = subdifferential_probe(entropy, domain, point, candidates, seed=seed).as_dict()
     except EntroscoreError as exc:
-        raise CliError(EXIT_INPUT, f"{where}: {exc}") from None
+        raise CliError(EXIT_INPUT, f"probe {name!r}: {exc}") from None
     verified, rejected = report["verified"], [r["candidate"] for r in report["rejected"]]
     report["pass"] = (all(v in verified for v in probe["expect_verified"])
                       and all(v in rejected for v in probe["expect_rejected"]))
@@ -580,33 +578,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_score = sub.add_parser("score", help="score forecast rows against observed outcomes")
+    out = argparse.ArgumentParser(add_help=False)  # the flags of every subcommand that writes
+    out.add_argument("--out", default=None)
+    rules = argparse.ArgumentParser(add_help=False, parents=[out])  # ... and of those that score
+    rules.add_argument("--rules", default=DEFAULT_RULES)
+    rules.add_argument("--weights", default=None, help="comma-separated atom weights")
+
+    p_score = sub.add_parser("score", parents=[rules], help="score forecast rows against observed outcomes")
     p_score.add_argument("forecasts", help="CSV of probability vectors with header p1..pn")
     p_score.add_argument("outcomes", help="CSV of 1-based outcome indices with header 'outcome'")
-    p_score.add_argument("--rules", default=DEFAULT_RULES)
-    p_score.add_argument("--weights", default=None, help="comma-separated atom weights")
-    p_score.add_argument("--out", default=None)
     p_score.set_defaults(func=cmd_score)
 
-    p_div = sub.add_parser("divergence", help="divergence matrix between two density files")
+    p_div = sub.add_parser("divergence", parents=[rules], help="divergence matrix between two density files")
     p_div.add_argument("p_file")
     p_div.add_argument("q_file")
-    p_div.add_argument("--rules", default=DEFAULT_RULES)
-    p_div.add_argument("--weights", default=None)
-    p_div.add_argument("--out", default=None)
     p_div.set_defaults(func=cmd_divergence)
 
-    p_verify = sub.add_parser("verify", help="run propriety/Euler/symmetry suites")
+    p_verify = sub.add_parser("verify", parents=[out], help="run propriety/Euler/symmetry suites")
     p_verify.add_argument("--config", default=None, help="INI config with [rule ...] sections")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_grid = sub.add_parser("grid-score", help="Hyvarinen score of a periodic grid density")
+    p_grid = sub.add_parser("grid-score", parents=[out], help="Hyvarinen score of a periodic grid density")
     p_grid.add_argument("density", help="CSV with one strictly positive value per line")
-    p_grid.add_argument("--out", default=None)
     p_grid.set_defaults(func=cmd_grid_score)
     return parser
 

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroscore import (ASYMMETRIC_WITH_WITNESS, SYMMETRIC_GENERALIZED_QUADRATIC, MeasureSpace,
+from entroscore import (ASYMMETRIC_WITH_WITNESS, SYMMETRIC_GENERALIZED_QUADRATIC, ConvexDomainSpec, MeasureSpace,
                         catalog_entropy, cli, entropies, expected_score, measure, sampling, score_divergence,
-                        score_divergence_rows, symmetry_defect, verify_euler, verify_propriety)
+                        score_divergence_rows, subdifferential_probe, symmetry_defect, verify_euler,
+                        verify_propriety)
 from entroscore.cli import main
 
 from conftest import CATALOG_SPECS, child_env, rule_from_spec
@@ -694,7 +695,7 @@ _PROBE_CONFIG_3 = (
 
 
 @pytest.mark.parametrize("command, text, code", [
-    ("verify", _PROBE_CONFIG + "gamma = abc\npoint = 1,0\ncandidates = 2,0\n", 2),
+    ("verify", _PROBE_CONFIG_3 + "entropy = power(abc)\npoint = 1,1,1\ncandidates = 0,1,1\n", 2),
     ("verify", _PROBE_CONFIG + "point = 1,0,0\ncandidates = 2,0\n", 2),
     ("verify", _PROBE_CONFIG + "point = 1,0\ncandidates = 2,0 ; 2,0,0\n", 2),
     ("verify", _PROBE_CONFIG + "point = nan,0\ncandidates = 2,0\n", 2),
@@ -703,7 +704,7 @@ _PROBE_CONFIG_3 = (
     # admits -1e-10, power does not
     ("verify", _PROBE_CONFIG_3 + "entropy = shannon\ndomain = whole_space\npoint = -1,1,1\n"
      "candidates = 0,1,1\n", 2),
-    ("verify", _PROBE_CONFIG_3 + "entropy = power\ngamma = 1.5\ndomain = orthant\n"
+    ("verify", _PROBE_CONFIG_3 + "entropy = power(1.5)\ndomain = orthant\n"
      "point = -1e-10,1,1\ncandidates = 0,1.5,1.5\n", 2),
     ("verify", "[verify]\nweights = 1,1%\n\n[rule quadratic]\n", 2),
     ("verify", "[verify]\npropriety_tol = nan\n\n[rule quadratic]\n", 2),
@@ -782,6 +783,13 @@ _CONFIG = ["verify", "--config", "FILE"]
     (_CONFIG, "[verify quadratic]\n\n[rule quadratic]\n", 2, "FILE: [verify quadratic]: unknown section"),
     (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING, 2,
      "FILE: [probe p]: no expect_verified or expect_rejected: the probe would pass on nothing"),
+    # a probe names its entropy with a rule spec, as a [rule SPEC] section does; the probe checks its point
+    (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING + "gamma = 1.5\nexpect_rejected = 3,3,3\n", 2,
+     "FILE: [probe p]: unknown keys: gamma"),
+    (_CONFIG, _HEAD + "[probe p]\nentropy = power(abc)\npoint = 1,1,1\ncandidates = 3,3,3\n"
+     "expect_rejected = 3,3,3\n", 2, "probe 'p': bad parameter in rule spec 'power(abc)'"),
+    (_CONFIG, _HEAD + "[probe p]\nentropy = quadratic\npoint = -1,1,1\ncandidates = 3,3,3\n"
+     "expect_rejected = 3,3,3\n", 2, "probe 'p': probe base point is not in the domain"),
     # one section per kind and name, whatever the spacing of its title
     (_CONFIG, "[rule quadratic]\nsamples = 7\n\n[rule  quadratic]\nsamples = 9\n", 2,
      "FILE: [rule  quadratic]: duplicate section"),
@@ -806,7 +814,8 @@ _CONFIG = ["verify", "--config", "FILE"]
         "seed-empty", "rule-samples-0", "unknown-suites", "suites-empty", "weights-file-empty",
         "weights-and-weights-file", "unknown-domain", "probe-without-name", "misspelled-key",
         "capitalised-verify", "rule-unknown-keys", "misspelled-kind", "default-section", "named-verify",
-        "probe-expecting-nothing", "duplicate-rule", "duplicate-verify", "empty-input-path",
+        "probe-expecting-nothing", "probe-gamma-key", "probe-spec-parameter", "probe-point-outside-domain",
+        "duplicate-rule", "duplicate-verify", "empty-input-path",
         "empty-input-paths", "empty-out", "out-a-directory", "out-in-no-directory", "verify-out-in-no-directory",
         "out-below-a-file", "divergence-out-a-directory", "out-before-inputs"])
 def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, text, code, err):
@@ -820,6 +829,40 @@ def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, te
     # an argv with its own --out runs as it is: run() adds an --out that would override it
     assert (main(argv) if "--out" in argv else run(tmp_path, *argv)[0]) == code
     assert capsys.readouterr().err == f"entroscore: {named(err)}\n"
+
+
+def test_a_probe_reads_its_entropy_as_a_rule_spec(tmp_path):
+    # pseudospherical(3) at an interior point: the report is the library probe's, plus its verdict
+    space = MeasureSpace([0.5, 1.0, 2.0])
+    entropy = catalog_entropy("pseudospherical", space, gamma=3.0)
+    point = space.cone([0.3, 1.2, 0.7])
+    gradient = entropy.subgradient(point).values.tolist()
+    other = [gradient[0] + 1.0, *gradient[1:]]
+    verified, rejected = (",".join(map(repr, v)) for v in (gradient, other))
+    config = tmp_path / "probe.ini"
+    config.write_text("[verify]\nseed = 9\nweights = 0.5,1,2\nsuites =\n\n[rule quadratic]\n\n"
+                      "[probe p]\nentropy = pseudospherical(3)\npoint = 0.3,1.2,0.7\n"
+                      f"candidates = {verified} ; {rejected}\nexpect_verified = {verified}\n"
+                      f"expect_rejected = {rejected}\n")
+    code, payload = run(tmp_path, "verify", "--config", str(config))
+    report = json.loads(payload)["probes"]["p"]
+    assert code == 0 and report.pop("pass") is True
+    expected = subdifferential_probe(entropy, ConvexDomainSpec.nonnegative_orthant(space), point,
+                                     [space.dual(gradient), space.dual(other)], seed=9).as_dict()
+    assert report == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("command, shared", [
+    ("score", ("--out", "--rules", "--weights")), ("divergence", ("--out", "--rules", "--weights")),
+    ("verify", ("--out",)), ("grid-score", ("--out",)),
+])
+def test_each_subcommand_lists_its_shared_flags_once(capsys, command, shared):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    options = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
+    for flag in ("--out", "--rules", "--weights"):
+        assert options.count(flag) == (flag in shared), (command, flag, options)
 
 
 def test_an_unusable_out_stops_verify_before_any_suite(tmp_path, capsys, monkeypatch):

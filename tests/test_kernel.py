@@ -53,6 +53,7 @@ from entroscore import (
     symmetry_defect,
     verify_euler,
 )
+from entroscore.entropies import canonical_extension_rows
 from entroscore.geometry import FD_STEP, directional_derivative_fd, directional_derivative_fd_rows
 
 from conftest import (CATALOG_SPECS, entropy_from_spec, ref_call, ref_catalog, ref_composite,
@@ -90,14 +91,18 @@ def assert_rows(batched, one_row, expected):
         assert_same(batched, np.array(expected))
 
 
+def catalog_subjects(gamma: float) -> tuple:
+    """``(name, gamma)`` of the six default rules, and of power and pseudospherical at ``gamma``."""
+    return (("quadratic", None), ("spherical", None), ("shannon", None), ("power", 1.5), ("power", 3.0),
+            ("pseudospherical", 3.0), ("power", gamma), ("pseudospherical", gamma))
+
+
 def subjects(space: MeasureSpace, gamma: float, seed: int, with_matrix: bool = True):
     """``(label, entropy, rule, reference entropy)`` for every kind of rule."""
     w = space.weights
     rng = np.random.default_rng(seed)
     out = []
-    for name, g in (("quadratic", None), ("spherical", None), ("shannon", None),
-                    ("power", 1.5), ("power", 3.0), ("pseudospherical", 3.0),
-                    ("power", gamma), ("pseudospherical", gamma)):
+    for name, g in catalog_subjects(gamma):
         entropy = catalog_entropy(name, space, gamma=g)
         out.append((f"{name}({g})", entropy, make_psr(entropy), ref_catalog(name, w, gamma=g)))
     out.append(("linear", None, linear_score(space), None))
@@ -277,8 +282,7 @@ def test_score_divergence_tables_are_bregman_divergences(case):
     space, p_rows, q_rows, positive_q_rows, gamma = case
     w = space.weights
     b, m = len(p_rows), len(q_rows)
-    for name, g in (("quadratic", None), ("spherical", None), ("shannon", None), ("power", 1.5),
-                    ("power", 3.0), ("pseudospherical", 3.0), ("power", gamma), ("pseudospherical", gamma)):
+    for name, g in catalog_subjects(gamma):
         entropy = catalog_entropy(name, space, gamma=g)
         rule, q = make_psr(entropy), positive_q_rows if name == "shannon" else q_rows
         try:
@@ -292,6 +296,89 @@ def test_score_divergence_tables_are_bregman_divergences(case):
         finite = np.isfinite(table)
         gap = np.abs(table[finite] - bregman.reshape(b, m)[finite])
         assert (gap <= 1e-10 * scale[finite]).all(), (name, g, gap.max())
+
+
+def propriety_breaches(rule, p_rows: np.ndarray, q_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The cells of the table D(p, q) = pair(p, S(p)) - pair(p, S(q)) that are neither +inf nor above
+    -1e-10 times their summands' scale: the two pairings, and G(q) = pair(q, S(q)); NaN is a breach."""
+    p_scores, q_scores = rule.score_rows(p_rows)[:, None], rule.score_rows(q_rows)
+    table = score_divergence_rows(p_rows[:, None], p_scores, q_scores, weights)
+    scale = (1.0 + np.abs(pair_rows(p_rows[:, None], p_scores, weights))
+             + np.abs(pair_rows(p_rows[:, None], q_scores, weights)) + np.abs(pair_rows(q_rows, q_scores, weights)))
+    return table[~((table == np.inf) | (table >= -1e-10 * scale))]
+
+
+def assert_euler(entropy, rule, x_rows: np.ndarray, weights: np.ndarray) -> None:
+    """pair(x, S(x / m)) is the 1-homogeneous extension m H(x / m) at each cone row x of mass m, up to
+    1e-10 times (1 + |extension| + sum x |S| mu); where either side is not finite, both are the same."""
+    unit_rows, _ = measure.normalize_rows(x_rows, weights)
+    scores = rule.score_rows(unit_rows)
+    paired, extended = pair_rows(x_rows, scores, weights), canonical_extension_rows(entropy, x_rows)
+    finite = np.isfinite(paired) & np.isfinite(extended)
+    assert np.array_equal(paired[~finite], extended[~finite]), (entropy.name, paired, extended)
+    scale = 1.0 + np.abs(extended) + pair_rows(x_rows, np.abs(scores), weights)
+    gap = np.abs(paired - extended)[finite]
+    assert (gap <= 1e-10 * scale[finite]).all(), (entropy.name, gap.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(divergence_tables())
+def test_catalog_rules_are_proper(case):
+    # propriety (Gneiting & Raftery 2007): under p no forecast q scores more than p itself, so each
+    # cell of the divergence command's table is +inf or nonnegative up to rounding; zero atoms included
+    space, p_rows, q_rows, _, gamma = case
+    for name, g in catalog_subjects(gamma):
+        try:
+            breaches = propriety_breaches(make_psr(catalog_entropy(name, space, gamma=g)), p_rows, q_rows,
+                                          space.weights)
+        except EntroscoreError:  # a typed refusal, e.g. power(50)'s scores past the float range
+            continue
+        assert breaches.size == 0, (name, g, breaches)
+
+
+def test_the_propriety_property_catches_the_linear_rule():
+    # S(q) = q rewards the mode: under p = (0.6, 0.4) the point mass scores 0.6 against p's own 0.52
+    space = MeasureSpace([1.0, 1.0])
+    breaches = propriety_breaches(linear_score(space), np.array([[0.6, 0.4]]), np.array([[1.0, 0.0]]),
+                                  space.weights)
+    assert breaches.tolist() == [pytest.approx(-0.08)]
+
+
+@st.composite
+def cone_tables(draw):
+    """Densities of ``divergence_tables``' kind, each scaled by a mass log-uniform in [1e-8, 1e8]."""
+    weights = draw_weights(draw, 20)
+    count = draw(st.integers(1, 8))
+    masses = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=count, max_size=count)))
+    return MeasureSpace(weights), draw_densities(draw, weights, count) * masses[:, None], draw(GAMMAS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_tables())
+def test_the_euler_identity_holds_on_cone_rows(case):
+    # the paper's Euler identity: the 0-homogeneous score pairs with x to the 1-homogeneous entropy
+    space, x_rows, gamma = case
+    for name, g in catalog_subjects(gamma):
+        entropy = catalog_entropy(name, space, gamma=g)
+        try:
+            assert_euler(entropy, make_psr(entropy), x_rows, space.weights)
+        except EntroscoreError:  # a typed refusal, e.g. power(50)'s scores past the float range
+            continue
+
+
+@pytest.mark.parametrize("gamma", [1.000001, 50.0])
+def test_propriety_and_euler_hold_at_ten_thousand_atoms(gamma):
+    n = 10_000
+    rng = np.random.default_rng(12)
+    weights = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+    raw = rng.uniform(size=(4, n)) * (rng.uniform(size=(4, n)) < 0.7)
+    rows = np.array([density_row(r, weights) for r in raw])
+    masses = 10.0 ** rng.uniform(-8.0, 8.0, size=(4, 1))
+    for name, g in catalog_subjects(gamma):
+        entropy = catalog_entropy(name, MeasureSpace(weights), gamma=g)
+        rule = make_psr(entropy)
+        assert propriety_breaches(rule, rows[:2], rows[2:], weights).size == 0, (name, g)
+        assert_euler(entropy, rule, rows * masses, weights)
 
 
 @settings(max_examples=60, deadline=None)

@@ -197,6 +197,20 @@ def test_each_catalog_name_is_written_once():
                      *(("entropies.py:_CATALOG", name) for name in entropies.CATALOG_NAMES)]
 
 
+def test_the_cli_reads_each_entropy_it_looks_up_as_a_rule_spec():
+    # one grammar: a CLI function that asks the catalog about an entropy reads its name with
+    # parse_rule_spec, so --rules, [rule SPEC] and [probe] name entropies alike
+    looked_up, unread = [], []
+    for func in ast.walk(_module_trees()["cli.py"]):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)}
+            if called & {"catalog_entropy", "catalog_symmetric"}:
+                looked_up.append(func.name)
+                if "parse_rule_spec" not in called:
+                    unread.append(func.name)
+    assert "build_rule" in looked_up and unread == []
+
+
 def test_the_readme_catalog_paragraph_names_every_entry():
     readme = (Path(entroscore.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
     paragraph = next(part for part in readme.split("\n\n") if part.startswith("Entropy catalog:"))
