@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -325,15 +326,15 @@ def exact_row_sums(terms: np.ndarray) -> tuple[np.ndarray, list[int]]:
     and ``bound`` together stay below half the float gap at ``s`` on the side
     the remainder lies on (a zero sum only at ``bound`` 0, as ``+0.0``).  Once
     every row is certified the sums return; other rows and smaller batches go
-    to ``math.fsum``.
+    to ``math.fsum``, the other rows converted one block of rows at a time.
     """
     sums = None
     if terms.size >= _MIN_ARRAY_TERMS:
         m, n = terms.shape
+        rows = min(m, max(1, _BLOCK_TERMS // n))
         if n <= _CASCADE_ATOMS:
             t1, t2, bound = _cascaded_sums(terms)
         else:
-            rows = min(m, max(1, _BLOCK_TERMS // n))
             q, parts = np.empty((rows, n)), np.empty((3, m))
             for start in range(0, m, rows):
                 block = terms[start:start + rows]
@@ -352,9 +353,13 @@ def exact_row_sums(terms: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if certified.all():
             return sums, []
         left = np.flatnonzero(~certified)
-        terms = terms[left]
+        # as Python floats one block at a time: a cancelling wide batch would hold every term
+        lists = chain.from_iterable(terms[left[start:start + rows]].tolist()
+                                    for start in range(0, len(left), rows))
+    else:
+        lists = terms.tolist()
     exact, bad = [], []
-    for i, row in enumerate(terms.tolist()):
+    for i, row in enumerate(lists):
         try:
             exact.append(math.fsum(row))
         except (OverflowError, ValueError):

@@ -7,7 +7,6 @@ pass/fail lines.
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -48,8 +47,7 @@ from conftest import (
     rule_from_spec,
     unit_space,
 )
-
-DATA = Path(__file__).parent / "data"
+from goldens import DATA, GOLDENS
 
 
 def _report(number: int, name: str, ok: bool) -> None:
@@ -240,7 +238,7 @@ def test_criterion_10_cli_golden_and_verify(tmp_path):
         "score", str(DATA / "forecasts_10.csv"), str(DATA / "outcomes_10.csv"),
         "--out", str(out),
     ])
-    ok = code == 0 and out.read_bytes() == (DATA / "scores_golden.csv").read_bytes()
+    ok = code == 0 and out.read_bytes() == (DATA / GOLDENS["scores"].file).read_bytes()
 
     report_path = tmp_path / "report.json"
     code = cli_main(["verify", "--seed", "42", "--out", str(report_path)])

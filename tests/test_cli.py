@@ -5,6 +5,7 @@ import io
 import json
 import math
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -21,8 +22,8 @@ from entroscore import (ASYMMETRIC_WITH_WITNESS, SYMMETRIC_GENERALIZED_QUADRATIC
 from entroscore.cli import main
 
 from conftest import CATALOG_SPECS, child_env, rule_from_spec
+from goldens import DATA, GOLDENS, run_goldens
 
-DATA = Path(__file__).parent / "data"
 FORECASTS = str(DATA / "forecasts_10.csv")
 OUTCOMES = str(DATA / "outcomes_10.csv")
 
@@ -34,35 +35,6 @@ def run(tmp_path, *argv):
 
 
 class TestScoreCommand:
-    def test_golden_file_byte_for_byte(self, tmp_path):
-        code, payload = run(tmp_path, "score", FORECASTS, OUTCOMES)
-        assert code == 0
-        assert payload == (DATA / "scores_golden.csv").read_bytes()
-
-    def test_signed_zero_cells_keep_their_bytes(self, tmp_path):
-        # -0.0 and 0.0 cells, and outcomes on zero atoms (rows 2 and 4: -inf log scores),
-        # take the zero-atom paths of pow, log and the pairing; pinned before those paths
-        forecasts, outcomes = tmp_path / "f.csv", tmp_path / "o.csv"
-        forecasts.write_text("p1,p2,p3,p4\n-0.0,0.5,0.25,0.0\n-0.0,-0.0,0.5,0.0\n0.5,0.25,0.125,1.0\n"
-                             "1.0,0.25,0.125,-0.0\n0.6,0.4,0.1,0.4\n")
-        outcomes.write_text("outcome\n2\n1\n4\n4\n3\n")
-        code, payload = run(tmp_path, "score", str(forecasts), str(outcomes), "--weights", "0.5,1,2,0.25")
-        assert code == 0
-        assert payload == (DATA / "scores_signed_zero_golden.csv").read_bytes()
-
-    def test_wide_golden_file_byte_for_byte(self, tmp_path):
-        # 64 rows x 40 weighted atoms (numpy seed 20261018): half the atoms of
-        # each row are zero and every eighth outcome falls on one (a -inf log
-        # score).  Pinned before the array row sums, which it is large enough
-        # to reach.
-        forecasts = np.loadtxt(DATA / "forecasts_wide.csv", delimiter=",", skiprows=1)
-        assert forecasts.size >= measure._MIN_ARRAY_TERMS
-        weights = (DATA / "weights_wide.txt").read_text().strip()
-        code, payload = run(tmp_path, "score", str(DATA / "forecasts_wide.csv"),
-                            str(DATA / "outcomes_wide.csv"), "--weights", weights)
-        assert code == 0
-        assert payload == (DATA / "scores_wide_golden.csv").read_bytes()
-
     def test_rows_match_direct_library_calls(self, tmp_path):
         code, payload = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "quadratic,shannon")
         assert code == 0
@@ -526,8 +498,9 @@ class TestGridScoreCommand:
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_any_line_ending_reads_the_same(self, tmp_path, newline):
         density = tmp_path / "density.txt"
-        density.write_bytes((DATA / "grid_density_48.txt").read_bytes().replace(b"\n", newline.encode()))
-        assert run(tmp_path, "grid-score", str(density)) == (0, (DATA / "grid_score_golden.csv").read_bytes())
+        golden = GOLDENS["grid-score"]
+        density.write_bytes((DATA / golden.argv[1]).read_bytes().replace(b"\n", newline.encode()))
+        assert run(tmp_path, "grid-score", str(density)) == (golden.code, (DATA / golden.file).read_bytes())
 
     def test_too_short_grid_exits_2(self, tmp_path):
         density = tmp_path / "short.csv"
@@ -536,45 +509,21 @@ class TestGridScoreCommand:
         assert code == 2
 
 
-@pytest.mark.parametrize("argv, code, golden", [
-    (["verify", "--config", str(DATA / "verify_golden.ini")], 1, "verify_golden.json"),
-    (["divergence", FORECASTS, FORECASTS], 0, "divergence_golden.csv"),
-    (["grid-score", str(DATA / "grid_density_48.txt")], 0, "grid_score_golden.csv"),
-], ids=["verify", "divergence", "grid-score"])
-def test_golden_outputs_byte_for_byte(tmp_path, argv, code, golden):
-    # weighted atoms, every catalog rule plus linear, a probe on each domain kind;
-    # the divergence matrix has inf cells; the grid density has a blank line
-    assert run(tmp_path, *argv) == (code, (DATA / golden).read_bytes())
+@pytest.mark.parametrize("golden", GOLDENS.values(), ids=lambda golden: golden.file)
+def test_golden_outputs_byte_for_byte(tmp_path, monkeypatch, golden):
+    monkeypatch.chdir(DATA)
+    assert run_goldens([golden], tmp_path) == [golden.code]
+    assert (tmp_path / golden.file).read_bytes() == (DATA / golden.file).read_bytes()
 
 
-def test_verify_golden_at_twenty_atoms_byte_for_byte(tmp_path):
-    # 20 weighted atoms, where a pairwise row sum and a left-to-right one round
-    # differently: the Euler cone points must keep rng.dirichlet's bits.  The
-    # linear rule fails propriety, so the exit code is 1.
-    config = tmp_path / "verify_20.ini"
-    config.write_text(f"[verify]\nsamples = 200\nweights_file = {DATA / 'weights_20.txt'}\n\n"
-                      + "".join(f"[rule {spec}]\n" for spec in (*CATALOG_SPECS, "linear")))
-    assert run(tmp_path, "verify", "--config", str(config)) == (
-        1, (DATA / "verify_20_golden.json").read_bytes())
+def test_the_wide_score_golden_reaches_the_array_row_sums():
+    # the premise its row's comment states
+    forecasts = np.loadtxt(DATA / GOLDENS["scores-wide"].argv[1], delimiter=",", skiprows=1)
+    assert forecasts.size >= measure._MIN_ARRAY_TERMS
 
 
-def _golden_commands(tmp_path) -> list:
-    """Every byte-golden command: (argv without ``--out``, exit code, golden file)."""
-    config = tmp_path / "verify_20.ini"
-    config.write_text(f"[verify]\nsamples = 200\nweights_file = {DATA / 'weights_20.txt'}\n\n"
-                      + "".join(f"[rule {spec}]\n" for spec in (*CATALOG_SPECS, "linear")))
-    wide = [str(DATA / "forecasts_wide.csv"), str(DATA / "outcomes_wide.csv"),
-            "--weights", (DATA / "weights_wide.txt").read_text().strip()]
-    return [(["score", FORECASTS, OUTCOMES], 0, "scores_golden.csv"),
-            (["score", *wide], 0, "scores_wide_golden.csv"),
-            (["divergence", FORECASTS, FORECASTS], 0, "divergence_golden.csv"),
-            (["grid-score", str(DATA / "grid_density_48.txt")], 0, "grid_score_golden.csv"),
-            (["verify", "--config", str(DATA / "verify_golden.ini")], 1, "verify_golden.json"),
-            (["verify", "--config", str(config)], 1, "verify_20_golden.json")]
-
-
-_GOLDEN_CHILD = ("import json, sys\nfrom entroscore.cli import main\n"
-                 "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+_GOLDEN_CHILD = ("import json, sys\nsys.path.insert(0, sys.argv[1])\nfrom goldens import GOLDENS, run_goldens\n"
+                 "print(json.dumps(run_goldens(GOLDENS.values(), sys.argv[2])))")
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -584,15 +533,25 @@ def test_golden_outputs_hold_on_other_openblas_kernels(tmp_path, coretype):
     # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS (numpy's wheels bundle one) run an
     # older core's kernels, in the child only.  A numpy on another BLAS ignores it, and
     # there this checks nothing the in-process golden tests do not.
-    commands = _golden_commands(tmp_path)
-    outs = [tmp_path / f"{k}.out" for k in range(len(commands))]
-    argvs = [[*argv, "--out", str(out)] for (argv, _, _), out in zip(commands, outs)]
-    child = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, json.dumps(argvs)], capture_output=True,
-                           text=True, env={**child_env(), "OPENBLAS_CORETYPE": coretype}, timeout=120)
+    child = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, str(Path(__file__).parent), str(tmp_path)],
+                           cwd=DATA, capture_output=True, text=True,
+                           env={**child_env(), "OPENBLAS_CORETYPE": coretype}, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == [code for _, code, _ in commands]
-    for out, (_, _, golden) in zip(outs, commands):
-        assert out.read_bytes() == (DATA / golden).read_bytes(), golden
+    assert json.loads(child.stdout.splitlines()[-1]) == [golden.code for golden in GOLDENS.values()]
+    for golden in GOLDENS.values():
+        assert (tmp_path / golden.file).read_bytes() == (DATA / golden.file).read_bytes(), golden.file
+
+
+def test_each_golden_is_one_row_of_the_table():
+    # each golden under tests/data has one row, each file a row names is there,
+    # and no test module but the table spells a golden's file name
+    rows = GOLDENS.values()
+    assert sorted(golden.file for golden in rows) == sorted(path.name for path in DATA.glob("*golden*"))
+    named = [word for golden in rows for word in golden.argv if re.fullmatch(r"[\w.-]+\.(csv|txt|ini)", word)]
+    assert named and [word for word in named if not (DATA / word).is_file()] == []
+    modules = Path(__file__).parent.glob("*.py")
+    assert [path.name for path in modules
+            if path.name != "goldens.py" and re.search(r"\w_golden\.\w", path.read_text())] == []
 
 
 # -- verify's shared draws --------------------------------------------------------
@@ -895,9 +854,11 @@ def test_an_empty_suites_key_selects_no_suite(tmp_path):
     assert code == 0 and report["config"]["suites"] == [] and report["rules"] == {"quadratic": {}}
 
 
-def test_without_out_the_report_goes_to_stdout(capsys):
-    assert main(["score", FORECASTS, OUTCOMES]) == 0
-    assert capsys.readouterr().out == (DATA / "scores_golden.csv").read_text(encoding="utf-8")
+def test_without_out_the_report_goes_to_stdout(capsys, monkeypatch):
+    golden = GOLDENS["scores"]
+    monkeypatch.chdir(DATA)
+    assert main(list(golden.argv)) == golden.code == 0
+    assert capsys.readouterr().out == (DATA / golden.file).read_text(encoding="utf-8")
 
 
 def test_import_and_whole_space_geometry_load_no_scipy():

@@ -383,6 +383,21 @@ class TestExactRowSums:
             tracemalloc.stop()
         assert peak < terms.nbytes
 
+    def test_rows_left_to_math_fsum_go_one_block_at_a_time(self):
+        # each row is h then -h reversed: it sums to exactly 0, but the extraction bound is
+        # not 0, so every row falls back.  The fallback's Python floats are one block's, not
+        # the batch's 327,680 (14 MB when they were converted at once).
+        h = np.random.default_rng(7).random((4096, 40))
+        terms = np.hstack([h, -h[:, ::-1]])
+        tracemalloc.start()
+        try:
+            sums, rejected = measure.exact_row_sums(terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rejected == [] and _bits(sums) == _bits(np.zeros(len(terms)))
+        assert peak < 4 * 2 ** 20
+
     def test_intermediate_overflow_names_the_rows(self):
         terms = np.random.default_rng(3).normal(size=(1000, 3))
         terms[[4, 699]] = [1e308, 1e308, -1e308]
