@@ -3,23 +3,30 @@
 The catalog carries the standard forecasting entropies on a finite measure
 space (integrals are weighted sums):
 
-==================  =============================  ==========================
-name                value                          subgradient
-==================  =============================  ==========================
-quadratic           sum q^2 mu                     2 q
-spherical           (sum q^2 mu)^(1/2)             q / (sum q^2 mu)^(1/2)
-power(g)            sum q^g mu                     g q^(g-1)
-shannon             sum q log q mu                 log q + 1
-pseudospherical(g)  (sum q^g mu)^(1/g)             q^(g-1) / (...)^((g-1)/g)
-weighted_quadratic  q^T Q q                        2 Q q / mu
-==================  =============================  ==========================
+==================  =============================  =========================  =======================
+name                value H(q)                     subgradient                score S(q)
+==================  =============================  =========================  =======================
+quadratic           sum q^2 mu                     2 q                        2 q - H(q)
+spherical           (sum q^2 mu)^(1/2)             q / (sum q^2 mu)^(1/2)     the subgradient
+power(g)            sum q^g mu                     g q^(g-1)                  g q^(g-1) - (g-1) H(q)
+shannon             sum q log q mu                 log q + 1                  log q
+pseudospherical(g)  (sum q^g mu)^(1/g)             q^(g-1) / (...)^((g-1)/g)  the subgradient
+weighted_quadratic  q^T Q q                        2 Q q / mu                 2 Q q / mu - H(q)
+==================  =============================  =========================  =======================
 
 Each entropy has a ``value_rows`` oracle and a ``value_grad_rows`` oracle that
 gives values and subgradients from one pass.  Subgradients live in the weighted
 dual (``pair(d, grad)`` is the directional derivative), hence the division by
 atom weights in the matrix and composite forms.  Shannon uses 0 log 0 := 0 and
-refuses boundary subgradients; its rule is the closed form ``log q``, -inf at
-zeros.  Array ``pow`` and ``log`` keep zeros off numpy's slow special-value path.
+refuses boundary subgradients.  Array ``pow`` and ``log`` keep zeros off numpy's
+slow special-value path.
+
+Each catalog entropy also gives its score in closed form (``closed_form_rows``),
+from the pass that gives its value and subgradient: the gradient of its
+sublinear extension ``|q| H(q / |q|)`` at a density.  An entropy homogeneous of
+degree k has ``pair(q, grad) = k H(q)`` (Euler), so its score is
+``grad - (k - 1) H(q)``; shannon's is the logarithmic score ``log q``, -inf at
+zeros.
 
 The catalog is one table, and adding an entropy is one row of it plus the
 row's constructor.  An entropy with an exponent is named with the exponent's
@@ -74,8 +81,10 @@ class Entropy:
     warnings, refusing (:class:`DomainError`) a row with an entry below 0 if the domain is
     sign-bounded: ``value_rows`` to values; ``value_grad_rows`` to values and dual subgradient
     representers from one pass (None if there is none; :class:`DomainError` where no finite one
-    exists, e.g. shannon on the boundary); the optional ``closed_form_rows`` to the associated
-    scores, for rules the generic construction cannot extend to boundary points.  ``value``,
+    exists, e.g. shannon on the boundary); the optional ``closed_form_rows`` to the scores of the
+    entropy's rule in closed form, which :func:`scoring.make_psr` then uses in place of the generic
+    construction (each catalog entropy has one: module docstring); ``sentinel_scores`` if those
+    scores may be -inf on atoms a row does not charge, as the log score is.  ``value``,
     ``subgradient`` and ``closed_form_score`` are their one-row calls on vector objects.
     """
 
@@ -84,6 +93,7 @@ class Entropy:
     value_rows: Callable[[np.ndarray], np.ndarray]
     value_grad_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None
     closed_form_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    sentinel_scores: bool = False
 
     def __post_init__(self):
         @quiet_floats
@@ -106,7 +116,7 @@ class Entropy:
         object.__setattr__(self, "subgradient", value_grad_rows and (lambda q: self.domain.space.dual(
             require_float_range(f"{self.name} subgradients", value_grad_rows(row(q))[1])[0])))
         object.__setattr__(self, "closed_form_score", closed_form_rows and (
-            lambda q: self.domain.space.dual(closed_form_rows(row(q))[0], allow_infinite=True)))
+            lambda q: self.domain.space.dual(closed_form_rows(row(q))[0], allow_infinite=self.sentinel_scores)))
 
     def __repr__(self) -> str:
         return f"Entropy({self.name!r}, domain={self.domain.kind})"
@@ -139,14 +149,30 @@ def _libm(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.ndar
     return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, values.size)
 
 
+def _euler_scores(value_grad_rows: Callable, degree: float) -> Callable:
+    """Scores ``grad - (degree - 1) H`` by row for an entropy homogeneous of ``degree``: Euler's
+    ``pair(q, grad) = degree H`` makes them the generic ``grad + (H - pair(q, grad))`` on every row,
+    with no pairing.  A 1-homogeneous entropy scores with its subgradient."""
+    def score_rows(q: np.ndarray) -> np.ndarray:
+        value, grad = value_grad_rows(q)
+        if degree != 1.0:
+            grad -= (degree - 1.0) * value[:, None]  # grad is the oracle's own array
+        return grad
+
+    return score_rows
+
+
 def _quadratic(name: str, space: MeasureSpace) -> Entropy:
     w = space.weights
 
     def value_rows(q: np.ndarray) -> np.ndarray:
         return fsum_rows(_times(q * q, w))
 
-    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows,
-                   lambda q: (value_rows(q), 2.0 * q))
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        return value_rows(q), 2.0 * q
+
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows,
+                   _euler_scores(value_grad_rows, 2.0))
 
 
 def _positive_sums(terms: np.ndarray) -> np.ndarray:
@@ -192,7 +218,8 @@ def _spherical(name: str, space: MeasureSpace) -> Entropy:
             raise DomainError("spherical subgradient is undefined at the origin")
         return value_rows(q, scaled), v / np.sqrt(total)[:, None]
 
-    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows,
+                   _euler_scores(value_grad_rows, 1.0))
 
 
 def _power(name: str, space: MeasureSpace, gamma: float) -> Entropy:
@@ -201,8 +228,11 @@ def _power(name: str, space: MeasureSpace, gamma: float) -> Entropy:
     def value_rows(q: np.ndarray) -> np.ndarray:
         return fsum_rows(_times(_pow(q, gamma), w))
 
-    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows,
-                   lambda q: (value_rows(q), _times(_pow(q, gamma - 1.0), gamma)))
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        return value_rows(q), _times(_pow(q, gamma - 1.0), gamma)
+
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
+                   _euler_scores(value_grad_rows, gamma))
 
 
 def _shannon(name: str, space: MeasureSpace) -> Entropy:
@@ -220,7 +250,7 @@ def _shannon(name: str, space: MeasureSpace) -> Entropy:
         return value_rows(q), _log(q) + 1.0
 
     return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
-                   closed_form_rows=_log)  # the logarithmic score, -inf at zero atoms
+                   _log, sentinel_scores=True)  # the logarithmic score, -inf at zero atoms
 
 
 def _pseudospherical(name: str, space: MeasureSpace, gamma: float) -> Entropy:
@@ -242,7 +272,8 @@ def _pseudospherical(name: str, space: MeasureSpace, gamma: float) -> Entropy:
         grad /= norm[:, None]
         return value_rows(q, scaled), grad
 
-    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows)
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
+                   _euler_scores(value_grad_rows, 1.0))
 
 
 def _weighted_quadratic(name: str, space: MeasureSpace, matrix) -> Entropy:
@@ -268,7 +299,8 @@ def _weighted_quadratic(name: str, space: MeasureSpace, matrix) -> Entropy:
         form = form_rows(q)
         return fsum_rows(q * form), 2.0 * form / w  # the dual representer, hence the division
 
-    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows)
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows,
+                   _euler_scores(value_grad_rows, 2.0))
 
 
 # The catalog, name -> (its constructor, called as (name, space) or (name, space, parameter); the

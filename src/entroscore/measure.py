@@ -216,11 +216,11 @@ def counted_among(count: int, noun: str, per: int = 1):
         raise DomainError(f"{exc.what} leave the float range at {hit} of {count} sampled {noun}") from None
 
 
-def require_float_range(what: str, values: np.ndarray, sentinel: bool = False) -> np.ndarray:
-    """``values`` itself, unless a row holds NaN or an infinity (``-inf`` is
-    allowed as a ``sentinel``): then :class:`FloatRangeError` names every such row."""
+def require_float_range(what: str, values: np.ndarray, sentinel: np.ndarray | bool = False) -> np.ndarray:
+    """``values`` itself, unless a row holds NaN or an infinity (``-inf`` is allowed
+    where the mask ``sentinel`` is true): then :class:`FloatRangeError` names every such row."""
     if not np.isfinite(values).all():
-        bad = np.isnan(values) | (values == math.inf) | ((values == -math.inf) & (not sentinel))
+        bad = np.isnan(values) | (values == math.inf) | ((values == -math.inf) & np.logical_not(sentinel))
         rows = np.flatnonzero(bad if bad.ndim == 1 else bad.any(axis=1))
         if rows.size:
             raise FloatRangeError(what, rows.tolist())
@@ -400,18 +400,26 @@ def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np
     names rows of the flattened leading index.
     """
     terms = _times(q_rows * f_rows, weights)
-    if np.isfinite(terms).all():  # a whole-array test first: per-row masks only when it fails
+    finite = np.isfinite(terms)
+    if finite.all():  # a whole-array test first: per-row masks only when it fails
         return fsum_rows(terms)
+    stand = finite.all(axis=-1)[..., None]  # rows whose terms stand
     base = q_rows * weights
-    infinite = ~np.isfinite(terms).all(axis=-1)[..., None]
-    np.multiply(base, f_rows, out=terms, where=infinite)
-    np.copyto(terms, 0.0, where=infinite & (base == 0.0))
+    redo = np.multiply(base, f_rows, out=None if stand.any() else terms)
+    # 0 * inf := 0 where q mu = 0, by a blend over the bits (a masked write branches per entry);
+    # the mask takes base's place
+    mask = np.negative(base != 0.0, dtype=np.int64, out=base.view(np.int64))
+    np.bitwise_and(redo.view(np.int64), mask, out=redo.view(np.int64))
+    if redo is not terms:
+        terms = np.where(stand, terms, redo)
     charged = np.isinf(terms).any(axis=-1)
-    signed = np.where(np.isinf(terms[charged]), terms[charged], 0.0).sum(axis=1)
+    if not charged.any():
+        return fsum_rows(terms)
+    # a charged row sums its infinite terms: -inf + inf is NaN
+    signed = (np.where((terms == -math.inf).any(axis=-1), -math.inf, 0.0)
+              + np.where((terms == math.inf).any(axis=-1), math.inf, 0.0))
     terms[charged] = 0.0
-    sums = fsum_rows(terms)
-    sums[charged] = signed
-    return sums
+    return np.where(charged, signed, fsum_rows(terms))
 
 
 def pair(p: ConeVector, f: DualVector) -> float:

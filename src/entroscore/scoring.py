@@ -1,16 +1,32 @@
 """Proper scoring rules built from convex entropies, and their verification.
 
 A scoring rule maps a predictive density q to the outcome-indexed score
-vector S(q).  Given an entropy with a subgradient oracle, the rule
+vector S(q).  The rule of an entropy H is the gradient of its sublinear
+(1-homogeneous) extension H~(x) = |x| H(x / |x|) to the positive cone:
 
-    S(q) = grad(q) + (value(q) - pair(q, grad(q))) * 1
+    S(q) = grad H~(q) = grad(q) + (value(q) - pair(q, grad(q))) * 1
 
-is proper by construction: its expected self-score reproduces the entropy,
-and reporting the true density maximises the expected score.  The rule
-extends 0-homogeneously to the positive cone by normalising its argument,
-which makes it a subgradient of the 1-homogeneous extension of the entropy
-(the Euler identity ``pair(q, S(q)) = extended value(q)`` checked by
-:func:`verify_euler`).
+It is proper by construction: its expected self-score reproduces the
+entropy, and reporting the true density maximises the expected score.  Being
+0-homogeneous, the rule extends to the cone by normalising its argument, and
+it pairs with every cone point to the extended entropy (the Euler identity
+``pair(q, S(q)) = extended value(q)`` checked by :func:`verify_euler`).
+
+Each catalog entropy gives S in closed form, from the pass that gives its
+value and subgradient, with no pairing (``Entropy.closed_form_rows``):
+
+==================  =====================================
+rule                S(q)
+==================  =====================================
+quadratic           2 q - H(q)
+power(g)            g q^(g-1) - (g-1) H(q)
+shannon             log q
+spherical           q / (sum q^2 mu)^(1/2), the gradient
+pseudospherical(g)  q^(g-1) / (...)^((g-1)/g), the gradient
+weighted_quadratic  2 Q q / mu - H(q)
+==================  =====================================
+
+Other entropies (composite, rebased, user-built) take the generic formula.
 """
 
 from __future__ import annotations
@@ -52,7 +68,9 @@ STRICT_MARGIN = 1e-12
 @dataclass(frozen=True)
 class ScoringRule:
     """Outcome-indexed score oracle: ``score_rows`` maps (m, n) density rows
-    to their score vectors, ``score`` is its one-row call on a :class:`Density`."""
+    to their score vectors, ``score`` is its one-row call on a :class:`Density`.
+    A rule from :func:`make_psr` takes other rows of its entropy's domain too:
+    :func:`make_psr` says what it gives there."""
 
     name: str
     score_rows: Callable[[np.ndarray], np.ndarray]
@@ -68,20 +86,22 @@ class ScoringRule:
 
 
 def _in_float_range(name: str, rows: Callable, sentinel: bool = False) -> Callable:
-    return lambda q: require_float_range(f"{name} scores", rows(q), sentinel)
+    # a sentinel -inf (the log score's) is allowed only on the atoms a row does not charge
+    return lambda q: require_float_range(f"{name} scores", rows(q), sentinel and q == 0.0)
 
 
 def make_psr(entropy: Entropy) -> ScoringRule:
-    """Build the proper scoring rule of an entropy from its subgradient.
+    """Build the proper scoring rule of an entropy: the gradient of its sublinear extension.
 
-    Row by row, ``S(q) = grad(q) + (value(q) - pair(q, grad(q))) * 1``.
-    Uses the entropy's closed-form score when one is attached (the
-    logarithmic rule, whose subgradient oracle refuses boundary points while
-    ``log q`` itself extends there as a -inf sentinel).
+    ``score_rows`` maps each row q to ``grad(q) + (value(q) - pair(q, grad(q))) * 1``, on
+    densities and on any other row of the entropy's domain alike.  A catalog entropy's closed
+    form (``closed_form_rows``) is that expression, equal in exact arithmetic on every row,
+    computed with no pairing; the log score extends to zero atoms as a -inf sentinel, where
+    shannon's subgradient oracle refuses them.  Other entropies take the expression itself.
     """
     if entropy.closed_form_rows is not None:
         return ScoringRule(entropy.name,
-                           _in_float_range(entropy.name, entropy.closed_form_rows, sentinel=True),
+                           _in_float_range(entropy.name, entropy.closed_form_rows, entropy.sentinel_scores),
                            entropy.domain.space)
     if entropy.value_grad_rows is None:
         raise DomainError(f"entropy {entropy.name!r} has no subgradient oracle")
@@ -154,6 +174,7 @@ class ProprietyReport:
     rule: str
     samples: int
     min_margin: float
+    margin_scale: float
     witness_p: Density
     witness_q: Density
     strict_violations: int
@@ -174,11 +195,14 @@ def verify_propriety(
 ) -> ProprietyReport:
     """Check ``pair(p, S(p)) >= pair(p, S(q))`` on seeded Dirichlet pairs.
 
-    Records the smallest observed margin and the pair realising it.  +inf
-    margins (q earns an infinite penalty) count as favorable and are tallied
-    separately; -inf or undefined margins fail the check outright.  Distinct
-    pairs whose margin collapses below the strictness floor are counted as
-    strictness violations.  Scores or pairings past the float range raise
+    Each margin must reach ``-tol * scale``, relative to the magnitudes its
+    rounding grows with: ``scale = 1 + |pair(p, S(p))| + |pair(p, S(q))| +
+    |pair(q, S(q))|``.  Records the pair whose margin is smallest relative to
+    its scale, its margin and its scale (``margin_scale``).  +inf margins (q
+    earns an infinite penalty) count as favorable and are tallied separately;
+    -inf or undefined margins fail the check outright.  Distinct pairs whose
+    margin collapses below the strictness floor are counted as strictness
+    violations.  Scores or pairings past the float range raise
     :class:`DomainError` with the number of sampled pairs they hit.
     """
     if samples < 1:
@@ -189,7 +213,11 @@ def verify_propriety(
     with counted_among(samples, "pairs", per=2):
         scores = rule.score_rows(draws)  # rows p, q, p, q, ...
     with counted_among(samples, "pairs"):
-        margins = score_divergence_rows(p_rows, scores[0::2], scores[1::2], space.weights)
+        own = pair_rows(p_rows, scores[0::2], space.weights)
+        cross = pair_rows(p_rows, scores[1::2], space.weights)
+        entropy_q = pair_rows(q_rows, scores[1::2], space.weights)
+    margins = own - cross  # score_divergence_rows, from the pairings the scale reuses
+    scales = 1.0 + np.abs(own) + np.abs(cross) + np.abs(entropy_q)
     unfavorable = np.isnan(margins) | (margins == -math.inf)
     favorable = margins == math.inf
     finite = ~unfavorable & ~favorable
@@ -200,14 +228,17 @@ def verify_propriety(
     inf_favorable = int(np.count_nonzero(favorable))
     if inf_unfavorable:  # the last unfavorable pair
         i, min_margin = int(np.flatnonzero(unfavorable)[-1]), -math.inf
-    else:  # the first smallest margin; if every margin is +inf, the first density drawn, twice
-        i, min_margin = _first_min(margins)
+    else:  # the first smallest relative margin; if every margin is +inf, the first density drawn, twice
+        i, _ = _first_min(np.where(finite, margins / scales, margins))
+        min_margin = float(margins[i])
         q_rows = p_rows if min_margin == math.inf else q_rows
-    passed = inf_unfavorable == 0 and min_margin >= -tol
+    margin_scale = float(scales[i])
+    passed = inf_unfavorable == 0 and min_margin >= -tol * margin_scale
     return ProprietyReport(
         rule=rule.name,
         samples=samples,
         min_margin=min_margin,
+        margin_scale=margin_scale,
         witness_p=space.density(p_rows[i]),
         witness_q=space.density(q_rows[i]),
         strict_violations=strict_violations,

@@ -107,7 +107,10 @@ def integrated_square_composite(space, nu):
 # The per-vector formulas the row kernel replaced, kept as a test-only oracle
 # for the differential tests: same operand order, same reductions, and the
 # same errors (``ref_dual`` performs the checks of ``MeasureSpace.dual``).
-# Every function takes and returns plain float arrays and never warns.
+# Every function takes and returns plain float arrays and never warns.  A
+# catalog rule scores with its closed form, as ``make_psr`` does: the gradient
+# of the sublinear extension, ``grad - (k - 1) value`` for an entropy
+# homogeneous of degree k, and the log score for shannon.
 
 def ref_dual(values, allow_infinite=False) -> np.ndarray:
     v = np.array(values, dtype=float)
@@ -142,9 +145,16 @@ class RefEntropy(NamedTuple):
     closed: Callable | None = None
 
 
+def _ref_homogeneous(value: Callable, grad: Callable, degree: float) -> RefEntropy:
+    """An entropy homogeneous of ``degree``, scored by ``grad - (degree - 1) value``."""
+    if degree == 1.0:
+        return RefEntropy(value, grad, grad)
+    return RefEntropy(value, grad, lambda q: ref_dual(grad(q) - (degree - 1.0) * value(q)))
+
+
 def ref_catalog(name: str, w, gamma=None, matrix=None) -> RefEntropy:
     if name == "quadratic":
-        return RefEntropy(lambda q: math.fsum((q * q * w).tolist()), lambda q: ref_dual(2.0 * q))
+        return _ref_homogeneous(lambda q: math.fsum((q * q * w).tolist()), lambda q: ref_dual(2.0 * q), 2.0)
     if name == "spherical":
         def square_sum(v):
             try:
@@ -169,7 +179,7 @@ def ref_catalog(name: str, w, gamma=None, matrix=None) -> RefEntropy:
                 raise DomainError("spherical subgradient is undefined at the origin")
             return ref_dual(v / math.sqrt(total))
 
-        return RefEntropy(norm, grad)
+        return _ref_homogeneous(norm, grad, 1.0)
     if name == "power":
         def value(q):
             _ref_nonnegative(q)
@@ -179,7 +189,7 @@ def ref_catalog(name: str, w, gamma=None, matrix=None) -> RefEntropy:
             _ref_nonnegative(q)
             return ref_dual(gamma * np.power(q, gamma - 1.0))
 
-        return RefEntropy(value, grad)
+        return _ref_homogeneous(value, grad, gamma)
     if name == "shannon":
         def value(q):
             _ref_nonnegative(q)
@@ -220,10 +230,10 @@ def ref_catalog(name: str, w, gamma=None, matrix=None) -> RefEntropy:
                 raise DomainError("pseudospherical subgradient is undefined at the origin")
             return ref_dual(np.power(v, gamma - 1.0) / total ** ((gamma - 1.0) / gamma))
 
-        return RefEntropy(value, grad)
+        return _ref_homogeneous(value, grad, 1.0)
     if name == "weighted_quadratic":
-        return RefEntropy(lambda q: math.fsum((q * (matrix @ q)).tolist()),
-                          lambda q: ref_dual(2.0 * (matrix @ q) / w))
+        return _ref_homogeneous(lambda q: math.fsum((q * (matrix @ q)).tolist()),
+                                lambda q: ref_dual(2.0 * (matrix @ q) / w), 2.0)
     raise ValueError(name)
 
 

@@ -274,6 +274,25 @@ class TestVerifyCommand:
         assert len(propriety["witness_p"]) == 3
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("weights, spec", [
+        # every density charges the light atom with up to 1e9: pseudospherical(3)'s expected
+        # scores reach 1.5e6, and an absolute tolerance of 1e-10 failed a margin of -2.3e-10
+        ("1e-9,1,1", "pseudospherical(3)"),
+        # one atom: every density is the point 1 / 3e-8 up to an ulp, and power(3)'s expected
+        # scores of 1.1e15 give a margin of -0.25 from rounding alone
+        ("3e-8", "power(3)"),
+    ])
+    def test_propriety_margins_are_relative_to_their_scale(self, tmp_path, weights, spec):
+        # each margin must reach -tol * scale, scale = 1 + |pair(p, S(p))| + |pair(p, S(q))| + |G(q)|;
+        # the report gives the scale of the pair with the smallest relative margin
+        config = tmp_path / "scaled.ini"
+        config.write_text(f"[verify]\nseed = 42\nsamples = 1000\nweights = {weights}\n"
+                          f"suites = propriety\n\n[rule {spec}]\n")
+        code, payload = run(tmp_path, "verify", "--config", str(config))
+        propriety = json.loads(payload)["rules"][spec]["propriety"]
+        assert code == 0 and propriety["pass"] is True
+        assert propriety["min_margin"] >= -propriety["tol"] * propriety["margin_scale"]
+
     def test_determinism_byte_identical(self, tmp_path):
         code1, payload1 = run(tmp_path, "verify", "--seed", "7", "--samples", "150")
         code2, payload2 = run(tmp_path, "verify", "--seed", "7", "--samples", "150")

@@ -1,0 +1,114 @@
+"""Catalog scores against an exact reference: 60-digit ``decimal`` arithmetic, at fixed cases.
+
+Each float result must lie within ``k * u * scale`` of the exact value, with
+``u = 2^-53``, ``scale`` the sum of the magnitudes of the terms that make up
+the value (the numerator of its condition number) and ``k`` stated per
+quantity, a little above what the closed forms reach on these cases.
+"""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from entroscore import MeasureSpace, catalog_entropy, make_psr, score_divergence_rows
+
+U = 2.0 ** -53
+PRECISION = 60
+
+# (name, gamma) of each catalog rule the cases cover; weighted_quadratic takes MATRIX
+RULES = (("quadratic", None), ("spherical", None), ("shannon", None), ("power", 1.5), ("power", 3.0),
+         ("pseudospherical", 3.0), ("pseudospherical", 11.0), ("weighted_quadratic", None))
+MATRIX = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]])
+
+# k for every catalog score: the cases below reach 1.55 (weighted_quadratic), 1.35 (power), 1.25
+# (quadratic) and at most 1.07 for the others; the generic offset reached 6.3 for power(3) and
+# left nonzero scores where spherical and pseudospherical's are exactly 0
+SCORE_K = 2
+# k for the score divergence of the 1-homogeneous case: it reaches 6.6, the offset 7.8e8
+DIVERGENCE_K = 8
+
+
+def _exact(x: float) -> Decimal:
+    return Decimal(float(x))  # a float converts exactly
+
+
+def exact_scores(name: str, gamma, weights, q) -> tuple[list, list]:
+    """The exact score of each atom (None for -inf) and the scale of its terms, as Decimals."""
+    w, q = [_exact(x) for x in weights], [_exact(x) for x in q]
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        if name == "shannon":
+            scores = [x.ln() if x else None for x in q]
+            return scores, [abs(s) if s is not None else None for s in scores]
+        if name in ("spherical", "pseudospherical"):
+            g = Decimal(2) if name == "spherical" else _exact(gamma)
+            total = sum(x ** g * u for x, u in zip(q, w))
+            scores = [x ** (g - 1) / total ** ((g - 1) / g) for x in q]  # 1-homogeneous: the gradient
+            # the float exponent (g - 1) / g is rounded, which moves total ** ((g - 1) / g) by up
+            # to |ln total| (g - 1) / g units of roundoff; sqrt, spherical's power, is exact
+            condition = 1 + (abs(total.ln()) * (g - 1) / g if name == "pseudospherical" else 0)
+            return scores, [abs(s) * condition for s in scores]
+        if name == "weighted_quadratic":
+            m = [[_exact(x) for x in row] for row in MATRIX]
+            form = [sum(a * x for a, x in zip(row, q)) for row in m]
+            form_scale = [sum(abs(a * x) for a, x in zip(row, q)) for row in m]
+            value = sum(x * f for x, f in zip(q, form))
+            value_scale = sum(abs(x) * f for x, f in zip(q, form_scale))
+            return ([2 * f / u - value for f, u in zip(form, w)],
+                    [2 * f / u + value_scale for f, u in zip(form_scale, w)])
+        g = Decimal(2) if name == "quadratic" else _exact(gamma)
+        value = sum(x ** g * u for x, u in zip(q, w))  # nonnegative terms: its own scale
+        grads = [g * x ** (g - 1) for x in q]
+        return [d - (g - 1) * value for d in grads], [d + (g - 1) * value for d in grads]
+
+
+def exact_pair(p, scores, weights) -> tuple[Decimal, Decimal]:
+    """``pair(p, scores)`` and the sum of its terms' magnitudes; atoms p does not charge add 0."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        terms = [_exact(x) * s * _exact(u) for x, s, u in zip(p, scores, weights) if x]
+        return sum(terms, Decimal(0)), sum((abs(t) for t in terms), Decimal(0))
+
+
+def build(name: str, gamma, space: MeasureSpace):
+    matrix = MATRIX if name == "weighted_quadratic" else None
+    return make_psr(catalog_entropy(name, space, gamma=gamma, matrix=matrix))
+
+
+def test_the_one_homogeneous_offset_cancellation_is_gone():
+    # pseudospherical(11) at q = (1e7, 0, 0, 0), the point mass on the light atom: G(q) = 2.3e6,
+    # and D(p, q) for p = (0, 0, 0, 0.1) is 0.1 * 10^(1/11) = 0.12328467394...  The offset
+    # H - pair(q, grad), 0 in exact arithmetic, cancelled two numbers of size G(q) and left
+    # -1.07e-8 on the atoms q does not charge: a relative error of 8.7e-8 in D(p, q)
+    weights = [1e-7, 1.0, 1.0, 10.0]
+    p, q = np.array([[0.0, 0.0, 0.0, 0.1]]), np.array([[1e7, 0.0, 0.0, 0.0]])
+    rule = build("pseudospherical", 11.0, MeasureSpace(weights))
+    p_scores, q_scores = rule.score_rows(p), rule.score_rows(q)
+    assert (q_scores[0, 1:] == 0.0).all()
+    divergence = float(score_divergence_rows(p, p_scores, q_scores, np.array(weights))[0])
+    own, own_scale = exact_pair(p[0], exact_scores("pseudospherical", 11.0, weights, p[0])[0], weights)
+    cross, cross_scale = exact_pair(p[0], exact_scores("pseudospherical", 11.0, weights, q[0])[0], weights)
+    exact = own - cross
+    assert str(exact).startswith("0.12328467394")
+    assert abs(_exact(divergence) - exact) <= DIVERGENCE_K * Decimal(U) * (own_scale + cross_scale)
+
+
+@pytest.mark.parametrize("name, gamma", RULES, ids=[f"{n}({g})" if g else n for n, g in RULES])
+@pytest.mark.parametrize("weights", [[1e-8, 1.0, 1e8], [1e8, 1e-8, 1.0]], ids=["light_first", "heavy_first"])
+def test_catalog_scores_at_extreme_weights(name, gamma, weights):
+    # densities that charge every atom, leave one out, or sit on one atom, under weights 1e-8 and
+    # 1e8: the light atom's density reaches 1e8, the heavy one's 1e-8
+    space = MeasureSpace(weights)
+    shares = np.array([[0.5, 0.3, 0.2], [0.2, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.1, 0.8, 0.1]])
+    rows = shares / np.array(weights)
+    scores = build(name, gamma, space).score_rows(rows)
+    k = SCORE_K * Decimal(U)
+    for q, row_scores in zip(rows, scores):
+        exact, scale = exact_scores(name, gamma, weights, q)
+        for got, want, size in zip(row_scores.tolist(), exact, scale):
+            if want is None:  # the log score's sentinel on an atom q does not charge
+                assert got == -math.inf
+            else:
+                assert abs(_exact(got) - want) <= k * size, (q.tolist(), got, want)

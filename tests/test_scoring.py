@@ -28,6 +28,7 @@ from entroscore import (
     sample_cone_point,
     sampling,
     sample_density,
+    scoring,
     score_divergence,
     verify_euler,
     verify_propriety,
@@ -38,11 +39,14 @@ from entroscore.measure import require_float_range
 from conftest import CATALOG_SPECS, entropy_from_spec, rule_from_spec, unit_space
 
 
-@pytest.mark.parametrize("spec", ["quadratic", "spherical", "power(1.5)", "power(3)", "pseudospherical(3)",
-                                  "weighted_quadratic"])
-def test_score_rows_makes_one_oracle_call_and_two_exact_sums(spec, monkeypatch):
-    # S(q) needs the value and the subgradient at q, from one oracle pass over the shared
-    # terms; the value's row sums and the pairing's are the only exact sums
+_COUNTED_SPECS = ["quadratic", "spherical", "power(1.5)", "power(3)", "pseudospherical(3)",
+                  "weighted_quadratic"]
+
+
+def _counted_score_rows(spec: str, closed_form: bool, monkeypatch) -> tuple:
+    """``score_rows`` of the spec's rule, with the closed form or without it (the generic
+    construction), on 50 rows of 40 atoms with zero atoms; and the row count of each oracle call,
+    the shape of each exact row sum and of each pairing it made."""
     space = MeasureSpace(np.linspace(0.5, 2.0, 40))
     if spec == "weighted_quadratic":
         entropy = catalog_entropy(spec, space, matrix=np.diag(np.linspace(1.0, 3.0, 40)) + 0.1)
@@ -50,24 +54,78 @@ def test_score_rows_makes_one_oracle_call_and_two_exact_sums(spec, monkeypatch):
         entropy = entropy_from_spec(spec, space)
     rows = sampling.density_rows(space, np.random.default_rng(4), 50)
     rows[::2, 3] = 0.0  # zero atoms too; the rows need not be densities here
-    oracle_calls, sums = [], []
+    oracle_calls, sums, pairings = [], [], []
 
     def counted(oracle):
-        return lambda q: oracle_calls.append(len(q)) or oracle(q)
+        return oracle and (lambda q: oracle_calls.append(len(q)) or oracle(q))
 
+    closed = entropy.closed_form_rows if closed_form else None
     counted_entropy = Entropy(entropy.name, entropy.domain, counted(entropy.value_rows),
-                              counted(entropy.value_grad_rows))
-    exact_row_sums = measure.exact_row_sums
+                              counted(entropy.value_grad_rows), counted(closed))
+    exact_row_sums, pair_rows = measure.exact_row_sums, measure.pair_rows
 
     def counted_sums(terms):
         sums.append(terms.shape)
         return exact_row_sums(terms)
 
+    def counted_pairs(q_rows, f_rows, weights):
+        pairings.append(q_rows.shape)
+        return pair_rows(q_rows, f_rows, weights)
+
     for module in (measure, entropies):
         monkeypatch.setattr(module, "exact_row_sums", counted_sums)
-    scores = make_psr(counted_entropy).score_rows(rows)
-    assert oracle_calls == [50] and sums == [(50, 40), (50, 40)]
+    monkeypatch.setattr(scoring, "pair_rows", counted_pairs)
+    return entropy, rows, make_psr(counted_entropy).score_rows(rows), oracle_calls, sums, pairings
+
+
+@pytest.mark.parametrize("spec", _COUNTED_SPECS)
+def test_score_rows_makes_one_oracle_call_and_two_exact_sums(spec, monkeypatch):
+    # the generic construction (an entropy without a closed form) needs the value and the
+    # subgradient at q, from one oracle pass over the shared terms; the value's row sums and
+    # the offset's pairing are its only exact sums
+    entropy, rows, scores, oracle_calls, sums, pairings = _counted_score_rows(spec, False, monkeypatch)
+    assert oracle_calls == [50] and sums == [(50, 40), (50, 40)] and pairings == [(50, 40)]
+    value, grad = entropy.value_grad_rows(rows)
+    offset = value - measure.pair_rows(rows, grad, entropy.domain.space.weights)
+    assert np.array_equal(scores, grad + offset[:, None])
+
+
+@pytest.mark.parametrize("spec", _COUNTED_SPECS)
+def test_catalog_score_rows_make_one_oracle_call_and_no_pairing(spec, monkeypatch):
+    # a catalog rule's closed form comes from the pass that gives the value: the value's row
+    # sums (for spherical and pseudospherical, the norm's) are its only exact sums, and no
+    # pairing computes an offset
+    entropy, rows, scores, oracle_calls, sums, pairings = _counted_score_rows(spec, True, monkeypatch)
+    assert oracle_calls == [50] and sums == [(50, 40)] and pairings == []
     assert np.array_equal(scores, make_psr(entropy).score_rows(rows))
+
+
+@pytest.mark.parametrize("spec", [*CATALOG_SPECS, "weighted_quadratic"])
+def test_catalog_closed_forms_are_the_generic_construction(spec):
+    # each catalog rule's closed form is grad + (H - pair(q, grad)) on every row, densities with
+    # zero atoms and off-simplex cone rows alike, to within 8 units of roundoff at the scale of
+    # that formula's terms, |grad| + |H| + |pair(q, grad)|; shannon's log q is the formula less
+    # 1 - mass(q), which vanishes on densities (its subgradient needs every atom charged)
+    space = MeasureSpace(np.random.default_rng(9).uniform(0.5, 2.0, size=12))
+    if spec == "weighted_quadratic":
+        entropy = catalog_entropy(spec, space, matrix=np.diag(np.linspace(1.0, 3.0, 12)) + 0.2)
+    else:
+        entropy = entropy_from_spec(spec, space)
+    rng = np.random.default_rng(10)
+    densities = sampling.density_rows(space, rng, 200)
+    if spec != "shannon":
+        densities[::3, 2] = 0.0
+        densities = measure.normalize_rows(densities, space.weights)[0]
+    masses = 10.0 ** rng.uniform(-3.0, 3.0, size=(200, 1))
+    for rows in (densities, densities * masses):
+        value, grad = entropy.value_grad_rows(rows)
+        pairing = measure.pair_rows(rows, grad, space.weights)
+        generic = grad + (value - pairing)[:, None]
+        if spec == "shannon":
+            generic -= 1.0 - measure.fsum_rows(rows * space.weights)[:, None]
+        scale = np.abs(grad) + (np.abs(value) + np.abs(pairing))[:, None]
+        gap = np.abs(make_psr(entropy).score_rows(rows) - generic)
+        assert (gap <= 8 * 2.0 ** -53 * scale).all(), (gap / scale).max() / 2.0 ** -53
 
 
 class TestMakePsr:
@@ -102,6 +160,18 @@ class TestMakePsr:
         values = S.score(sp.density([1.0, 0.0])).values
         assert values[0] == 0.0
         assert values[1] == -math.inf
+
+    def test_only_the_log_score_keeps_a_minus_inf_sentinel(self):
+        # under weights (1e-300, 1) the density (1e300, 0) has H = inf for power(1.5), so its closed
+        # form is -inf on both atoms: a value past the float range, which names its row; the log
+        # score's -inf on the atom a row does not charge is a sentinel
+        sp = MeasureSpace([1e-300, 1.0])
+        rows = np.array([[0.0, 1.0], [1e300, 0.0]])
+        message = r"^power\(1\.5\) scores leave the float range in row 2$"
+        with pytest.raises(measure.FloatRangeError, match=message):
+            rule_from_spec("power(1.5)", sp).score_rows(rows)
+        log_scores = rule_from_spec("shannon", sp).score_rows(rows)
+        assert np.isneginf(log_scores).tolist() == [[True, False], [False, True]]
 
     def test_power_rule_matches_published_form(self):
         # S(q) = g q^(g-1) - (g-1) (sum q^g mu) 1
@@ -329,7 +399,7 @@ class TestVerifyPropriety:
     def test_report_serializes_with_required_fields(self):
         report = verify_propriety(rule_from_spec("quadratic", unit_space(2)), samples=10)
         payload = json.loads(json.dumps(report.as_dict()))
-        assert set(payload) == {"rule", "samples", "min_margin", "witness_p", "witness_q",
+        assert set(payload) == {"rule", "samples", "min_margin", "margin_scale", "witness_p", "witness_q",
                                 "strict_violations", "infinite_favorable", "infinite_unfavorable",
                                 "tol", "pass"}
         assert payload["witness_p"] == report.witness_p.values.tolist()
