@@ -403,18 +403,16 @@ def pair_rows(q_rows: np.ndarray, f_rows: np.ndarray, weights: np.ndarray) -> np
     finite = np.isfinite(terms)
     if finite.all():  # a whole-array test first: per-row masks only when it fails
         return fsum_rows(terms)
-    stand = finite.all(axis=-1)[..., None]  # rows whose terms stand
+    stand = finite.all(axis=-1)
+    kept = terms[stand]  # rows whose terms stand keep their bits; the others become (q mu) f
     base = q_rows * weights
-    redo = np.multiply(base, f_rows, out=None if stand.any() else terms)
+    np.multiply(base, f_rows, out=terms)
     # 0 * inf := 0 where q mu = 0, by a blend over the bits (a masked write branches per entry);
     # the mask takes base's place
     mask = np.negative(base != 0.0, dtype=np.int64, out=base.view(np.int64))
-    np.bitwise_and(redo.view(np.int64), mask, out=redo.view(np.int64))
-    if redo is not terms:
-        terms = np.where(stand, terms, redo)
+    np.bitwise_and(terms.view(np.int64), mask, out=terms.view(np.int64))
+    terms[stand] = kept
     charged = np.isinf(terms).any(axis=-1)
-    if not charged.any():
-        return fsum_rows(terms)
     # a charged row sums its infinite terms: -inf + inf is NaN
     signed = (np.where((terms == -math.inf).any(axis=-1), -math.inf, 0.0)
               + np.where((terms == math.inf).any(axis=-1), math.inf, 0.0))

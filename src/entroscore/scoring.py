@@ -93,11 +93,13 @@ def _in_float_range(name: str, rows: Callable, sentinel: bool = False) -> Callab
 def make_psr(entropy: Entropy) -> ScoringRule:
     """Build the proper scoring rule of an entropy: the gradient of its sublinear extension.
 
-    ``score_rows`` maps each row q to ``grad(q) + (value(q) - pair(q, grad(q))) * 1``, on
-    densities and on any other row of the entropy's domain alike.  A catalog entropy's closed
-    form (``closed_form_rows``) is that expression, equal in exact arithmetic on every row,
-    computed with no pairing; the log score extends to zero atoms as a -inf sentinel, where
-    shannon's subgradient oracle refuses them.  Other entropies take the expression itself.
+    ``score_rows`` maps each density row q to ``grad(q) + (value(q) - pair(q, grad(q))) * 1``.
+    A catalog entropy computes it in closed form (``closed_form_rows``), with no pairing.  For
+    the homogeneous ones, every catalog entropy but shannon, the closed form equals that
+    expression in exact arithmetic on every row of the domain, densities or not.  Shannon's
+    ``log q`` equals it on densities only, and elsewhere is the expression less ``1 - mass(q)``;
+    it extends to zero atoms as a -inf sentinel, where shannon's subgradient oracle refuses
+    them.  Other entropies take the expression itself, on every row of their domain.
     """
     if entropy.closed_form_rows is not None:
         return ScoringRule(entropy.name,

@@ -417,11 +417,10 @@ class TestExactRowSums:
     def test_workload_shaped_batches_need_no_fallback(self, monkeypatch):
         # 400 x 500 weighted with half the atoms of each row zero, 1500 x 5, and verify's
         # batches: 1000 densities on 3 atoms weighted in [0.5, 2], its cone points, and
-        # quadratic's third differences, many of which sum to exactly zero.  A row leaves the
-        # array path only at a rounding tie: its array sums t1 + t2 lie within their error
-        # bound of the midpoint between two floats, so only an exact sum can round it.  The
-        # catalog's closed-form scores put one such row in these 23,400 pairings (row 26 of
-        # power(3)'s 400 x 500 self-pairing: t2 is 1.5 float gaps at the sum, exactly)
+        # quadratic's third differences, many of which sum to exactly zero.  One row may leave
+        # the array path: row 26 (index 25) of power(3)'s 400 x 500 self-pairing sits on a tie (its
+        # array sums t1 + t2 lie within their error bound of the midpoint between two floats: t2
+        # is 1.5 float gaps at the sum, exactly), which only an exact sum can round
         rng = np.random.default_rng(8)
         weights = rng.uniform(0.25, 4.0, size=500)
         wide = np.zeros((400, 500))
@@ -438,8 +437,20 @@ class TestExactRowSums:
         pseudospherical = entropy_from_spec("pseudospherical(3)", MeasureSpace(weights))
         quadratic = entropy_from_spec("quadratic", narrow)
 
-        fell_back, fsum = [], math.fsum
-        monkeypatch.setattr(measure.math, "fsum", lambda row: fell_back.append(row) or fsum(row))
+        tie = np.array([(wide[25] * scored[0][3][specs.index("power(3)")][25]) * weights])
+        t1, t2, bound = measure._extracted_sums(tie, np.empty_like(tie))
+        s, exact = t1[0] + t2[0], Fraction(t1[0]) + Fraction(t2[0])
+        midpoint = (Fraction(s) + Fraction(np.nextafter(s, math.inf if exact > s else -math.inf))) / 2
+        assert 0 < bound[0] and abs(exact - midpoint) <= Fraction(bound[0])
+        fsum, ties = math.fsum, []
+
+        def fell_back(row):
+            if ties or row != tie[0].tolist():
+                raise AssertionError("a row fell back to math.fsum")
+            ties.append(row)
+            return fsum(row)
+
+        monkeypatch.setattr(measure.math, "fsum", fell_back)
         for q, w, cone, scores in scored:
             require_density_rows(q, w)
             fsum_rows(q * w)
@@ -449,14 +460,6 @@ class TestExactRowSums:
                     pair_rows(cone, f, w)
         pseudospherical.value_rows(wide)  # its power sums run on the same kernel
         symmetry_defect(quadratic, samples=500)
-        assert len(fell_back) <= 2
-        for row in fell_back:
-            terms = np.array([row])
-            t1, t2, bound = (measure._cascaded_sums(terms) if terms.shape[1] <= measure._CASCADE_ATOMS
-                             else measure._extracted_sums(terms, np.empty_like(terms)))
-            s, exact = t1[0] + t2[0], Fraction(t1[0]) + Fraction(t2[0])
-            midpoint = (Fraction(s) + Fraction(np.nextafter(s, math.inf if exact > s else -math.inf))) / 2
-            assert abs(exact - midpoint) <= Fraction(bound[0]), row
 
     def test_math_fsum_gives_exact_zero_sums_a_clear_sign_bit(self):
         # exact_row_sums certifies an exact zero sum as +0.0 without calling math.fsum

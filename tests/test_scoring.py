@@ -102,7 +102,7 @@ def test_catalog_score_rows_make_one_oracle_call_and_no_pairing(spec, monkeypatc
 
 @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "weighted_quadratic"])
 def test_catalog_closed_forms_are_the_generic_construction(spec):
-    # each catalog rule's closed form is grad + (H - pair(q, grad)) on every row, densities with
+    # each homogeneous rule's closed form is grad + (H - pair(q, grad)) on every row, densities with
     # zero atoms and off-simplex cone rows alike, to within 8 units of roundoff at the scale of
     # that formula's terms, |grad| + |H| + |pair(q, grad)|; shannon's log q is the formula less
     # 1 - mass(q), which vanishes on densities (its subgradient needs every atom charged)
