@@ -397,12 +397,6 @@ def _checked(cast, flaw, fault: str):
     return parse
 
 
-def _weights_file(path: str) -> list[float]:
-    if not path:
-        raise ValueError("weights_file names no file")
-    return read_values(path)
-
-
 def _probe_settings(values: dict) -> dict:
     """A probe's keys over their defaults; ValueError if it has no candidates or no expected verdict."""
     probe = {"entropy": "", "domain": "orthant", "point": [], "candidates": [],
@@ -423,7 +417,8 @@ _KNOBS = {
 }
 # The sections of a config: kind -> (whether a name follows the kind, key -> parser, keys -> settings).
 _SECTIONS = {
-    "verify": (False, {**_KNOBS, "weights": _parse_vector, "weights_file": _weights_file,
+    "verify": (False, {**_KNOBS, "weights": _parse_vector,
+                       "weights_file": _checked(str, lambda path: not path, "weights_file names no file"),
                        "suites": _checked(lambda text: [s.strip() for s in text.split(",") if s.strip()],
                                           lambda suites: ", ".join(sorted(set(suites) - set(DEFAULT_SUITES))),
                                           "unknown suites: {flaw}")}, dict),
@@ -469,7 +464,9 @@ def load_verify_config(args):
             read[kind].append((name, values))
         for _, values in read["verify"]:
             settings.update(values)
-            settings["weights"] = settings.pop("weights_file", settings["weights"])
+        if "weights_file" in settings:  # a path relative to the config's directory; an absolute one joins as itself
+            settings["weights"] = read_values(os.path.join(os.path.dirname(args.config),
+                                                           settings.pop("weights_file")))
         if not read["rule"]:
             raise CliError(EXIT_INPUT, f"{args.config}: no [rule ...] sections configured")
         if not settings["suites"] and not read["probe"]:
@@ -507,7 +504,8 @@ def _run_suite(suite: str, entropy, rule, knobs: dict) -> dict:
     if suite == "euler":
         return verify_euler(rule, entropy, seed=seed, samples=samples, tol=knobs["euler_tol"]).as_dict()
     report = symmetry_defect(entropy, seed=seed, samples=min(samples, 500)).as_dict()
-    symmetric = catalog_symmetric(*parse_rule_spec(entropy.name))  # an alias's entropy is a catalog one
+    # an alias's entropy is a catalog one
+    symmetric = catalog_symmetric(*parse_rule_spec(entropy.name), entropy.domain.space.size)
     report["expected"] = SYMMETRIC_GENERALIZED_QUADRATIC if symmetric else ASYMMETRIC_WITH_WITNESS
     report["pass"] = report["classification"] == report["expected"]
     return report

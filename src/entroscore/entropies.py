@@ -305,14 +305,16 @@ def _weighted_quadratic(name: str, space: MeasureSpace, matrix) -> Entropy:
 
 # The catalog, name -> (its constructor, called as (name, space) or (name, space, parameter); the
 # kind of parameter it takes: None, "exponent" or "matrix"; whether its Bregman divergence is
-# symmetric at gamma, as only those of generalized quadratic entropies are).
+# symmetric at gamma on a space of that many atoms: only those of generalized quadratic entropies
+# are, and on one atom those of the spherical ones, linear there: (q^g mu)^(1/g) = q mu^(1/g)).
 _CATALOG = {
-    "quadratic": (_quadratic, None, lambda gamma: True),
-    "spherical": (_spherical, None, lambda gamma: False),
-    "power": (_power, "exponent", lambda gamma: gamma == 2.0),  # power(2) is the quadratic entropy
-    "shannon": (_shannon, None, lambda gamma: False),
-    "pseudospherical": (_pseudospherical, "exponent", lambda gamma: False),  # (2) is the spherical one
-    "weighted_quadratic": (_weighted_quadratic, "matrix", lambda gamma: True),
+    "quadratic": (_quadratic, None, lambda gamma, atoms: True),
+    "spherical": (_spherical, None, lambda gamma, atoms: atoms == 1),
+    "power": (_power, "exponent", lambda gamma, atoms: gamma == 2.0),  # power(2) is the quadratic entropy
+    "shannon": (_shannon, None, lambda gamma, atoms: False),
+    # pseudospherical(2) is the spherical entropy
+    "pseudospherical": (_pseudospherical, "exponent", lambda gamma, atoms: atoms == 1),
+    "weighted_quadratic": (_weighted_quadratic, "matrix", lambda gamma, atoms: True),
 }
 CATALOG_NAMES = tuple(_CATALOG)
 
@@ -348,10 +350,12 @@ def catalog_entropy(name: str, space: MeasureSpace, *, gamma: float | None = Non
     return build(name, space)
 
 
-def catalog_symmetric(name: str, gamma: float | None = None) -> bool:
-    """Whether the Bregman divergence of catalog entropy ``name`` at exponent ``gamma`` is symmetric:
-    true for ``quadratic``, ``weighted_quadratic`` and ``power(2)``, the generalized quadratics."""
-    return _catalog_row(name)[2](gamma)
+def catalog_symmetric(name: str, gamma: float | None = None, atoms: int | None = None) -> bool:
+    """Whether the Bregman divergence of catalog entropy ``name`` at exponent ``gamma`` on a space of
+    ``atoms`` atoms (None: more than one) is symmetric: true for ``quadratic``, ``weighted_quadratic``
+    and ``power(2)``, the generalized quadratics, and on one atom also for ``spherical`` and
+    ``pseudospherical``, which are linear there, so that their divergence is 0."""
+    return _catalog_row(name)[2](gamma, atoms)
 
 
 def parse_rule_spec(spec: str) -> tuple[str, float | None]:

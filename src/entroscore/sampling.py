@@ -18,6 +18,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
+from .errors import DomainError
 from .measure import ConeVector, Density, MeasureSpace, require_density_rows
 
 __all__ = ["sample_density", "sample_cone_point", "sample_positive_box", "density_rows", "cone_rows",
@@ -42,7 +43,13 @@ def _shared_draws():
 
 
 def _seeded(sampler, space: MeasureSpace, seed: int, count: int):
-    """``sampler(space, np.random.default_rng(seed), count)``, made once and read-only in a block."""
+    """``sampler(space, np.random.default_rng(seed), count)``, made once and read-only in a block.
+
+    :class:`DomainError`, before any draw, if ``count`` rows of the space's atoms are more floats
+    than one numpy array can index (numpy would raise ValueError).
+    """
+    if count * space.size * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise DomainError(f"{count} sample points of {space.size} atoms do not fit in one numpy array")
     memo = _DRAWS.get()
     if memo is None:
         return sampler(space, np.random.default_rng(seed), count)

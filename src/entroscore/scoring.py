@@ -13,20 +13,9 @@ it pairs with every cone point to the extended entropy (the Euler identity
 ``pair(q, S(q)) = extended value(q)`` checked by :func:`verify_euler`).
 
 Each catalog entropy gives S in closed form, from the pass that gives its
-value and subgradient, with no pairing (``Entropy.closed_form_rows``):
-
-==================  =====================================
-rule                S(q)
-==================  =====================================
-quadratic           2 q - H(q)
-power(g)            g q^(g-1) - (g-1) H(q)
-shannon             log q
-spherical           q / (sum q^2 mu)^(1/2), the gradient
-pseudospherical(g)  q^(g-1) / (...)^((g-1)/g), the gradient
-weighted_quadratic  2 Q q / mu - H(q)
-==================  =====================================
-
-Other entropies (composite, rebased, user-built) take the generic formula.
+value and subgradient, with no pairing (``Entropy.closed_form_rows``; the
+``entropies`` docstring tables them).  Other entropies (composite, rebased,
+user-built) take the generic formula.
 """
 
 from __future__ import annotations

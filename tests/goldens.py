@@ -3,8 +3,8 @@ command's output byte for byte.
 
 Every golden test and the OpenBLAS gate read ``GOLDENS``.  Each word of a row's
 argv that names a file names one under ``tests/data``, and the commands run with
-``tests/data`` as the working directory: a config's ``weights_file`` is opened
-relative to it.
+``tests/data`` as the working directory.  A config's ``weights_file`` is opened
+relative to the config's directory, so it does not depend on that.
 
 Run as a script, with ``src`` on the path (``PYTHONPATH=src python
 tests/goldens.py``), it rewrites every golden in place and prints, for each file,

@@ -308,6 +308,16 @@ class TestSymmetryClassification:
         with pytest.raises(DomainError, match="^nan values leave the float range at 40 of 40 sampled points;"):
             symmetry_defect(E, seed=5, samples=20)
 
+    def test_defects_that_are_all_nan_raise_a_domain_error_naming_the_entropy(self):
+        # finite values and subgradients whose every pairing adds opposing infinities: each
+        # term (p - q) f mu on 20 atoms of weight 1e10, f = +-1e300 by turns, overflows
+        sp = MeasureSpace(np.full(20, 1e10))
+        f = np.where(np.arange(20) % 2, -1e300, 1e300)
+        opposed = Entropy("opposed", ConvexDomainSpec.whole_space(sp), lambda q: np.zeros(len(q)),
+                          lambda q: (np.zeros(len(q)), np.broadcast_to(f, q.shape).copy()))
+        with pytest.raises(DomainError, match="^no sampled symmetry defect of opposed is a number$"):
+            symmetry_defect(opposed, seed=5, samples=20)
+
     def test_non_finite_values_are_counted_not_dropped(self):
         # a quadratic without a value where q_1 > 1.9, about 5% of the box: every other
         # pair's defect is below 1e-10, so dropping those points would call it symmetric

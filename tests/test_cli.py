@@ -1,15 +1,20 @@
 """Command-line interface: formats, exit codes, determinism, golden output."""
 
+import contextlib
 import csv
+import inspect
 import io
 import json
 import math
+import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -83,50 +88,19 @@ class TestScoreCommand:
         assert code == 0
         assert [line.split(",")[2] for line in payload.decode().splitlines()[1:3]] == ["0.0", "5e-324"]
 
-    def test_malformed_header_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b,c\n0.5,0.25,0.25\n")
-        code, _ = run(tmp_path, "score", str(bad), OUTCOMES)
-        assert code == 2
-        assert ":1:" in capsys.readouterr().err
-
-    def test_non_numeric_cell_reports_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("p1,p2\n0.5,0.5\n0.5,oops\n")
-        outcomes = tmp_path / "oc.csv"
-        outcomes.write_text("outcome\n1\n2\n")
-        code, _ = run(tmp_path, "score", str(bad), str(outcomes))
-        assert code == 2
-        assert ":3:" in capsys.readouterr().err
-
-    def test_invalid_density_exits_3_listing_rows(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("p1,p2\n0.5,0.5\n0.9,0.2\n0.7,0.3\n-0.2,1.2\n")
-        outcomes = tmp_path / "oc.csv"
-        outcomes.write_text("outcome\n1\n2\n1\n2\n")
-        code, _ = run(tmp_path, "score", str(bad), str(outcomes))
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "row 2" in err and "row 4" in err and "row 3" not in err
-
-    @pytest.mark.parametrize("rule, code", [
-        ("quadratic", 3), ("spherical", 0), ("power(1.5)", 3), ("power(3)", 3),
-        ("pseudospherical(3)", 0), ("linear", 0), ("shannon", 0),
-    ])
-    def test_scores_past_the_float_range_exit_3_listing_rows(self, tmp_path, capsys, rule, code):
-        # under weights (1e-300, 1) row 2 is a density, but most of its scores
-        # overflow; the log score stays finite, and so do linear's, spherical's
-        # and pseudospherical's scores and pairings: 1e300 * 1e-300 is taken
-        # first, and the 1-homogeneous norms rescale the row by its max
+    @pytest.mark.parametrize("rule", ["spherical", "pseudospherical(3)", "linear", "shannon"])
+    def test_scores_of_a_heavy_light_atom_within_the_float_range_exit_0(self, tmp_path, rule):
+        # under weights (1e-300, 1) row 2 is a density, whose scores overflow for the
+        # rules of the refusal table's scores-past-the-float-range rows; the log score
+        # stays finite, and so do linear's, spherical's and pseudospherical's scores
+        # and pairings: 1e300 * 1e-300 is taken first, and the 1-homogeneous norms
+        # rescale the row by its max
         forecasts = tmp_path / "f.csv"
         forecasts.write_text("p1,p2\n0,1\n1e300,0\n")
         outcomes = tmp_path / "oc.csv"
         outcomes.write_text("outcome\n2\n1\n")
         argv = ["score", str(forecasts), str(outcomes), "--weights", "1e-300,1", "--rules", rule]
-        assert run(tmp_path, *argv)[0] == code
-        if code == 3:
-            err = capsys.readouterr().err
-            assert "row 2" in err and "row 1" not in err
+        assert run(tmp_path, *argv)[0] == 0
 
     def test_linear_expected_score_of_a_heavy_light_atom(self, tmp_path):
         # (q f) mu would overflow at q = f = 1e300, mu = 1e-300; (q mu) f does not
@@ -138,14 +112,6 @@ class TestScoreCommand:
         code, payload = run(tmp_path, *argv)
         assert code == 0
         assert payload.decode().splitlines()[1:3] == ["1,1,1e+300,1e+300", "2,2,1.0,1.0"]
-
-    def test_unknown_rule_exits_4(self, tmp_path):
-        code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "nosuchrule")
-        assert code == 4
-        code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "power(0.5)")
-        assert code == 4
-        code, _ = run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", "power(inf)")
-        assert code == 4
 
     def test_weights_flag_changes_the_measure(self, tmp_path):
         # with atom weights (2, 2) the density rows must have weighted mass 1
@@ -160,23 +126,7 @@ class TestScoreCommand:
         assert code == 0
         # value = sum q^2 mu = 0.25; S(q)(1) = 2*0.25 - 0.25 = 0.25
         row = payload.decode().splitlines()[1].split(",")
-        assert float(row[2]) == 0.25 and float(row[3]) == 0.25
-        # the same rows are rejected under unit weights
-        code, _ = run(tmp_path, "score", str(forecasts), str(outcomes), "--rules", "quadratic")
-        assert code == 3
-
-    def test_row_count_mismatch_exits_2(self, tmp_path):
-        outcomes = tmp_path / "oc.csv"
-        outcomes.write_text("outcome\n1\n")
-        code, _ = run(tmp_path, "score", FORECASTS, str(outcomes))
-        assert code == 2
-
-    def test_outcome_out_of_range_exits_2(self, tmp_path):
-        outcomes = tmp_path / "oc.csv"
-        outcomes.write_text("outcome\n" + "1\n" * 9 + "4\n")
-        code, _ = run(tmp_path, "score", FORECASTS, str(outcomes))
-        assert code == 2
-
+        assert float(row[2]) == 0.25 and float(row[3]) == 0.25  # unit weights refuse the row: see REFUSALS
 
     def test_large_gamma_pseudospherical_runs_everywhere(self, tmp_path):
         # sum q^2000 leaves the float range on these rows; the rule rescales
@@ -225,14 +175,6 @@ class TestDivergenceCommand:
         assert payload.decode().splitlines()[1].split(",")[2:] == [
             "0.0", "nan", "inf", "-inf", "5e-324", "0.1"]
 
-    def test_scores_past_the_float_range_exit_3(self, tmp_path, capsys):
-        densities = tmp_path / "p.csv"
-        densities.write_text("p1,p2\n0,1\n1e300,0\n")
-        argv = ["divergence", str(densities), str(densities), "--weights", "1e-300,1",
-                "--rules", "quadratic"]
-        assert run(tmp_path, *argv)[0] == 3
-        assert "row 2" in capsys.readouterr().err
-
     def test_linear_divergence_of_a_heavy_light_atom(self, tmp_path):
         # D(p1, p1) = 0 and D(p1, p2) = 1e300 once (q mu) f is formed before (q f) mu overflows
         densities = tmp_path / "p.csv"
@@ -241,12 +183,6 @@ class TestDivergenceCommand:
         code, payload = run(tmp_path, *argv)
         assert code == 0
         assert payload.decode().splitlines()[1:] == ["linear,p1,0.0,1e+300", "linear,p2,1.0,0.0"]
-
-    def test_width_mismatch_exits_2(self, tmp_path):
-        q = tmp_path / "q.csv"
-        q.write_text("p1,p2\n0.5,0.5\n")
-        code, _ = run(tmp_path, "divergence", FORECASTS, str(q))
-        assert code == 2
 
 
 class TestVerifyCommand:
@@ -319,20 +255,6 @@ class TestVerifyCommand:
         assert report["probes"]["corner"]["pass"] is True
         assert len(report["probes"]["corner"]["verified"]) == 3
 
-    def test_probe_past_the_float_range_exits_2_naming_it(self, tmp_path, capsys):
-        # q q mu overflows on sampled points near this point
-        config = tmp_path / "probe.ini"
-        config.write_text(
-            "[verify]\nseed = 1\nsamples = 5\nweights = 1,1,1\nsuites = propriety\n\n"
-            "[rule quadratic]\n\n"
-            "[probe big]\nentropy = quadratic\ndomain = whole_space\n"
-            "point = 1.1e154,6e153,1\ncandidates = 2.2e154,1.2e154,2\nexpect_verified = 2.2e154,1.2e154,2\n"
-        )
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        err = capsys.readouterr().err
-        assert err.startswith("entroscore: probe 'big': ") and "float range" in err
-        assert "row " not in err  # no row of a batch inside the probe
-
     def test_weights_file(self, tmp_path):
         weights = tmp_path / "w.csv"
         weights.write_text("1.0\n1.0\n")
@@ -344,26 +266,6 @@ class TestVerifyCommand:
         code, payload = run(tmp_path, "verify", "--config", str(config))
         assert code == 0
         assert json.loads(payload)["config"]["weights"] == [1.0, 1.0]
-
-    @pytest.mark.parametrize("text, lineno", [("1.0\n1,x,3\n1.0\n", 2), ("\n1,1,1\n", 2)],
-                             ids=["bad-number", "several-per-line"])
-    def test_bad_weights_file_line_is_named(self, tmp_path, capsys, text, lineno):
-        weights = tmp_path / "w.csv"
-        weights.write_text(text)
-        config = tmp_path / "wf.ini"
-        config.write_text(f"[verify]\nweights_file = {weights}\n\n[rule quadratic]\n")
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        assert capsys.readouterr().err == f"entroscore: {weights}:{lineno}: non-numeric value\n"
-
-    @pytest.mark.parametrize("section, line, text", [
-        ("verify", "weights = 1,x", "1,x"),
-        ("probe a", "entropy = quadratic\npoint = 1,y\ncandidates = 2,0", "1,y"),
-    ], ids=["verify-weights", "probe-point"])
-    def test_bad_number_list_names_file_and_section(self, tmp_path, capsys, section, line, text):
-        config = tmp_path / "bad.ini"
-        config.write_text(f"[{section}]\n{line}\n\n[rule quadratic]\n")
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        assert capsys.readouterr().err == f"entroscore: {config}: [{section}]: bad number list {text!r}\n"
 
     def test_per_rule_overrides(self, tmp_path):
         config = tmp_path / "override.ini"
@@ -399,50 +301,6 @@ class TestVerifyCommand:
         assert code == 0
         assert [json.loads(payload)["rules"][spec]["propriety"]["rule"] for spec in specs] == list(specs)
 
-    def test_rule_overflowing_on_its_sample_points_exits_2(self, tmp_path, capsys):
-        # power(1100)'s subgradient 1100 q^1099 overflows on the symmetry suite's box points
-        config = tmp_path / "overflow.ini"
-        config.write_text("[verify]\nweights = 1,1,1\nsamples = 50\nseed = 42\n\n[rule power(1100)]\n")
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        err = capsys.readouterr().err
-        assert "power(1100)" in err and "symmetry" in err
-        # how many of the 100 sampled points overflow, and where they were drawn
-        assert "power(1100) subgradients leave the float range at 12 of 100 sampled points" in err
-        assert "the box [0.05, 2)^3" in err
-
-    @pytest.mark.parametrize("suite, count", [("propriety", "20 of 20 sampled pairs"),
-                                              ("euler", "20 of 20 sampled points")])
-    def test_suite_past_the_float_range_counts_its_points(self, tmp_path, capsys, suite, count):
-        # power(3)'s scores overflow wherever the 1e-200 atom holds mass: the
-        # suite counts its sampled points, whose rows no report shows
-        config = tmp_path / "tiny.ini"
-        config.write_text(f"[verify]\nseed = 1\nsamples = 20\nweights = 1e-200,1,1\nsuites = {suite}\n\n"
-                          "[rule power(3)]\n")
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        err = capsys.readouterr().err
-        assert err == (f"entroscore: rule 'power(3)': {suite} suite: "
-                       f"power(3) scores leave the float range at {count}\n")
-        assert "row " not in err
-
-    def test_empty_rule_list_exits_2(self, tmp_path):
-        config = tmp_path / "empty.ini"
-        config.write_text("[verify]\nseed = 1\n")
-        code, _ = run(tmp_path, "verify", "--config", str(config))
-        assert code == 2
-
-    def test_no_suites_and_no_probes_exits_2(self, tmp_path, capsys):
-        config = tmp_path / "nothing.ini"
-        config.write_text("[verify]\nsamples = 5\nsuites = ,\n\n[rule quadratic]\n")
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        assert capsys.readouterr().err == f"entroscore: {config}: nothing to verify: no suites and no probes\n"
-
-    def test_probe_without_candidates_exits_2_naming_its_section(self, tmp_path, capsys):
-        config = tmp_path / "bare.ini"
-        config.write_text("[verify]\nsamples = 5\nsuites = propriety\n\n[rule quadratic]\n\n"
-                          "[probe bare]\nentropy = quadratic\npoint = 1,1,1\n")
-        assert run(tmp_path, "verify", "--config", str(config))[0] == 2
-        assert capsys.readouterr().err == f"entroscore: {config}: [probe bare]: no candidates to probe\n"
-
     def test_probes_alone_still_run_without_suites(self, tmp_path):
         config = tmp_path / "probes.ini"
         config.write_text("[verify]\nweights = 1,1\nsuites = ,\n\n[rule quadratic]\n\n"
@@ -452,16 +310,6 @@ class TestVerifyCommand:
         report = json.loads(payload)
         assert code == 0 and report["pass"] is True and report["rules"] == {"quadratic": {}}
         assert report["probes"]["corner"]["pass"] is True
-
-    def test_config_parse_error_exits_2(self, tmp_path):
-        config = tmp_path / "broken.ini"
-        config.write_text("[verify\nseed = 1\n")
-        code, _ = run(tmp_path, "verify", "--config", str(config))
-        assert code == 2
-
-    def test_missing_config_exits_2(self, tmp_path):
-        code, _ = run(tmp_path, "verify", "--config", str(tmp_path / "nope.ini"))
-        assert code == 2
 
 
 class TestGridScoreCommand:
@@ -486,34 +334,6 @@ class TestGridScoreCommand:
         assert all(line.split(",")[1] == "0.0" for line in lines[1:-1])
         assert lines[-1] == "fisher_entropy,0.0"
 
-    def test_nonpositive_rows_exit_3(self, tmp_path, capsys):
-        density = tmp_path / "bad.csv"
-        density.write_text("1.0\n0.0\n2.0\n3.0\n")
-        code, _ = run(tmp_path, "grid-score", str(density))
-        assert code == 3
-        assert "2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("values, what", [
-        ("1e-300\n1\n1e300\n1\n", "hyvarinen scores"),
-        ("1e-300\n1e150\n1e300\n1e150\n", "Fisher entropy terms"),
-    ], ids=["scores", "fisher-entropy"])
-    def test_values_past_the_float_range_exit_3_naming_rows(self, tmp_path, capsys, values, what):
-        # valid densities with log slopes so steep that the scores, or the Fisher
-        # entropy's terms, overflow at rows 2 and 4: no warning, no traceback
-        density = tmp_path / "steep.txt"
-        density.write_text(values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(tmp_path, "grid-score", str(density)) == (3, b"")
-        assert capsys.readouterr().err == f"entroscore: {density}: {what} leave the float range in rows 2, 4\n"
-
-    def test_non_numeric_line_exits_2(self, tmp_path, capsys):
-        density = tmp_path / "bad.csv"
-        density.write_text("1.0\nx\n2.0\n3.0\n")
-        code, _ = run(tmp_path, "grid-score", str(density))
-        assert code == 2
-        assert capsys.readouterr().err == f"entroscore: {density}:2: non-numeric value\n"
-
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_any_line_ending_reads_the_same(self, tmp_path, newline):
         density = tmp_path / "density.txt"
@@ -521,17 +341,21 @@ class TestGridScoreCommand:
         density.write_bytes((DATA / golden.argv[1]).read_bytes().replace(b"\n", newline.encode()))
         assert run(tmp_path, "grid-score", str(density)) == (golden.code, (DATA / golden.file).read_bytes())
 
-    def test_too_short_grid_exits_2(self, tmp_path):
-        density = tmp_path / "short.csv"
-        density.write_text("1.0\n2.0\n")
-        code, _ = run(tmp_path, "grid-score", str(density))
-        assert code == 2
-
 
 @pytest.mark.parametrize("golden", GOLDENS.values(), ids=lambda golden: golden.file)
 def test_golden_outputs_byte_for_byte(tmp_path, monkeypatch, golden):
     monkeypatch.chdir(DATA)
     assert run_goldens([golden], tmp_path) == [golden.code]
+    assert (tmp_path / golden.file).read_bytes() == (DATA / golden.file).read_bytes()
+
+
+def test_a_weights_file_is_read_relative_to_its_config(tmp_path, monkeypatch):
+    # verify_20.ini names weights_20.txt, the file beside it, and runs from the repository root
+    golden = GOLDENS["verify-20"]
+    monkeypatch.chdir(DATA.parents[1])
+    argv = [os.path.relpath(DATA / word) if (DATA / word).is_file() else word for word in golden.argv]
+    assert argv[-1] == os.path.join("tests", "data", "verify_20.ini")
+    assert main([*argv, "--out", str(tmp_path / golden.file)]) == golden.code
     assert (tmp_path / golden.file).read_bytes() == (DATA / golden.file).read_bytes()
 
 
@@ -662,151 +486,338 @@ def _root(rows: np.ndarray) -> np.ndarray:
     return rows if rows.base is None else _root(rows.base)
 
 
-_PROBE_CONFIG = (
-    "[verify]\nseed = 1\nsamples = 5\nweights = 1,1\nsuites = propriety\n\n"
-    "[rule quadratic]\n\n[probe p]\nentropy = quadratic\nexpect_verified = 2,0\n"
-)
-_PROBE_CONFIG_3 = (
-    "[verify]\nseed = 1\nsamples = 5\nweights = 1,1,1\nsuites = propriety\n\n"
-    "[rule quadratic]\n\n[probe p]\nexpect_verified = 0,1,1\n"
-)
+# -- refusals -------------------------------------------------------------------------
 
-
-@pytest.mark.parametrize("command, text, code", [
-    ("verify", _PROBE_CONFIG_3 + "entropy = power(abc)\npoint = 1,1,1\ncandidates = 0,1,1\n", 2),
-    ("verify", _PROBE_CONFIG + "point = 1,0,0\ncandidates = 2,0\n", 2),
-    ("verify", _PROBE_CONFIG + "point = 1,0\ncandidates = 2,0 ; 2,0,0\n", 2),
-    ("verify", _PROBE_CONFIG + "point = nan,0\ncandidates = 2,0\n", 2),
-    ("verify", _PROBE_CONFIG + "point = -1,0\ncandidates = 2,0\n", 2),
-    # inside the probe's domain, outside the entropy's: the orthant's 1e-9 slack
-    # admits -1e-10, power does not
-    ("verify", _PROBE_CONFIG_3 + "entropy = shannon\ndomain = whole_space\npoint = -1,1,1\n"
-     "candidates = 0,1,1\n", 2),
-    ("verify", _PROBE_CONFIG_3 + "entropy = power(1.5)\ndomain = orthant\n"
-     "point = -1e-10,1,1\ncandidates = 0,1.5,1.5\n", 2),
-    ("verify", "[verify]\nweights = 1,1%\n\n[rule quadratic]\n", 2),
-    ("verify", "[verify]\npropriety_tol = nan\n\n[rule quadratic]\n", 2),
-    ("verify", "[verify]\neuler_tol = -1\n\n[rule quadratic]\n", 2),
-    ("verify", "[verify]\n\n[rule quadratic]\neuler_tol = nan\n", 2),
-    ("verify", "[verify]\n\n[rule quadratic]\neuler_tol = inf\n", 2),
-    ("verify", "[verify]\n\n[rule quadratic]\npropriety_tol = -1e-3\n", 2),
-    ("verify", "[verify]\nseed = -1\n\n[rule quadratic]\n", 2),
-    ("verify", "[verify]\n\n[rule quadratic]\nseed = -1\n", 2),
-    ("grid-score", "1.0\ninf\n2.0\n3.0\n", 3),
-], ids=["probe-gamma-abc", "probe-point-length", "probe-candidate-length", "probe-point-nan",
-        "probe-point-outside-domain", "probe-point-outside-shannon-domain",
-        "probe-point-outside-power-domain", "config-percent", "config-tol-nan", "config-tol-negative",
-        "rule-tol-nan", "rule-tol-inf", "rule-tol-negative", "config-seed-negative",
-        "rule-seed-negative", "grid-inf"])
-def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, text, code):
-    path = tmp_path / "input.txt"
-    path.write_text(text)
-    argv = ["verify", "--config", str(path)] if command == "verify" else [command, str(path)]
-    assert run(tmp_path, *argv)[0] == code
-    assert capsys.readouterr().err.startswith("entroscore: ")
-
-
-@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "-1"], ["--seed", "-1"]],
-                         ids=["tol-nan", "tol-negative", "seed-negative"])
-def test_malformed_verify_flag_exits_2(tmp_path, capsys, flags):
-    assert run(tmp_path, "verify", "--samples", "5", *flags)[0] == 2
-    assert capsys.readouterr().err.startswith("entroscore: ")
-
-
+_LIMIT = csv.field_size_limit()
+_GRID = "1\n2\n3\n4\n"
+_TWO = "p1,p2\n0.5,0.5\n0.5,0.5\n"
+_RULE = "\n[rule quadratic]\n"
+_CONFIG = "verify --config FILE"
+_WEIGHTS_FILE = "[verify]\nweights_file = FILE\n" + _RULE
 # A config whose one probe rejects its only candidate: (3, 3, 3) is no subgradient
 # of quadratic at (1, 1, 1).
 _HEAD = "[verify]\nsamples = 5\nsuites = propriety\n\n[rule quadratic]\n\n"
 _REJECTING = "entropy = quadratic\npoint = 1,1,1\ncandidates = 3,3,3\n"
-_CONFIG = ["verify", "--config", "FILE"]
+_PROBE = "[verify]\nseed = 1\nsamples = 5\nweights = {}\nsuites = propriety\n\n[rule quadratic]\n\n[probe p]\n"
+_PROBE_2 = _PROBE.format("1,1") + "entropy = quadratic\nexpect_verified = 2,0\n"
+_PROBE_3 = _PROBE.format("1,1,1")
 
 
-# argv and the text of FILE, the file each argv names as FILE; the exit code and stderr, FILE named
-@pytest.mark.parametrize("argv, text, code, err", [
-    (["score", FORECASTS, OUTCOMES, "--rules", "linear(2)"], "", 4,
-     "cannot build rule 'linear(2)': rule 'linear' takes no parameter"),
-    (["score", FORECASTS, OUTCOMES, "--rules", "quadratic,,shannon"], "", 4, "empty rule name in --rules"),
-    (["score", FORECASTS, "FILE"], "outcomes\n1\n", 2, "FILE:1: header must be 'outcome'"),
-    (["score", FORECASTS, "FILE"], "outcome\n1\n2,3\n", 2, "FILE:3: expected a single column"),
-    (["score", FORECASTS, "FILE"], "outcome\n1.0\n", 2, "FILE:2: non-integer outcome"),
-    (["score", FORECASTS, OUTCOMES, "--weights", "1,x,1"], "", 2, "bad number list '1,x,1'"),
-    (["score", FORECASTS, OUTCOMES, "--weights", "1,1"], "", 2, "expected 3 weights, got 2"),
-    (["score", FORECASTS, OUTCOMES, "--weights", "1,0,1"], "", 2,
-     "atom weights must be finite and strictly positive"),
-    (["verify", "--samples", "0"], "", 2, "samples must be at least 1"),
-    (_CONFIG, "[verify]\nsamples = 0\n\n[rule quadratic]\n", 2, "FILE: [verify]: samples must be at least 1"),
-    (_CONFIG, "[verify]\nseed =\n\n[rule quadratic]\n", 2,
-     "FILE: [verify]: invalid literal for int() with base 10: ''"),
-    (_CONFIG, "[rule quadratic]\nsamples = 0\n", 2, "FILE: [rule quadratic]: samples must be at least 1"),
-    (_CONFIG, "[verify]\nsuites = propriety, nonsense, bogus\n\n[rule quadratic]\n", 2,
-     "FILE: [verify]: unknown suites: bogus, nonsense"),
-    (_CONFIG, "[verify]\nsuites =\n\n[rule quadratic]\n", 2,
-     "FILE: nothing to verify: no suites and no probes"),
-    (_CONFIG, "[verify]\nweights_file =\n\n[rule quadratic]\n", 2,
-     "FILE: [verify]: weights_file names no file"),
-    (_CONFIG, f"[verify]\nweights = 1,1\nweights_file = {DATA / 'weights_20.txt'}\n\n[rule quadratic]\n",
-     2, "FILE: [verify]: weights and weights_file are both set"),
-    (_CONFIG, _HEAD + "[probe p]\ndomain = cube\n" + _REJECTING + "expect_rejected = 3,3,3\n",
-     2, "FILE: [probe p]: unknown domain 'cube'"),
-    # a probe without a name, a misspelled key or kind: unread, each would let verify pass on nothing
-    (_CONFIG, _HEAD + "[probe]\n" + _REJECTING + "expect_verified = 3,3,3\n", 2,
-     "FILE: [probe]: unknown section"),
-    (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING + "expect_verfied = 3,3,3\n", 2,
-     "FILE: [probe p]: unknown keys: expect_verfied"),
-    (_CONFIG, "[Verify]\nsamples = 0\nsuites = nonsense\n\n[rule quadratic]\nsample = 0\n",
-     2, "FILE: [Verify]: unknown section"),
-    (_CONFIG, "[rule quadratic]\nsample = 0\ntol = 1\n", 2,
-     "FILE: [rule quadratic]: unknown keys: sample, tol"),
-    (_CONFIG, _HEAD + "[probes p]\n" + _REJECTING, 2, "FILE: [probes p]: unknown section"),
-    (_CONFIG, "[DEFAULT]\nsamples = 0\n\n[rule quadratic]\n", 2, "FILE: [DEFAULT]: unknown section"),
-    (_CONFIG, "[verify quadratic]\n\n[rule quadratic]\n", 2, "FILE: [verify quadratic]: unknown section"),
-    (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING, 2,
-     "FILE: [probe p]: no expect_verified or expect_rejected: the probe would pass on nothing"),
-    # a probe names its entropy with a rule spec, as a [rule SPEC] section does; the probe checks its point
-    (_CONFIG, _HEAD + "[probe p]\n" + _REJECTING + "gamma = 1.5\nexpect_rejected = 3,3,3\n", 2,
-     "FILE: [probe p]: unknown keys: gamma"),
-    (_CONFIG, _HEAD + "[probe p]\nentropy = power(abc)\npoint = 1,1,1\ncandidates = 3,3,3\n"
-     "expect_rejected = 3,3,3\n", 2, "probe 'p': bad parameter in rule spec 'power(abc)'"),
-    (_CONFIG, _HEAD + "[probe p]\nentropy = quadratic\npoint = -1,1,1\ncandidates = 3,3,3\n"
-     "expect_rejected = 3,3,3\n", 2, "probe 'p': probe base point is not in the domain"),
+class Refusal(NamedTuple):
+    argv: str  # the command line, split as a shell splits it
+    files: str | bytes | dict  # the text or bytes of FILE, or those of several files by name
+    code: int  # the exit code
+    err: str  # stderr after "entroscore: "
+
+
+# Each refusal of the CLI, one row each.  A row's files are written in a directory of their
+# own, DIR.  In its argv, err and files' texts a file's name stands for its path, and so do
+# DIR, and FORECASTS and OUTCOMES for the valid inputs under tests/data.
+REFUSALS = {
+    # -- rules
+    "unknown-rule": Refusal("score FORECASTS OUTCOMES --rules nosuchrule", {}, 4,
+                            "cannot build rule 'nosuchrule': unknown entropy 'nosuchrule'; catalog: "
+                            "quadratic, spherical, power, shannon, pseudospherical, weighted_quadratic"),
+    "power-below-one": Refusal("score FORECASTS OUTCOMES --rules power(0.5)", {}, 4,
+                               "cannot build rule 'power(0.5)': power entropy needs a finite exponent gamma > 1"),
+    "power-inf": Refusal("score FORECASTS OUTCOMES --rules power(inf)", {}, 4,
+                         "cannot build rule 'power(inf)': power entropy needs a finite exponent gamma > 1"),
+    "rule-needing-a-matrix": Refusal("score FORECASTS OUTCOMES --rules weighted_quadratic", {}, 4,
+                                     "cannot build rule 'weighted_quadratic': weighted_quadratic needs a matrix"),
+    "linear-with-parameter": Refusal("score FORECASTS OUTCOMES --rules linear(2)", {}, 4,
+                                     "cannot build rule 'linear(2)': rule 'linear' takes no parameter"),
+    "empty-rule-name": Refusal("score FORECASTS OUTCOMES --rules quadratic,,shannon", {}, 4,
+                               "empty rule name in --rules"),
+    # -- forecast files
+    "forecasts-empty": Refusal("score FILE OUTCOMES", "", 2, "FILE:1: empty file"),
+    "forecasts-header": Refusal("score FILE OUTCOMES", "a,b,c\n0.5,0.25,0.25\n", 2,
+                                "FILE:1: header must be p1..pn"),
+    "forecasts-columns": Refusal("score FILE OUTCOMES", "p1,p2\n0.5,0.5\n1\n", 2,
+                                 "FILE:3: expected 2 columns, got 1"),
+    "forecasts-not-numeric": Refusal("score FILE OTHER", {"FILE": "p1,p2\n0.5,0.5\n0.5,oops\n",
+                                                          "OTHER": "outcome\n1\n2\n"}, 2,
+                                     "FILE:3: non-numeric value"),
+    "forecasts-without-rows": Refusal("score FILE OUTCOMES", "p1,p2\n", 2, "FILE: no data rows"),
+    # a line past csv.field_size_limit() of small cells parses; one cell past it does not
+    "forecasts-field-past-the-limit": Refusal("score FILE OUTCOMES", "p1,p2\n0.5,0.5\n" + "0" * _LIMIT + ".5,0.5\n",
+                                              2, f"FILE:3: field larger than field limit ({_LIMIT})"),
+    "forecasts-not-utf8": Refusal("score FILE OUTCOMES", b"p1,p2\n0.5,0.5\n\xe9,1\n", 2, "FILE:3: not UTF-8 text"),
+    "divergence-not-utf8": Refusal("divergence OTHER FILE", {"OTHER": _TWO, "FILE": b"p1,p2\n0.5,0.5\n\xe9,1\n"}, 2,
+                                   "FILE:3: not UTF-8 text"),
+    "divergence-widths": Refusal("divergence FORECASTS FILE", "p1,p2\n0.5,0.5\n", 2,
+                                 "the two density files have different widths"),
+    # -- outcome files
+    "outcome-header": Refusal("score FORECASTS FILE", "outcomes\n1\n", 2, "FILE:1: header must be 'outcome'"),
+    "outcome-columns": Refusal("score FORECASTS FILE", "outcome\n1\n2,3\n", 2, "FILE:3: expected a single column"),
+    "outcome-not-integer": Refusal("score FORECASTS FILE", "outcome\n1.0\n", 2, "FILE:2: non-integer outcome"),
+    "outcome-out-of-range": Refusal("score FORECASTS FILE", "outcome\n" + "1\n" * 9 + "4\n", 2,
+                                    "FILE:11: outcome 4 outside 1..3"),
+    "outcome-count": Refusal("score FORECASTS FILE", "outcome\n1\n", 2,
+                             "row count mismatch: 10 forecasts vs 1 outcomes"),
+    "outcomes-not-utf8": Refusal("score OTHER FILE", {"OTHER": _TWO, "FILE": b"outcome\n1\n\xe9\n"}, 2,
+                                 "FILE:3: not UTF-8 text"),
+    # -- --weights
+    "weights-not-numeric": Refusal("score FORECASTS OUTCOMES --weights 1,x,1", {}, 2, "bad number list '1,x,1'"),
+    "weights-count": Refusal("score FORECASTS OUTCOMES --weights 1,1", {}, 2, "expected 3 weights, got 2"),
+    "weights-nonpositive": Refusal("score FORECASTS OUTCOMES --weights 1,0,1", {}, 2,
+                                   "atom weights must be finite and strictly positive"),
+    # -- density rows, and scores past the float range
+    "densities-invalid": Refusal("score FILE OTHER", {"FILE": "p1,p2\n0.5,0.5\n0.9,0.2\n0.7,0.3\n-0.2,1.2\n",
+                                                      "OTHER": "outcome\n1\n2\n1\n2\n"}, 3,
+                                 "FILE: invalid density rows: row 2: density mass 1.1 is not 1 within 1e-09; "
+                                 "row 4: densities must be nonnegative"),
+    # rows of weighted mass 1 on weights (2, 2) only
+    "densities-of-other-weights": Refusal("score FILE OTHER --rules quadratic",
+                                          {"FILE": "p1,p2\n0.25,0.25\n", "OTHER": "outcome\n1\n"}, 3,
+                                          "FILE: invalid density rows: row 1: "
+                                          "density mass 0.5 is not 1 within 1e-09"),
+    # under weights (1e-300, 1) row 2 is a density, but these rules' scores overflow there;
+    # linear's, spherical's, pseudospherical's and the log score stay finite
+    **{f"scores-past-the-float-range-{rule}": Refusal(
+        f"score FILE OTHER --weights 1e-300,1 --rules {rule}",
+        {"FILE": "p1,p2\n0,1\n1e300,0\n", "OTHER": "outcome\n2\n1\n"}, 3,
+        f"FILE: {rule} scores leave the float range in row 2") for rule in ("quadratic", "power(1.5)", "power(3)")},
+    "divergence-scores-past-the-float-range": Refusal("divergence FILE FILE --weights 1e-300,1 --rules quadratic",
+                                                      "p1,p2\n0,1\n1e300,0\n", 3,
+                                                      "FILE: quadratic scores leave the float range in row 2"),
+    # -- grid-score
+    "grid-too-short": Refusal("grid-score FILE", "1.0\n2.0\n", 2, "FILE: a periodic grid needs at least 4 values"),
+    "grid-not-numeric": Refusal("grid-score FILE", "1.0\nx\n2.0\n3.0\n", 2, "FILE:2: non-numeric value"),
+    "grid-not-utf8": Refusal("grid-score FILE", b"1.0\n2.0\n\xe9\n3.0\n", 2, "FILE:3: not UTF-8 text"),
+    "grid-nonpositive": Refusal("grid-score FILE", "1.0\n0.0\n2.0\n3.0\n", 3,
+                                "FILE: nonpositive or non-finite grid density values in row 2"),
+    "grid-inf": Refusal("grid-score FILE", "1.0\ninf\n2.0\n3.0\n", 3,
+                        "FILE: nonpositive or non-finite grid density values in row 2"),
+    # log slopes so steep that the scores, or the Fisher entropy's terms, overflow at rows 2 and 4
+    "grid-scores-past-the-float-range": Refusal("grid-score FILE", "1e-300\n1\n1e300\n1\n", 3,
+                                                "FILE: hyvarinen scores leave the float range in rows 2, 4"),
+    "grid-fisher-entropy-past-the-float-range": Refusal(
+        "grid-score FILE", "1e-300\n1e150\n1e300\n1e150\n", 3,
+        "FILE: Fisher entropy terms leave the float range in rows 2, 4"),
+    # -- verify's flags
+    "flag-samples-0": Refusal("verify --samples 0", {}, 2, "samples must be at least 1"),
+    "flag-tol-nan": Refusal("verify --samples 5 --tol nan", {}, 2, "propriety_tol must be finite and nonnegative"),
+    "flag-tol-negative": Refusal("verify --samples 5 --tol -1", {}, 2,
+                                 "propriety_tol must be finite and nonnegative"),
+    "flag-seed-negative": Refusal("verify --samples 5 --seed -1", {}, 2, "seed must be nonnegative"),
+    # numpy cannot index so many rows, and refuses them before allocating anything
+    "flag-samples-past-numpy": Refusal("verify --samples 100000000000000000000", {}, 2,
+                                       "rule 'quadratic': propriety suite: 200000000000000000000 sample points "
+                                       "of 3 atoms do not fit in one numpy array"),
+    # -- configs: reading them
+    "config-missing": Refusal("verify --config DIR/nope.ini", {}, 2, "DIR/nope.ini: No such file or directory"),
+    "config-not-utf8": Refusal(_CONFIG, b"[verify]\nsamples = 5\n\n[rule quadratic]\n; caf\xe9\n", 2,
+                               "FILE:5: not UTF-8 text"),
+    "config-unparsable": Refusal(_CONFIG, "[verify\nseed = 1\n", 2,
+                                 "FILE: File contains no section headers.\nfile: 'FILE', line: 1\n'[verify\\n'"),
+    "config-percent": Refusal(_CONFIG, "[verify]\nweights = 1,1%\n" + _RULE, 2,
+                              "FILE: [verify]: '%' must be followed by '%' or '(', found: '%'"),
+    # -- configs: sections and keys, each read or refused
+    "probe-without-name": Refusal(_CONFIG, _HEAD + "[probe]\n" + _REJECTING + "expect_verified = 3,3,3\n",
+                                  2, "FILE: [probe]: unknown section"),
+    "capitalised-verify": Refusal(_CONFIG, "[Verify]\nsamples = 0\nsuites = nonsense\n" + _RULE
+                                  + "sample = 0\n", 2, "FILE: [Verify]: unknown section"),
+    "misspelled-kind": Refusal(_CONFIG, _HEAD + "[probes p]\n" + _REJECTING, 2,
+                               "FILE: [probes p]: unknown section"),
+    "default-section": Refusal(_CONFIG, "[DEFAULT]\nsamples = 0\n" + _RULE, 2, "FILE: [DEFAULT]: unknown section"),
+    "named-verify": Refusal(_CONFIG, "[verify quadratic]\n" + _RULE, 2,
+                            "FILE: [verify quadratic]: unknown section"),
+    # a misspelled key would let verify pass on nothing
+    "misspelled-key": Refusal(_CONFIG, _HEAD + "[probe p]\n" + _REJECTING + "expect_verfied = 3,3,3\n",
+                              2, "FILE: [probe p]: unknown keys: expect_verfied"),
+    "rule-unknown-keys": Refusal(_CONFIG, "[rule quadratic]\nsample = 0\ntol = 1\n", 2,
+                                 "FILE: [rule quadratic]: unknown keys: sample, tol"),
     # one section per kind and name, whatever the spacing of its title
-    (_CONFIG, "[rule quadratic]\nsamples = 7\n\n[rule  quadratic]\nsamples = 9\n", 2,
-     "FILE: [rule  quadratic]: duplicate section"),
-    (_CONFIG, "[verify]\nsamples = 7\n\n[verify ]\nsamples = 11\n\n[rule quadratic]\n", 2,
-     "FILE: [verify ]: duplicate section"),
-    # a path that names no file, or no file that can be written
-    (["grid-score", ""], "", 2, "an empty path names no file"),
-    (["score", "", ""], "", 2, "an empty path names no file"),
-    (["grid-score", "FILE", "--out", ""], "1\n2\n3\n4\n", 2, "an empty path names no file"),
-    (["grid-score", "FILE", "--out", "DIR"], "1\n2\n3\n4\n", 2, "DIR: Is a directory"),
-    (["grid-score", "FILE", "--out", "DIR/missing/x.csv"], "1\n2\n3\n4\n", 2,
-     "DIR/missing/x.csv: No such file or directory"),
-    (["verify", "--samples", "5", "--out", "DIR/missing/r.json"], "", 2,
-     "DIR/missing/r.json: No such file or directory"),
-    (["score", FORECASTS, OUTCOMES, "--out", "DIR/input.txt/x.csv"], "", 2, "DIR/input.txt/x.csv: Not a directory"),
-    (["divergence", FORECASTS, FORECASTS, "--out", "DIR"], "", 2, "DIR: Is a directory"),
+    "duplicate-rule": Refusal(_CONFIG, "[rule quadratic]\nsamples = 7\n\n[rule  quadratic]\nsamples = 9\n",
+                              2, "FILE: [rule  quadratic]: duplicate section"),
+    "duplicate-verify": Refusal(_CONFIG, "[verify]\nsamples = 7\n\n[verify ]\nsamples = 11\n" + _RULE, 2,
+                                "FILE: [verify ]: duplicate section"),
+    "no-rules": Refusal(_CONFIG, "[verify]\nseed = 1\n", 2, "FILE: no [rule ...] sections configured"),
+    # -- configs: values
+    "samples-0": Refusal(_CONFIG, "[verify]\nsamples = 0\n" + _RULE, 2,
+                         "FILE: [verify]: samples must be at least 1"),
+    "rule-samples-0": Refusal(_CONFIG, "[rule quadratic]\nsamples = 0\n", 2,
+                              "FILE: [rule quadratic]: samples must be at least 1"),
+    "rule-samples-past-numpy": Refusal(_CONFIG, "[rule quadratic]\nsamples = 4611686018427387904\n", 2,
+                                       "rule 'quadratic': propriety suite: 9223372036854775808 sample points "
+                                       "of 3 atoms do not fit in one numpy array"),
+    "seed-empty": Refusal(_CONFIG, "[verify]\nseed =\n" + _RULE, 2,
+                          "FILE: [verify]: invalid literal for int() with base 10: ''"),
+    "seed-negative": Refusal(_CONFIG, "[verify]\nseed = -1\n" + _RULE, 2,
+                             "FILE: [verify]: seed must be nonnegative"),
+    "rule-seed-negative": Refusal(_CONFIG, "[verify]\n" + _RULE + "seed = -1\n", 2,
+                                  "FILE: [rule quadratic]: seed must be nonnegative"),
+    "tol-nan": Refusal(_CONFIG, "[verify]\npropriety_tol = nan\n" + _RULE, 2,
+                       "FILE: [verify]: propriety_tol must be finite and nonnegative"),
+    "tol-negative": Refusal(_CONFIG, "[verify]\neuler_tol = -1\n" + _RULE, 2,
+                            "FILE: [verify]: euler_tol must be finite and nonnegative"),
+    "rule-tol-nan": Refusal(_CONFIG, "[verify]\n" + _RULE + "euler_tol = nan\n", 2,
+                            "FILE: [rule quadratic]: euler_tol must be finite and nonnegative"),
+    "rule-tol-inf": Refusal(_CONFIG, "[verify]\n" + _RULE + "euler_tol = inf\n", 2,
+                            "FILE: [rule quadratic]: euler_tol must be finite and nonnegative"),
+    "rule-tol-negative": Refusal(_CONFIG, "[verify]\n" + _RULE + "propriety_tol = -1e-3\n", 2,
+                                 "FILE: [rule quadratic]: propriety_tol must be finite and nonnegative"),
+    "unknown-suites": Refusal(_CONFIG, "[verify]\nsuites = propriety, nonsense, bogus\n" + _RULE, 2,
+                              "FILE: [verify]: unknown suites: bogus, nonsense"),
+    "weights-list-not-numeric": Refusal(_CONFIG, "[verify]\nweights = 1,x\n" + _RULE, 2,
+                                        "FILE: [verify]: bad number list '1,x'"),
+    # -- configs: weights_file, a path relative to the config's directory
+    "weights-file-empty": Refusal(_CONFIG, "[verify]\nweights_file =\n" + _RULE, 2,
+                                  "FILE: [verify]: weights_file names no file"),
+    "weights-and-weights-file": Refusal(_CONFIG, "[verify]\nweights = 1,1\nweights_file = w.txt\n"
+                                        + _RULE, 2, "FILE: [verify]: weights and weights_file are both set"),
+    "weights-file-missing": Refusal(_CONFIG, "[verify]\nweights_file = w.txt\n" + _RULE, 2,
+                                    "DIR/w.txt: No such file or directory"),
+    "weights-file-not-numeric": Refusal("verify --config CONFIG", {"CONFIG": _WEIGHTS_FILE, "FILE": "1.0\n1,x,3\n"},
+                                        2, "FILE:2: non-numeric value"),
+    "weights-file-several-per-line": Refusal("verify --config CONFIG",
+                                             {"CONFIG": _WEIGHTS_FILE, "FILE": "\n1,1,1\n"}, 2,
+                                             "FILE:2: non-numeric value"),
+    "weights-file-not-utf8": Refusal("verify --config CONFIG", {"CONFIG": _WEIGHTS_FILE, "FILE": b"1.0\n\xff\n"}, 2,
+                                     "FILE:2: not UTF-8 text"),
+    # -- configs: verify never passes on nothing
+    "suites-empty": Refusal(_CONFIG, "[verify]\nsuites =\n" + _RULE, 2,
+                            "FILE: nothing to verify: no suites and no probes"),
+    "suites-comma": Refusal(_CONFIG, "[verify]\nsamples = 5\nsuites = ,\n" + _RULE, 2,
+                            "FILE: nothing to verify: no suites and no probes"),
+    "probe-without-candidates": Refusal(_CONFIG, _HEAD + "[probe bare]\nentropy = quadratic\n"
+                                        "point = 1,1,1\n", 2, "FILE: [probe bare]: no candidates to probe"),
+    "probe-expecting-nothing": Refusal(_CONFIG, _HEAD + "[probe p]\n" + _REJECTING, 2,
+                                       "FILE: [probe p]: no expect_verified or expect_rejected: "
+                                       "the probe would pass on nothing"),
+    # -- configs: probes
+    "unknown-domain": Refusal(_CONFIG, _HEAD + "[probe p]\ndomain = cube\n" + _REJECTING
+                              + "expect_rejected = 3,3,3\n", 2, "FILE: [probe p]: unknown domain 'cube'"),
+    "probe-point-not-numeric": Refusal(_CONFIG, "[probe a]\nentropy = quadratic\npoint = 1,y\n"
+                                       "candidates = 2,0\n" + _RULE, 2, "FILE: [probe a]: bad number list '1,y'"),
+    # a probe names its entropy with a rule spec, as a [rule SPEC] section does
+    "probe-gamma-key": Refusal(_CONFIG, _HEAD + "[probe p]\n" + _REJECTING + "gamma = 1.5\n"
+                               "expect_rejected = 3,3,3\n", 2, "FILE: [probe p]: unknown keys: gamma"),
+    "probe-spec-parameter": Refusal(_CONFIG, _HEAD + "[probe p]\nentropy = power(abc)\npoint = 1,1,1\n"
+                                    "candidates = 3,3,3\nexpect_rejected = 3,3,3\n", 2,
+                                    "probe 'p': bad parameter in rule spec 'power(abc)'"),
+    # the probe checks its point and the lengths of its vectors
+    "probe-point-outside-domain": Refusal(_CONFIG, _HEAD + "[probe p]\nentropy = quadratic\n"
+                                          "point = -1,1,1\ncandidates = 3,3,3\nexpect_rejected = 3,3,3\n", 2,
+                                          "probe 'p': probe base point is not in the domain"),
+    "probe-point-length": Refusal(_CONFIG, _PROBE_2 + "point = 1,0,0\ncandidates = 2,0\n", 2,
+                                  "probe 'p': vector of length 3 does not fit a space of size 2"),
+    "probe-candidate-length": Refusal(_CONFIG, _PROBE_2 + "point = 1,0\ncandidates = 2,0 ; 2,0,0\n", 2,
+                                      "probe 'p': vector of length 3 does not fit a space of size 2"),
+    "probe-point-nan": Refusal(_CONFIG, _PROBE_2 + "point = nan,0\ncandidates = 2,0\n", 2,
+                               "probe 'p': cone vectors must have finite entries"),
+    # inside the probe's domain, outside the entropy's: the orthant's 1e-9 slack admits -1e-10, power does not
+    "probe-point-outside-shannon-domain": Refusal(_CONFIG, _PROBE_3 + "entropy = shannon\n"
+                                                  "domain = whole_space\npoint = -1,1,1\ncandidates = 0,1,1\n"
+                                                  "expect_verified = 0,1,1\n", 2,
+                                                  "probe 'p': the entropy has no finite value at "
+                                                  "the probe base point"),
+    "probe-point-outside-power-domain": Refusal(_CONFIG, _PROBE_3 + "entropy = power(1.5)\n"
+                                                "domain = orthant\npoint = -1e-10,1,1\ncandidates = 0,1.5,1.5\n"
+                                                "expect_verified = 0,1.5,1.5\n", 2,
+                                                "probe 'p': the entropy has no finite value at "
+                                                "the probe base point"),
+    # q q mu overflows on sampled points near this point; no row of a batch inside the probe is named
+    "probe-past-the-float-range": Refusal(_CONFIG, _PROBE_3 + "entropy = quadratic\n"
+                                          "domain = whole_space\npoint = 1.1e154,6e153,1\n"
+                                          "candidates = 2.2e154,1.2e154,2\n"
+                                          "expect_verified = 2.2e154,1.2e154,2\n", 2,
+                                          "probe 'p': values or pairings at the probe's sampled points leave "
+                                          "the float range"),
+    # -- configs: rules whose scores leave the float range on their sample points
+    # power(1100)'s subgradient 1100 q^1099 overflows on the symmetry suite's box points
+    "rule-past-the-float-range": Refusal(_CONFIG, "[verify]\nweights = 1,1,1\nsamples = 50\n"
+                                         "seed = 42\n\n[rule power(1100)]\n", 2,
+                                         "rule 'power(1100)': symmetry suite: power(1100) subgradients leave the "
+                                         "float range at 12 of 100 sampled points; the sample points lie in the "
+                                         "box [0.05, 2)^3"),
+    # power(3)'s scores overflow wherever the 1e-200 atom holds mass: each suite counts its sampled points
+    **{f"{suite}-suite-past-the-float-range": Refusal(
+        "verify --config FILE", "[verify]\nseed = 1\nsamples = 20\nweights = 1e-200,1,1\n"
+        f"suites = {suite}\n\n[rule power(3)]\n", 2,
+        f"rule 'power(3)': {suite} suite: power(3) scores leave the float range at {count}")
+       for suite, count in (("propriety", "20 of 20 sampled pairs"), ("euler", "20 of 20 sampled points"))},
+    # -- paths that name no file, or no file that can be written
+    "empty-input-path": Refusal("grid-score ''", {}, 2, "an empty path names no file"),
+    "empty-input-paths": Refusal("score '' ''", {}, 2, "an empty path names no file"),
+    "empty-out": Refusal("grid-score FILE --out ''", _GRID, 2, "an empty path names no file"),
+    "out-a-directory": Refusal("grid-score FILE --out DIR", _GRID, 2, "DIR: Is a directory"),
+    "out-in-no-directory": Refusal("grid-score FILE --out DIR/missing/x.csv", _GRID, 2,
+                                   "DIR/missing/x.csv: No such file or directory"),
+    "verify-out-in-no-directory": Refusal("verify --samples 5 --out DIR/missing/r.json", {}, 2,
+                                          "DIR/missing/r.json: No such file or directory"),
+    "out-below-a-file": Refusal("score FORECASTS OUTCOMES --out FILE/x.csv", "", 2, "FILE/x.csv: Not a directory"),
+    "divergence-out-a-directory": Refusal("divergence FORECASTS FORECASTS --out DIR", {}, 2, "DIR: Is a directory"),
     # --out is checked before any input is read
-    (["grid-score", "DIR/none.csv", "--out", "DIR/missing/x.csv"], "", 2,
-     "DIR/missing/x.csv: No such file or directory"),
-], ids=["linear-with-parameter", "empty-rule-name", "outcome-header", "outcome-columns", "outcome-not-integer",
-        "weights-not-numeric", "weights-count", "weights-nonpositive", "flag-samples-0", "samples-0",
-        "seed-empty", "rule-samples-0", "unknown-suites", "suites-empty", "weights-file-empty",
-        "weights-and-weights-file", "unknown-domain", "probe-without-name", "misspelled-key",
-        "capitalised-verify", "rule-unknown-keys", "misspelled-kind", "default-section", "named-verify",
-        "probe-expecting-nothing", "probe-gamma-key", "probe-spec-parameter", "probe-point-outside-domain",
-        "duplicate-rule", "duplicate-verify", "empty-input-path",
-        "empty-input-paths", "empty-out", "out-a-directory", "out-in-no-directory", "verify-out-in-no-directory",
-        "out-below-a-file", "divergence-out-a-directory", "out-before-inputs"])
-def test_each_refusal_exits_with_its_code_and_message(tmp_path, capsys, argv, text, code, err):
-    path = tmp_path / "input.txt"
-    path.write_text(text)
+    "out-before-inputs": Refusal("grid-score DIR/none.csv --out DIR/missing/x.csv", {}, 2,
+                                 "DIR/missing/x.csv: No such file or directory"),
+    "input-missing": Refusal("grid-score DIR/none.csv --out FILE", "earlier\n", 2,
+                             "DIR/none.csv: No such file or directory"),
+    # a file that takes no bytes: only the write finds out
+    "out-full": Refusal("grid-score FILE --out /dev/full", _GRID, 2, "/dev/full: No space left on device"),
+}
 
-    def named(words: str) -> str:  # FILE is that file, DIR its directory
-        return words.replace("DIR", str(tmp_path)).replace("FILE", str(path))
 
-    argv = [named(arg) if arg == "FILE" or arg.startswith("DIR") else arg for arg in argv]
-    # an argv with its own --out runs as it is: run() adds an --out that would override it
-    assert (main(argv) if "--out" in argv else run(tmp_path, *argv)[0]) == code
-    assert capsys.readouterr().err == f"entroscore: {named(err)}\n"
+def _refusal_params():
+    for name, row in REFUSALS.items():
+        marks = ()
+        if "/dev/full" in row.argv and not os.path.exists("/dev/full"):
+            marks = pytest.mark.skip(reason="this system has no /dev/full, a file whose writes fail")
+        yield pytest.param(row, id=name, marks=marks)
+
+
+def _refuse(row: Refusal, directory: Path) -> tuple[tuple[int, str, bytes | None], tuple[int, str, bytes | None]]:
+    """Write the row's files in ``directory`` and run its argv in-process, warnings as errors:
+    its (exit code, stderr, --out bytes), then the ones the row expects, names written out as their
+    paths. A refusal writes no --out; an argv that names its own --out has its bytes unread, None."""
+    files = row.files if isinstance(row.files, dict) else {"FILE": row.files}
+    paths = {"DIR": str(directory), "FORECASTS": FORECASTS, "OUTCOMES": OUTCOMES,
+             **{name: str(directory / name) for name in files}}
+    pattern = re.compile(r"\b(" + "|".join(paths) + r")\b")
+
+    def named(text: str) -> str:
+        return pattern.sub(lambda match: paths[match[0]], text)
+
+    for name, content in files.items():
+        (directory / name).write_bytes(content if isinstance(content, bytes) else named(content).encode())
+    argv = [named(word) for word in shlex.split(row.argv)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        # an argv with its own --out runs as it is: run() adds an --out that would override it
+        code, payload = (main(argv), None) if "--out" in argv else run(directory, *argv)
+    expected_payload = None if "--out" in argv else b""
+    return (code, err.getvalue(), payload), (row.code, f"entroscore: {named(row.err)}\n", expected_payload)
+
+
+@pytest.mark.parametrize("row", _refusal_params())
+def test_each_refusal_exits_with_its_code_and_message(tmp_path, row):
+    got, expected = _refuse(row, tmp_path)
+    assert got == expected
+
+
+def test_every_cli_refusal_site_has_a_row(tmp_path, monkeypatch):
+    # each `raise CliError(` line of cli.py is reached by a row of the table
+    lines = Path(cli.__file__).read_text(encoding="utf-8").splitlines()
+    sites = {number for number, line in enumerate(lines, start=1) if "raise CliError(" in line}
+    reached = set()
+    init = cli.CliError.__init__
+
+    def recording(self, code, message):
+        caller = sys._getframe(1)
+        if caller.f_code.co_filename == cli.__file__:
+            reached.add(caller.f_lineno)
+        init(self, code, message)
+
+    monkeypatch.setattr(cli.CliError, "__init__", recording)
+    rows = [param.values[0] for param in _refusal_params() if not param.marks]
+    for k, row in enumerate(rows):
+        (tmp_path / str(k)).mkdir()
+        _refuse(row, tmp_path / str(k))
+    if len(rows) < len(REFUSALS):  # no /dev/full: only _write_text's site, for a failed write, goes unreached
+        source, start = inspect.getsourcelines(cli._write_text)
+        sites -= {start + k for k, line in enumerate(source) if "raise CliError(" in line}
+    assert sites and [f"cli.py:{number}: {lines[number - 1].strip()}" for number in sorted(sites - reached)] == []
 
 
 def test_a_probe_reads_its_entropy_as_a_rule_spec(tmp_path):
@@ -843,14 +854,13 @@ def test_each_subcommand_lists_its_shared_flags_once(capsys, command, shared):
         assert options.count(flag) == (flag in shared), (command, flag, options)
 
 
-def test_an_unusable_out_stops_verify_before_any_suite(tmp_path, capsys, monkeypatch):
+def test_an_unusable_out_stops_verify_before_any_suite(tmp_path, monkeypatch):
     def ran(*args):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(cli, "_run_suite", ran)
-    out = tmp_path / "missing" / "r.json"
-    assert main(["verify", "--samples", "5", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"entroscore: {out}: No such file or directory\n"
+    # the refusal's message is the table's verify-out-in-no-directory row
+    assert main(["verify", "--samples", "5", "--out", str(tmp_path / "missing" / "r.json")]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -858,7 +868,7 @@ def test_checking_out_creates_and_truncates_nothing(tmp_path):
     # a command that fails on its input leaves a usable --out as it was: absent, or with its text
     kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
     kept.write_text("earlier\n")
-    for out in (kept, absent):
+    for out in (kept, absent):  # the refusal's message is the table's input-missing row
         assert main(["grid-score", str(tmp_path / "none.csv"), "--out", str(out)]) == 2
     assert kept.read_text() == "earlier\n" and not absent.exists()
 
@@ -896,33 +906,6 @@ def test_import_and_whole_space_geometry_load_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("command, payload, lineno", [
-    ("score-forecasts", b"p1,p2\n0.5,0.5\n\xe9,1\n", 3),
-    ("score-outcomes", b"outcome\n1\n\xe9\n", 3),
-    ("divergence", b"p1,p2\n0.5,0.5\n\xe9,1\n", 3),
-    ("grid-score", b"1.0\n2.0\n\xe9\n3.0\n", 3),
-    ("verify", b"[verify]\nsamples = 5\n\n[rule quadratic]\n; caf\xe9\n", 5),
-    ("verify-weights-file", b"1.0\n\xff\n", 2),
-], ids=lambda value: value if isinstance(value, str) else None)
-def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command, payload, lineno):
-    path = tmp_path / "input.txt"
-    path.write_bytes(payload)
-    two = tmp_path / "two.csv"
-    two.write_text("p1,p2\n0.5,0.5\n0.5,0.5\n")
-    config = tmp_path / "wf.ini"
-    config.write_text(f"[verify]\nweights_file = {path}\n\n[rule quadratic]\n")
-    argv = {
-        "score-forecasts": ["score", str(path), OUTCOMES],
-        "score-outcomes": ["score", str(two), str(path)],
-        "divergence": ["divergence", str(two), str(path)],
-        "grid-score": ["grid-score", str(path)],
-        "verify": ["verify", "--config", str(path)],
-        "verify-weights-file": ["verify", "--config", str(config)],
-    }[command]
-    assert run(tmp_path, *argv)[0] == 2
-    assert capsys.readouterr().err == f"entroscore: {path}:{lineno}: not UTF-8 text\n"
 
 
 # -- the forecast reader against the per-cell reader it replaced ----------------
@@ -1010,7 +993,6 @@ def _forecast_texts(draw):
     return text
 
 
-@pytest.mark.filterwarnings("error::UserWarning")  # as loadtxt's "input contained no data": never on stderr
 @settings(max_examples=400, deadline=None)
 @given(_forecast_texts())
 @example('p1,p2\n"0.5",0.5\n')                 # a quoted cell
@@ -1042,18 +1024,12 @@ def test_array_reader_matches_the_per_cell_reader(tmp_path_factory, text):
     assert _read_outcome(cli.read_forecasts, str(path)) == _read_outcome(_per_cell_read_forecasts, str(path))
 
 
-def test_fields_past_the_csv_size_limit_exit_2(tmp_path, capsys):
-    # a line past csv.field_size_limit() of small cells parses; one cell past it is rejected
-    limit = csv.field_size_limit()
+def test_a_line_past_the_csv_size_limit_of_small_cells_parses(tmp_path):
+    # one cell past csv.field_size_limit() is the refusal table's forecasts-field-past-the-limit row
+    n = csv.field_size_limit() // 4 + 1
     wide = tmp_path / "wide.csv"
-    n = limit // 4 + 1
     wide.write_text(",".join(f"p{i + 1}" for i in range(n)) + "\n" + ",".join(["0.5"] * n) + "\n")
     assert _read_outcome(cli.read_forecasts, str(wide)) == _read_outcome(_per_cell_read_forecasts, str(wide))
-    big = tmp_path / "big.csv"
-    big.write_text("p1,p2\n0.5,0.5\n" + "0" * limit + ".5,0.5\n")
-    assert run(tmp_path, "score", str(big), OUTCOMES)[0] == 2
-    assert capsys.readouterr().err == (
-        f"entroscore: {big}:3: field larger than field limit ({limit})\n")
 
 
 # -- blocked divergence against the per-p-row loop it replaced -------------------
@@ -1075,34 +1051,39 @@ def _per_row_divergence(p_path: str, q_path: str, specs, weights) -> bytes:
     return buffer.getvalue().encode()
 
 
-def test_each_catalog_row_builds_and_expects_the_symmetry_it_shows(tmp_path, capsys):
-    # the catalog table, row by row: a rule spec builds each row it can give a parameter to,
-    # the matrix row exits 4 naming what it needs, and each row's symmetry column is what
-    # symmetry_defect classifies at n = 3, also through the linear alias
+def test_each_catalog_row_builds_and_expects_the_symmetry_it_shows():
+    # the catalog table, row by row: a rule spec builds each row it can give a parameter to and
+    # refuses the matrix row (the refusal table's rule-needing-a-matrix row), and each row's symmetry
+    # column is what symmetry_defect classifies at n = 3 and at n = 1, also through the linear alias.
+    # On one atom the spherical entropies are linear, q mu^(1/g), so their divergence is 0
     assert entropies.CATALOG_NAMES == tuple(entropies._CATALOG)
-    space = MeasureSpace([0.5, 1.0, 2.0])
-    checked = []  # (the row's symmetry column at gamma, entropy, build_rule's (entropy, rule) or None)
-    for name, (_, parameter, symmetric) in entropies._CATALOG.items():
-        if parameter == "matrix":
-            assert run(tmp_path, "score", FORECASTS, OUTCOMES, "--rules", name)[0] == 4
-            assert capsys.readouterr().err == f"entroscore: cannot build rule {name!r}: {name} needs a matrix\n"
-            matrix = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
-            checked.append((symmetric(None), catalog_entropy(name, space, matrix=matrix), None))
-            continue
-        for gamma in (1.5, 2.0, 3.0) if parameter == "exponent" else (None,):
-            spec = name if gamma is None else f"{name}({gamma:g})"
-            entropy, rule = cli.build_rule(spec, space)
-            assert entropy.name == spec
-            checked.append((symmetric(gamma), entropy, (entropy, rule)))
-    quadratic, _ = cli._ALIASES["linear"]
-    linear = cli.build_rule("linear", space)
-    checked.append((entropies.catalog_symmetric(quadratic), linear[0], linear))
-    for symmetric, entropy, built in checked:
-        expected = SYMMETRIC_GENERALIZED_QUADRATIC if symmetric else ASYMMETRIC_WITH_WITNESS
-        assert symmetry_defect(entropy, seed=3, samples=100).classification == expected, entropy.name
-        if built:  # what verify expects of the rule is the column
-            report = cli._run_suite("symmetry", *built, {"seed": 3, "samples": 100})
-            assert (report["expected"], report["pass"]) == (expected, True), entropy.name
+    for space in (MeasureSpace([0.5, 1.0, 2.0]), MeasureSpace([0.5])):
+        n = space.size
+        checked = []  # (the row's symmetry column at gamma and n, entropy, build_rule's (entropy, rule) or None)
+        for name, (_, parameter, symmetric) in entropies._CATALOG.items():
+            if parameter == "matrix":
+                with pytest.raises(cli.CliError, match=f"^cannot build rule {name!r}: {name} needs a matrix$"):
+                    cli.build_rule(name, space)
+                matrix = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])[:n, :n]
+                checked.append((symmetric(None, n), catalog_entropy(name, space, matrix=matrix), None))
+                continue
+            for gamma in (1.5, 2.0, 3.0) if parameter == "exponent" else (None,):
+                spec = name if gamma is None else f"{name}({gamma:g})"
+                entropy, rule = cli.build_rule(spec, space)
+                assert entropy.name == spec
+                assert entropies.catalog_symmetric(name, gamma, n) == symmetric(gamma, n)
+                checked.append((symmetric(gamma, n), entropy, (entropy, rule)))
+        quadratic, _ = cli._ALIASES["linear"]
+        linear = cli.build_rule("linear", space)
+        checked.append((entropies.catalog_symmetric(quadratic, None, n), linear[0], linear))
+        for symmetric, entropy, built in checked:
+            expected = SYMMETRIC_GENERALIZED_QUADRATIC if symmetric else ASYMMETRIC_WITH_WITNESS
+            assert symmetry_defect(entropy, seed=3, samples=100).classification == expected, (entropy.name, n)
+            if built:  # what verify expects of the rule is the column
+                report = cli._run_suite("symmetry", *built, {"seed": 3, "samples": 100})
+                assert (report["expected"], report["pass"]) == (expected, True), (entropy.name, n)
+    # without an atom count, the column is the one of several atoms
+    assert [entropies.catalog_symmetric(name) for name in ("spherical", "pseudospherical")] == [False, False]
 
 
 def test_rule_specs_are_quoted_as_csv_writer_quotes_them(tmp_path):

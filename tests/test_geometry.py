@@ -481,6 +481,19 @@ class TestSubdifferentialProbe:
         result = subdifferential_probe(zero, K, sp.cone([10.0, 10.0]), [sp.dual([1.0, 1.0])])
         assert result.as_dict()["rejected"] == [{"candidate": [1.0, 1.0], "witness": [10.5, 10.0], "gap": -0.5}]
 
+    def test_a_ray_without_a_valued_point_gives_its_far_end_and_a_nan_gap(self):
+        # power(2) at (2e7, 1.5e-5) on weights (1e-20, 1): the candidate (4e7, 0) lacks the
+        # gradient's 3e-5 on the second atom, so it breaches the derivative bound along -e_2.
+        # The FD step 1e-5 stays in the orthant, but the ray walk's shortest step,
+        # (1 + 2e7) / 2 * 2**-39 = 1.8e-5, leaves it: no point of the ray has a value
+        sp = MeasureSpace([1e-20, 1.0])
+        power = catalog_entropy("power", sp, gamma=2.0)
+        result = subdifferential_probe(power, ConvexDomainSpec.whole_space(sp), sp.cone([2e7, 1.5e-5]),
+                                       [sp.dual([4e7, 0.0])])
+        (rejected,) = result.rejected
+        assert result.verified == [] and rejected.witness.values.tolist() == [2e7, 1.5e-5 - 1.0]
+        assert math.isnan(rejected.gap)
+
     @pytest.mark.parametrize("family", ["simplex", "orthant", "whole_space", "cone_hull"])
     def test_matches_the_per_point_probe(self, family):
         # Whole-space samples have negative atoms, where power and shannon raise:
