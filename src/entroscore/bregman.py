@@ -184,7 +184,7 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     quadratic when the worst defect stays below 1e-10 *and* each pair's third difference
     ``H(p) - 3 H(p + d) + 3 H(p + 2d) - H(q)``, ``d = (q - p) / 3``, is at most 1e-12 of the
     sum of its terms' magnitudes; asymmetric once any pair's defect exceeds 1e-8; inconclusive
-    in between.  Non-finite subgradients or values raise :class:`DomainError` with a count.
+    in between.  Non-finite subgradients, values or divergences raise :class:`DomainError` with a count.
     """
     if samples < 1:
         raise DomainError("symmetry classification needs at least one sample")
@@ -198,6 +198,7 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
             divergences = values - pair_rows(points - points[swap], grad, space.weights) - values[swap]
             require_float_range(f"{entropy.name} values", values)
             inner = require_float_range(f"{entropy.name} values", entropy.value_rows(segments))
+            require_float_range(f"{entropy.name} divergences", divergences)
     except DomainError as exc:
         box = f"[{_BOX_LOW:g}, {_BOX_HIGH:g})^{space.size}"
         raise DomainError(f"{exc}; the sample points lie in the box {box}") from None
@@ -205,8 +206,6 @@ def symmetry_defect(entropy: Entropy, seed: int = 0, samples: int = 200) -> Dive
     sums, _ = exact_row_sums(np.vstack([terms, np.abs(terms)]))
     third = np.divide(np.abs(sums[:samples]), sums[samples:], out=np.zeros(samples), where=sums[samples:] > 0)
     defects = np.abs(divergences[0::2] - divergences[1::2])
-    if np.isnan(defects).all():
-        raise DomainError(f"no sampled symmetry defect of {entropy.name} is a number")
     i, _ = _first_min(-defects)  # the first strict maximum
     worst, max_third = float(defects[i]), float(third.max())
     if worst > _ASYMMETRIC_DEFECT_TOL:

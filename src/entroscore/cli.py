@@ -450,8 +450,15 @@ def load_verify_config(args):
         parser = configparser.ConfigParser(default_section="")  # no header names "": [DEFAULT] lends no keys
         try:
             parser.read_file(io.StringIO(_read_text(args.config), newline=None), args.config)
-        except configparser.Error as exc:
-            raise CliError(EXIT_INPUT, f"{args.config}: {exc}") from None
+        except configparser.MissingSectionHeaderError as exc:  # a ParsingError, with no errors list
+            raise CliError(EXIT_INPUT, f"{args.config}:{exc.lineno}: no section header") from None
+        except configparser.ParsingError as exc:  # the first of the lines it could not read
+            raise CliError(EXIT_INPUT, f"{args.config}:{exc.errors[0][0]}: expected key = value") from None
+        except configparser.DuplicateSectionError as exc:
+            raise CliError(EXIT_INPUT, f"{args.config}:{exc.lineno}: [{exc.section}]: duplicate section") from None
+        except configparser.DuplicateOptionError as exc:
+            raise CliError(EXIT_INPUT,
+                           f"{args.config}:{exc.lineno}: [{exc.section}]: duplicate key {exc.option}") from None
         for title in parser.sections():
             try:  # bad numbers raise ValueError, a stray '%' an interpolation error
                 kind, name, values = _read_section(parser[title])
@@ -517,17 +524,8 @@ def cmd_verify(args) -> int:
     # validate every rule before running anything
     rules = [(spec, overrides, *build_rule(spec, space)) for spec, overrides in rule_specs]
 
-    report = {
-        "config": {
-            "seed": settings["seed"],
-            "samples": settings["samples"],
-            "weights": settings["weights"],
-            "suites": settings["suites"],
-            "rules": [spec for spec, _ in rule_specs],
-        },
-        "rules": {},
-        "probes": {},
-    }
+    config = {key: settings[key] for key in ("seed", "samples", "weights", "suites")}  # the report sorts its keys
+    report = {"config": {**config, "rules": [spec for spec, _ in rule_specs]}, "rules": {}, "probes": {}}
     overall = True
     with _shared_draws():  # rules that share seed and samples share their sample points
         for spec, overrides, entropy, rule in rules:

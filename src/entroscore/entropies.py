@@ -99,7 +99,7 @@ class Entropy:
         @quiet_floats
         def checked(oracle, q):
             q = np.ascontiguousarray(q)  # numpy's strided pow and log round differently
-            if self.domain.nonnegative and (q < 0.0).any():
+            if self.domain.negative_rows(q).any():
                 raise DomainError(f"{self.name} requires nonnegative input")
             return oracle(q)
 

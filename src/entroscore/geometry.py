@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .measure import (ConeVector, DualVector, FloatRangeError, MeasureSpace, _first_min, _require_same_space,
-                      pair_rows, quiet_floats, reduce_rows, report_dict)
+                      pair_rows, quiet_floats, report_dict)
 from .sampling import _hull_rows, _normal_rows, box_rows, density_rows
 
 __all__ = [
@@ -70,8 +70,6 @@ _PROBE_DIRECTIONS = 32
 # quotient is diverging to -inf rather than converging.
 _DIVERGE_MIN_DECREMENT = 0.05
 _DIVERGE_CONTRACTION = 0.75
-
-_all, _any = partial(reduce_rows, np.logical_and), partial(reduce_rows, np.logical_or)  # per mask row
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -167,14 +165,25 @@ class ConvexDomainSpec:
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the rows of an (m, n) array that are finite points of K."""
         (a, b), (e_rows, e) = self.inequalities, self.equalities
-        slack = _MEMBER_TOL * (1.0 + reduce_rows(np.maximum, np.abs(rows)))[:, None]
-        inside = (_all(np.isfinite(rows)) & _all(rows @ a.T <= b + slack)
-                  & _all(np.abs(rows @ e_rows.T - e) <= _MEMBER_TOL))
-        return inside & (reduce_rows(np.minimum, rows) >= -_MEMBER_TOL) if self.nonnegative else inside
+        slack = _MEMBER_TOL * (1.0 + np.abs(rows).max(axis=1))[:, None]
+        inside = (np.isfinite(rows).all(axis=1) & (rows @ a.T <= b + slack).all(axis=1)
+                  & (np.abs(rows @ e_rows.T - e) <= _MEMBER_TOL).all(axis=1))
+        return inside & (rows.min(axis=1) >= -_MEMBER_TOL) if self.nonnegative else inside
 
     def contains(self, q: ConeVector) -> bool:
         """Whether q lies in K: one row of :meth:`contains_rows`."""
         return q.space == self.space and bool(self.contains_rows(q.values[None])[0])
+
+    def base_row(self, q: ConeVector) -> np.ndarray:
+        """The values of q, a base point of a query; :class:`DomainError` if q is not in K."""
+        if not self.contains(q):
+            raise DomainError("base point is not in the domain")
+        return q.values
+
+    def negative_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows with an entry below 0 (no tolerance) if K is sign-bounded: off any entropy's domain."""
+        negative = self.nonnegative and (rows < 0.0).any()  # a whole-array test first
+        return (rows < 0.0).any(axis=-1) if negative else np.zeros(len(rows), dtype=bool)
 
     def affine_hull_dimension(self) -> int:
         """Dimension of the affine hull of K: the space size minus the rank of its equalities."""
@@ -249,9 +258,9 @@ def _active_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
 def _feasible_rows(domain: ConvexDomainSpec, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Mask of the direction rows ``d`` with ``v + lam * d`` in K for some ``lam > 0``: none
     may leave an active inequality, and each must be parallel to every equality."""
-    tol = _MEMBER_TOL * (1.0 + reduce_rows(np.maximum, np.abs(directions)))[:, None]
-    return (_all(directions @ _active_rows(domain, v).T <= tol)
-            & _all(np.abs(directions @ domain.equalities[0].T) <= tol))
+    tol = _MEMBER_TOL * (1.0 + np.abs(directions).max(axis=1))[:, None]
+    return ((directions @ _active_rows(domain, v).T <= tol).all(axis=1)
+            & (np.abs(directions @ domain.equalities[0].T) <= tol).all(axis=1))
 
 
 def _lineality_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
@@ -262,10 +271,9 @@ def _lineality_rows(domain: ConvexDomainSpec, v: np.ndarray) -> np.ndarray:
 
 def direction_cone_membership(domain: ConvexDomainSpec, q: ConeVector, d: ConeVector) -> bool:
     """Whether ``q + lam * d`` stays in K for some ``lam > 0``: one row of the row test."""
-    if not domain.contains(q):
-        raise DomainError("base point is not in the domain")
+    v = domain.base_row(q)
     _require_same_space(domain.space, d)
-    return bool(_feasible_rows(domain, q.values, d.values[None])[0])
+    return bool(_feasible_rows(domain, v, d.values[None])[0])
 
 
 def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]:
@@ -275,9 +283,13 @@ def lineality_space(domain: ConvexDomainSpec, q: ConeVector) -> list[ConeVector]
     inequality row and every equality row, so the basis is the null space of
     the stacked active constraints.
     """
-    if not domain.contains(q):
-        raise DomainError("base point is not in the domain")
-    return [domain.space.cone(row) for row in _lineality_rows(domain, q.values)]
+    return [domain.space.cone(row) for row in _lineality_rows(domain, domain.base_row(q))]
+
+
+def _quasi_interior_row(domain: ConvexDomainSpec, v: np.ndarray) -> bool:
+    """:func:`is_quasi_interior` at the point row ``v``."""
+    equalities = domain.equalities[0]
+    return _rank(np.vstack([_active_rows(domain, v), equalities])) == _rank(equalities)
 
 
 def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector) -> bool:
@@ -288,10 +300,7 @@ def is_quasi_interior(domain: ConvexDomainSpec, q: ConeVector) -> bool:
     trivial.  In finite dimensions this is the relative interior of K.  Both
     dimensions are the space size minus a rank, so the ranks are compared.
     """
-    if not domain.contains(q):
-        raise DomainError("base point is not in the domain")
-    equalities = domain.equalities[0]
-    return _rank(np.vstack([_active_rows(domain, q.values), equalities])) == _rank(equalities)
+    return _quasi_interior_row(domain, domain.base_row(q))
 
 
 def annihilator_basis(
@@ -358,7 +367,7 @@ def _feasible_probe_directions(domain: ConvexDomainSpec, v: np.ndarray, points: 
     """Coordinate, point, lineality and ``sampled`` point directions at q that stay in K, as rows."""
     def moving(rows: np.ndarray) -> np.ndarray:
         offsets = rows - v
-        return offsets[reduce_rows(np.maximum, np.abs(offsets)) > 1e-12]
+        return offsets[np.abs(offsets).max(axis=1) > 1e-12]
 
     directions = np.vstack([_signed(np.eye(v.size)), moving(points[: 4 * v.size]),
                             _signed(lineality), moving(sampled)])
@@ -374,15 +383,15 @@ def _inf_outside(fn: Callable, rows: np.ndarray, defined: np.ndarray) -> np.ndar
 
 
 def _values(entropy, rows: np.ndarray) -> np.ndarray:
-    """Values of the rows; ``+inf`` on those with an entry below 0 if the domain is sign-bounded."""
-    return _inf_outside(entropy.value_rows, rows, ~_any(entropy.domain.nonnegative & (rows < 0.0)))
+    """Values of the rows; ``+inf`` on the domain's :meth:`~ConvexDomainSpec.negative_rows`."""
+    return _inf_outside(entropy.value_rows, rows, ~entropy.domain.negative_rows(rows))
 
 
 def _fd_steps(entropy, v: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Mask of the directions an FD estimate at ``v`` may step along: ``v`` and ``v + FD_STEP * d``
-    lie in the entropy's domain K and, if K is sign-bounded, the step has no entry below 0."""
+    """Mask of the directions ``d`` an FD estimate at ``v`` may step along: ``v`` and ``v + FD_STEP * d``
+    lie in the entropy's domain K, and the step is not one of K's :meth:`~ConvexDomainSpec.negative_rows`."""
     dom, stepped = entropy.domain, v + FD_STEP * directions
-    return dom.contains_rows(v[None]) & dom.contains_rows(stepped) & ~_any(dom.nonnegative & (stepped < 0.0))
+    return dom.contains_rows(v[None]) & dom.contains_rows(stepped) & ~dom.negative_rows(stepped)
 
 
 def _fd_estimates(entropy, v: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
@@ -504,7 +513,7 @@ def subdifferential_probe(
             else:
                 verified.append(cand)
 
-        unique = bool(verified) and len(lineality) == domain.affine_hull_dimension()
+        unique = bool(verified) and _quasi_interior_row(domain, v)
         if unique:
             two_sided = _signed(lineality)
             both_slopes = _slopes(entropy, v, two_sided)

@@ -236,13 +236,11 @@ def _first_min(values: np.ndarray) -> tuple[int, float]:
 # Batches of fewer terms go to the math.fsum loop: on a 2-core Xeon (CPython
 # 3.11, numpy 2.4) the arrays cost 24 us a batch of 3-atom rows and 35-40 us
 # on longer rows, the loop 0.075 us a term on 3 atoms, 0.035 us on 20: they
-# cross at about 300 terms on 3 atoms, 750 on 5 and 1,100 on 20.  Nor does reduce_rows fold
-# a smaller batch: on 3 atoms its max beats reduce(axis=1) from about 32 rows, its all from 100.
+# cross at about 300 terms on 3 atoms, 750 on 5 and 1,100 on 20.
 _MIN_ARRAY_TERMS = 512
 # Rows of at most this many atoms are summed by cascades down the columns,
 # longer rows by extraction: on the same host the two cost the same at 7
-# atoms in batches of 3,000 terms, 8 in 12,000 and about 12 in 48,000.  On
-# 250 rows reduce_rows' all ties reduce(axis=1) at 8 atoms and loses at 12.
+# atoms in batches of 3,000 terms, 8 in 12,000 and about 12 in 48,000.
 _CASCADE_ATOMS = 8
 # Longer rows run in blocks of whole rows of at most this many terms (one row
 # if it is longer), whose scratch array stays in cache: on the same host a
@@ -253,17 +251,6 @@ _BLOCK_TERMS = 2 ** 15
 # of |terms| is outside this range, and rows with NaN or an infinity go to
 # math.fsum: inside, nothing overflows and extraction is exact.
 _SAFE_LOW, _SAFE_HIGH = 2.0 ** -900, 2.0 ** 900
-
-
-def reduce_rows(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(rows, axis=1)`` as a new array, for a ``ufunc`` no order changes (not ``add``):
-    batches of ``_MIN_ARRAY_TERMS`` terms or more, rows of up to ``_CASCADE_ATOMS`` atoms, fold by column."""
-    if not (rows.shape[1] <= _CASCADE_ATOMS and rows.size >= _MIN_ARRAY_TERMS):
-        return ufunc.reduce(rows, axis=1)
-    out = ufunc(rows[:, 0], rows[:, -1])  # one atom: the column with itself, a copy
-    for column in rows.T[1:-1]:
-        ufunc(out, column, out=out)
-    return out
 
 
 def _two_sum(a, b):

@@ -29,7 +29,7 @@ import numpy as np
 from .entropies import Entropy
 from .errors import DomainError
 from .measure import (ConeVector, Density, DualVector, MeasureSpace, _first_min, _require_same_space,
-                      counted_among, normalize_rows, pair_rows, quiet_floats, reduce_rows, report_dict,
+                      counted_among, normalize_rows, pair_rows, quiet_floats, report_dict,
                       require_float_range)
 from .sampling import _seeded, cone_rows, density_rows
 
@@ -177,6 +177,12 @@ class ProprietyReport:
     as_dict = report_dict
 
 
+def _density_pairs(space: MeasureSpace, rng: np.random.Generator, count: int) -> tuple:
+    """Propriety's draw: density rows p, q, p, q, ... and, per pair, ``max |p - q|``."""
+    draws = density_rows(space, rng, count)
+    return draws, np.abs(draws[0::2] - draws[1::2]).max(axis=1)
+
+
 @quiet_floats
 def verify_propriety(
     rule: ScoringRule,
@@ -199,7 +205,7 @@ def verify_propriety(
     if samples < 1:
         raise DomainError("propriety verification needs at least one sample")
     space = rule.space
-    draws = _seeded(density_rows, space, seed, 2 * samples)
+    draws, separation = _seeded(_density_pairs, space, seed, 2 * samples)
     p_rows, q_rows = draws[0::2], draws[1::2]
     with counted_among(samples, "pairs", per=2):
         scores = rule.score_rows(draws)  # rows p, q, p, q, ...
@@ -212,7 +218,6 @@ def verify_propriety(
     unfavorable = np.isnan(margins) | (margins == -math.inf)
     favorable = margins == math.inf
     finite = ~unfavorable & ~favorable
-    separation = reduce_rows(np.maximum, np.abs(p_rows - q_rows))
     strict_violations = int(np.count_nonzero(
         finite & (separation > STRICT_SEPARATION) & (margins < STRICT_MARGIN)))
     inf_unfavorable = int(np.count_nonzero(unfavorable))

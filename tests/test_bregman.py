@@ -301,7 +301,7 @@ class TestSymmetryClassification:
                 oracle = float(diff @ Q @ diff)
                 assert bregman_divergence(E, p, q) == pytest.approx(oracle, rel=1e-11, abs=1e-12)
 
-    def test_all_nan_defects_raise_a_domain_error_naming_the_entropy(self):
+    def test_nan_values_are_refused_by_the_values_float_range_check(self):
         sp = unit_space(3)
         E = Entropy("nan", ConvexDomainSpec.whole_space(sp), lambda q: np.full(len(q), np.nan),
                     lambda q: (np.full(len(q), np.nan), np.zeros_like(q)))
@@ -315,8 +315,23 @@ class TestSymmetryClassification:
         f = np.where(np.arange(20) % 2, -1e300, 1e300)
         opposed = Entropy("opposed", ConvexDomainSpec.whole_space(sp), lambda q: np.zeros(len(q)),
                           lambda q: (np.zeros(len(q)), np.broadcast_to(f, q.shape).copy()))
-        with pytest.raises(DomainError, match="^no sampled symmetry defect of opposed is a number$"):
+        with pytest.raises(DomainError, match=r"^opposed divergences leave the float range at 40 of 40 sampled "
+                                              r"points; the sample points lie in the box \[0.05, 2\)\^20$"):
             symmetry_defect(opposed, seed=5, samples=20)
+
+    def test_nan_divergences_are_counted_not_dropped(self):
+        # as above, but only where q_1 > 1.8, 50 of the 400 points: every other pairing gives
+        # a defect of 0, so skipping the NaN ones would call the entropy symmetric
+        sp = MeasureSpace(np.full(20, 1e10))
+        f = np.where(np.arange(20) % 2, -1e300, 1e300)
+        patchy = Entropy("patchy", ConvexDomainSpec.whole_space(sp), lambda q: np.zeros(len(q)),
+                         lambda q: (np.zeros(len(q)), np.where(q[:, :1] > 1.8, f, 0.0)))
+        inside = sampling.box_rows(sp, np.random.default_rng(5), 400)[:, 0] > 1.8
+        hit = np.count_nonzero(inside[np.arange(400) ^ 1])  # D(p, q) reads the subgradient at q
+        assert np.count_nonzero(inside) == hit == 50
+        with pytest.raises(DomainError, match=rf"^patchy divergences leave the float range at {hit} of 400 "
+                                              r"sampled points; the sample points lie in the box \[0.05, 2\)\^20$"):
+            symmetry_defect(patchy, seed=5, samples=200)
 
     def test_non_finite_values_are_counted_not_dropped(self):
         # a quadratic without a value where q_1 > 1.9, about 5% of the box: every other

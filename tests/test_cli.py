@@ -608,8 +608,14 @@ REFUSALS = {
     "config-missing": Refusal("verify --config DIR/nope.ini", {}, 2, "DIR/nope.ini: No such file or directory"),
     "config-not-utf8": Refusal(_CONFIG, b"[verify]\nsamples = 5\n\n[rule quadratic]\n; caf\xe9\n", 2,
                                "FILE:5: not UTF-8 text"),
-    "config-unparsable": Refusal(_CONFIG, "[verify\nseed = 1\n", 2,
-                                 "FILE: File contains no section headers.\nfile: 'FILE', line: 1\n'[verify\\n'"),
+    # configparser's four refusals, each on one line: PATH:LINE: what
+    "config-unparsable": Refusal(_CONFIG, "[verify\nseed = 1\n", 2, "FILE:1: no section header"),
+    "config-not-key-value": Refusal(_CONFIG, "[verify]\nseed = 1\ngarbage\n" + _RULE + "also garbage\n", 2,
+                                    "FILE:3: expected key = value"),
+    "config-same-title": Refusal(_CONFIG, "[verify]\nseed = 1\n" + _RULE + "\n[verify]\nsamples = 3\n", 2,
+                                 "FILE:6: [verify]: duplicate section"),
+    "config-same-key": Refusal(_CONFIG, "[verify]\nseed = 1\nSeed = 2\n" + _RULE, 2,
+                               "FILE:3: [verify]: duplicate key seed"),
     "config-percent": Refusal(_CONFIG, "[verify]\nweights = 1,1%\n" + _RULE, 2,
                               "FILE: [verify]: '%' must be followed by '%' or '(', found: '%'"),
     # -- configs: sections and keys, each read or refused
@@ -871,6 +877,29 @@ def test_checking_out_creates_and_truncates_nothing(tmp_path):
     for out in (kept, absent):  # the refusal's message is the table's input-missing row
         assert main(["grid-score", str(tmp_path / "none.csv"), "--out", str(out)]) == 2
     assert kept.read_text() == "earlier\n" and not absent.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["file", "new-name"])
+def test_an_out_without_write_permission_exits_2(tmp_path, monkeypatch, existing):
+    # these tests may run as root, whom no mode refuses: os.access refuses in its place,
+    # the file itself if it exists, else its directory
+    grid, out = tmp_path / "grid.txt", tmp_path / "out.csv"
+    grid.write_text(_GRID)
+    if existing:
+        out.write_text("earlier\n")
+    asked = []
+
+    def access(path, mode):
+        asked.append((str(path), mode))
+        return False
+
+    monkeypatch.setattr(os, "access", access)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["grid-score", str(grid), "--out", str(out)]) == 2
+    assert err.getvalue() == f"entroscore: {out}: Permission denied\n"
+    assert asked == [(str(out if existing else tmp_path), os.W_OK)]
+    assert (out.read_text() == "earlier\n") if existing else not out.exists()
 
 
 def test_an_empty_suites_key_selects_no_suite(tmp_path):

@@ -725,6 +725,16 @@ def test_rank_one_generators_on_both_sides_of_the_origin_span_a_line():
     assert is_quasi_interior(line, origin) and not is_quasi_interior(ray, origin)
 
 
+def test_the_zero_generator_spans_the_origin_alone():
+    # no ray to normalize, so no facets: the equalities pin every coordinate to 0
+    sp = unit_space(3)
+    origin = ConvexDomainSpec.cone_hull(sp, [[0.0, 0.0, 0.0]])
+    assert origin.inequalities[0].shape == (0, 3) and origin.affine_hull_dimension() == 0
+    assert origin.contains(sp.cone([0.0, 0.0, 0.0])) and not origin.contains(sp.cone([1e-6, 0.0, 0.0]))
+    assert is_quasi_interior(origin, sp.cone([0.0, 0.0, 0.0]))
+    assert lineality_space(origin, sp.cone([0.0, 0.0, 0.0])) == []
+
+
 def test_the_probe_lets_an_oracles_own_domain_error_through():
     # an entropy without a value past q_1 = 2, which some sampled points reach: the probe
     # counts only float-range faults, so the oracle's own message comes through

@@ -10,14 +10,12 @@ overflowing rows fails here as well.  The sampled suites that run on rows
 (``symmetry_defect``, ``linearity_check``) must report what their per-point
 loops, kept in ``conftest``, reported, and ``cone_rows`` must draw the bits
 and leave the generator where per-point ``rng.uniform`` and ``rng.dirichlet``
-calls did.  ``measure.reduce_rows`` must equal numpy's own row reduction.
-``symmetry_defect`` and ``verify_euler``, which evaluate each oracle once per
-point on draws a ``verify`` command shares, must report what their earlier
-row formulas, also in ``conftest``, reported.
+calls did.  ``symmetry_defect`` and ``verify_euler``, which evaluate each
+oracle once per point on draws a ``verify`` command shares, must report what
+their earlier row formulas, also in ``conftest``, reported.
 """
 
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -401,37 +399,6 @@ def test_samplers_return_no_rows_for_no_points():
     space = MeasureSpace([0.5, 1.0, 2.0])
     for rows in (sampling.density_rows, sampling.cone_rows, sampling.box_rows):
         assert rows(space, np.random.default_rng(0), 0).shape == (0, 3)
-
-
-@st.composite
-def reduce_batches(draw):
-    shape = (draw(st.integers(0, 50)), draw(st.integers(0, 12)))
-    if draw(st.booleans()):
-        return draw(arrays(bool, shape))
-    entry = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
-                      st.floats(-2.0 ** -1022, 2.0 ** -1022, exclude_min=True, exclude_max=True),  # subnormals
-                      st.floats(allow_nan=False, allow_infinity=False))
-    return draw(arrays(float, shape, elements=entry))
-
-
-@settings(max_examples=150, deadline=None)
-@given(reduce_batches())
-@example(np.array([[math.nan, 1.0], [-0.0, 0.0], [math.inf, -math.inf]]))
-@example(np.ones((4, 1), dtype=bool))
-def test_reduce_rows_matches_the_ufunc_reduction(rows):
-    # the batch, and the batch tiled past the column fold's minimum size, on both sides
-    # of the fold's width limit and at widths 0 and 1
-    tiled = np.tile(rows, (-(-measure._MIN_ARRAY_TERMS // max(rows.size, 1)), 1))
-    for batch, ufunc in itertools.product((rows, tiled), (np.maximum, np.minimum, np.logical_and,
-                                                          np.logical_or)):
-        if batch.shape[1] == 0 and ufunc.identity is None:
-            with pytest.raises(ValueError):
-                measure.reduce_rows(ufunc, batch)
-            continue
-        expected, result = ufunc.reduce(batch, axis=1), measure.reduce_rows(ufunc, batch)
-        assert result.shape == (len(batch),) and result.dtype == expected.dtype
-        assert np.array_equal(result, expected, equal_nan=True)
-        assert not np.shares_memory(result, batch)
 
 
 @st.composite

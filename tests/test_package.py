@@ -1,8 +1,8 @@
 """The package surface: each module's ``__all__`` is the one list of its public names; no
 module imports a name it does not use, the modules import one another one way only, only
 ``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``,
-geometry and scoring reduce rows through ``measure.reduce_rows``, only ``sampling`` draws from a
-generator, and each catalog entropy is named once, in the catalog table."""
+only ``geometry`` reads a domain's sign flag, only ``sampling`` draws from a generator, and each
+catalog entropy is named once, in the catalog table."""
 
 import ast
 import re
@@ -154,24 +154,12 @@ def test_two_sum_is_written_once():
     assert found == ["measure.py:_two_sum", "measure.py:_two_sum"]  # the definition and its error term
 
 
-def _row_axis(call: ast.Call) -> str | None:
-    """The axis a ``max``, ``min``, ``any`` or ``all`` call, method or ``np.*``, reduces along."""
-    func = call.func
-    if not (isinstance(func, ast.Attribute) and func.attr in ("max", "min", "amax", "amin", "any", "all")):
-        return None
-    place = 1 if ast.unparse(func.value) in ("np", "numpy") else 0
-    axis = next((k.value for k in call.keywords if k.arg == "axis"),
-                call.args[place] if len(call.args) > place else None)
-    return None if axis is None else ast.unparse(axis)
-
-
-def test_row_reductions_in_the_sampled_checks_go_through_reduce_rows():
-    # geometry and scoring reduce verify's 3-atom rows: measure.reduce_rows folds them
-    # across the columns, where numpy's reduction along axis 1 costs its per-row overhead
-    found = [owner for owner, node in _owned_nodes()
-             if owner.startswith(("geometry.py:", "scoring.py:")) and isinstance(node, ast.Call)
-             and _row_axis(node) in ("1", "-1")]
-    assert found == []
+def test_only_geometry_reads_the_sign_flag():
+    # the sign rule is written once, as ConvexDomainSpec.negative_rows: every other module asks
+    # it which rows an entropy is undefined at, and none reads the flag behind it
+    readers = [owner for owner, node in _owned_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "nonnegative"]
+    assert readers and [owner for owner in readers if not owner.startswith("geometry.py:")] == []
 
 
 def test_only_sampling_draws_from_a_generator():
