@@ -17,9 +17,9 @@ parsed by numpy's C reader; ``csv.reader`` reads any other, and names the
 line of any fault.  Floats are rendered with shortest round-trip ``repr`` (so
 ``inf``/``-inf``), ``-0.0`` as ``0.0``.
 Exit codes: 0 success, 1 verification failure, 2 malformed input or config
-(or a ``verify`` rule whose scores leave the float range on its sample
-points), 3 invalid density rows or rows whose scores (or Fisher terms) leave the float range,
-4 unknown rule.
+(or a ``verify`` rule whose scores leave the float range on its sample points),
+3 invalid density rows, rows whose scores (or Fisher entropy) leave the float range, or rows with a
+zero atom under ``fisher``, 4 unknown rule, or one its space cannot carry (``fisher`` needs 4+ equal atoms).
 """
 
 from __future__ import annotations

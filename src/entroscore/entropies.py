@@ -12,14 +12,15 @@ power(g)            sum q^g mu                     g q^(g-1)                  g 
 shannon             sum q log q mu                 log q + 1                  log q
 pseudospherical(g)  (sum q^g mu)^(1/g)             q^(g-1) / (...)^((g-1)/g)  the subgradient
 weighted_quadratic  q^T Q q                        2 Q q / mu                 2 Q q / mu - H(q)
+fisher              sum (D q)^2 / q mu             -2 D r - r^2, r = D q / q  the subgradient
 ==================  =============================  =========================  =======================
 
 Each entropy has a ``value_rows`` oracle and a ``value_grad_rows`` oracle that
 gives values and subgradients from one pass.  Subgradients live in the weighted
 dual (``pair(d, grad)`` is the directional derivative), hence the division by
 atom weights in the matrix and composite forms.  Shannon uses 0 log 0 := 0 and
-refuses boundary subgradients.  Array ``pow`` and ``log`` keep zeros off numpy's
-slow special-value path.
+refuses boundary subgradients, as fisher does.  Array ``pow`` and ``log`` keep zeros
+off numpy's slow special-value path.
 
 Each catalog entropy also gives its score in closed form (``closed_form_rows``),
 from the pass that gives its value and subgradient: the gradient of its
@@ -51,7 +52,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .geometry import ConvexDomainSpec
 from .measure import (ConeVector, MeasureSpace, _require_same_space, _times, exact_row_sums, fsum_rows,
-                      normalize_rows, quiet_floats, require_float_range)
+                      normalize_rows, quiet_floats, require_float_range, row_list)
 
 __all__ = [
     "Entropy",
@@ -107,11 +108,9 @@ class Entropy:
             _require_same_space(self.domain.space, q)
             return q.values[None]
 
-        value_rows, value_grad_rows, closed_form_rows = (oracle and partial(checked, oracle) for oracle in (
-            self.value_rows, self.value_grad_rows, self.closed_form_rows))
-        object.__setattr__(self, "value_rows", value_rows)
-        object.__setattr__(self, "value_grad_rows", value_grad_rows)
-        object.__setattr__(self, "closed_form_rows", closed_form_rows)
+        for oracle in ("value_rows", "value_grad_rows", "closed_form_rows"):
+            object.__setattr__(self, oracle, getattr(self, oracle) and partial(checked, getattr(self, oracle)))
+        value_rows, value_grad_rows, closed_form_rows = self.value_rows, self.value_grad_rows, self.closed_form_rows
         object.__setattr__(self, "value", lambda q: float(value_rows(row(q))[0]))
         object.__setattr__(self, "subgradient", value_grad_rows and (lambda q: self.domain.space.dual(
             require_float_range(f"{self.name} subgradients", value_grad_rows(row(q))[1])[0])))
@@ -303,6 +302,35 @@ def _weighted_quadratic(name: str, space: MeasureSpace, matrix) -> Entropy:
                    _euler_scores(value_grad_rows, 2.0))
 
 
+def _periodic_differences(rows: np.ndarray, h: float) -> np.ndarray:
+    """The centred difference ``(v[i+1] - v[i-1]) / (2h)`` of rows read as periodic grids of spacing h."""
+    return (np.roll(rows, -1, axis=-1) - np.roll(rows, 1, axis=-1)) / (2.0 * h)
+
+
+def _fisher(name: str, space: MeasureSpace) -> Entropy:
+    w = space.weights
+    if space.size < 4 or (w != w[0]).any():
+        raise ConstructionError("fisher entropy needs at least 4 atoms of equal weight")
+    h = float(w[0])  # the grid's spacing
+
+    def value_rows(q: np.ndarray) -> np.ndarray:
+        differences = _periodic_differences(q, h)
+        r = differences / q  # the log slope
+        # at a zero atom, where r is 0 / 0 or infinite, the perspective's closure: 0 where D q = 0, else +inf
+        terms = np.where(q == 0.0, np.where(differences == 0.0, 0.0, math.inf), q * r * r * h)
+        return _positive_sums(terms)
+
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        if (zero := (q == 0.0).any(axis=1)).any():
+            rows = row_list((np.flatnonzero(zero) + 1).tolist())
+            raise DomainError(f"fisher subgradient does not exist at zero atoms, in {rows}")
+        r = _periodic_differences(q, h) / q
+        return value_rows(q), -2.0 * _periodic_differences(r, h) - r * r
+
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
+                   _euler_scores(value_grad_rows, 1.0))
+
+
 # The catalog, name -> (its constructor, called as (name, space) or (name, space, parameter); the
 # kind of parameter it takes: None, "exponent" or "matrix"; whether its Bregman divergence is
 # symmetric at gamma on a space of that many atoms: only those of generalized quadratic entropies
@@ -315,6 +343,7 @@ _CATALOG = {
     # pseudospherical(2) is the spherical entropy
     "pseudospherical": (_pseudospherical, "exponent", lambda gamma, atoms: atoms == 1),
     "weighted_quadratic": (_weighted_quadratic, "matrix", lambda gamma, atoms: True),
+    "fisher": (_fisher, None, lambda gamma, atoms: False),
 }
 CATALOG_NAMES = tuple(_CATALOG)
 
@@ -332,8 +361,9 @@ def catalog_entropy(name: str, space: MeasureSpace, *, gamma: float | None = Non
     (convexity breaks at or below 1) and are named with its shortest
     round-trip form, as in ``power(1.5)``; ``weighted_quadratic`` takes a
     symmetric positive-definite matrix that already includes any desired
-    atom weighting.  Adding an entropy is one row of the catalog table plus
-    its constructor.
+    atom weighting; ``fisher`` needs at least 4 atoms of equal weight, which
+    it reads in order as a periodic grid.  Adding an entropy is one row of
+    the catalog table plus its constructor.
     """
     build, parameter, _ = _catalog_row(name)
     for kind, value in (("exponent", gamma), ("matrix", matrix)):

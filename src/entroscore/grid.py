@@ -5,11 +5,11 @@ only through the discrete log-slope
 
     r = (D q) / q,
 
-where D is the centered difference on the periodic grid.  D is antisymmetric
+where D is the centered difference on the periodic grid: it is the rule of
+the catalog's ``fisher`` entropy on the grid's space.  D is antisymmetric
 under the uniform-weight pairing, so discrete summation by parts is exact,
 and the ratio form (rather than differencing log q) makes the structural
-identities exact at machine precision rather than up to discretisation
-error:
+identities exact at machine precision rather than up to discretisation error:
 
 * scale invariance  S(lam q) = S(q);
 * the Euler identity  pair(q, S(q)) = fisher_entropy(q);
@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .entropies import Entropy, _periodic_differences, catalog_entropy
 from .errors import ConstructionError, DomainError
 from .measure import (DENSITY_MASS_TOL, DualVector, MeasureSpace, fsum_rows, quiet_floats,
                       require_float_range, row_list)
@@ -33,8 +34,6 @@ from .measure import (DENSITY_MASS_TOL, DualVector, MeasureSpace, fsum_rows, qui
 __all__ = [
     "PeriodicGrid",
     "GridDensity",
-    "grid_diff",
-    "log_slope",
     "hyvarinen_score",
     "fisher_entropy",
     "hyvarinen_divergence",
@@ -66,6 +65,11 @@ class PeriodicGrid:
     def space(self) -> MeasureSpace:
         return MeasureSpace(np.full(self.n, self.spacing))
 
+    @cached_property
+    def entropy(self) -> Entropy:
+        """The catalog's ``fisher`` entropy on the grid's space: its rule is the grid rule."""
+        return catalog_entropy("fisher", self.space)
+
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
@@ -86,62 +90,32 @@ class GridDensity:
 
     @property
     def mass(self) -> float:
-        return _total("grid masses", self.values * self.grid.spacing)
+        return float(fsum_rows(self.values * self.grid.spacing))
 
     def normalized(self) -> "GridDensity":
         return GridDensity(self.grid, self.values / self.mass)
 
-    def scaled(self, factor: float) -> "GridDensity":
-        return GridDensity(self.grid, self.values * float(factor))
 
-
-def _total(what: str, terms: np.ndarray) -> float:
-    """Exact sum of ``terms``, rounded once; :class:`DomainError` names terms past the float range."""
-    return float(fsum_rows(require_float_range(what, terms)[None])[0])
-
-
-def grid_diff(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Centered difference (v[i+1] - v[i-1]) / (2h) with periodic wraparound.
-
-    Antisymmetric under the uniform-weight pairing, so
-    ``sum (Dv) w h = -sum v (Dw) h`` exactly up to rounding.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (grid.n,):
-        raise ConstructionError("values length does not match the grid")
-    return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * grid.spacing)
-
-
-def log_slope(q: GridDensity) -> np.ndarray:
-    """Discrete log-density slope r = (D q) / q.
-
-    The ratio is exactly scale invariant and satisfies ``q * r = D q``
-    identically, which is what makes the score identities exact; it agrees
-    with differencing log q to second order in the spacing.
-    """
-    return grid_diff(q.grid, q.values) / q.values
-
-
-@quiet_floats
 def hyvarinen_score(q: GridDensity) -> DualVector:
-    """Gridwise score S(q) = -2 D r - r^2, oriented so larger is better.
+    """Gridwise score S(q) = -2 D r - r^2, oriented so larger is better: one row of fisher's scores.
 
     Exactly 0-homogeneous: any positive rescaling of q cancels inside r.
     :class:`DomainError` names the grid points whose score leaves the float range.
     """
-    r = log_slope(q)
-    return q.grid.space.dual(require_float_range("hyvarinen scores", -2.0 * grid_diff(q.grid, r) - r * r))
+    scores = q.grid.entropy.closed_form_rows(q.values[None])[0]
+    return q.grid.space.dual(require_float_range("hyvarinen scores", scores))
 
 
-@quiet_floats
 def fisher_entropy(q: GridDensity) -> float:
-    """Discrete Fisher information sum q r^2 h; 1-homogeneous in q.
+    """Discrete Fisher information sum q r^2 h, 1-homogeneous in q: one value of the fisher row.
 
     Zero exactly for constant densities, and the expected self-score of the
-    grid rule (the Euler identity).  :class:`DomainError` names terms past the float range.
+    grid rule (the Euler identity).  :class:`DomainError` if it leaves the float range.
     """
-    r = log_slope(q)
-    return _total("Fisher entropy terms", q.values * r * r * q.grid.spacing)
+    value = float(q.grid.entropy.value_rows(q.values[None])[0])
+    if not math.isfinite(value):
+        raise DomainError("the Fisher entropy leaves the float range")
+    return value
 
 
 @quiet_floats
@@ -149,12 +123,14 @@ def hyvarinen_divergence(p: GridDensity, q: GridDensity) -> float:
     """Fisher divergence sum p (r_p - r_q)^2 h for a normalised truth p.
 
     Equal to ``pair(p, S(p)) - pair(p, S(q))`` by exact summation by parts;
-    zero precisely when the log-slopes agree, in particular for q = lam p.
-    :class:`DomainError` names terms past the float range.
+    zero precisely when the log-slopes agree, in particular for q = lam p.  A sum of squares, it
+    cannot go negative; the Bregman form can.  :class:`DomainError` names terms past the float range.
     """
     if p.grid != q.grid:
         raise DomainError("grid densities live on different grids")
     if abs(p.mass - 1.0) > DENSITY_MASS_TOL:
         raise DomainError("the first argument must be a normalised density")
-    diff = log_slope(p) - log_slope(q)
-    return _total("Fisher divergence terms", p.values * diff * diff * p.grid.spacing)
+    r_p, r_q = (_periodic_differences(v.values, v.grid.spacing) / v.values for v in (p, q))
+    diff = r_p - r_q
+    terms = require_float_range("Fisher divergence terms", p.values * diff * diff * p.grid.spacing)
+    return float(fsum_rows(terms))

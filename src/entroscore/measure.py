@@ -34,7 +34,6 @@ __all__ = [
     "fsum_rows",
     "require_density_rows",
     "normalize_rows",
-    "normalize",
 ]
 
 # Densities must carry unit mass to within this tolerance; off-mass inputs
@@ -449,8 +448,3 @@ def normalize_rows(q_rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     if (mass <= 0.0).any():
         raise DomainError("cannot normalize a vector with nonpositive total mass")
     return require_density_rows(q_rows / mass[:, None], weights), mass
-
-
-def normalize(q: ConeVector) -> Density:
-    """Rescale a nonnegative cone vector to unit mass: one row of :func:`normalize_rows`."""
-    return Density(normalize_rows(q.values[None], q.space.weights)[0][0], q.space)

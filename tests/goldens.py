@@ -56,6 +56,8 @@ GOLDENS = {
     # differently: the Euler cone points must keep rng.dirichlet's bits.  The
     # linear rule fails propriety, so the exit code is 1.
     "verify-20": Golden("verify_20_golden.json", ("verify", "--config", "verify_20.ini"), 1),
+    # the fisher rule, the Hyvarinen rule's entropy, on a periodic grid of 8 equal atoms
+    "verify-fisher": Golden("verify_fisher_golden.json", ("verify", "--config", "verify_fisher.ini"), 0),
 }
 
 

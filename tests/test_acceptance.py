@@ -224,9 +224,9 @@ def test_criterion_9_grid_identities():
         ok &= abs(lhs - hyvarinen_divergence(p, q)) <= 1e-12
     for lam in (0.5, 2.0, 3.0, 10.0):
         p = random_field().normalized()
-        ok &= abs(hyvarinen_divergence(p, p.scaled(lam))) <= 1e-14
+        ok &= abs(hyvarinen_divergence(p, GridDensity(grid, p.values * lam))) <= 1e-14
     for _ in range(100):
-        q = random_field().scaled(float(rng.uniform(0.1, 10.0)))
+        q = GridDensity(grid, random_field().values * float(rng.uniform(0.1, 10.0)))
         euler_gap = pair(sp.cone(q.values), hyvarinen_score(q)) - fisher_entropy(q)
         ok &= abs(euler_gap) <= 1e-12 * (1.0 + abs(fisher_entropy(q)))
     _report(9, "grid divergence identity, scale invariance, Euler identity", ok)

@@ -501,6 +501,7 @@ _REJECTING = "entropy = quadratic\npoint = 1,1,1\ncandidates = 3,3,3\n"
 _PROBE = "[verify]\nseed = 1\nsamples = 5\nweights = {}\nsuites = propriety\n\n[rule quadratic]\n\n[probe p]\n"
 _PROBE_2 = _PROBE.format("1,1") + "entropy = quadratic\nexpect_verified = 2,0\n"
 _PROBE_3 = _PROBE.format("1,1,1")
+_NOT_A_GRID = "cannot build rule 'fisher': fisher entropy needs at least 4 atoms of equal weight"
 
 
 class Refusal(NamedTuple):
@@ -517,7 +518,7 @@ REFUSALS = {
     # -- rules
     "unknown-rule": Refusal("score FORECASTS OUTCOMES --rules nosuchrule", {}, 4,
                             "cannot build rule 'nosuchrule': unknown entropy 'nosuchrule'; catalog: "
-                            "quadratic, spherical, power, shannon, pseudospherical, weighted_quadratic"),
+                            "quadratic, spherical, power, shannon, pseudospherical, weighted_quadratic, fisher"),
     "power-below-one": Refusal("score FORECASTS OUTCOMES --rules power(0.5)", {}, 4,
                                "cannot build rule 'power(0.5)': power entropy needs a finite exponent gamma > 1"),
     "power-inf": Refusal("score FORECASTS OUTCOMES --rules power(inf)", {}, 4,
@@ -526,6 +527,16 @@ REFUSALS = {
                                      "cannot build rule 'weighted_quadratic': weighted_quadratic needs a matrix"),
     "linear-with-parameter": Refusal("score FORECASTS OUTCOMES --rules linear(2)", {}, 4,
                                      "cannot build rule 'linear(2)': rule 'linear' takes no parameter"),
+    # fisher reads the atoms as a periodic grid: at least 4 of them, of equal weight,
+    # and it has no score at a zero atom
+    "fisher-on-three-atoms": Refusal("score FORECASTS OUTCOMES --rules fisher", {}, 4, _NOT_A_GRID),
+    "fisher-on-unequal-weights": Refusal("score FILE OTHER --weights 1,1,1,2 --rules fisher",
+                                         {"FILE": "p1,p2,p3,p4\n0.2,0.2,0.2,0.2\n", "OTHER": "outcome\n1\n"}, 4,
+                                         _NOT_A_GRID),
+    "fisher-at-a-zero-atom": Refusal("score FILE OTHER --rules fisher",
+                                     {"FILE": "p1,p2,p3,p4\n0.25,0.25,0.25,0.25\n0,0.5,0.25,0.25\n",
+                                      "OTHER": "outcome\n1\n2\n"}, 3,
+                                     "FILE: fisher subgradient does not exist at zero atoms, in row 2"),
     "empty-rule-name": Refusal("score FORECASTS OUTCOMES --rules quadratic,,shannon", {}, 4,
                                "empty rule name in --rules"),
     # -- forecast files
@@ -588,12 +599,12 @@ REFUSALS = {
                                 "FILE: nonpositive or non-finite grid density values in row 2"),
     "grid-inf": Refusal("grid-score FILE", "1.0\ninf\n2.0\n3.0\n", 3,
                         "FILE: nonpositive or non-finite grid density values in row 2"),
-    # log slopes so steep that the scores, or the Fisher entropy's terms, overflow at rows 2 and 4
+    # log slopes so steep that the scores overflow at rows 2 and 4, or the Fisher entropy's terms
+    # do; the entropy is one value, so its refusal names no line
     "grid-scores-past-the-float-range": Refusal("grid-score FILE", "1e-300\n1\n1e300\n1\n", 3,
                                                 "FILE: hyvarinen scores leave the float range in rows 2, 4"),
     "grid-fisher-entropy-past-the-float-range": Refusal(
-        "grid-score FILE", "1e-300\n1e150\n1e300\n1e150\n", 3,
-        "FILE: Fisher entropy terms leave the float range in rows 2, 4"),
+        "grid-score FILE", "1e-300\n1e150\n1e300\n1e150\n", 3, "FILE: the Fisher entropy leaves the float range"),
     # -- verify's flags
     "flag-samples-0": Refusal("verify --samples 0", {}, 2, "samples must be at least 1"),
     "flag-tol-nan": Refusal("verify --samples 5 --tol nan", {}, 2, "propriety_tol must be finite and nonnegative"),
@@ -1084,12 +1095,21 @@ def test_each_catalog_row_builds_and_expects_the_symmetry_it_shows():
     # the catalog table, row by row: a rule spec builds each row it can give a parameter to and
     # refuses the matrix row (the refusal table's rule-needing-a-matrix row), and each row's symmetry
     # column is what symmetry_defect classifies at n = 3 and at n = 1, also through the linear alias.
-    # On one atom the spherical entropies are linear, q mu^(1/g), so their divergence is 0
+    # On one atom the spherical entropies are linear, q mu^(1/g), so their divergence is 0.  The
+    # fisher row refuses both spaces, and is checked on a periodic grid of 8 equal atoms
     assert entropies.CATALOG_NAMES == tuple(entropies._CATALOG)
-    for space in (MeasureSpace([0.5, 1.0, 2.0]), MeasureSpace([0.5])):
+    for space in (MeasureSpace([0.5, 1.0, 2.0]), MeasureSpace([0.5]), MeasureSpace(np.full(8, 0.125))):
         n = space.size
+        grid = n == 8  # the space on which the fisher row, and only it, is checked
         checked = []  # (the row's symmetry column at gamma and n, entropy, build_rule's (entropy, rule) or None)
         for name, (_, parameter, symmetric) in entropies._CATALOG.items():
+            if name == "fisher" and not grid:
+                with pytest.raises(cli.CliError) as refused:
+                    cli.build_rule(name, space)
+                assert str(refused.value) == _NOT_A_GRID
+                continue
+            if grid and name != "fisher":
+                continue
             if parameter == "matrix":
                 with pytest.raises(cli.CliError, match=f"^cannot build rule {name!r}: {name} needs a matrix$"):
                     cli.build_rule(name, space)
@@ -1102,9 +1122,10 @@ def test_each_catalog_row_builds_and_expects_the_symmetry_it_shows():
                 assert entropy.name == spec
                 assert entropies.catalog_symmetric(name, gamma, n) == symmetric(gamma, n)
                 checked.append((symmetric(gamma, n), entropy, (entropy, rule)))
-        quadratic, _ = cli._ALIASES["linear"]
-        linear = cli.build_rule("linear", space)
-        checked.append((entropies.catalog_symmetric(quadratic, None, n), linear[0], linear))
+        if not grid:
+            quadratic, _ = cli._ALIASES["linear"]
+            linear = cli.build_rule("linear", space)
+            checked.append((entropies.catalog_symmetric(quadratic, None, n), linear[0], linear))
         for symmetric, entropy, built in checked:
             expected = SYMMETRIC_GENERALIZED_QUADRATIC if symmetric else ASYMMETRIC_WITH_WITNESS
             assert symmetry_defect(entropy, seed=3, samples=100).classification == expected, (entropy.name, n)

@@ -217,6 +217,27 @@ class TestCatalogValues:
         assert text is None or entropy.name == f"{name}({text})"
 
 
+class TestFisher:
+    # 4 atoms of weight h = 0.5, so (D q)_i = q[i+1] - q[i-1] and F(q) = sum (D q)^2 / q h
+    SPACE = MeasureSpace([0.5] * 4)
+
+    def test_a_zero_atom_takes_the_perspectives_closure(self):
+        rows = np.array([[0.0, 1.0, 2.0, 1.0],  # D q = (0, 2, 0, -2): the zero atom's term is 0
+                         [0.0, 1.0, 3.0, 2.0],  # D q = -1 at the zero atom: its term is +inf
+                         [0.0, 0.0, 0.0, 0.0],  # every term is 0
+                         [1.0, 2.0, 2.0, 1.0]])  # D q = (1, 1, -1, -1): 1/1 h + 1/2 h + 1/2 h + 1/1 h
+        values = catalog_entropy("fisher", self.SPACE).value_rows(rows)
+        np.testing.assert_array_equal(values, [4.0, math.inf, 0.0, 1.5])
+
+    def test_zero_atoms_have_no_subgradient_and_no_score(self):
+        E = catalog_entropy("fisher", self.SPACE)
+        rows = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 1.0], [1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+        for oracle in (E.value_grad_rows, make_psr(E).score_rows):
+            with pytest.raises(DomainError) as info:
+                oracle(rows)
+            assert str(info.value) == "fisher subgradient does not exist at zero atoms, in rows 2, 4"
+
+
 _SIGN_SPACE = MeasureSpace([0.5, 1.0, 2.0])
 _SIGN_SUBJECTS = (*CATALOG_SPECS, "weighted_quadratic", "shannon@rebased", "composite@orthant")
 
@@ -547,10 +568,14 @@ class TestCompositeEntropy:
     (lambda sp: catalog_entropy("power", sp, gamma=1.5, matrix=np.eye(3)), "power entropy takes no matrix"),
     (lambda sp: catalog_entropy("frobnicate", sp, gamma=2.0),
      "unknown entropy 'frobnicate'; catalog: quadratic, spherical, power, shannon, pseudospherical, "
-     "weighted_quadratic"),
+     "weighted_quadratic, fisher"),
     (lambda sp: integrated_square_composite(sp, np.ones(2)), "nu weights do not match the space size"),
+    (lambda sp: catalog_entropy("fisher", sp), "fisher entropy needs at least 4 atoms of equal weight"),
+    (lambda sp: catalog_entropy("fisher", MeasureSpace([1.0, 1.0, 1.0, 2.0])),
+     "fisher entropy needs at least 4 atoms of equal weight"),
+    (lambda sp: catalog_entropy("fisher", MeasureSpace([1.0] * 4), gamma=2.0), "fisher entropy takes no exponent"),
 ], ids=["matrix-shape", "matrix-missing", "matrix-to-quadratic", "matrix-to-power", "unknown-with-exponent",
-        "nu-size"])
+        "nu-size", "fisher-on-three-atoms", "fisher-on-unequal-weights", "fisher-with-exponent"])
 def test_entropy_constructions_refuse_ingredients_that_do_not_fit(build, message):
     with pytest.raises(ConstructionError) as info:
         build(unit_space(3))

@@ -1,4 +1,5 @@
-"""Catalog scores against an exact reference: 60-digit ``decimal`` arithmetic, at fixed cases.
+"""Catalog scores, and the grid's Fisher divergence, against an exact reference: 60-digit
+``decimal`` arithmetic, at fixed cases.
 
 Each float result must lie within ``k * u * scale`` of the exact value, with
 ``u = 2^-53``, ``scale`` the sum of the magnitudes of the terms that make up
@@ -12,12 +13,14 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from entroscore import MeasureSpace, catalog_entropy, make_psr, score_divergence_rows
+from entroscore import (GridDensity, MeasureSpace, PeriodicGrid, catalog_entropy, hyvarinen_divergence, make_psr,
+                        score_divergence_rows)
 
 U = 2.0 ** -53
 PRECISION = 60
 
-# (name, gamma) of each catalog rule the cases cover; weighted_quadratic takes MATRIX
+# (name, gamma) of each catalog rule the cases cover; weighted_quadratic takes MATRIX, and fisher,
+# which needs equal weights, has cases of its own
 RULES = (("quadratic", None), ("spherical", None), ("shannon", None), ("power", 1.5), ("power", 3.0),
          ("pseudospherical", 3.0), ("pseudospherical", 11.0), ("weighted_quadratic", None))
 MATRIX = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]])
@@ -112,3 +115,67 @@ def test_catalog_scores_at_extreme_weights(name, gamma, weights):
                 assert got == -math.inf
             else:
                 assert abs(_exact(got) - want) <= k * size, (q.tolist(), got, want)
+
+
+# k for the fisher scores and the Fisher divergence, where ``scale`` is the exact value with each
+# difference replaced by the sum of its terms' magnitudes: the log slope r = D q / q becomes
+# rho = (q[i+1] + q[i-1]) / (2h q), the score -(r[i+1] - r[i-1]) / h - r^2 becomes
+# (rho[i+1] + rho[i-1]) / h + rho^2, and the divergence sum p (r_p - r_q)^2 h becomes
+# sum p (rho_p + rho_q)^2 h.  The scores' cases reach 1.96 (at h = 1e-8, where 2h is no power of
+# 2), 1.42 and 0.75; the divergence's reach 0.08, its scale being loose where the slopes differ
+FISHER_SCORE_K = 3
+FISHER_DIVERGENCE_K = 1
+
+# 8-atom rows: smooth, rough across 16 orders of magnitude, constant to 1e-12 (D q cancels), and
+# a smooth row scaled by 1e6
+_X = np.arange(8) / 8
+FISHER_ROWS = np.array([np.exp(np.sin(2.0 * np.pi * _X)),
+                        [1e8, 1e-8, 1.0, 1e4, 1e-4, 3.0, 0.5, 7.0],
+                        1.0 + 1e-12 * np.cos(2.0 * np.pi * _X),
+                        1e6 * np.exp(0.8 * np.cos(2.0 * np.pi * _X))])
+
+
+def exact_log_slopes(h, q) -> tuple[list, list]:
+    """r = D q / q on the periodic grid of spacing ``h``, and rho, its scale, as Decimals."""
+    h, q, n = _exact(h), [_exact(x) for x in q], len(q)
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        return ([(q[(i + 1) % n] - q[i - 1]) / (2 * h * q[i]) for i in range(n)],
+                [(q[(i + 1) % n] + q[i - 1]) / (2 * h * q[i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("h", [0.125, 1e-8, 1e8], ids=["grid", "light", "heavy"])
+def test_fisher_scores_at_eight_atoms(h):
+    rule = build("fisher", None, MeasureSpace(np.full(8, h)))
+    k = FISHER_SCORE_K * Decimal(U)
+    for q, row_scores in zip(FISHER_ROWS, rule.score_rows(FISHER_ROWS)):
+        r, rho = exact_log_slopes(h, q)
+        with localcontext() as ctx:
+            ctx.prec = PRECISION
+            for i, got in enumerate(row_scores.tolist()):
+                want = -(r[(i + 1) % 8] - r[i - 1]) / _exact(h) - r[i] ** 2
+                scale = (rho[(i + 1) % 8] + rho[i - 1]) / _exact(h) + rho[i] ** 2
+                assert abs(_exact(got) - want) <= k * scale, (q.tolist(), i, got, want)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_the_fisher_divergence(n):
+    grid = PeriodicGrid(n)
+    x = grid.points
+    rows = [np.exp(np.sin(2.0 * np.pi * x)), np.exp(0.8 * np.cos(2.0 * np.pi * x)),
+            1.0 + 1e-12 * np.cos(2.0 * np.pi * x), np.exp(np.sin(2.0 * np.pi * x) + 1e-9 * np.cos(6.0 * np.pi * x)),
+            np.where(np.arange(n) % 2 == 0, 1e4, 1e-4)]
+    k = FISHER_DIVERGENCE_K * Decimal(U)
+    for p_values in rows:
+        p = GridDensity(grid, p_values).normalized()
+        r_p, rho_p = exact_log_slopes(grid.spacing, p.values)
+        for q_values in rows:
+            q = GridDensity(grid, q_values)
+            got = hyvarinen_divergence(p, q)
+            r_q, rho_q = exact_log_slopes(grid.spacing, q.values)
+            with localcontext() as ctx:
+                ctx.prec = PRECISION
+                terms = [(_exact(x), a - b, c + d) for x, a, b, c, d in zip(p.values, r_p, r_q, rho_p, rho_q)]
+                want = sum(x * diff ** 2 for x, diff, _ in terms) * _exact(grid.spacing)
+                scale = sum(x * size ** 2 for x, _, size in terms) * _exact(grid.spacing)
+            assert abs(_exact(got) - want) <= k * scale, (p_values.tolist(), q_values.tolist(), got, want)

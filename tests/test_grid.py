@@ -10,13 +10,14 @@ from entroscore import (
     DomainError,
     GridDensity,
     PeriodicGrid,
+    catalog_entropy,
     fisher_entropy,
-    grid_diff,
     hyvarinen_divergence,
     hyvarinen_score,
-    log_slope,
+    make_psr,
     pair,
 )
+from entroscore.entropies import _periodic_differences
 
 
 def smooth_positive_field(grid, rng, modes=3, amplitude=0.6):
@@ -28,6 +29,14 @@ def smooth_positive_field(grid, rng, modes=3, amplitude=0.6):
         a, b = rng.normal(size=2) * amplitude / k
         log_q += a * np.sin(2.0 * np.pi * k * x) + b * np.cos(2.0 * np.pi * k * x)
     return GridDensity(grid, np.exp(log_q))
+
+
+def scaled(q, factor):
+    return GridDensity(q.grid, q.values * factor)
+
+
+def log_slope(q):
+    return _periodic_differences(q.values, q.grid.spacing) / q.values
 
 
 class TestGridBasics:
@@ -54,17 +63,16 @@ class TestGridBasics:
         np.testing.assert_array_equal(grid.space.weights, np.full(8, 0.125))
 
 
-class TestGridDiff:
+class TestPeriodicDifferences:
     def test_constants_vanish(self):
-        grid = PeriodicGrid(16)
-        np.testing.assert_array_equal(grid_diff(grid, np.full(16, 3.7)), np.zeros(16))
+        np.testing.assert_array_equal(_periodic_differences(np.full((2, 16), 3.7), 1 / 16), np.zeros((2, 16)))
 
     def test_sine_derivative_with_taylor_bound(self):
         grid = PeriodicGrid(64)
         x = grid.points
         v = np.sin(2.0 * np.pi * x)
         exact = 2.0 * np.pi * np.cos(2.0 * np.pi * x)
-        err = np.max(np.abs(grid_diff(grid, v) - exact))
+        err = np.max(np.abs(_periodic_differences(v, grid.spacing) - exact))
         # centered-difference remainder: max |f'''| h^2 / 6
         assert err <= (2.0 * np.pi) ** 3 * grid.spacing ** 2 / 6.0 * (1.0 + 1e-6)
 
@@ -75,12 +83,24 @@ class TestGridDiff:
         for _ in range(20):
             v = rng.uniform(-1.0, 1.0, size=64)
             w = rng.uniform(-1.0, 1.0, size=64)
-            lhs = pair(sp.cone(grid_diff(grid, v)), sp.dual(w))
-            rhs = pair(sp.cone(v), sp.dual(grid_diff(grid, w)))
+            lhs = pair(sp.cone(_periodic_differences(v, grid.spacing)), sp.dual(w))
+            rhs = pair(sp.cone(v), sp.dual(_periodic_differences(w, grid.spacing)))
             assert abs(lhs + rhs) <= 1e-14
 
 
 class TestHyvarinenScore:
+    def test_score_and_entropy_are_one_row_calls_into_the_fisher_row(self):
+        # hyvarinen_score and fisher_entropy are one-row calls into the fisher row on the grid's space
+        grid = PeriodicGrid(48)
+        rng = np.random.default_rng(112)
+        densities = [smooth_positive_field(grid, rng, amplitude=3.0) for _ in range(20)]
+        rows = np.array([q.values for q in densities])
+        entropy = catalog_entropy("fisher", grid.space)
+        assert grid.entropy is grid.entropy and grid.entropy.name == entropy.name
+        scores = make_psr(entropy).score_rows(rows)
+        np.testing.assert_array_equal(scores, [hyvarinen_score(q).values for q in densities])
+        np.testing.assert_array_equal(entropy.value_rows(rows), [fisher_entropy(q) for q in densities])
+
     def test_constant_density_scores_zero(self):
         grid = PeriodicGrid(32)
         q = GridDensity(grid, np.full(32, 2.5))
@@ -92,7 +112,7 @@ class TestHyvarinenScore:
         q = smooth_positive_field(grid, rng)
         for lam in (0.5, 2.0, 8.0):
             np.testing.assert_array_equal(
-                hyvarinen_score(q.scaled(lam)).values, hyvarinen_score(q).values
+                hyvarinen_score(scaled(q, lam)).values, hyvarinen_score(q).values
             )
 
     def test_scale_invariance_up_to_input_rounding(self):
@@ -101,8 +121,8 @@ class TestHyvarinenScore:
         q = smooth_positive_field(grid, rng)
         base = hyvarinen_score(q).values
         for lam in (3.0, 10.0):
-            scaled = hyvarinen_score(q.scaled(lam)).values
-            np.testing.assert_allclose(scaled, base, rtol=1e-13, atol=1e-13)
+            rescaled = hyvarinen_score(scaled(q, lam)).values
+            np.testing.assert_allclose(rescaled, base, rtol=1e-13, atol=1e-13)
 
     def test_independent_discretization_oracle(self):
         # one-sided differences give an O(h) re-implementation; agreement
@@ -135,7 +155,7 @@ class TestFisherEntropy:
         q = smooth_positive_field(grid, rng)
         value = fisher_entropy(q)
         for lam in (0.5, 2.0, 3.0, 10.0):
-            assert fisher_entropy(q.scaled(lam)) == pytest.approx(lam * value, rel=1e-12)
+            assert fisher_entropy(scaled(q, lam)) == pytest.approx(lam * value, rel=1e-12)
 
     def test_grid_refinement_stabilises(self):
         values = {}
@@ -155,7 +175,7 @@ class TestHyvarinenDivergence:
         rng = np.random.default_rng(104)
         p = smooth_positive_field(grid, rng).normalized()
         for lam in (0.5, 1.0, 3.0, 17.0):
-            assert abs(hyvarinen_divergence(p, p.scaled(lam))) <= 1e-14
+            assert abs(hyvarinen_divergence(p, scaled(p, lam))) <= 1e-14
 
     def test_positive_off_the_scaling_class(self):
         grid = PeriodicGrid(64)
@@ -178,14 +198,14 @@ class TestHyvarinenDivergence:
             q = GridDensity(grid, p.values * bump)
             smallest = min(smallest, hyvarinen_divergence(p, q))
         assert smallest > 0.0
-        assert hyvarinen_divergence(p, p.scaled(2.0)) == 0.0
+        assert hyvarinen_divergence(p, scaled(p, 2.0)) == 0.0
 
     def test_first_argument_must_be_normalised(self):
         grid = PeriodicGrid(64)
         rng = np.random.default_rng(107)
         p = smooth_positive_field(grid, rng)
         if abs(p.mass - 1.0) < 1e-6:  # pragma: no cover - generic draw
-            p = p.scaled(2.0)
+            p = scaled(p, 2.0)
         with pytest.raises(DomainError):
             hyvarinen_divergence(p, p)
 
@@ -208,7 +228,7 @@ class TestGridEulerAndPropriety:
         sp = grid.space
         rng = np.random.default_rng(109)
         for _ in range(100):
-            q = smooth_positive_field(grid, rng).scaled(float(rng.uniform(0.1, 10.0)))
+            q = scaled(smooth_positive_field(grid, rng), float(rng.uniform(0.1, 10.0)))
             lhs = pair(sp.cone(q.values), hyvarinen_score(q))
             rhs = fisher_entropy(q)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
@@ -230,8 +250,8 @@ class TestGridEulerAndPropriety:
         sp = grid.space
         rng = np.random.default_rng(111)
         for _ in range(200):
-            p = smooth_positive_field(grid, rng).scaled(float(rng.uniform(0.1, 10.0)))
-            q = smooth_positive_field(grid, rng).scaled(float(rng.uniform(0.1, 10.0)))
+            p = scaled(smooth_positive_field(grid, rng), float(rng.uniform(0.1, 10.0)))
+            q = scaled(smooth_positive_field(grid, rng), float(rng.uniform(0.1, 10.0)))
             support = pair(sp.cone(p.values), hyvarinen_score(q))
             assert fisher_entropy(p) - support >= -1e-12
 
@@ -239,11 +259,10 @@ class TestGridEulerAndPropriety:
 @pytest.mark.parametrize("call, error, message", [
     (lambda grid: GridDensity(grid, np.ones(7)), ConstructionError,
      "grid density length does not match the grid"),
-    (lambda grid: grid_diff(grid, np.ones(9)), ConstructionError, "values length does not match the grid"),
     (lambda grid: hyvarinen_divergence(GridDensity(grid, np.ones(8)).normalized(),
                                        GridDensity(PeriodicGrid(16), np.ones(16))),
      DomainError, "grid densities live on different grids"),
-], ids=["density-length", "diff-length", "divergence-across-grids"])
+], ids=["density-length", "divergence-across-grids"])
 def test_grid_operations_refuse_values_of_another_grid(call, error, message):
     with pytest.raises(error) as info:
         call(PeriodicGrid(8))

@@ -1,8 +1,9 @@
 """The package surface: each module's ``__all__`` is the one list of its public names; no
 module imports a name it does not use, the modules import one another one way only, only
 ``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``,
-only ``geometry`` reads a domain's sign flag, only ``sampling`` draws from a generator, and each
-catalog entropy is named once, in the catalog table."""
+only ``geometry`` reads a domain's sign flag, only ``sampling`` draws from a generator, only
+``entropies._periodic_differences`` rolls an array, and each catalog entropy is named once, in the
+catalog table."""
 
 import ast
 import re
@@ -27,9 +28,9 @@ EARLIER_NAMES = (
     "__version__", "affine_score_at", "annihilator_basis", "bregman_divergence",
     "bregman_divergence_rows", "canonical_extension_value", "catalog_entropy", "composite_entropy",
     "direction_cone_membership", "directional_derivative_fd", "expected_score",
-    "extended_subgradient", "fisher_entropy", "grid_diff", "hyvarinen_divergence", "hyvarinen_score",
-    "is_quasi_interior", "lineality_space", "linear_score", "linearity_check", "log_slope",
-    "make_psr", "normalize", "pair", "pair_rows", "parse_rule_spec",
+    "extended_subgradient", "fisher_entropy", "hyvarinen_divergence", "hyvarinen_score",
+    "is_quasi_interior", "lineality_space", "linear_score", "linearity_check",
+    "make_psr", "pair", "pair_rows", "parse_rule_spec",
     "quadratic_discrimination_bound", "rebase_entropy", "sample_cone_point", "sample_density",
     "sample_positive_box", "score_divergence", "score_divergence_rows", "subdifferential_probe",
     "symmetry_defect", "verify_euler", "verify_propriety", "zero_homog_extend",
@@ -177,12 +178,21 @@ def test_only_sampling_draws_from_a_generator():
 
 
 def test_each_catalog_name_is_written_once():
-    # as a key of the catalog table, and "quadratic" once more, as the entropy of cli's
-    # linear alias: adding an entropy is one row of the table
+    # as a key of the catalog table, "quadratic" once more, as the entropy of cli's linear
+    # alias, and "fisher" once more, as the entropy of grid's periodic grid: adding an entropy
+    # is one row of the table
     found = [(owner, node.value) for owner, node in _owned_nodes()
              if isinstance(node, ast.Constant) and node.value in entropies.CATALOG_NAMES]
     assert found == [("cli.py:_ALIASES", "quadratic"),
-                     *(("entropies.py:_CATALOG", name) for name in entropies.CATALOG_NAMES)]
+                     *(("entropies.py:_CATALOG", name) for name in entropies.CATALOG_NAMES),
+                     ("grid.py:PeriodicGrid", "fisher")]
+
+
+def test_the_centred_difference_is_written_once():
+    # entropies._periodic_differences is the one centred difference: no other code rolls an array
+    found = [owner for owner, node in _owned_nodes()
+             if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.roll", "numpy.roll")]
+    assert found == ["entropies.py:_periodic_differences"] * 2
 
 
 def test_the_cli_reads_each_entropy_it_looks_up_as_a_rule_spec():
@@ -250,7 +260,7 @@ def test_library_modules_catch_no_broad_error():
 # private helpers of the library pass raw rows.  A name here is caught as a call by name or
 # as a method call.
 VECTOR_ONLY_CALLS = {"ConeVector", "Density", "DualVector", "cone", "density", "dual",  # construction
-                     "pair", "normalize", "score", "value", "subgradient", "closed_form_score", "contains"}
+                     "pair", "score", "value", "subgradient", "closed_form_score", "contains"}
 
 
 def test_private_functions_build_no_vector_and_make_no_one_row_call():
