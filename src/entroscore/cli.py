@@ -14,8 +14,9 @@ value per line).  A forecast cell is anything Python ``float()`` accepts
 quoted cells and CRLF or CR line endings are read as ``csv.reader`` reads
 them.  A plain forecast file (ASCII, no quote, no CR, no blank line) is
 parsed by numpy's C reader; ``csv.reader`` reads any other, and names the
-line of any fault.  Floats are rendered with shortest round-trip ``repr`` (so
-``inf``/``-inf``), ``-0.0`` as ``0.0``.
+line of any fault.  Floats are written with exactly the bytes ``repr`` gives them
+(so ``inf``/``-inf``), by the array formatter ``shortest.format_rows``; ``-0.0``
+as ``0.0``.
 Exit codes: 0 success, 1 verification failure, 2 malformed input or config
 (or a ``verify`` rule whose scores leave the float range on its sample points),
 3 invalid density rows, rows whose scores (or Fisher entropy) leave the float range, or rows with a
@@ -49,6 +50,7 @@ from .grid import GridDensity, PeriodicGrid, fisher_entropy, hyvarinen_score
 from .measure import MeasureSpace, fsum_rows, pair_rows, require_density_rows, require_float_range
 from .sampling import _shared_draws
 from .scoring import linear_score, make_psr, score_divergence_rows, verify_euler, verify_propriety
+from .shortest import format_rows
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -304,9 +306,9 @@ def _csv_line(fields: list[str]) -> str:
 
 def _table_lines(labels, table: np.ndarray) -> list[str]:
     """One CSV line per row of ``table``: its label (CSV text that ends in a comma,
-    or empty), then the cells as shortest round-trip reprs, -0.0 as 0.0.  A
-    float's repr never needs quoting."""
-    return [label + ",".join(map(repr, row.tolist())) + "\n" for label, row in zip(labels, table + 0.0)]
+    or empty), then the cells with the bytes ``repr`` gives them, from the array
+    formatter, -0.0 as 0.0.  A float's repr never needs quoting."""
+    return list(map(str.__add__, labels, format_rows(table + 0.0).splitlines(keepends=True)))
 
 
 # -- score --------------------------------------------------------------------
@@ -339,8 +341,8 @@ def cmd_score(args) -> int:
     counts = finite.sum(axis=0)
     # the mean of each column's finite cells: their exact sum rounded once, over their count
     means = np.where(counts > 0, fsum_rows(np.where(finite, table, 0.0).T) / np.maximum(counts, 1), math.nan)
-    labels = (f"{row_id},{outcome}," for row_id, outcome in enumerate(outcomes, start=1))
-    lines = [_csv_line(header), *_table_lines(labels, table), *_table_lines(["mean,,"], means[None]),
+    labels = [f"{row_id},{outcome}," for row_id, outcome in enumerate(outcomes, start=1)] + ["mean,,"]
+    lines = [_csv_line(header), *_table_lines(labels, np.vstack([table, means])),
              "inf_count,," + ",".join(map(str, np.isinf(table).sum(axis=0).tolist())) + "\n"]
     _write_text("".join(lines), args.out)
     return EXIT_OK

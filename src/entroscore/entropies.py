@@ -44,7 +44,6 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -143,19 +142,13 @@ def _zero_safe(ufunc, q: np.ndarray, *args) -> np.ndarray:
 _pow, _log = partial(_zero_safe, np.power), partial(_zero_safe, np.log)
 
 
-def _libm(fn: Callable[..., float], values: np.ndarray, *args: float) -> np.ndarray:
-    """``fn(x, *args)`` of each element ``x`` through Python floats: libm's bits, not numpy's SIMD ones."""
-    return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, values.size)
-
-
 def _euler_scores(value_grad_rows: Callable, degree: float) -> Callable:
-    """Scores ``grad - (degree - 1) H`` by row for an entropy homogeneous of ``degree``: Euler's
-    ``pair(q, grad) = degree H`` makes them the generic ``grad + (H - pair(q, grad))`` on every row,
-    with no pairing.  A 1-homogeneous entropy scores with its subgradient."""
+    """Scores ``grad - (degree - 1) H`` by row for an entropy homogeneous of ``degree`` other than 1:
+    Euler's ``pair(q, grad) = degree H`` makes them the generic ``grad + (H - pair(q, grad))`` on
+    every row, with no pairing.  A 1-homogeneous entropy scores with its subgradient alone."""
     def score_rows(q: np.ndarray) -> np.ndarray:
         value, grad = value_grad_rows(q)
-        if degree != 1.0:
-            grad -= (degree - 1.0) * value[:, None]  # grad is the oracle's own array
+        grad -= (degree - 1.0) * value[:, None]  # grad is the oracle's own array
         return grad
 
     return score_rows
@@ -211,14 +204,17 @@ def _spherical(name: str, space: MeasureSpace) -> Entropy:
         _, top, total = scaled or _scaled(q, squares)
         return top * np.sqrt(total)
 
-    def value_grad_rows(q: np.ndarray) -> tuple:
-        v, _, total = scaled = _scaled(q, squares)
+    def gradient_rows(q: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
+        v, _, total = scaled or _scaled(q, squares)
         if (total <= 0.0).any():
             raise DomainError("spherical subgradient is undefined at the origin")
-        return value_rows(q, scaled), v / np.sqrt(total)[:, None]
+        return v / np.sqrt(total)[:, None]
 
-    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows,
-                   _euler_scores(value_grad_rows, 1.0))
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        scaled = _scaled(q, squares)
+        return value_rows(q, scaled), gradient_rows(q, scaled)
+
+    return Entropy(name, ConvexDomainSpec.whole_space(space), value_rows, value_grad_rows, gradient_rows)
 
 
 def _power(name: str, space: MeasureSpace, gamma: float) -> Entropy:
@@ -240,7 +236,7 @@ def _shannon(name: str, space: MeasureSpace) -> Entropy:
     def value_rows(q: np.ndarray) -> np.ndarray:
         charged = q != 0.0  # 0 log 0 := 0
         logs = np.zeros(q.shape)
-        logs[charged] = _libm(math.log, q[charged])
+        logs[charged] = np.fromiter(map(math.log, q[charged].tolist()), float)  # libm's bits, not numpy's SIMD ones
         return fsum_rows(np.where(charged, _times(q * logs, w), 0.0))
 
     def value_grad_rows(q: np.ndarray) -> tuple:
@@ -260,19 +256,23 @@ def _pseudospherical(name: str, space: MeasureSpace, gamma: float) -> Entropy:
 
     def value_rows(q: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
         _, top, total = scaled or _scaled(q, powers)
-        return top * _libm(pow, total, 1.0 / gamma)
+        # numpy's generic float_power loop calls libm's pow, as Python's ** does; np.power's SIMD kernel
+        # rounds differently
+        return top * np.float_power(total, 1.0 / gamma)
 
-    def value_grad_rows(q: np.ndarray) -> tuple:
-        v, _, total = scaled = _scaled(q, powers)
+    def gradient_rows(q: np.ndarray, scaled: tuple | None = None) -> np.ndarray:
+        v, _, total = scaled or _scaled(q, powers)
         if (total <= 0.0).any():
             raise DomainError("pseudospherical subgradient is undefined at the origin")
-        norm = _libm(pow, total, (gamma - 1.0) / gamma)
         grad = _pow(v, gamma - 1.0)
-        grad /= norm[:, None]
-        return value_rows(q, scaled), grad
+        grad /= np.float_power(total, (gamma - 1.0) / gamma)[:, None]
+        return grad
 
-    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
-                   _euler_scores(value_grad_rows, 1.0))
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        scaled = _scaled(q, powers)
+        return value_rows(q, scaled), gradient_rows(q, scaled)
+
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows, gradient_rows)
 
 
 def _weighted_quadratic(name: str, space: MeasureSpace, matrix) -> Entropy:
@@ -320,15 +320,17 @@ def _fisher(name: str, space: MeasureSpace) -> Entropy:
         terms = np.where(q == 0.0, np.where(differences == 0.0, 0.0, math.inf), q * r * r * h)
         return _positive_sums(terms)
 
-    def value_grad_rows(q: np.ndarray) -> tuple:
+    def gradient_rows(q: np.ndarray) -> np.ndarray:
         if (zero := (q == 0.0).any(axis=1)).any():
             rows = row_list((np.flatnonzero(zero) + 1).tolist())
             raise DomainError(f"fisher subgradient does not exist at zero atoms, in {rows}")
         r = _periodic_differences(q, h) / q
-        return value_rows(q), -2.0 * _periodic_differences(r, h) - r * r
+        return -2.0 * _periodic_differences(r, h) - r * r
 
-    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows,
-                   _euler_scores(value_grad_rows, 1.0))
+    def value_grad_rows(q: np.ndarray) -> tuple:
+        return value_rows(q), gradient_rows(q)
+
+    return Entropy(name, ConvexDomainSpec.nonnegative_orthant(space), value_rows, value_grad_rows, gradient_rows)
 
 
 # The catalog, name -> (its constructor, called as (name, space) or (name, space, parameter); the

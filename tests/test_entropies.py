@@ -301,6 +301,33 @@ def test_zero_safe_pow_and_log_keep_numpys_bits(gamma):
                 assert (_bits(entropies._log(q)) == _bits(np.log(q))).all()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=64),
+       st.one_of(st.sampled_from([1.0 + 1e-6, 1.5, 3.0, 11.0, 50.0]), st.floats(1.0, 1e3, exclude_min=True)))
+def test_float_power_is_pythons_pow_bit_for_bit(bases, gamma):
+    # pseudospherical's row powers: numpy's generic float_power loop calls libm's pow, as ** does
+    # (np.power's SIMD kernel does not); a numpy whose float_power is vectorised fails here
+    x = np.array(bases)
+    for exponent in (1.0 / gamma, (gamma - 1.0) / gamma):
+        assert (_bits(np.float_power(x, exponent)) == _bits(np.array([b ** exponent for b in bases]))).all()
+
+
+@pytest.mark.parametrize("spec, owner, helper", [("spherical", np, "sqrt"), ("pseudospherical(3)", np, "float_power"),
+                                                 ("fisher", entropies, "_positive_sums")])
+def test_one_homogeneous_scores_compute_no_value(monkeypatch, spec, owner, helper):
+    # a 1-homogeneous entropy scores with its subgradient: its closed form gives the bits of
+    # value_grad_rows' subgradient and makes none of the call (here counted) that ends its value
+    entropy = entropy_from_spec(spec, MeasureSpace(np.full(8, 0.125)))
+    rows = np.random.default_rng(5).dirichlet(np.ones(8), size=20) * 8.0
+    calls, original = [], getattr(owner, helper)
+    monkeypatch.setattr(owner, helper, lambda *args, **kwargs: calls.append(helper) or original(*args, **kwargs))
+    scores = entropy.closed_form_rows(rows)
+    scored = len(calls)
+    _, grad = entropy.value_grad_rows(rows)
+    assert len(calls) - scored == scored + 1
+    assert (_bits(scores) == _bits(grad)).all()
+
+
 class TestConvexityAndHomogeneity:
     @pytest.mark.parametrize("spec", CATALOG_SPECS)
     def test_midpoint_convexity_sampled(self, spec):

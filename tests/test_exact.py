@@ -4,10 +4,12 @@
 Each float result must lie within ``k * u * scale`` of the exact value, with
 ``u = 2^-53``, ``scale`` the sum of the magnitudes of the terms that make up
 the value (the numerator of its condition number) and ``k`` stated per
-quantity, a little above what the closed forms reach on these cases.
+quantity, a little above what the closed forms reach on these cases.  Where an
+exact score may lie below the smallest subnormal, the bound adds half of it.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from entroscore import (GridDensity, MeasureSpace, PeriodicGrid, catalog_entropy, hyvarinen_divergence, make_psr,
                         score_divergence_rows)
+from entroscore.measure import FloatRangeError
 
 U = 2.0 ** -53
 PRECISION = 60
@@ -98,14 +101,18 @@ def test_the_one_homogeneous_offset_cancellation_is_gone():
     assert abs(_exact(divergence) - exact) <= DIVERGENCE_K * Decimal(U) * (own_scale + cross_scale)
 
 
+# Shares of the mass of densities on 3 atoms that charge every atom, leave one out, or sit on one
+SHARES = np.array([[0.5, 0.3, 0.2], [0.2, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.1, 0.8, 0.1]])
+EXTREME_WEIGHTS = {"light_first": [1e-8, 1.0, 1e8], "heavy_first": [1e8, 1e-8, 1.0]}
+
+
 @pytest.mark.parametrize("name, gamma", RULES, ids=[f"{n}({g})" if g else n for n, g in RULES])
-@pytest.mark.parametrize("weights", [[1e-8, 1.0, 1e8], [1e8, 1e-8, 1.0]], ids=["light_first", "heavy_first"])
+@pytest.mark.parametrize("weights", EXTREME_WEIGHTS.values(), ids=EXTREME_WEIGHTS)
 def test_catalog_scores_at_extreme_weights(name, gamma, weights):
-    # densities that charge every atom, leave one out, or sit on one atom, under weights 1e-8 and
-    # 1e8: the light atom's density reaches 1e8, the heavy one's 1e-8
+    # the SHARES densities under weights 1e-8 and 1e8: the light atom's density reaches 1e8, the
+    # heavy one's 1e-8
     space = MeasureSpace(weights)
-    shares = np.array([[0.5, 0.3, 0.2], [0.2, 0.0, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.1, 0.8, 0.1]])
-    rows = shares / np.array(weights)
+    rows = SHARES / np.array(weights)
     scores = build(name, gamma, space).score_rows(rows)
     k = SCORE_K * Decimal(U)
     for q, row_scores in zip(rows, scores):
@@ -115,6 +122,35 @@ def test_catalog_scores_at_extreme_weights(name, gamma, weights):
                 assert got == -math.inf
             else:
                 assert abs(_exact(got) - want) <= k * size, (q.tolist(), got, want)
+
+
+# Exponents at the ends of what the catalog allows: near 1, and large
+EXTREME_GAMMAS = [(name, gamma) for name in ("power", "pseudospherical") for gamma in (1.0 + 1e-6, 50.0)]
+# Half the smallest subnormal: an exact score nearer 0 reads as 0, which no relative bound allows
+UNDERFLOW = Decimal(2) ** -1075
+
+
+@pytest.mark.parametrize("name, gamma", EXTREME_GAMMAS, ids=[f"{n}({g})" for n, g in EXTREME_GAMMAS])
+@pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0], *EXTREME_WEIGHTS.values()], ids=["unit", *EXTREME_WEIGHTS])
+def test_catalog_scores_at_extreme_exponents(name, gamma, weights):
+    # the SHARES densities at gamma = 1 + 1e-6, where the cases reach k = 1.48 (power) and 1.43
+    # (pseudospherical), and at 50, where they reach 1.67 and 0.19 on unit weights.  At weights
+    # 1e-8 and 1e8 some exact scores lie below the smallest subnormal (9.3e-396 reads as 0.0),
+    # and power(50)'s rows that put a share on the light atom score past the largest float:
+    # score_rows refuses those rows
+    rule = build(name, gamma, MeasureSpace(weights))
+    k, largest = SCORE_K * Decimal(U), _exact(sys.float_info.max)
+    refused = []
+    for q in SHARES / np.array(weights):
+        exact, scale = exact_scores(name, gamma, weights, q)
+        if any(abs(want) > largest for want in exact):
+            with pytest.raises(FloatRangeError):
+                rule.score_rows(q[None])
+            refused.append(q.tolist())
+            continue
+        for got, want, size in zip(rule.score_rows(q[None])[0].tolist(), exact, scale):
+            assert abs(_exact(got) - want) <= k * size + UNDERFLOW, (q.tolist(), got, want)
+    assert bool(refused) == (name == "power" and gamma == 50.0 and weights[0] != weights[1])
 
 
 # k for the fisher scores and the Fisher divergence, where ``scale`` is the exact value with each

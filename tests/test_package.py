@@ -2,8 +2,8 @@
 module imports a name it does not use, the modules import one another one way only, only
 ``measure.exact_row_sums`` calls ``math.fsum``, beside the one TwoSum, ``measure._two_sum``,
 only ``geometry`` reads a domain's sign flag, only ``sampling`` draws from a generator, only
-``entropies._periodic_differences`` rolls an array, and each catalog entropy is named once, in the
-catalog table."""
+``entropies._periodic_differences`` rolls an array, each catalog entropy is named once, in the
+catalog table, and the CLI writes table cells only through the array formatter."""
 
 import ast
 import re
@@ -88,7 +88,7 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 # Each module imports only modules earlier in this order, at its top level.
-LAYERS = ("errors", "measure", "sampling", "geometry", "entropies", "scoring", "bregman", "grid", "cli")
+LAYERS = ("errors", "measure", "sampling", "geometry", "entropies", "scoring", "bregman", "grid", "shortest", "cli")
 
 
 def _package_imports(node: ast.AST) -> list[str]:
@@ -133,6 +133,35 @@ def test_only_measure_calls_math_fsum():
     calls = [owner for owner, node in _owned_nodes()
              if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.fsum", "fsum")]
     assert calls == ["measure.py:exact_row_sums"]
+
+
+# What turns a value into text: the builtins, the format methods, numpy's text writers
+TEXT_CALLS = {"repr", "str", "format", "ascii", "format_map", "savetxt", "array2string", "array_repr", "array_str",
+              "format_float_positional", "format_float_scientific"}
+
+
+def test_the_cli_writes_table_cells_only_through_the_array_formatter():
+    # outside the messages it raises, cli.py turns no value into text but by shortest.format_rows
+    # (in _table_lines): no repr, format spec or %-format, and str only on the inf counts, which
+    # are ints, and as a parser of config text; annotations and str's methods name it too
+    tree = _module_trees()["cli.py"]
+    skipped = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    skipped += [node.annotation for node in ast.walk(tree) if isinstance(node, ast.arg) and node.annotation]
+    skipped += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.returns]
+    skipped += [node.value for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and ast.unparse(node.value) == "str"]
+    skipped = {id(node) for top in skipped for node in ast.walk(top)}
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0])
+        for node in (node for node in ast.walk(top) if id(node) not in skipped):
+            if (getattr(node, "id", getattr(node, "attr", None)) in TEXT_CALLS
+                    or isinstance(node, ast.FormattedValue) and (node.conversion != -1 or node.format_spec)
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Constant)
+                    or isinstance(node, ast.Call) and ast.unparse(node.func) == "format_rows"):
+                found.append((owner, ast.unparse(getattr(node, "func", node))))
+    assert sorted(found) == [("_SECTIONS", "str")] * 3 + [("_table_lines", "format_rows"), ("cmd_score", "str")]
 
 
 def _is_two_sum_error(node) -> bool:
